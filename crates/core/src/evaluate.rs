@@ -7,6 +7,7 @@
 use liberate_obs::{Counter, EventKind, Phase};
 use liberate_packet::packet::ParsedPacket;
 use liberate_packet::validate::{validate_wire, Malformation};
+use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::TapPoint;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
@@ -115,14 +116,15 @@ fn judge_reach<S: Substrate>(
     ctx: &EvasionContext,
 ) -> Reach {
     let capture = session.env.capture();
-    let ingress: Vec<&[u8]> = capture
+    // Shared views of the captured buffers: parsing them never copies.
+    let ingress: Vec<&PacketBuf> = capture
         .at(TapPoint::ServerIngress)
-        .map(|r| r.wire.as_slice())
+        .map(|r| &r.wire)
         .collect();
 
     match technique.category() {
         Category::InertInsertion => {
-            let marked: Vec<&&[u8]> = ingress
+            let marked: Vec<&&PacketBuf> = ingress
                 .iter()
                 .filter(|w| w.windows(DECOY_MARKER.len()).any(|x| x == DECOY_MARKER))
                 .collect();
@@ -194,7 +196,11 @@ fn judge_reach<S: Substrate>(
 /// Did the matching packet's payload reach the server — whole
 /// (`Transformed` for split techniques means "merged back together"),
 /// in pieces (`Yes`), or not at all (`No`)?
-fn matching_payload_reach(ingress: &[&[u8]], trace: &RecordedTrace, ctx: &EvasionContext) -> Reach {
+fn matching_payload_reach(
+    ingress: &[&PacketBuf],
+    trace: &RecordedTrace,
+    ctx: &EvasionContext,
+) -> Reach {
     let ordinal = ctx.matching_fields.first().map(|f| f.packet).unwrap_or(0);
     let Some(payload) = trace
         .client_messages()

@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use liberate_dpi::profiles::{EnvKind, EnvironmentBlueprint, CLIENT_ADDR, SERVER_ADDR};
 use liberate_obs::{Counter, EventKind, Hist, Journal, Phase};
 use liberate_packet::fragment::fragment_packet;
-use liberate_packet::packet::{Packet, ParsedPacket};
+use liberate_packet::packet::{Packet, ParsedPacket, ParsedTransport};
 use liberate_packet::tcp::TcpFlags;
 use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::TapPoint;
@@ -50,7 +50,8 @@ pub(crate) const SESSION_TAPS: &[TapPoint] = &[TapPoint::ServerIngress];
 /// `(cumulative client bytes required, response payload)` for TCP and
 /// `(client datagram count required, response payload)` for UDP, plus the
 /// stream prefix to discard (server-side support for the dummy-prefix
-/// technique).
+/// technique). Each server payload is copied once, into a buffer both
+/// scripts share.
 pub fn server_script(trace: &RecordedTrace, skip_prefix: u64) -> ServerScript {
     let mut tcp_script = Vec::new();
     let mut udp_script = Vec::new();
@@ -63,8 +64,9 @@ pub fn server_script(trace: &RecordedTrace, skip_prefix: u64) -> ServerScript {
                 client_dgrams += 1;
             }
             Sender::Server => {
-                tcp_script.push((client_bytes, msg.payload.clone()));
-                udp_script.push((client_dgrams, msg.payload.clone()));
+                let payload = PacketBuf::from(&msg.payload);
+                tcp_script.push((client_bytes, payload.clone()));
+                udp_script.push((client_dgrams, payload));
             }
         }
     }
@@ -592,44 +594,15 @@ where
         let protocol = self.protocol;
 
         // ----- Observe.
-        let mut rsts = 0usize;
-        let mut block_page = false;
-        let mut meter = ThroughputMeter::default();
-        let mut server_payload = 0u64;
-        let mut icmp = Vec::new();
-        let mut first_payload_at: Option<SimTime> = None;
-        let mut received_stream: Vec<u8> = Vec::new();
-        for (at, wire) in &self.inbox_log {
-            if let Some(e) = parse_icmp_error(wire) {
-                icmp.push(e);
-                continue;
-            }
-            let Some(p) = ParsedPacket::parse(wire) else {
-                continue;
-            };
-            let ours = p.dst_port() == Some(client_port) || protocol == TraceProtocol::Udp;
-            if !ours {
-                continue;
-            }
-            if let Some(t) = p.tcp() {
-                if t.flags.rst {
-                    rsts += 1;
-                    continue;
-                }
-            }
-            if p.payload.starts_with(b"HTTP/1.1 403 Forbidden") {
-                block_page = true;
-                continue;
-            }
-            if !p.payload.is_empty() {
-                server_payload += p.payload.len() as u64;
-                meter.record(*at, p.payload.len());
-                first_payload_at.get_or_insert(*at);
-                if received_stream.len() < 1 << 20 {
-                    received_stream.extend_from_slice(&p.payload);
-                }
-            }
-        }
+        let InboxObservation {
+            rsts,
+            block_page,
+            meter,
+            server_payload,
+            icmp,
+            first_payload_at,
+            response_matches,
+        } = observe_inbox(&self.inbox_log, client_port, protocol, trace);
 
         let expected_server_bytes: u64 = trace
             .server_messages()
@@ -657,21 +630,6 @@ where
         };
 
         session.bytes_received_total += server_payload;
-        // Content-modification check: the bytes the client received must
-        // be a prefix of the trace's server stream (bounded to the first
-        // MiB for large video traces).
-        let mut expected_stream: Vec<u8> = Vec::new();
-        for m in trace.server_messages() {
-            if expected_stream.len() >= 1 << 20 {
-                break;
-            }
-            expected_stream.extend_from_slice(&m.payload);
-        }
-        let cmp_len = received_stream
-            .len()
-            .min(expected_stream.len())
-            .min(1 << 20);
-        let response_matches = received_stream[..cmp_len] == expected_stream[..cmp_len];
 
         let request_to_response = match (self.first_data_sent, first_payload_at) {
             (Some(a), Some(b)) if b >= a => Some(b - a),
@@ -731,6 +689,110 @@ where
         self.state = SmState::Done;
         TaskPoll::Done(outcome)
     }
+}
+
+/// The content-modification check reads at most this many leading bytes
+/// of the server stream (large video traces).
+const RESPONSE_CHECK_BYTES: usize = 1 << 20;
+
+/// What the client side saw of one replay, read from its inbox.
+#[derive(Default)]
+struct InboxObservation {
+    rsts: usize,
+    block_page: bool,
+    meter: ThroughputMeter,
+    server_payload: u64,
+    icmp: Vec<IcmpError>,
+    first_payload_at: Option<SimTime>,
+    response_matches: bool,
+}
+
+/// Classify the packets delivered to the client: ICMP errors, RSTs and
+/// block pages on our flow, and server payload. Reads headers and
+/// payloads in place; nothing is copied.
+fn observe_inbox(
+    inbox: &[(SimTime, PacketBuf)],
+    client_port: u16,
+    protocol: TraceProtocol,
+    trace: &RecordedTrace,
+) -> InboxObservation {
+    let mut obs = InboxObservation::default();
+    let mut received: Vec<&[u8]> = Vec::new();
+    for (at, wire) in inbox {
+        if let Some(e) = parse_icmp_error(wire) {
+            obs.icmp.push(e);
+            continue;
+        }
+        let Some((_, transport, payload_offset)) = ParsedPacket::parse_headers(wire) else {
+            continue;
+        };
+        let (dst_port, rst) = match &transport {
+            ParsedTransport::Tcp(t) => (Some(t.dst_port), t.flags.rst),
+            ParsedTransport::Udp(u) => (Some(u.dst_port), false),
+            ParsedTransport::Other(_) => (None, false),
+        };
+        if dst_port != Some(client_port) && protocol != TraceProtocol::Udp {
+            continue;
+        }
+        if rst {
+            obs.rsts += 1;
+            continue;
+        }
+        let payload = &wire[payload_offset..];
+        if payload.starts_with(b"HTTP/1.1 403 Forbidden") {
+            obs.block_page = true;
+            continue;
+        }
+        if !payload.is_empty() {
+            obs.server_payload += payload.len() as u64;
+            obs.meter.record(*at, payload.len());
+            obs.first_payload_at.get_or_insert(*at);
+            received.push(payload);
+        }
+    }
+    // Content-modification check: the bytes the client received must be
+    // a prefix of the trace's server stream.
+    let expected = trace.server_messages().map(|m| m.payload.as_slice());
+    obs.response_matches = response_matches(received, expected);
+    obs
+}
+
+/// Whether the `received` stream agrees with the `expected` stream over
+/// the bytes both cover, within the first [`RESPONSE_CHECK_BYTES`]. Both
+/// streams arrive as pieces and are compared piece against piece in
+/// place; neither is ever joined.
+fn response_matches<'a>(
+    received: impl IntoIterator<Item = &'a [u8]>,
+    expected: impl IntoIterator<Item = &'a [u8]>,
+) -> bool {
+    let mut expected = expected.into_iter();
+    let mut want: &[u8] = &[];
+    let mut budget = RESPONSE_CHECK_BYTES;
+    for piece in received {
+        let mut got = &piece[..piece.len().min(budget)];
+        budget -= got.len();
+        while !got.is_empty() {
+            if want.is_empty() {
+                match expected.next() {
+                    Some(m) => want = m,
+                    // Received more than the trace holds: nothing left
+                    // to compare against.
+                    None => return true,
+                }
+                continue;
+            }
+            let n = got.len().min(want.len());
+            if got[..n] != want[..n] {
+                return false;
+            }
+            got = &got[n..];
+            want = &want[n..];
+        }
+        if budget == 0 {
+            break;
+        }
+    }
+    true
 }
 
 /// Lower one scheduled packet to wire bytes. `ident` seeds the IP
@@ -804,6 +866,7 @@ fn build_wire_packets(
 mod tests {
     use super::*;
     use liberate_traces::apps;
+    use liberate_traces::recorded::TraceMessage;
 
     fn session(kind: EnvKind) -> Session {
         Session::new(kind, OsKind::Linux, LiberateConfig::default())
@@ -918,6 +981,121 @@ mod tests {
         assert!(!out.blocked(), "dummy prefix evades the GFC: {out:?}");
         assert!(out.complete);
         assert!(out.integrity_ok, "server skipped the prefix");
+    }
+
+    /// `len` bytes of a deterministic pattern starting at stream offset
+    /// `from`.
+    fn stream(from: usize, len: usize) -> Vec<u8> {
+        (from..from + len).map(|i| (i % 251) as u8).collect()
+    }
+
+    #[test]
+    fn response_matches_across_different_piece_boundaries() {
+        let expected = [stream(0, 1460), stream(1460, 1460), stream(2920, 80)];
+        let received = [stream(0, 1000), stream(1000, 2000)];
+        assert!(response_matches(
+            received.iter().map(|p| p.as_slice()),
+            expected.iter().map(|m| m.as_slice()),
+        ));
+    }
+
+    #[test]
+    fn response_mismatch_inside_the_first_mib() {
+        let expected = [stream(0, 1460), stream(1460, 1460)];
+        let mut tampered = stream(1000, 1000);
+        tampered[700] ^= 0xff; // stream offset 1700, in the second message
+        let received = [stream(0, 1000), tampered];
+        assert!(!response_matches(
+            received.iter().map(|p| p.as_slice()),
+            expected.iter().map(|m| m.as_slice()),
+        ));
+    }
+
+    #[test]
+    fn response_mismatch_past_the_first_mib_still_matches() {
+        let mib = RESPONSE_CHECK_BYTES;
+        let expected: Vec<Vec<u8>> = (0..2 * mib)
+            .step_by(1460)
+            .map(|at| stream(at, 1460.min(2 * mib - at)))
+            .collect();
+        // The received pieces straddle the 1 MiB mark; flip one byte at
+        // stream offset `bad`.
+        let matches_with_bad_byte_at = |bad: usize| {
+            let mut tail = stream(mib - 100, 1000);
+            tail[bad + 100 - mib] ^= 0xff;
+            let received = [stream(0, mib - 100), tail];
+            response_matches(
+                received.iter().map(|p| p.as_slice()),
+                expected.iter().map(|m| m.as_slice()),
+            )
+        };
+        assert!(matches_with_bad_byte_at(mib));
+        assert!(!matches_with_bad_byte_at(mib - 1));
+    }
+
+    #[test]
+    fn short_reception_matches_its_prefix() {
+        let expected = [stream(0, 1460), stream(1460, 1460)];
+        let received = [stream(0, 1460), stream(1460, 10)];
+        assert!(response_matches(
+            received.iter().map(|p| p.as_slice()),
+            expected.iter().map(|m| m.as_slice()),
+        ));
+        assert!(response_matches([], expected.iter().map(|m| m.as_slice())));
+    }
+
+    #[test]
+    fn trace_without_server_bytes_matches_anything() {
+        let received = [b"unexpected".to_vec()];
+        assert!(response_matches(
+            received.iter().map(|p| p.as_slice()),
+            std::iter::empty(),
+        ));
+        let mut trace = RecordedTrace::new("upload", TraceProtocol::Tcp, 80);
+        trace.push_message(TraceMessage::client(&b"PUT / HTTP/1.1\r\n\r\n"[..]));
+        let inbox = [(
+            SimTime::ZERO,
+            to_client(1, b"unexpected", TcpFlags::PSH_ACK),
+        )];
+        assert!(observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &trace).response_matches);
+    }
+
+    fn to_client(seq: u32, payload: &[u8], flags: TcpFlags) -> PacketBuf {
+        let pkt = Packet::tcp(
+            SERVER_ADDR,
+            CLIENT_ADDR,
+            80,
+            40_000,
+            seq,
+            1,
+            payload.to_vec(),
+        );
+        PacketBuf::from(pkt.with_flags(flags).serialize())
+    }
+
+    #[test]
+    fn rsts_and_block_pages_are_left_out_of_the_response() {
+        let mut trace = RecordedTrace::new("web", TraceProtocol::Tcp, 80);
+        trace.push_message(TraceMessage::client(&b"GET / HTTP/1.1\r\n\r\n"[..]));
+        trace.push_stream(Sender::Server, &stream(0, 3000));
+        let inbox: Vec<(SimTime, PacketBuf)> = [
+            to_client(1, b"HTTP/1.1 403 Forbidden\r\n\r\n", TcpFlags::PSH_ACK),
+            to_client(1, b"garbage riding an RST", TcpFlags::RST),
+            to_client(1, &stream(0, 1460), TcpFlags::PSH_ACK),
+            to_client(1461, &stream(1460, 1540), TcpFlags::PSH_ACK),
+        ]
+        .into_iter()
+        .map(|w| (SimTime::ZERO, w))
+        .collect();
+        let seen = observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &trace);
+        assert!(seen.response_matches);
+        assert!(seen.block_page);
+        assert_eq!(seen.rsts, 1);
+        assert_eq!(seen.server_payload, 3000);
+        // The same bytes with one flipped do not match.
+        let mut tampered = inbox;
+        tampered[3].1 = to_client(1461, &stream(1461, 1540), TcpFlags::PSH_ACK);
+        assert!(!observe_inbox(&tampered, 40_000, TraceProtocol::Tcp, &trace).response_matches);
     }
 
     #[test]

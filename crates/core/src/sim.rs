@@ -20,6 +20,7 @@ use parking_lot::Mutex;
 use liberate_dpi::profiles::{build_environment, EnvKind, Environment, EnvironmentBlueprint};
 use liberate_obs::Journal;
 use liberate_packet::flow::FlowKey;
+use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::Capture;
 use liberate_substrate::script::{ScriptEngine, ServerObs, ServerScript};
 use liberate_substrate::time::SimTime;
@@ -36,7 +37,7 @@ struct ScriptServerApp {
 }
 
 impl ServerApp for ScriptServerApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<u8> {
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         self.engine.on_tcp_data(data)
     }
 
@@ -56,7 +57,7 @@ struct MuxScriptApp {
 }
 
 impl ServerApp for MuxScriptApp {
-    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<u8> {
+    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         match self.engines.get_mut(&flow.src) {
             Some(engine) => engine.on_tcp_data(data),
             None => Vec::new(),

@@ -17,7 +17,6 @@ use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
-use liberate_packet::validate::validate_wire;
 
 use crate::actions::Policy;
 use crate::automaton::{CompiledRuleSet, MatcherKind};
@@ -35,6 +34,16 @@ const DEFAULT_WINDOW_BYTES: usize = 16 * 1024;
 
 /// Bytes-per-packet assumption when sizing a packet-count window.
 const SERVER_MSS_BYTES: usize = 1500;
+
+/// The policy of a classified flow whose class has none configured:
+/// billed and forwarded untouched (`Policy::default()`).
+static NO_POLICY: Policy = Policy {
+    throttle: None,
+    zero_rate: false,
+    block: None,
+    delay: None,
+    rewrite: None,
+};
 
 /// Full configuration of a DPI device.
 #[derive(Debug, Clone)]
@@ -642,28 +651,13 @@ impl DpiDevice {
         wire: PacketBuf,
         key: FlowKey,
     ) -> Verdict {
-        let canonicalish = key;
         let entry = ft
-            .lookup(
-                canonicalish,
-                now,
-                &self.config.flow,
-                self.config.resource.as_ref(),
-            )
+            .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
             .expect("caller checked classification exists");
-        let class = entry
-            .classification
-            .as_ref()
-            .expect("caller checked")
-            .class
-            .clone();
-        let policy = self
-            .config
-            .policies
-            .get(&class)
-            .cloned()
-            .unwrap_or_default();
-        self.account(policy.zero_rate, wire.len());
+        let class = &entry.classification.as_ref().expect("caller checked").class;
+        let policy = self.config.policies.get(class).unwrap_or(&NO_POLICY);
+        let (zero_rate, delay, throttle) = (policy.zero_rate, policy.delay, policy.throttle);
+        let len = wire.len();
 
         // Content modification (server direction). The rewrite builds a
         // fresh buffer, so it is one of the few sanctioned deep copies on
@@ -684,13 +678,15 @@ impl DpiDevice {
             }
         }
 
+        self.account(zero_rate, len);
+
         // Deprioritization latency.
-        let base = match policy.delay {
+        let base = match delay {
             Some(d) => now + d,
             None => now,
         };
 
-        if let (Some((rate, burst)), Direction::ServerToClient) = (policy.throttle, dir) {
+        if let (Some((rate, burst)), Direction::ServerToClient) = (throttle, dir) {
             let entry = ft
                 .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
                 .expect("still present");
@@ -749,8 +745,6 @@ impl DpiDevice {
             self.account(false, len);
             return Verdict::pass(now, wire);
         };
-        let defects = validate_wire(&wire);
-
         // A lax device parses the transport header regardless of a bogus
         // protocol number: re-view the bytes as TCP for classification
         // only (the forwarded packet is untouched).
@@ -784,7 +778,7 @@ impl DpiDevice {
 
         // Packets failing the device's validation are invisible to the
         // classifier but still forwarded.
-        if !self.config.validation.processes(&defects) {
+        if !self.config.validation.processes(&wire) {
             self.account(false, len);
             return Verdict::pass(now, wire);
         }
@@ -805,12 +799,12 @@ impl DpiDevice {
             && self.table.is_penalized(server_addr, server_port, now)
         {
             // Find the blocking class to reuse its RST behaviour.
-            if let Some((class, _)) = self
+            if let Some(class) = self
                 .config
                 .policies
                 .iter()
                 .find(|(_, p)| p.block.is_some())
-                .map(|(c, p)| (c.clone(), p.clone()))
+                .map(|(c, _)| c.clone())
             {
                 self.fire_block(now, dir, &pkt, key, effects, &class);
             }

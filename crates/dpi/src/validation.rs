@@ -14,7 +14,7 @@
 //! - **Iran and T-Mobile** "only partially check for invalid packet
 //!   headers".
 
-use liberate_packet::validate::{Malformation, MalformationSet};
+use liberate_packet::validate::{has_defect_in, Malformation, MalformationSet};
 
 /// Which defects make the middlebox ignore a packet (treat it as noise and
 /// forward it without matching on its contents).
@@ -56,39 +56,58 @@ impl ValidationModel {
         self
     }
 
-    /// Should a packet with `defects` be fed to the matcher?
-    pub fn processes(&self, defects: &MalformationSet) -> bool {
-        self.ignores.is_disjoint(defects)
+    /// Should the packet `wire` be fed to the matcher? Only the checks for
+    /// ignored defects run, so a lax device validates nothing and the
+    /// transport checksum is verified only by devices that ignore on it.
+    pub fn processes(&self, wire: &[u8]) -> bool {
+        !has_defect_in(wire, &self.ignores)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liberate_packet::checksum::ChecksumSpec;
+    use liberate_packet::packet::Packet;
+    use liberate_packet::tcp::TcpFlags;
+    use std::net::Ipv4Addr;
     use Malformation::*;
+
+    fn tcp() -> Packet {
+        let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        Packet::tcp(c, s, 40000, 80, 1, 1, &b"GET / HTTP/1.1\r\n"[..])
+    }
 
     #[test]
     fn lax_processes_everything() {
         let m = ValidationModel::lax();
-        let defects: MalformationSet = [IpChecksumWrong, TcpChecksumWrong, TcpFlagsInvalid]
-            .into_iter()
-            .collect();
-        assert!(m.processes(&defects));
+        let mut p = tcp();
+        p.ip.checksum = ChecksumSpec::Fixed(1);
+        p.tcp_mut().checksum = ChecksumSpec::Fixed(1);
+        p.tcp_mut().flags = TcpFlags::XMAS;
+        assert!(m.processes(&p.serialize()));
         assert!(!m.tracks_seq);
     }
 
     #[test]
     fn strict_ignores_listed() {
         let m = ValidationModel::ignoring([IpChecksumWrong, IpVersionInvalid]).with_seq_tracking();
-        assert!(!m.processes(&[IpChecksumWrong].into_iter().collect()));
-        assert!(m.processes(&[TcpChecksumWrong].into_iter().collect()));
-        assert!(m.processes(&MalformationSet::new()));
+        let mut bad_ip = tcp();
+        bad_ip.ip.checksum = ChecksumSpec::Fixed(1);
+        assert!(!m.processes(&bad_ip.serialize()));
+        let mut bad_tcp = tcp();
+        bad_tcp.tcp_mut().checksum = ChecksumSpec::Fixed(1);
+        assert!(m.processes(&bad_tcp.serialize()));
+        assert!(m.processes(&tcp().serialize()));
         assert!(m.tracks_seq);
     }
 
     #[test]
     fn also_ignoring_extends() {
         let m = ValidationModel::ignoring([IpVersionInvalid]).also_ignoring([UdpLengthLong]);
-        assert!(!m.processes(&[UdpLengthLong].into_iter().collect()));
+        let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let mut long = Packet::udp(c, s, 3478, 3478, &b"stun"[..]);
+        long.udp_mut().length = Some(500);
+        assert!(!m.processes(&long.serialize()));
     }
 }

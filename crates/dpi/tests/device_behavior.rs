@@ -293,14 +293,19 @@ fn att_proxy_transfers_and_throttles_video() {
     // An app that answers any request with an HTTP video response.
     struct VideoApp;
     impl liberate_netsim::server::ServerApp for VideoApp {
-        fn on_tcp_data(&mut self, _f: liberate_packet::flow::FlowKey, data: &[u8]) -> Vec<u8> {
+        fn on_tcp_data(
+            &mut self,
+            _f: liberate_packet::flow::FlowKey,
+            data: &[u8],
+        ) -> Vec<liberate_packet::buf::PacketBuf> {
             if data.windows(4).any(|w| w == b"GET ") {
-                liberate_traces::http::response(
+                vec![liberate_traces::http::response(
                     200,
                     "OK",
                     "video/mp4",
                     &liberate_traces::apps::media_bytes(500_000, 9),
                 )
+                .into()]
             } else {
                 Vec::new()
             }

@@ -7,7 +7,7 @@
 //! whether it then survives to the server — is decided by these policies,
 //! which is exactly what the RS? column of Table 3 measures.
 
-use liberate_packet::validate::{validate_wire, Malformation, MalformationSet};
+use liberate_packet::validate::{has_defect_in, Malformation, MalformationSet};
 
 /// What a path element does with IP fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,17 +92,10 @@ impl FilterPolicy {
         self
     }
 
-    /// Whether `wire` should be dropped under this policy.
+    /// Whether `wire` should be dropped under this policy. Only the checks
+    /// for defects in the drop set run (see [`has_defect_in`]).
     pub fn should_drop(&self, wire: &[u8]) -> bool {
-        if self.drops.is_empty() {
-            return false;
-        }
-        !self.drops.is_disjoint(&validate_wire(wire))
-    }
-
-    /// Whether `wire`'s defect set intersects this policy.
-    pub fn matches(&self, defects: &MalformationSet) -> bool {
-        !self.drops.is_disjoint(defects)
+        has_defect_in(wire, &self.drops)
     }
 }
 

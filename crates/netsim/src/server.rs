@@ -31,8 +31,9 @@ pub const SERVER_MSS: usize = 1460;
 /// networks (server included) run on pool threads.
 pub trait ServerApp: Send {
     /// In-order TCP bytes delivered on `flow` (the client→server key).
-    /// Returns response bytes to send back (may be empty).
-    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<u8>;
+    /// Returns the response messages to send back, in order; the host
+    /// transmits them as one byte stream (may be empty).
+    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf>;
 
     /// A UDP datagram arrived. Returns zero or more response datagrams.
     fn on_udp_datagram(&mut self, flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>>;
@@ -58,7 +59,7 @@ pub struct SinkApp {
 }
 
 impl ServerApp for SinkApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<u8> {
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         self.tcp_bytes.extend_from_slice(data);
         Vec::new()
     }
@@ -78,8 +79,8 @@ impl ServerApp for SinkApp {
 pub struct EchoApp;
 
 impl ServerApp for EchoApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<u8> {
-        data.to_vec()
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
+        vec![PacketBuf::from(data)]
     }
 
     fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>> {
@@ -394,27 +395,26 @@ impl ServerHost {
                 let snd_before = conn.snd_next;
                 let rcv_now = conn.rcv_next;
                 let response = self.app.on_tcp_data(flow, &delivered);
-                let conn = self.conns.get_mut(&flow).expect("present");
-                if response.is_empty() {
+                // Segment the response stream at MSS, each segment built
+                // straight into its wire buffer across message boundaries.
+                let segments = Packet::tcp(
+                    self.addr,
+                    flow.src,
+                    flow.dst_port,
+                    flow.src_port,
+                    snd_before,
+                    rcv_now,
+                    Vec::new(),
+                )
+                .with_flags(TcpFlags::PSH_ACK)
+                .serialize_segments(&response, SERVER_MSS);
+                if segments.is_empty() {
                     self.send_ack(flow, snd_before, rcv_now);
                 } else {
-                    // Segment the response at MSS.
-                    let mut seq = conn.snd_next;
-                    for chunk in response.chunks(SERVER_MSS) {
-                        let seg = Packet::tcp(
-                            self.addr,
-                            flow.src,
-                            flow.dst_port,
-                            flow.src_port,
-                            seq,
-                            rcv_now,
-                            chunk.to_vec(),
-                        )
-                        .with_flags(TcpFlags::PSH_ACK);
-                        self.outbox.push(seg.serialize());
-                        seq = seq.wrapping_add(chunk.len() as u32);
-                    }
-                    conn.snd_next = seq;
+                    let sent: usize = response.iter().map(|m| m.len()).sum();
+                    let conn = self.conns.get_mut(&flow).expect("present");
+                    conn.snd_next = snd_before.wrapping_add(sent as u32);
+                    self.outbox.extend(segments);
                 }
             } else {
                 // Out-of-order: duplicate ACK.
@@ -687,5 +687,59 @@ mod tests {
             p0.tcp().unwrap().seq.wrapping_add(p0.payload.len() as u32),
             p1.tcp().unwrap().seq
         );
+    }
+
+    /// Answers each delivery with a batch of messages of odd sizes.
+    struct MessagesApp {
+        sizes: Vec<usize>,
+    }
+
+    fn message(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|b| (b * 7 + i) as u8).collect()
+    }
+
+    impl ServerApp for MessagesApp {
+        fn on_tcp_data(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<PacketBuf> {
+            let sizes = self.sizes.iter().enumerate();
+            sizes
+                .map(|(i, &n)| PacketBuf::from(message(i, n)))
+                .collect()
+        }
+
+        fn on_udp_datagram(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn multi_message_responses_segment_as_one_stream() {
+        let sizes = vec![1000, 0, 2500, 7, 1460, 3001, 1];
+        let app = MessagesApp {
+            sizes: sizes.clone(),
+        };
+        let mut h = ServerHost::new(SERVER, OsProfile::linux(), Box::new(app));
+        let (cseq, mut sseq) = handshake(&mut h);
+        for (round, request) in [&b"first"[..], b"second"].into_iter().enumerate() {
+            let cseq = cseq.wrapping_add(5 * round as u32);
+            h.receive(SimTime::ZERO, &data(cseq, sseq, request));
+            let out = h.take_outbox();
+            // The old path: join the messages, chunk at MSS, one packet
+            // per chunk.
+            let stream: Vec<u8> = (sizes.iter().enumerate())
+                .flat_map(|(i, &n)| message(i, n))
+                .collect();
+            let rcv_next = cseq.wrapping_add(request.len() as u32);
+            let mut expected = Vec::new();
+            for chunk in stream.chunks(SERVER_MSS) {
+                expected.push(
+                    Packet::tcp(SERVER, CLIENT, 80, 40000, sseq, rcv_next, chunk.to_vec())
+                        .with_flags(TcpFlags::PSH_ACK)
+                        .serialize(),
+                );
+                sseq = sseq.wrapping_add(chunk.len() as u32);
+            }
+            assert_eq!(out.len(), stream.len().div_ceil(SERVER_MSS));
+            assert_eq!(out, expected, "round {round}");
+        }
     }
 }

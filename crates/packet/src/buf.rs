@@ -37,7 +37,8 @@ use std::sync::Arc;
 const TO_END: usize = usize::MAX;
 
 /// Process-wide deep-copy census (copies, bytes). Fed by every
-/// materializing operation — CoW faults, eager-mode clones/slices — and
+/// materializing operation — CoW faults, eager-mode clones/slices,
+/// payload views minted from raw slices ([`WireBytes::tail_view`]) — and
 /// read by `exp-hotpath` to report copies-per-replay. Monotonic relaxed
 /// counters; never consulted by simulation logic, so determinism holds.
 static COPIES: AtomicU64 = AtomicU64::new(0);
@@ -183,8 +184,8 @@ impl PacketBuf {
 /// Wire-byte input to the tolerant parsers: anything that exposes the
 /// raw bytes and can mint a tail view for the payload. [`PacketBuf`]
 /// inputs produce shared (zero-copy) payload views; raw slices and
-/// `Vec<u8>` inputs materialize a fresh buffer, so test code and legacy
-/// callers keep working unchanged.
+/// `Vec<u8>` inputs materialize a fresh buffer (counted in the census),
+/// so test code and legacy callers keep working unchanged.
 pub trait WireBytes {
     /// The full wire bytes.
     fn wire(&self) -> &[u8];
@@ -208,8 +209,12 @@ impl WireBytes for [u8] {
         self
     }
 
+    /// Materializes the tail into a fresh buffer — a deep copy, counted
+    /// in the census like every other one.
     fn tail_view(&self, start: usize) -> PacketBuf {
-        PacketBuf::from(&self[start.min(self.len())..])
+        let copied = self[start.min(self.len())..].to_vec();
+        census(copied.len());
+        PacketBuf::from(copied)
     }
 }
 
@@ -475,5 +480,16 @@ mod tests {
         let (c1, b1) = copy_census();
         assert!(c1 >= c0 + 1);
         assert!(b1 >= b0 + 10);
+    }
+
+    #[test]
+    fn copy_census_counts_slice_materializations() {
+        let wire = [7u8; 12];
+        let (c0, b0) = copy_census();
+        let view = wire[..].tail_view(4);
+        let (c1, b1) = copy_census();
+        assert_eq!(&*view, &[7u8; 8]);
+        assert!(c1 > c0);
+        assert!(b1 >= b0 + 8);
     }
 }

@@ -210,6 +210,13 @@ impl Ipv4Header {
     /// Serialize, given the transport protocol number to use when no
     /// override is set and the byte length of everything after the header.
     pub fn serialize(&self, derived_protocol: u8, payload_len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write(&mut out, derived_protocol, payload_len);
+        out
+    }
+
+    /// Append the serialized header to `out` (see [`Ipv4Header::serialize`]).
+    pub(crate) fn write(&self, out: &mut Vec<u8>, derived_protocol: u8, payload_len: usize) {
         let options = encode_options(&self.options);
         let header_len = IPV4_MIN_HEADER_LEN + options.len();
         let ihl = self.ihl.unwrap_or((header_len / 4) as u8) & 0x0f;
@@ -218,7 +225,8 @@ impl Ipv4Header {
             .unwrap_or((header_len + payload_len) as u16);
         let protocol = self.protocol.unwrap_or(derived_protocol);
 
-        let mut out = Vec::with_capacity(header_len);
+        let start = out.len();
+        out.reserve(header_len);
         out.push(((self.version & 0x0f) << 4) | ihl);
         out.push(self.tos);
         out.extend_from_slice(&total_length.to_be_bytes());
@@ -238,9 +246,8 @@ impl Ipv4Header {
         out.extend_from_slice(&self.dst.octets());
         out.extend_from_slice(&options);
 
-        let ck = self.checksum.resolve(internet_checksum(&out));
-        out[10..12].copy_from_slice(&ck.to_be_bytes());
-        out
+        let ck = self.checksum.resolve(internet_checksum(&out[start..]));
+        out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
     }
 }
 

@@ -55,5 +55,7 @@ pub mod prelude {
     pub use crate::pcap::CapturedPacket;
     pub use crate::tcp::{TcpFlags, TcpHeader};
     pub use crate::udp::UdpHeader;
-    pub use crate::validate::{is_well_formed, validate_wire, Malformation, MalformationSet};
+    pub use crate::validate::{
+        has_defect_in, is_well_formed, validate_wire, Malformation, MalformationSet,
+    };
 }

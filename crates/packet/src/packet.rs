@@ -93,20 +93,82 @@ impl Packet {
 
     /// Serialize to wire bytes.
     pub fn serialize(&self) -> Vec<u8> {
-        let (derived_proto, segment) = match &self.transport {
-            Transport::Tcp(h) => (
-                protocol::TCP,
-                h.serialize(self.ip.src, self.ip.dst, &self.payload),
-            ),
-            Transport::Udp(h) => (
-                protocol::UDP,
-                h.serialize(self.ip.src, self.ip.dst, &self.payload),
-            ),
-            Transport::Raw(p) => (*p, self.payload.clone()),
+        self.serialize_gather(&[&self.payload])
+    }
+
+    /// Serialize this packet's headers around `payload`, the concatenation
+    /// of the given pieces, in place of `self.payload`. The wire bytes are
+    /// built in one buffer — headers, payload gathered piece by piece, then
+    /// checksums in place — and are identical to serializing a packet that
+    /// owns the joined payload.
+    pub fn serialize_gather(&self, payload: &[&[u8]]) -> Vec<u8> {
+        let payload_len: usize = payload.iter().map(|p| p.len()).sum();
+        let (derived_proto, transport_len) = match &self.transport {
+            Transport::Tcp(h) => (protocol::TCP, h.actual_header_len()),
+            Transport::Udp(_) => (protocol::UDP, crate::udp::UDP_HEADER_LEN),
+            Transport::Raw(p) => (*p, 0),
         };
-        let mut out = self.ip.serialize(derived_proto, segment.len());
-        out.extend_from_slice(&segment);
+        let segment_len = transport_len + payload_len;
+        let mut out = Vec::with_capacity(self.ip.actual_header_len() + segment_len);
+        self.ip.write(&mut out, derived_proto, segment_len);
+        let segment_start = out.len();
+        match &self.transport {
+            Transport::Tcp(h) => h.write_header(&mut out),
+            Transport::Udp(h) => h.write_header(&mut out, payload_len),
+            Transport::Raw(_) => {}
+        }
+        for piece in payload {
+            out.extend_from_slice(piece);
+        }
+        let (src, dst, segment) = (self.ip.src, self.ip.dst, &mut out[segment_start..]);
+        match &self.transport {
+            Transport::Tcp(h) => h.fill_checksum(src, dst, segment),
+            Transport::Udp(h) => h.fill_checksum(src, dst, segment),
+            Transport::Raw(_) => {}
+        }
         out
+    }
+
+    /// Serialize the byte stream formed by concatenating `messages` as
+    /// consecutive TCP segments of at most `mss` payload bytes. `self`
+    /// supplies the first segment's headers (its payload is ignored); each
+    /// later segment's sequence number advances by the bytes sent before
+    /// it. The result equals chunking the joined stream at `mss` and
+    /// serializing one packet per chunk, without ever building the joined
+    /// stream: every payload byte is copied once, into its wire buffer.
+    /// An empty stream yields no segments. Panics if `self` is not TCP.
+    pub fn serialize_segments<M: AsRef<[u8]>>(&self, messages: &[M], mss: usize) -> Vec<Vec<u8>> {
+        let mut template = self.clone();
+        let mut remaining = messages
+            .iter()
+            .map(|m| m.as_ref())
+            .filter(|m| !m.is_empty());
+        let mut current: &[u8] = &[];
+        let mut segments = Vec::new();
+        let mut pieces: Vec<&[u8]> = Vec::new();
+        loop {
+            pieces.clear();
+            let mut room = mss.max(1);
+            while room > 0 {
+                if current.is_empty() {
+                    match remaining.next() {
+                        Some(m) => current = m,
+                        None => break,
+                    }
+                }
+                let (head, tail) = current.split_at(room.min(current.len()));
+                pieces.push(head);
+                room -= head.len();
+                current = tail;
+            }
+            let len: usize = pieces.iter().map(|p| p.len()).sum();
+            if len == 0 {
+                return segments;
+            }
+            segments.push(template.serialize_gather(&pieces));
+            let tcp = template.tcp_mut();
+            tcp.seq = tcp.seq.wrapping_add(len as u32);
+        }
     }
 }
 
@@ -140,8 +202,24 @@ impl ParsedPacket {
     /// Accepts any [`WireBytes`] input: parsing a [`PacketBuf`] yields a
     /// zero-copy payload view sharing the wire buffer; raw slices and
     /// `Vec<u8>` inputs (tests, legacy callers) materialize the payload.
+    /// Callers that only need headers use [`ParsedPacket::parse_headers`].
     pub fn parse<W: WireBytes + ?Sized>(input: &W) -> Option<ParsedPacket> {
         let buf = input.wire();
+        let (ip, transport, payload_offset) = ParsedPacket::parse_headers(buf)?;
+        Some(ParsedPacket {
+            ip,
+            transport,
+            payload: input.tail_view(payload_offset),
+            wire_len: buf.len(),
+        })
+    }
+
+    /// The header half of [`ParsedPacket::parse`]: the IP header, the
+    /// transport header, and the offset where the transport payload starts
+    /// (`buf[offset..]` is exactly what `parse` returns as the payload).
+    /// Never touches the payload bytes, so validation, forwarding and
+    /// observation read headers without copying anything.
+    pub fn parse_headers(buf: &[u8]) -> Option<(ParsedIpv4, ParsedTransport, usize)> {
         let ip = ParsedIpv4::parse(buf)?;
         let body_start = ip.payload_offset.min(buf.len());
         let body = &buf[body_start..];
@@ -162,18 +240,13 @@ impl ParsedPacket {
                 other => ParsedTransport::Other(other),
             }
         };
-        let payload_start = body_start
+        let payload_offset = body_start
             + match &transport {
                 ParsedTransport::Tcp(t) => t.payload_offset.min(body.len()),
                 ParsedTransport::Udp(_) => crate::udp::UDP_HEADER_LEN.min(body.len()),
                 ParsedTransport::Other(_) => 0,
             };
-        Some(ParsedPacket {
-            ip,
-            transport,
-            payload: input.tail_view(payload_start),
-            wire_len: buf.len(),
-        })
+        Some((ip, transport, payload_offset))
     }
 
     /// Source port if a transport header was parsed.

@@ -154,14 +154,19 @@ impl TcpHeader {
     /// Serialize the segment (header + payload), computing the pseudo-header
     /// checksum against `src`/`dst` unless overridden.
     pub fn serialize(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let mut options = self.options.clone();
-        while options.len() % 4 != 0 {
-            options.push(0); // pad with EOL
-        }
-        let header_len = TCP_MIN_HEADER_LEN + options.len();
-        let offset = self.data_offset.unwrap_or((header_len / 4) as u8) & 0x0f;
+        let mut out = Vec::with_capacity(self.actual_header_len() + payload.len());
+        self.write_header(&mut out);
+        out.extend_from_slice(payload);
+        self.fill_checksum(src, dst, &mut out);
+        out
+    }
 
-        let mut out = Vec::with_capacity(header_len + payload.len());
+    /// Append the header (options padded with EOL to a 4-byte boundary)
+    /// with a zero checksum placeholder; [`TcpHeader::fill_checksum`]
+    /// completes it once the payload follows.
+    pub(crate) fn write_header(&self, out: &mut Vec<u8>) {
+        let header_len = self.actual_header_len();
+        let offset = self.data_offset.unwrap_or((header_len / 4) as u8) & 0x0f;
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&self.seq.to_be_bytes());
@@ -171,17 +176,23 @@ impl TcpHeader {
         out.extend_from_slice(&self.window.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
         out.extend_from_slice(&self.urgent.to_be_bytes());
-        out.extend_from_slice(&options);
-        out.extend_from_slice(payload);
+        out.extend_from_slice(&self.options);
+        out.resize(
+            out.len() + (header_len - TCP_MIN_HEADER_LEN - self.options.len()),
+            0,
+        );
+    }
 
+    /// Fill the checksum field of `segment` (header + payload, checksum
+    /// field zero) in place.
+    pub(crate) fn fill_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr, segment: &mut [u8]) {
         let ck = self.checksum.resolve(pseudo_header_checksum(
             src,
             dst,
             crate::ipv4::protocol::TCP,
-            &out,
+            segment,
         ));
-        out[16..18].copy_from_slice(&ck.to_be_bytes());
-        out
+        segment[16..18].copy_from_slice(&ck.to_be_bytes());
     }
 }
 

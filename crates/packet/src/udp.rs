@@ -33,20 +33,31 @@ impl UdpHeader {
     /// Serialize the datagram (header + payload) with the pseudo-header
     /// checksum computed against `src`/`dst` unless overridden.
     pub fn serialize(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let length = self
-            .length
-            .unwrap_or((UDP_HEADER_LEN + payload.len()) as u16);
         let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        self.write_header(&mut out, payload.len());
+        out.extend_from_slice(payload);
+        self.fill_checksum(src, dst, &mut out);
+        out
+    }
+
+    /// Append the header for a `payload_len`-byte payload with a zero
+    /// checksum placeholder; [`UdpHeader::fill_checksum`] completes it.
+    pub(crate) fn write_header(&self, out: &mut Vec<u8>, payload_len: usize) {
+        let length = self.length.unwrap_or((UDP_HEADER_LEN + payload_len) as u16);
         out.extend_from_slice(&self.src_port.to_be_bytes());
         out.extend_from_slice(&self.dst_port.to_be_bytes());
         out.extend_from_slice(&length.to_be_bytes());
         out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(payload);
+    }
+
+    /// Fill the checksum field of `datagram` (header + payload, checksum
+    /// field zero) in place.
+    pub(crate) fn fill_checksum(&self, src: Ipv4Addr, dst: Ipv4Addr, datagram: &mut [u8]) {
         let ck = self.checksum.resolve(pseudo_header_checksum(
             src,
             dst,
             crate::ipv4::protocol::UDP,
-            &out,
+            datagram,
         ));
         // RFC 768: a computed checksum of zero is transmitted as 0xffff
         // (zero means "no checksum").
@@ -55,8 +66,7 @@ impl UdpHeader {
         } else {
             ck
         };
-        out[6..8].copy_from_slice(&ck.to_be_bytes());
-        out
+        datagram[6..8].copy_from_slice(&ck.to_be_bytes());
     }
 }
 

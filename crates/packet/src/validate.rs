@@ -69,95 +69,121 @@ pub type MalformationSet = BTreeSet<Malformation>;
 /// (MF set) carries only part of the segment, so its transport checksum
 /// cannot be verified by any on-path device.
 pub fn validate_wire(buf: &[u8]) -> MalformationSet {
-    let mut out = MalformationSet::new();
-    let Some(pkt) = ParsedPacket::parse(buf) else {
-        out.insert(Malformation::IpHeaderLengthInvalid);
-        return out;
+    check(buf, |_| true)
+}
+
+/// Whether `buf` exhibits any defect in `set`: the same answer as
+/// `!validate_wire(buf).is_disjoint(set)`, but only the checks for defects
+/// in `set` run. A device that drops or ignores on a few defects pays for
+/// those alone; in particular the transport checksum, the only check that
+/// reads the payload, runs only when `TcpChecksumWrong` or
+/// `UdpChecksumWrong` is in `set`.
+pub fn has_defect_in(buf: &[u8], set: &MalformationSet) -> bool {
+    !set.is_empty() && !check(buf, |m| set.contains(&m)).is_empty()
+}
+
+/// The defects of `buf` for which `wanted` holds; checks for unwanted
+/// defects are never evaluated.
+fn check(buf: &[u8], wanted: impl Fn(Malformation) -> bool) -> MalformationSet {
+    let mut found = Found {
+        wanted,
+        set: MalformationSet::new(),
     };
-    validate_ip(&pkt.ip, buf, &mut out);
-    if !pkt.ip.is_fragment() {
-        validate_transport(&pkt, buf, &mut out);
+    let Some((ip, transport, payload_offset)) = ParsedPacket::parse_headers(buf) else {
+        found.check(Malformation::IpHeaderLengthInvalid, || true);
+        return found.set;
+    };
+    validate_ip(&ip, buf, &mut found);
+    if !ip.is_fragment() {
+        validate_transport(&ip, &transport, payload_offset, buf, &mut found);
     }
-    out
+    found.set
 }
 
-fn validate_ip(ip: &ParsedIpv4, buf: &[u8], out: &mut MalformationSet) {
-    if ip.version != 4 {
-        out.insert(Malformation::IpVersionInvalid);
+/// Accumulates the wanted defects that a packet exhibits.
+struct Found<W> {
+    wanted: W,
+    set: MalformationSet,
+}
+
+impl<W: Fn(Malformation) -> bool> Found<W> {
+    /// Record `m` if it is wanted and `present()` — which runs only when
+    /// `m` is wanted.
+    fn check(&mut self, m: Malformation, present: impl FnOnce() -> bool) {
+        if (self.wanted)(m) && present() {
+            self.set.insert(m);
+        }
     }
-    if ip.ihl < 5 || ip.claimed_header_len() > buf.len() {
-        out.insert(Malformation::IpHeaderLengthInvalid);
-    }
+}
+
+fn validate_ip<W: Fn(Malformation) -> bool>(ip: &ParsedIpv4, buf: &[u8], found: &mut Found<W>) {
     let total = ip.total_length as usize;
-    if total > buf.len() {
-        out.insert(Malformation::IpTotalLengthLong);
-    }
-    if total < buf.len() && total >= IPV4_MIN_HEADER_LEN {
-        out.insert(Malformation::IpTotalLengthShort);
-    }
-    if total < IPV4_MIN_HEADER_LEN {
-        out.insert(Malformation::IpTotalLengthShort);
-    }
-    let header_end = ip
-        .claimed_header_len()
-        .min(buf.len())
-        .max(IPV4_MIN_HEADER_LEN);
-    if buf.len() >= IPV4_MIN_HEADER_LEN && !verify_checksum(&buf[..header_end]) {
-        out.insert(Malformation::IpChecksumWrong);
-    }
-    match scan_options(&ip.options) {
-        OptionScan::Invalid => {
-            out.insert(Malformation::IpOptionsInvalid);
-        }
-        OptionScan::Deprecated => {
-            out.insert(Malformation::IpOptionsDeprecated);
-        }
-        OptionScan::None | OptionScan::Valid => {}
-    }
-    if !matches!(ip.protocol, protocol::TCP | protocol::UDP | protocol::ICMP) {
-        out.insert(Malformation::IpProtocolUnknown);
-    }
-    if ip.ttl == 0 {
-        out.insert(Malformation::TtlExpired);
-    }
+    found.check(Malformation::IpVersionInvalid, || ip.version != 4);
+    found.check(Malformation::IpHeaderLengthInvalid, || {
+        ip.ihl < 5 || ip.claimed_header_len() > buf.len()
+    });
+    found.check(Malformation::IpTotalLengthLong, || total > buf.len());
+    found.check(Malformation::IpTotalLengthShort, || {
+        total < buf.len() || total < IPV4_MIN_HEADER_LEN
+    });
+    found.check(Malformation::IpChecksumWrong, || {
+        let header_end = ip
+            .claimed_header_len()
+            .min(buf.len())
+            .max(IPV4_MIN_HEADER_LEN);
+        !verify_checksum(&buf[..header_end])
+    });
+    found.check(Malformation::IpOptionsInvalid, || {
+        scan_options(&ip.options) == OptionScan::Invalid
+    });
+    found.check(Malformation::IpOptionsDeprecated, || {
+        scan_options(&ip.options) == OptionScan::Deprecated
+    });
+    found.check(Malformation::IpProtocolUnknown, || {
+        !matches!(ip.protocol, protocol::TCP | protocol::UDP | protocol::ICMP)
+    });
+    found.check(Malformation::TtlExpired, || ip.ttl == 0);
 }
 
-fn validate_transport(pkt: &ParsedPacket, buf: &[u8], out: &mut MalformationSet) {
-    let body = &buf[pkt.ip.payload_offset.min(buf.len())..];
-    match &pkt.transport {
+fn validate_transport<W: Fn(Malformation) -> bool>(
+    ip: &ParsedIpv4,
+    transport: &ParsedTransport,
+    payload_offset: usize,
+    buf: &[u8],
+    found: &mut Found<W>,
+) {
+    let body = &buf[ip.payload_offset.min(buf.len())..];
+    match transport {
         ParsedTransport::Tcp(t) => {
-            if !verify_pseudo_checksum(pkt.ip.src, pkt.ip.dst, protocol::TCP, body) {
-                out.insert(Malformation::TcpChecksumWrong);
-            }
-            if t.data_offset < 5 || t.claimed_header_len() > body.len() {
-                out.insert(Malformation::TcpDataOffsetInvalid);
-            }
-            if t.flags.is_invalid_combination() {
-                out.insert(Malformation::TcpFlagsInvalid);
-            }
-            if !pkt.payload.is_empty() && !t.flags.ack && !t.flags.syn && !t.flags.rst {
-                out.insert(Malformation::TcpAckFlagMissing);
-            }
+            found.check(Malformation::TcpChecksumWrong, || {
+                !verify_pseudo_checksum(ip.src, ip.dst, protocol::TCP, body)
+            });
+            found.check(Malformation::TcpDataOffsetInvalid, || {
+                t.data_offset < 5 || t.claimed_header_len() > body.len()
+            });
+            found.check(Malformation::TcpFlagsInvalid, || {
+                t.flags.is_invalid_combination()
+            });
+            found.check(Malformation::TcpAckFlagMissing, || {
+                payload_offset < buf.len() && !t.flags.ack && !t.flags.syn && !t.flags.rst
+            });
         }
         ParsedTransport::Udp(u) => {
-            if !verify_pseudo_checksum(pkt.ip.src, pkt.ip.dst, protocol::UDP, body) {
-                out.insert(Malformation::UdpChecksumWrong);
-            }
             let claimed = u.length as usize;
-            if claimed > body.len() {
-                out.insert(Malformation::UdpLengthLong);
-            }
-            if claimed < body.len() || claimed < UDP_HEADER_LEN {
-                out.insert(Malformation::UdpLengthShort);
-            }
+            found.check(Malformation::UdpChecksumWrong, || {
+                !verify_pseudo_checksum(ip.src, ip.dst, protocol::UDP, body)
+            });
+            found.check(Malformation::UdpLengthLong, || claimed > body.len());
+            found.check(Malformation::UdpLengthShort, || {
+                claimed < body.len() || claimed < UDP_HEADER_LEN
+            });
         }
         ParsedTransport::Other(proto) => {
             // A truncated TCP/UDP header parses as Other.
-            if (*proto == protocol::TCP && body.len() < TCP_MIN_HEADER_LEN)
-                || (*proto == protocol::UDP && body.len() < UDP_HEADER_LEN)
-            {
-                out.insert(Malformation::TransportTruncated);
-            }
+            found.check(Malformation::TransportTruncated, || {
+                (*proto == protocol::TCP && body.len() < TCP_MIN_HEADER_LEN)
+                    || (*proto == protocol::UDP && body.len() < UDP_HEADER_LEN)
+            });
         }
     }
 }

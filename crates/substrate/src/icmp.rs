@@ -56,21 +56,23 @@ pub struct IcmpError {
     pub original: Option<ParsedIpv4>,
 }
 
-/// Try to interpret wire bytes as an ICMP error message.
+/// Try to interpret wire bytes as an ICMP error message. Reads headers
+/// only: the ICMP body is examined in place, never copied.
 pub fn parse_icmp_error(wire: &[u8]) -> Option<IcmpError> {
-    let pkt = ParsedPacket::parse(wire)?;
-    if pkt.ip.protocol != protocol::ICMP || pkt.payload.len() < 8 {
+    let (ip, _, payload_offset) = ParsedPacket::parse_headers(wire)?;
+    let body = &wire[payload_offset..];
+    if ip.protocol != protocol::ICMP || body.len() < 8 {
         return None;
     }
-    let icmp_type = pkt.payload[0];
+    let icmp_type = body[0];
     if icmp_type != TYPE_TIME_EXCEEDED && icmp_type != TYPE_DEST_UNREACHABLE {
         return None;
     }
     Some(IcmpError {
-        from: pkt.ip.src,
+        from: ip.src,
         icmp_type,
-        code: pkt.payload[1],
-        original: ParsedIpv4::parse(&pkt.payload[8..]),
+        code: body[1],
+        original: ParsedIpv4::parse(&body[8..]),
     })
 }
 

@@ -28,6 +28,7 @@ use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
 use parking_lot::Mutex;
 
+use crate::buf::PacketBuf;
 use crate::capture::{Capture, TapPoint};
 use crate::script::{ScriptEngine, ServerObs, ServerScript};
 use crate::time::SimTime;
@@ -409,7 +410,7 @@ pub struct NftSubstrate {
     clock: SimTime,
     capture: Capture,
     journal: Arc<Journal>,
-    inbox: Vec<(SimTime, crate::buf::PacketBuf)>,
+    inbox: Vec<(SimTime, PacketBuf)>,
     engine: Option<ScriptEngine>,
     conns: HashMap<FlowKey, WireConn>,
     flow_class: HashMap<FlowKey, String>,
@@ -518,12 +519,12 @@ impl NftSubstrate {
     }
 
     fn push_inbox(&mut self, at: SimTime, wire: Vec<u8>) {
-        let wire = crate::buf::PacketBuf::from(wire);
+        let wire = PacketBuf::from(wire);
         self.capture.record(at, TapPoint::ClientIngress, &wire);
         self.inbox.push((at, wire));
     }
 
-    fn handle_tcp(&mut self, at: SimTime, flow: FlowKey, wire: &[u8]) {
+    fn handle_tcp(&mut self, at: SimTime, flow: FlowKey, wire: &PacketBuf) {
         let Some(pkt) = ParsedPacket::parse(wire) else {
             return;
         };
@@ -639,29 +640,25 @@ impl NftSubstrate {
             return;
         };
         let response = engine.on_tcp_data(&pkt.payload);
-        if response.is_empty() {
+        let seq = self.conns.get(&flow).map(|c| c.snd_next).unwrap_or(1);
+        let ack = t.seq.wrapping_add(pkt.payload.len() as u32);
+        let out_wires = Packet::tcp(
+            flow.dst,
+            flow.src,
+            flow.dst_port,
+            flow.src_port,
+            seq,
+            ack,
+            Vec::new(),
+        )
+        .with_flags(TcpFlags::PSH_ACK)
+        .serialize_segments(&response, WIRE_MSS);
+        if out_wires.is_empty() {
             return;
         }
-        let mut seq = self.conns.get(&flow).map(|c| c.snd_next).unwrap_or(1);
-        let ack = t.seq.wrapping_add(pkt.payload.len() as u32);
-        let mut out_wires = Vec::new();
-        for chunk in response.chunks(WIRE_MSS) {
-            let seg = Packet::tcp(
-                flow.dst,
-                flow.src,
-                flow.dst_port,
-                flow.src_port,
-                seq,
-                ack,
-                chunk.to_vec(),
-            )
-            .with_flags(TcpFlags::PSH_ACK)
-            .serialize();
-            seq = seq.wrapping_add(chunk.len() as u32);
-            out_wires.push(seg);
-        }
+        let sent: usize = response.iter().map(|m| m.len()).sum();
         if let Some(c) = self.conns.get_mut(&flow) {
-            c.snd_next = seq;
+            c.snd_next = seq.wrapping_add(sent as u32);
         }
         for seg in out_wires {
             self.capture
@@ -670,7 +667,7 @@ impl NftSubstrate {
         }
     }
 
-    fn handle_udp(&mut self, at: SimTime, flow: FlowKey, wire: &[u8]) {
+    fn handle_udp(&mut self, at: SimTime, flow: FlowKey, wire: &PacketBuf) {
         let Some(pkt) = ParsedPacket::parse(wire) else {
             return;
         };
@@ -727,6 +724,7 @@ impl Substrate for NftSubstrate {
     }
 
     fn inject_client(&mut self, delay: Duration, wire: Vec<u8>) {
+        let wire = PacketBuf::from(wire);
         let at = self.clock + delay;
         self.clock = at;
         self.capture.record(at, TapPoint::ClientEgress, &wire);
@@ -751,7 +749,7 @@ impl Substrate for NftSubstrate {
         }
     }
 
-    fn take_client_inbox(&mut self) -> Vec<(SimTime, crate::buf::PacketBuf)> {
+    fn take_client_inbox(&mut self) -> Vec<(SimTime, PacketBuf)> {
         std::mem::take(&mut self.inbox)
     }
 
@@ -851,8 +849,8 @@ mod tests {
         let state = sink.state();
         let mut sub = NftSubstrate::with_sink(gfc_like(), Box::new(sink)).unwrap();
         sub.install_server_script(ServerScript {
-            tcp_script: vec![(1, b"HTTP/1.1 200 OK".to_vec())],
-            udp_script: vec![(1, b"HTTP/1.1 200 OK".to_vec())],
+            tcp_script: vec![(1, b"HTTP/1.1 200 OK".into())],
+            udp_script: vec![(1, b"HTTP/1.1 200 OK".into())],
             skip_prefix: 0,
         });
 
@@ -902,7 +900,7 @@ mod tests {
     fn unmatched_flow_completes_and_bills() {
         let mut sub = NftSubstrate::with_sink(gfc_like(), Box::new(RecordingSink::new())).unwrap();
         sub.install_server_script(ServerScript {
-            tcp_script: vec![(4, b"pong".to_vec())],
+            tcp_script: vec![(4, b"pong".into())],
             udp_script: vec![],
             skip_prefix: 0,
         });

@@ -12,13 +12,18 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// The server's half of a recorded trace, lowered to plain data.
+use crate::buf::PacketBuf;
+
+/// The server's half of a recorded trace, lowered to plain data. Each
+/// response payload is one shared buffer: the TCP and UDP scripts of a
+/// trace hold views of the same bytes, and handing a TCP response to the
+/// transport never copies it.
 #[derive(Debug, Clone, Default)]
 pub struct ServerScript {
     /// (cumulative client bytes required, response payload) for TCP.
-    pub tcp_script: Vec<(u64, Vec<u8>)>,
+    pub tcp_script: Vec<(u64, PacketBuf)>,
     /// (client datagram count required, response payload) for UDP.
-    pub udp_script: Vec<(usize, Vec<u8>)>,
+    pub udp_script: Vec<(usize, PacketBuf)>,
     /// Bytes at the start of the client stream to discard (server-side
     /// support for the dummy-prefix technique).
     pub skip_prefix: u64,
@@ -57,9 +62,9 @@ impl ScriptEngine {
         )
     }
 
-    /// In-order TCP bytes delivered. Returns response bytes to send back
-    /// (may be empty).
-    pub fn on_tcp_data(&mut self, data: &[u8]) -> Vec<u8> {
+    /// In-order TCP bytes delivered. Returns the responses now due, in
+    /// order (may be empty); the transport sends them as one byte stream.
+    pub fn on_tcp_data(&mut self, data: &[u8]) -> Vec<PacketBuf> {
         let mut shared = self.shared.lock();
         shared.raw_received += data.len() as u64;
         // Apply the prefix skip.
@@ -76,7 +81,9 @@ impl ScriptEngine {
         while shared.responses_sent < self.script.tcp_script.len() {
             let (needed, payload) = &self.script.tcp_script[shared.responses_sent];
             if effective >= *needed {
-                out.extend_from_slice(payload);
+                // lint: allow(payload-copy) refcount bump on the shared
+                // script buffer
+                out.push(payload.clone());
                 shared.responses_sent += 1;
             } else {
                 break;
@@ -96,7 +103,7 @@ impl ScriptEngine {
             if count >= *needed {
                 // lint: allow(payload-copy) script-owned response bytes,
                 // not wire payload: each send needs its own Vec.
-                out.push(payload.clone());
+                out.push(payload.to_vec());
                 shared.responses_sent += 1;
             } else {
                 break;
@@ -112,8 +119,8 @@ mod tests {
 
     fn script() -> ServerScript {
         ServerScript {
-            tcp_script: vec![(5, b"first".to_vec()), (10, b"second".to_vec())],
-            udp_script: vec![(1, b"pong".to_vec())],
+            tcp_script: vec![(5, b"first".into()), (10, b"second".into())],
+            udp_script: vec![(1, b"pong".into())],
             skip_prefix: 0,
         }
     }
@@ -122,12 +129,21 @@ mod tests {
     fn tcp_responses_fire_at_cumulative_thresholds() {
         let (mut eng, obs) = ScriptEngine::new(script());
         assert!(eng.on_tcp_data(b"abc").is_empty());
-        assert_eq!(eng.on_tcp_data(b"de"), b"first");
-        assert_eq!(eng.on_tcp_data(b"fghij"), b"second");
+        assert_eq!(eng.on_tcp_data(b"de"), [PacketBuf::from(b"first")]);
+        assert_eq!(eng.on_tcp_data(b"fghij"), [PacketBuf::from(b"second")]);
         let obs = obs.lock();
         assert_eq!(obs.received_stream, b"abcdefghij");
         assert_eq!(obs.raw_received, 10);
         assert_eq!(obs.responses_sent, 2);
+    }
+
+    #[test]
+    fn responses_due_together_come_back_as_separate_messages() {
+        let (mut eng, _obs) = ScriptEngine::new(script());
+        assert_eq!(
+            eng.on_tcp_data(b"0123456789"),
+            [PacketBuf::from(b"first"), PacketBuf::from(b"second")]
+        );
     }
 
     #[test]
@@ -138,7 +154,7 @@ mod tests {
         // 3 dummy bytes + the real 5: responses key off the post-skip
         // stream, so "first" fires once 5 effective bytes arrived.
         assert!(eng.on_tcp_data(b"XXXab").is_empty());
-        assert_eq!(eng.on_tcp_data(b"cde"), b"first");
+        assert_eq!(eng.on_tcp_data(b"cde"), [PacketBuf::from(b"first")]);
         let obs = obs.lock();
         assert_eq!(obs.received_stream, b"abcde");
         assert_eq!(obs.raw_received, 8);

@@ -100,6 +100,22 @@ say "nft backend goldens (recording loopback fixture vs tests/fixtures/nft/)"
 # deliberate lowering change with UPDATE_FIXTURES=1.
 cargo test -q --test nft_fixtures
 
+say "perfbench smoke (learn / deploy / adapt, traced, 1 s each)"
+# Every workload must build, run its checked operations, and report
+# `"correct": true` with no failed operation on its result line.
+for workload in learn deploy adapt; do
+    result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
+    echo "$workload: $result"
+    if ! printf '%s' "$result" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+'; then
+        echo "perfbench $workload: incorrect or failed operations" >&2
+        exit 1
+    fi
+done
+
 say "bench history (results/BENCH_history.jsonl, exact repeats dedup)"
 for bench in results/BENCH_obs.json results/BENCH_parallel.json \
     results/BENCH_deploy.json results/BENCH_matcher.json \
