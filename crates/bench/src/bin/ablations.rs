@@ -1,5 +1,4 @@
-//! Ablations for the design choices DESIGN.md calls out — qualitative
-//! companions to the timing benches in `benches/ablations.rs`.
+//! Ablations for the design choices DESIGN.md calls out.
 //!
 //! 1. **Stream vs per-packet matching** (why splitting evades Iran but
 //!    not the GFC).

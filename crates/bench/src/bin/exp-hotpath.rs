@@ -1,5 +1,5 @@
 //! **Hot-path overhaul benchmark**: the combined proof for the zero-copy
-//! packet plumbing, the skip-loop automaton, and the lock-free read
+//! packet plumbing, the skip-loop automaton, and the per-wave read
 //! paths. Writes `results/BENCH_hotpath.json`.
 //!
 //! Three measurements, each with its own gate:
@@ -16,8 +16,8 @@
 //!    single-pattern Iran profile included — the regression that
 //!    motivated the overhaul.
 //! 3. **Deploy worker scaling** — host wall-clock of an identical
-//!    steady deployment wave at 1 and 4 workers. Seqlock snapshot
-//!    reads and the per-shard batch drain must keep host cost flat:
+//!    steady deployment wave at 1 and 4 workers. Published-state
+//!    snapshots and the per-shard batch drain must keep host cost flat:
 //!    `host_cpu_ms(4w) ≤ 1.05 × host_cpu_ms(1w)`. The two arms are
 //!    timed in alternating paired rounds and the gate takes the best
 //!    paired ratio, so ambient load lands on both arms instead of
@@ -158,7 +158,7 @@ fn device_host_us(config: &DpiConfig, matcher: MatcherKind, trace: &[Step]) -> u
 
 /// Build a deployment pool and pay the initial characterize wave
 /// untimed, leaving it in the steady state. This isolates the per-wave
-/// read path (seqlock snapshots, batch drain) from one-time setup,
+/// read path (published-state snapshots, batch drain) from one-time setup,
 /// which trivially scales with worker count (one network blueprint
 /// instantiation per worker).
 fn warm_pool(trace: &RecordedTrace, workers: usize) -> DeploymentPool {
@@ -209,7 +209,7 @@ fn deploy_scaling_us() -> (u64, u64) {
 }
 
 fn main() {
-    println!("Benchmark: hot-path overhaul (zero-copy, skip-loop, lock-free reads)\n");
+    println!("Benchmark: hot-path overhaul (zero-copy, skip-loop, per-wave reads)\n");
 
     // --- 1. Copy census, eager (pre-overhaul) vs shared (current).
     let (before_copies, before_bytes, _) = census_arm(true);
@@ -292,7 +292,7 @@ on {cores} core(s))"
         scaling_ratio <= flat_gate,
         "host cost must stay flat from 1 to 4 workers \
 (got {host_1w_ms:.1} ms -> {host_4w_ms:.1} ms, {scaling_ratio:.2}x > \
-{flat_gate:.2}x on {cores} core(s)); the lock-free read paths or the \
+{flat_gate:.2}x on {cores} core(s)); the published-state reads or the \
 batch drain regressed"
     );
 

@@ -14,6 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use liberate_substrate::Substrate;
@@ -241,16 +242,15 @@ impl RuleCache {
 
 /// A [`RuleCache`] handle shared between concurrent users — the paper's
 /// "well known public location" when several sessions on one network hit
-/// it at once. Reads are epoch-style snapshots through a
-/// [`Seqlock`](crate::seqlock::Seqlock): a lookup clones one `Arc`, never
-/// takes a reader lock, and never holds anything across a replay.
-/// Publishes copy the store, insert, and install the copy as the next
-/// generation — rare enough (once per learned network/app) that the
-/// copy is noise next to the ~70 replays the entry saves. Cloning the
+/// it at once. Reads clone the current `Arc<RuleCache>` out under the
+/// lock and release it before doing any work, so nothing is held across
+/// a replay. Publishes are copy-on-write (`Arc::make_mut` under the
+/// lock): the store is copied only while a reader still holds the old
+/// snapshot, and that reader keeps seeing the store it took. Cloning the
 /// handle shares the same underlying store.
 #[derive(Debug, Clone, Default)]
 pub struct SharedRuleCache {
-    inner: Arc<crate::seqlock::Seqlock<RuleCache>>,
+    inner: Arc<Mutex<Arc<RuleCache>>>,
 }
 
 impl SharedRuleCache {
@@ -262,17 +262,22 @@ impl SharedRuleCache {
     /// store) for concurrent use.
     pub fn from_cache(cache: RuleCache) -> SharedRuleCache {
         SharedRuleCache {
-            inner: Arc::new(crate::seqlock::Seqlock::new(cache)),
+            inner: Arc::new(Mutex::new(Arc::new(cache))),
         }
     }
 
+    /// The current store; the lock is released before the caller reads it.
+    fn current(&self) -> Arc<RuleCache> {
+        Arc::clone(&self.inner.lock())
+    }
+
     pub fn publish(&self, network: &str, app: &str, rules: CachedRules) {
-        self.inner
-            .update(|store| store.publish(network, app, rules));
+        let mut store = self.inner.lock();
+        Arc::make_mut(&mut store).publish(network, app, rules);
     }
 
     pub fn lookup(&self, network: &str, app: &str) -> Option<CachedRules> {
-        self.inner.read().lookup(network, app).cloned()
+        self.current().lookup(network, app).cloned()
     }
 
     /// [`SharedRuleCache::lookup`] that journals the hit or miss.
@@ -283,29 +288,28 @@ impl SharedRuleCache {
         journal: &liberate_obs::Journal,
         t_us: u64,
     ) -> Option<CachedRules> {
-        self.inner
-            .read()
+        self.current()
             .lookup_observed(network, app, journal, t_us)
             .cloned()
     }
 
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.current().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.current().is_empty()
     }
 
     /// An owned copy of the current store, for redistribution.
     pub fn snapshot(&self) -> RuleCache {
-        RuleCache::clone(&self.inner.read())
+        RuleCache::clone(&self.current())
     }
 
-    /// [`RuleCache::verify`] against a point-in-time snapshot: the entry
-    /// is cloned out first, so the verification replays run without
-    /// holding the lock (another user may publish meanwhile — the caller
-    /// sees the entry it verified, not the concurrent update).
+    /// [`RuleCache::verify`] against the store current at the call: the
+    /// verification replays run without holding the lock (another user
+    /// may publish meanwhile — the caller sees the entry it verified, not
+    /// the concurrent update).
     pub fn verify<S: Substrate>(
         &self,
         network: &str,
@@ -314,8 +318,7 @@ impl SharedRuleCache {
         trace: &RecordedTrace,
         signal: &Signal,
     ) -> Option<bool> {
-        let snapshot = self.snapshot();
-        snapshot.verify(network, app, session, trace, signal)
+        self.current().verify(network, app, session, trace, signal)
     }
 }
 

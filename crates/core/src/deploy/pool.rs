@@ -35,6 +35,7 @@ use liberate_dpi::rules::RuleSet;
 use liberate_obs::{Counter, EventKind, Journal, Phase};
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
+use parking_lot::Mutex;
 
 use crate::cache::SharedRuleCache;
 use crate::characterize::{Characterization, CharacterizeOpts};
@@ -65,15 +66,12 @@ pub struct PublishedTechnique {
 /// the handle shares the cell; [`PublishedState::snapshot`] is the only
 /// read path and [`PublishedState::publish`] the only write path.
 ///
-/// Reads go through a [`Seqlock`](crate::seqlock::Seqlock): N workers
-/// snapshotting per flow never take a reader lock, and the driver's
-/// between-wave publish lands in the idle slot without stalling them.
-/// The seqlock's own generation word moves in lockstep with the
-/// [`PublishedTechnique::generation`] stamp (one completed publish each),
-/// so the two can never disagree.
+/// A snapshot locks, clones (an `Arc` bump and a `u64`) and unlocks; the
+/// driver publishes only between waves, so the lock is never held across
+/// any flow's work.
 #[derive(Debug, Clone, Default)]
 pub struct PublishedState {
-    inner: Arc<crate::seqlock::Seqlock<PublishedTechnique>>,
+    inner: Arc<Mutex<PublishedTechnique>>,
 }
 
 impl PublishedState {
@@ -83,25 +81,23 @@ impl PublishedState {
 
     /// The current generation and technique, as one consistent view.
     pub fn snapshot(&self) -> PublishedTechnique {
-        PublishedTechnique::clone(&self.inner.read())
+        self.inner.lock().clone()
     }
 
     pub fn generation(&self) -> u64 {
-        self.inner.read().generation
+        self.inner.lock().generation
     }
 
     /// Atomically install `evasion` under the next generation; returns
     /// the new generation stamp.
     // lint: allow(generation-discipline: publish) the single sanctioned
-    // writer: the bump happens inside the seqlock's serialized write
-    // path, and every other reader goes through snapshot()/generation().
+    // writer: the bump and the install happen under the state lock, and
+    // every other reader goes through snapshot()/generation().
     pub fn publish(&self, evasion: Arc<ActiveEvasion>) -> u64 {
-        // `update` serializes writers, so the bump-and-install is atomic
-        // and the returned seqlock stamp equals the new generation.
-        self.inner.update(move |state| {
-            state.generation += 1;
-            state.evasion = Some(evasion);
-        })
+        let mut state = self.inner.lock();
+        state.generation += 1;
+        state.evasion = Some(evasion);
+        state.generation
     }
 }
 

@@ -216,9 +216,9 @@ pub fn detect_rotating<S: Substrate>(
     )
 }
 
-/// Judge the original-vs-control pair — the shared back half of
-/// [`detect_rotating`] and [`detect_parallel`]. `orig_billed`/`ctrl_billed`
-/// are the billed-counter deltas attributed to each replay.
+/// Judge the original-vs-control pair — the back half of
+/// [`detect_rotating`]. `orig_billed`/`ctrl_billed` are the
+/// billed-counter deltas attributed to each replay.
 fn verdict(
     original: ReplayOutcome,
     control: ReplayOutcome,
@@ -271,55 +271,6 @@ fn verdict(
         original,
         control,
     }
-}
-
-/// [`detect_rotating`] with the original and control replays fanned out
-/// as one two-job wave on a [`SessionPool`]: each replay runs on its own
-/// worker (own network, own billed counter, shared sharded flow table),
-/// so the pair costs one round gap of simulated time instead of two. On
-/// a single-worker pool the jobs run back-to-back, degenerating to the
-/// sequential behavior.
-pub fn detect_parallel<S: Substrate>(
-    pool: &mut crate::engine::SessionPool<S>,
-    trace: &RecordedTrace,
-    rotate_base: Option<u16>,
-) -> DetectionOutcome {
-    let control_trace = inverted_trace(trace);
-    let jobs: Vec<(u16, &RecordedTrace)> = vec![(0, trace), (1, &control_trace)];
-    let exec = |session: &mut Session<S>, (slot, t): (u16, &RecordedTrace)| {
-        let journal = session.journal().clone();
-        journal.span_start(session.env.clock().as_micros(), Phase::Detect);
-        let opts = ReplayOpts {
-            server_port: rotate_base.map(|b| {
-                b.wrapping_add(slot)
-                    .wrapping_add((session.replays % 100) as u16)
-            }),
-            ..Default::default()
-        };
-        let billed_before = read_billed_counter(session);
-        let outcome = session.replay_trace(t, &opts);
-        let billed_after = read_billed_counter(session);
-        let gap = session.config.round_gap;
-        session.rest(gap);
-        journal.span_end(session.env.clock().as_micros(), Phase::Detect);
-        (outcome, (billed_after - billed_before).max(0) as u64)
-    };
-    let mut results = pool.run_wave(jobs, &exec);
-    // lint: allow(no-panic) contract: run_wave returns one result per job
-    let (control, ctrl_billed) = results.pop().expect("two jobs in");
-    let (original, orig_billed) = results.pop().expect("two jobs in");
-    let (ratio, min_bytes) = {
-        let config = &pool.session_mut(0).config;
-        (config.throttle_ratio, config.min_zero_rating_bytes)
-    };
-    verdict(
-        original,
-        control,
-        orig_billed,
-        ctrl_billed,
-        ratio,
-        min_bytes,
-    )
 }
 
 #[cfg(test)]
@@ -426,24 +377,6 @@ mod tests {
         assert!(d.content_modification, "{d:?}");
         assert!(d.differentiated);
         assert!(d.control.response_matches);
-    }
-
-    #[test]
-    fn parallel_detect_matches_sequential_verdict_in_gfc() {
-        let mut s = session(EnvKind::Gfc);
-        let seq = detect(&mut s, &apps::economist_http());
-
-        let mut pool = crate::engine::SessionPool::new(
-            EnvKind::Gfc,
-            OsKind::Linux,
-            LiberateConfig::default(),
-            2,
-        );
-        let par = detect_parallel(&mut pool, &apps::economist_http(), None);
-        assert_eq!(par.differentiated, seq.differentiated);
-        assert_eq!(par.blocking, seq.blocking);
-        assert!(!par.content_independent);
-        assert!(!par.control.blocked(), "inverted control must pass");
     }
 
     #[test]

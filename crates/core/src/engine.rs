@@ -77,10 +77,9 @@ pub enum Engine {
     #[default]
     Threads,
     /// Event-driven: jobs become [`FlowTask`]s interleaved on each
-    /// worker by a [`Reactor`] over per-flow lanes. Falls back to
-    /// chained (in-order) execution for job shapes that cannot
-    /// interleave — closure waves, non-lane substrates, signals with
-    /// cross-flow state.
+    /// worker by a [`Reactor`] over per-flow lanes. Job shapes that
+    /// cannot interleave — non-lane substrates, signals with cross-flow
+    /// state — run as closure waves, exactly as under `Threads`.
     Reactor,
 }
 
@@ -199,26 +198,6 @@ impl<S: Substrate> SessionPool<S> {
         let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
         for (i, job) in jobs.into_iter().enumerate() {
             buckets[i % n].push((i, job));
-        }
-
-        if self.engine == Engine::Reactor {
-            // Chained execution: closure jobs cannot interleave, so the
-            // reactor engine runs each worker's bucket in-order without
-            // spawning OS threads. Buckets only touch their own session,
-            // so per-worker journals are identical to the threads path.
-            let mut tagged: Vec<(usize, R)> = Vec::new();
-            for (session, bucket) in self.sessions.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                wave_open(session, bucket.len());
-                for (i, job) in bucket {
-                    tagged.push((i, f(session, job)));
-                }
-                wave_close(session);
-            }
-            tagged.sort_by_key(|(i, _)| *i);
-            return tagged.into_iter().map(|(_, r)| r).collect();
         }
 
         let mut tagged: Vec<(usize, R)> = Vec::new();
@@ -601,7 +580,7 @@ pub fn characterize_many<S: Substrate>(
     // Eligibility: the substrate must support lane swaps, and the signal
     // must be judged from per-flow state alone (Readout, Blocking) —
     // Throttling and ZeroRating compare against shared counters whose
-    // readings are order-sensitive, so they stay chained.
+    // readings are order-sensitive, so they run as closure waves.
     let use_reactor = pool.engine == Engine::Reactor
         && matches!(signal, Signal::Readout | Signal::Blocking)
         && pool.sessions[0].env.supports_lanes();

@@ -368,31 +368,6 @@ fn find_working_technique_inner<S: Substrate>(
     None
 }
 
-/// Evaluate several independent Table 3 candidates concurrently, one job
-/// per technique, fanned across a [`crate::engine::SessionPool`]. Each
-/// worker judges its candidates on its own session (fresh flows on its
-/// own client-port lane, shared sharded flow table), so candidates cannot
-/// perturb each other's classifier state beyond what the real middlebox
-/// would share. Results come back in the input techniques' order — the
-/// canonical plan order — regardless of which worker ran what; `None`
-/// entries mean the technique does not apply to this trace's transport.
-pub fn evaluate_techniques_parallel<S: Substrate>(
-    pool: &mut crate::engine::SessionPool<S>,
-    trace: &RecordedTrace,
-    techniques: &[Technique],
-    inputs: &EvaluationInputs,
-    baseline_classified: bool,
-) -> Vec<Option<TechniqueResult>> {
-    let exec = |session: &mut Session<S>, technique: Technique| {
-        let journal = session.journal().clone();
-        journal.span_start(session.env.clock().as_micros(), Phase::Evaluate);
-        let out = evaluate_technique(session, trace, &technique, inputs, baseline_classified);
-        journal.span_end(session.env.clock().as_micros(), Phase::Evaluate);
-        out
-    };
-    pool.run_wave(techniques.to_vec(), &exec)
-}
-
 /// Among several working techniques, pick the cheapest (§4.4).
 pub fn cheapest(results: &[TechniqueResult]) -> Option<&TechniqueResult> {
     results

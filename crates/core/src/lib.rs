@@ -63,7 +63,6 @@ pub mod reactor;
 pub mod replay;
 pub mod report;
 pub mod schedule;
-pub mod seqlock;
 pub mod sim;
 pub mod socket;
 pub mod task;
@@ -80,21 +79,19 @@ pub mod prelude {
         run_pipeline, signal_from_detection, ActiveEvasion, DeployWave, DeploymentPool, FlowReport,
         LiberateProxy, PipelineReport, PoolFlowReport, PublishedState, PublishedTechnique,
     };
-    pub use crate::detect::{
-        detect, detect_parallel, inverted_trace, probe, DetectionOutcome, Signal,
-    };
+    pub use crate::detect::{detect, inverted_trace, probe, DetectionOutcome, Signal};
     pub use crate::engine::{characterize_many, characterize_parallel, Engine, SessionPool};
     pub use crate::error::{LiberateError, Result};
     pub use crate::evaluate::{
-        cheapest, evaluate_technique, evaluate_techniques_parallel, find_working_technique, plan,
-        EvaluationInputs, Reach, TechniqueResult,
+        cheapest, evaluate_technique, find_working_technique, plan, EvaluationInputs, Reach,
+        TechniqueResult,
     };
     pub use crate::evasion::{Category, EvasionContext, Overhead, Technique};
     pub use crate::masquerade::{run_masqueraded, Masquerade, MasqueradeReport};
     pub use crate::probe::{
         decoy_request, inert_reach, locate_middlebox, InertReach, Localization, DECOY_MARKER,
     };
-    pub use crate::reactor::{Reactor, ReactorOutcome, TimerFire, TimerWheel};
+    pub use crate::reactor::{Reactor, ReactorOutcome, TimerFire, TimerQueue};
     pub use crate::replay::{server_script, ReplayOpts, ReplayOutcome, Session};
     pub use crate::schedule::{Craft, FragPlan, Schedule, ScheduledPacket, Step};
     pub use crate::sim::{OsKind, SimSubstrate};

@@ -10,11 +10,11 @@
 //! buffer, staging journal) into the backend, applies any pending timer
 //! advance, and polls the task through one *quiesced segment* (see
 //! [`crate::task`]). A [`Wake::Ready`] yield re-queues the task;
-//! a [`Wake::Timer`] yield parks it on a hierarchical [`TimerWheel`]
-//! keyed by lane-relative elapsed time, so flows progress in lockstep
-//! fairness regardless of how long each one's schedule is. When the
-//! ready queue drains, the reactor jumps the wheel to its next deadline
-//! and re-admits the fired batch in `(deadline, insertion seq)` order.
+//! a [`Wake::Timer`] yield parks it on a [`TimerQueue`] keyed by
+//! lane-relative elapsed time, so flows progress in lockstep fairness
+//! regardless of how long each one's schedule is. When the ready queue
+//! drains, the reactor fires the queue's earliest deadline and re-admits
+//! the fired batch in `(deadline, insertion seq)` order.
 //!
 //! ## Determinism contract
 //!
@@ -35,9 +35,11 @@
 //! and the task is reported failed (`None` result) — the wave completes
 //! and no shard lock is poisoned (`parking_lot` locks do not poison).
 //! Dropping a mid-wave reactor releases every parked task, lane, and
-//! wheel entry; nothing owns backend state, so shutdown leaks no flows.
+//! timer; nothing owns backend state, so shutdown leaks no flows.
 
-use std::collections::{HashSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -50,18 +52,6 @@ use liberate_substrate::{LaneState, Substrate};
 use crate::replay::{Session, SESSION_TAPS};
 use crate::task::{FlowTask, TaskPoll, Wake};
 
-/// Timer-wheel tick granularity, microseconds. Only resumption *order*
-/// is quantized by this: the advance a task asked for is replayed
-/// exactly (`env.advance(d)`), so lane clocks never lose precision.
-pub const TICK_US: u64 = 1024;
-/// log2(slots per level).
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Hierarchy depth; level `k` slots span `TICK_US * 64^k` µs. Six levels
-/// cover ~2.2 simulated years before the overflow list kicks in.
-const LEVELS: usize = 6;
-
 /// The client address a reactor lane replays from: a private block
 /// (`10.64.0.0`) indexed by the flow's global job number. Unique
 /// addresses keep DPI flow keys, IP-fragment reassembly idents, and
@@ -72,17 +62,10 @@ pub fn lane_addr(job_index: usize) -> std::net::Ipv4Addr {
     std::net::Ipv4Addr::from(u32::from(std::net::Ipv4Addr::new(10, 64, 0, 1)) + job_index as u32)
 }
 
-/// One parked timer.
-#[derive(Debug, Clone)]
-struct TimerEntry {
-    deadline_us: u64,
-    seq: u64,
-    task: usize,
-    advance: Duration,
-}
-
-/// A fired timer, in `(deadline_us, seq)` order within its batch.
-#[derive(Debug, Clone)]
+/// One parked timer; fired timers come back in `(deadline_us, seq)`
+/// order. The derived ordering compares fields in declaration order, and
+/// `seq` is unique per queue, so `task` and `advance` never decide it.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerFire {
     pub deadline_us: u64,
     pub seq: u64,
@@ -92,248 +75,62 @@ pub struct TimerFire {
     pub advance: Duration,
 }
 
-/// Hierarchical timer wheel over an absolute microsecond axis.
+/// A min-heap of parked timers over an absolute microsecond axis.
 ///
-/// Contract (pinned by `tests/timer_wheel_props.rs`):
-/// - [`TimerWheel::advance_to`]`(t)` fires exactly the live entries with
-///   `deadline_us <= t` — never early, even for sub-tick stragglers
-///   sharing a tick with the target;
+/// Contract (pinned by `tests/timer_queue_props.rs`):
+/// - [`TimerQueue::advance_to`]`(t)` fires exactly the entries with
+///   `deadline_us <= t` — never early;
 /// - a batch is returned sorted by `(deadline_us, seq)`: FIFO among
-///   equal deadlines, regardless of slot cascades in between;
-/// - cancellation is lazy (an O(1) set removal); cancelled entries are
-///   skimmed off during cascades and never fire.
-pub struct TimerWheel {
-    current_ticks: u64,
-    levels: Vec<Vec<Vec<TimerEntry>>>,
-    /// Per-level bitmask of occupied slots (bit = slot may hold entries).
-    occupancy: [u64; LEVELS],
-    /// Entries farther out than the top level spans.
-    overflow: Vec<TimerEntry>,
-    /// Entries whose tick has been reached but whose sub-tick deadline
-    /// is beyond the last advance target.
-    due: Vec<TimerEntry>,
-    /// Seqs inserted and neither fired nor cancelled.
-    pending: HashSet<u64>,
+///   equal deadlines.
+#[derive(Debug, Default)]
+pub struct TimerQueue {
+    heap: BinaryHeap<Reverse<TimerFire>>,
     next_seq: u64,
 }
 
-impl Default for TimerWheel {
-    fn default() -> TimerWheel {
-        TimerWheel {
-            current_ticks: 0,
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
-            occupancy: [0; LEVELS],
-            overflow: Vec::new(),
-            due: Vec::new(),
-            pending: HashSet::new(),
-            next_seq: 0,
-        }
-    }
-}
-
-impl TimerWheel {
-    pub fn new() -> TimerWheel {
-        TimerWheel::default()
+impl TimerQueue {
+    pub fn new() -> TimerQueue {
+        TimerQueue::default()
     }
 
-    /// Live (unfired, uncancelled) entries.
+    /// Parked (unfired) entries.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.heap.is_empty()
     }
 
-    /// The wheel's notion of "now", quantized to ticks.
-    pub fn now_us(&self) -> u64 {
-        self.current_ticks * TICK_US
-    }
-
-    /// Park a timer; returns a token for [`TimerWheel::cancel`]. Tokens
-    /// are a strictly increasing sequence — the FIFO tie-breaker for
-    /// equal deadlines.
+    /// Park a timer; returns its seq. Seqs are a strictly increasing
+    /// sequence — the FIFO tie-breaker for equal deadlines.
     pub fn insert(&mut self, deadline_us: u64, task: usize, advance: Duration) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
-        self.place(TimerEntry {
+        self.heap.push(Reverse(TimerFire {
             deadline_us,
             seq,
             task,
             advance,
-        });
+        }));
         seq
     }
 
-    /// Cancel a parked timer. Returns false if it already fired (or was
-    /// already cancelled). The slot entry is left behind and skimmed
-    /// lazily.
-    pub fn cancel(&mut self, seq: u64) -> bool {
-        self.pending.remove(&seq)
-    }
-
-    /// File an entry under the lowest level whose window (relative to
-    /// the current time) contains its tick: level `k` holds entries
-    /// sharing the current level-`k+1` aligned block. Past-or-present
-    /// ticks go to the `due` holding area; ticks beyond the top level's
-    /// block go to `overflow`.
-    fn place(&mut self, e: TimerEntry) {
-        let ticks = e.deadline_us / TICK_US;
-        if ticks <= self.current_ticks {
-            self.due.push(e);
-            return;
-        }
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * (level as u32 + 1);
-            if (ticks >> shift) == (self.current_ticks >> shift) {
-                let slot = ((ticks >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-                self.levels[level][slot].push(e);
-                self.occupancy[level] |= 1 << slot;
-                return;
-            }
-        }
-        self.overflow.push(e);
-    }
-
-    /// Re-place every entry of one slot relative to the current time
-    /// (the cascade step), dropping cancelled ones.
-    fn cascade_slot(&mut self, level: usize, slot: usize) {
-        if self.occupancy[level] & (1 << slot) == 0 {
-            return;
-        }
-        self.occupancy[level] &= !(1u64 << slot);
-        let entries = std::mem::take(&mut self.levels[level][slot]);
-        for e in entries {
-            if self.pending.contains(&e.seq) {
-                self.place(e);
-            }
-        }
-    }
-
-    /// After `current_ticks` moves across one or more slot boundaries:
-    /// re-place, at every level, the slot whose window now contains the
-    /// current time (its entries belong at a lower level or in `due`),
-    /// plus the overflow list. Entries in strictly later slots are
-    /// untouched — forward movement never passes a live deadline, so
-    /// their residency (same aligned block as the current time, one
-    /// level up) is preserved.
-    fn resync(&mut self) {
-        for level in 0..LEVELS {
-            let slot =
-                ((self.current_ticks >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            self.cascade_slot(level, slot);
-        }
-        if !self.overflow.is_empty() {
-            let overflow = std::mem::take(&mut self.overflow);
-            for e in overflow {
-                if self.pending.contains(&e.seq) {
-                    self.place(e);
-                }
-            }
-        }
-    }
-
-    /// Earliest live deadline among parked (slot/overflow) entries,
-    /// excluding the `due` holding area.
-    fn next_parked_deadline(&self) -> Option<u64> {
-        let mut min: Option<u64> = None;
-        let mut update = |d: u64| min = Some(min.map_or(d, |m| m.min(d)));
-        for e in &self.overflow {
-            if self.pending.contains(&e.seq) {
-                update(e.deadline_us);
-            }
-        }
-        for level in 0..LEVELS {
-            let mut occ = self.occupancy[level];
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for e in &self.levels[level][slot] {
-                    if self.pending.contains(&e.seq) {
-                        update(e.deadline_us);
-                    }
-                }
-            }
-        }
-        min
-    }
-
-    /// Earliest live deadline, if any.
+    /// Earliest parked deadline, if any.
     pub fn next_deadline(&self) -> Option<u64> {
-        let mut min = self.next_parked_deadline();
-        for e in &self.due {
-            if self.pending.contains(&e.seq) {
-                min = Some(min.map_or(e.deadline_us, |m| m.min(e.deadline_us)));
-            }
-        }
-        min
+        self.heap.peek().map(|Reverse(f)| f.deadline_us)
     }
 
-    /// Advance the wheel to `target_us`, firing every live entry with
-    /// `deadline_us <= target_us`, sorted by `(deadline_us, seq)`.
+    /// Fire every entry with `deadline_us <= target_us`, sorted by
+    /// `(deadline_us, seq)`.
     pub fn advance_to(&mut self, target_us: u64) -> Vec<TimerFire> {
-        let target_ticks = target_us / TICK_US;
-        if self.pending.is_empty() {
-            // Nothing live anywhere: jump (stale slot entries are
-            // skimmed whenever their slot next cascades or drains).
-            self.current_ticks = self.current_ticks.max(target_ticks);
-            self.due.clear();
-            return Vec::new();
-        }
-        while self.current_ticks < target_ticks {
-            let window_base = self.current_ticks & !(SLOTS as u64 - 1);
-            let cur_slot = (self.current_ticks - window_base) as u32;
-            let ahead = self.occupancy[0] & ((!0u64).checked_shl(cur_slot + 1).unwrap_or(0));
-            if ahead != 0 {
-                let slot = ahead.trailing_zeros() as u64;
-                let tick = window_base + slot;
-                if tick > target_ticks {
-                    break;
-                }
-                self.current_ticks = tick;
-                self.occupancy[0] &= !(1u64 << slot);
-                let entries = std::mem::take(&mut self.levels[0][slot as usize]);
-                self.due.extend(entries);
-            } else {
-                // Nothing left at level 0 in this window: jump straight
-                // to the next parked deadline (or the target), then
-                // resync the slots that now contain the current time.
-                match self.next_parked_deadline() {
-                    Some(nd) if nd / TICK_US <= target_ticks => {
-                        self.current_ticks = nd / TICK_US;
-                        self.resync();
-                    }
-                    _ => break,
-                }
+        let mut fired = Vec::new();
+        while let Some(top) = self.heap.peek_mut() {
+            if top.0.deadline_us > target_us {
+                break;
             }
+            fired.push(PeekMut::pop(top).0);
         }
-        if self.current_ticks < target_ticks {
-            self.current_ticks = target_ticks;
-            self.resync();
-        }
-        let mut fired: Vec<TimerFire> = Vec::new();
-        let mut keep: Vec<TimerEntry> = Vec::new();
-        for e in std::mem::take(&mut self.due) {
-            if !self.pending.contains(&e.seq) {
-                continue;
-            }
-            if e.deadline_us <= target_us {
-                self.pending.remove(&e.seq);
-                fired.push(TimerFire {
-                    deadline_us: e.deadline_us,
-                    seq: e.seq,
-                    task: e.task,
-                    advance: e.advance,
-                });
-            } else {
-                keep.push(e);
-            }
-        }
-        self.due = keep;
-        fired.sort_by_key(|f| (f.deadline_us, f.seq));
         fired
     }
 }
@@ -357,7 +154,6 @@ struct TaskSlot<T> {
     /// Set when this task's timer fired; applied (swapped-in
     /// `env.advance`) immediately before the next poll.
     pending_advance: Option<Duration>,
-    done: bool,
 }
 
 /// The reactor over one worker session's bucket of tasks. Create with
@@ -370,7 +166,7 @@ pub struct Reactor<S: Substrate, T: FlowTask<S>> {
     slots: Vec<TaskSlot<T>>,
     results: Vec<Option<T::Output>>,
     ready: VecDeque<usize>,
-    wheel: TimerWheel,
+    timers: TimerQueue,
     live: usize,
     _substrate: PhantomData<fn(S)>,
 }
@@ -396,7 +192,6 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
                     task,
                     lane: LaneState::new(t0, SESSION_TAPS, staging),
                     pending_advance: None,
-                    done: false,
                 }
             })
             .collect();
@@ -405,7 +200,7 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             slots,
             results: (0..n).map(|_| None).collect(),
             ready: (0..n).collect(),
-            wheel: TimerWheel::new(),
+            timers: TimerQueue::new(),
             live: n,
             _substrate: PhantomData,
         }
@@ -424,9 +219,9 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         self.live
     }
 
-    /// Tasks currently parked on the timer wheel.
+    /// Tasks currently parked on the timer queue.
     pub fn parked(&self) -> usize {
-        self.wheel.len()
+        self.timers.len()
     }
 
     /// Drive every task to completion (or containment).
@@ -441,12 +236,12 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             return false;
         }
         if self.ready.is_empty() {
-            let Some(next) = self.wheel.next_deadline() else {
+            let Some(next) = self.timers.next_deadline() else {
                 // Live tasks but nothing runnable — a task bug; abandon
                 // rather than spin (results stay None).
                 return false;
             };
-            let fired = self.wheel.advance_to(next);
+            let fired = self.timers.advance_to(next);
             telemetry
                 .metrics
                 .add(Counter::ReactorTimerFires, fired.len() as u64);
@@ -471,66 +266,44 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         true
     }
 
-    /// Swap the task's lane in, poll one quiesced segment (repeatedly,
-    /// for atomic tasks), swap back out, and route the yield.
+    /// Swap the task's lane in, poll one quiesced segment, swap back
+    /// out, and route the yield.
     fn poll_task(&mut self, session: &mut Session<S>, telemetry: &Journal, id: usize) {
         let slot = &mut self.slots[id];
         session.env.swap_lane(&mut slot.lane);
-        loop {
-            if let Some(d) = slot.pending_advance.take() {
-                session.env.advance(d);
-            }
-            let polled = catch_unwind(AssertUnwindSafe(|| slot.task.poll(session)));
-            match polled {
-                Ok(TaskPoll::Done(out)) => {
-                    session.env.swap_lane(&mut slot.lane);
-                    // Nothing reads a finished lane's capture (splicing
-                    // takes only clock + journal); release its packet
-                    // buffers now so a 100k-task wave's footprint tracks
-                    // the *live* flows, not every flow ever admitted.
-                    slot.lane.capture.clear();
-                    slot.done = true;
-                    self.results[id] = Some(out);
-                    self.live -= 1;
-                    return;
-                }
-                Ok(TaskPoll::Pending(Wake::Ready)) => {
-                    if slot.task.atomic() {
-                        continue;
-                    }
-                    session.env.swap_lane(&mut slot.lane);
-                    self.ready.push_back(id);
-                    return;
-                }
-                Ok(TaskPoll::Pending(Wake::Timer(d))) => {
-                    if slot.task.atomic() {
-                        // Chained execution: the advance happens inline,
-                        // on this task's own (swapped-in) timeline.
-                        slot.pending_advance = Some(d);
-                        continue;
-                    }
-                    session.env.swap_lane(&mut slot.lane);
-                    let elapsed = slot.lane.clock - self.t0;
-                    let deadline_us = (elapsed + d).as_micros() as u64;
-                    self.wheel.insert(deadline_us, id, d);
-                    return;
-                }
-                Err(_panic) => {
-                    // Containment: flush whatever the dead task left in
-                    // flight into its own (still swapped-in) lane, then
-                    // restore the worker timeline. The lane's staged
-                    // journal is never spliced; the wave carries on.
-                    session.env.run_until_idle();
-                    drop(session.env.take_client_inbox());
-                    session.env.swap_lane(&mut slot.lane);
-                    slot.lane.capture.clear();
-                    slot.done = true;
-                    self.live -= 1;
-                    telemetry.metrics.incr(Counter::ReactorTaskPanics);
-                    return;
-                }
-            }
+        if let Some(d) = slot.pending_advance.take() {
+            session.env.advance(d);
         }
+        let polled = catch_unwind(AssertUnwindSafe(|| slot.task.poll(session)));
+        if polled.is_err() {
+            // Containment: flush whatever the dead task left in flight
+            // into its own (still swapped-in) lane before restoring the
+            // worker timeline. The lane's staged journal is never
+            // spliced; the wave carries on.
+            session.env.run_until_idle();
+            drop(session.env.take_client_inbox());
+        }
+        session.env.swap_lane(&mut slot.lane);
+        match polled {
+            Ok(TaskPoll::Pending(Wake::Ready)) => {
+                self.ready.push_back(id);
+                return;
+            }
+            Ok(TaskPoll::Pending(Wake::Timer(d))) => {
+                let elapsed = slot.lane.clock - self.t0;
+                let deadline_us = (elapsed + d).as_micros() as u64;
+                self.timers.insert(deadline_us, id, d);
+                return;
+            }
+            Ok(TaskPoll::Done(out)) => self.results[id] = Some(out),
+            Err(_panic) => telemetry.metrics.incr(Counter::ReactorTaskPanics),
+        }
+        // Nothing reads a finished lane's capture (splicing takes only
+        // clock + journal); release its packet buffers now so a
+        // 100k-task wave's footprint tracks the *live* flows, not every
+        // flow ever admitted.
+        slot.lane.capture.clear();
+        self.live -= 1;
     }
 
     /// Dismantle into the per-task results, lanes, and replay counts the
@@ -547,81 +320,5 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             lanes,
             replays,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wheel_fires_in_deadline_then_seq_order() {
-        let mut w = TimerWheel::new();
-        let gap = Duration::ZERO;
-        w.insert(5_000, 0, gap);
-        w.insert(3_000, 1, gap);
-        w.insert(5_000, 2, gap);
-        w.insert(200_000, 3, gap);
-        let fired = w.advance_to(10_000);
-        let order: Vec<usize> = fired.iter().map(|f| f.task).collect();
-        assert_eq!(order, vec![1, 0, 2]);
-        assert_eq!(w.len(), 1);
-        let late = w.advance_to(300_000);
-        assert_eq!(late.len(), 1);
-        assert_eq!(late[0].task, 3);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_never_fires_sub_tick_early() {
-        let mut w = TimerWheel::new();
-        w.insert(2_500, 7, Duration::ZERO);
-        // 2_500 µs sits in tick 2 (2048..3072); advancing to 2_400 µs
-        // crosses the tick but not the deadline.
-        assert!(w.advance_to(2_400).is_empty());
-        let fired = w.advance_to(2_500);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].deadline_us, 2_500);
-    }
-
-    #[test]
-    fn wheel_cancel_prevents_fire() {
-        let mut w = TimerWheel::new();
-        let a = w.insert(4_000, 0, Duration::ZERO);
-        let b = w.insert(4_000, 1, Duration::ZERO);
-        assert!(w.cancel(a));
-        assert!(!w.cancel(a));
-        let fired = w.advance_to(10_000);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].seq, b);
-    }
-
-    #[test]
-    fn wheel_survives_cascade_boundaries() {
-        let mut w = TimerWheel::new();
-        // One entry per level boundary neighborhood: 64^k ticks out.
-        let mut expect: Vec<(u64, usize)> = Vec::new();
-        for k in 0..LEVELS {
-            let ticks = (SLOTS as u64).pow(k as u32 + 1) + 3;
-            let deadline = ticks * TICK_US + 17;
-            w.insert(deadline, k, Duration::ZERO);
-            expect.push((deadline, k));
-        }
-        expect.sort_unstable();
-        let fired = w.advance_to(u64::MAX / 4);
-        let got: Vec<(u64, usize)> = fired.iter().map(|f| (f.deadline_us, f.task)).collect();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn wheel_jump_past_parked_entry_does_not_strand_it() {
-        let mut w = TimerWheel::new();
-        // Parked at level >= 1; a jump to just before its deadline (all
-        // other entries absent) must resync its slot so the next advance
-        // still finds it.
-        w.insert(10_000 * TICK_US, 0, Duration::ZERO);
-        assert!(w.advance_to(9_999 * TICK_US).is_empty());
-        let fired = w.advance_to(10_001 * TICK_US);
-        assert_eq!(fired.len(), 1);
     }
 }

@@ -12,7 +12,7 @@
 //! Yields are declarative: [`Wake::Timer`] asks the driver to advance the
 //! task's (virtual) clock before the next poll — the sequential driver
 //! calls `env.advance(d)` inline, the reactor parks the task on its
-//! timer wheel — and [`Wake::Ready`] asks to be re-polled as soon as the
+//! timer queue — and [`Wake::Ready`] asks to be re-polled as soon as the
 //! scheduler gets back around, which is how long replays stay fair.
 
 use std::time::Duration;
@@ -56,12 +56,4 @@ pub trait FlowTask<S: Substrate>: Send {
     /// reactor chains these into the canonical replay numbering when it
     /// splices lane journals back into the worker journal.
     fn replays_done(&self) -> u64;
-
-    /// Tasks whose observable behavior depends on session- or
-    /// environment-global mutable state (billed counters, shared link
-    /// shapers, RNG draws mid-task) return `true` and the reactor runs
-    /// them to completion in admission order instead of interleaving.
-    fn atomic(&self) -> bool {
-        false
-    }
 }

@@ -8,7 +8,7 @@
 //! `FlowTask::poll` body therefore stalls *every* lane behind the
 //! current one — the simulated clock does not move, it is the host that
 //! hangs. Waiting is expressed in virtual time instead: return
-//! `TaskPoll::Pending(Wake::Timer(..))` and let the timer wheel resume
+//! `TaskPoll::Pending(Wake::Timer(..))` and let the timer queue resume
 //! the task at its deadline. This rule scans every method of an impl
 //! whose header names `FlowTask` (task implementations and the
 //! scheduler generic over them) and flags host-blocking call heads.
@@ -90,7 +90,7 @@ an impl whose header names FlowTask executes with thousands of flow \
 lanes multiplexed onto one worker thread, and blocking the host stalls \
 all of them without moving the simulated clock. Express waiting in \
 virtual time — return TaskPoll::Pending(Wake::Timer(..)) and let the \
-timer wheel resume the task at its deadline. Suppress a proven \
+timer queue resume the task at its deadline. Suppress a proven \
 exception with `// lint: allow(reactor-blocking)`."
     }
 

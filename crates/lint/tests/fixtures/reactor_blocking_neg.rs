@@ -4,8 +4,8 @@ impl FlowTask<SimSubstrate> for BackoffFlowTask {
     type Output = PoolFlowReport;
 
     /// The same retry backoff expressed in virtual time: the task parks
-    /// on the timer wheel and the worker keeps polling other lanes; the
-    /// wheel resumes this flow once its simulated deadline arrives.
+    /// on the timer queue and the worker keeps polling other lanes; the
+    /// queue resumes this flow once its simulated deadline arrives.
     fn poll(&mut self, session: &mut Session) -> TaskPoll<PoolFlowReport> {
         if self.needs_backoff {
             self.needs_backoff = false;

@@ -96,7 +96,7 @@ mod tests {
     fn builds_are_independent_and_identically_shaped() {
         let bp = blueprint();
         assert_eq!(bp.element_count(), 2);
-        let mut a = bp.build(server());
+        let a = bp.build(server());
         let b = bp.build(server());
         assert!(a.element_index("r1").is_some());
         assert!(a.element_index("r2").is_some());

@@ -57,11 +57,11 @@ pub enum Counter {
     /// Bytes materialized by those payload copies.
     PayloadBytesCopied,
     /// Scheduler iterations of the event-driven replay reactor (one per
-    /// task poll or timer-wheel advance).
+    /// task poll or timer-queue advance).
     ReactorTicks,
     /// Flow tasks admitted into a reactor's ready queue.
     ReactorTasksAdmitted,
-    /// Timer-wheel entries fired by the reactor.
+    /// Timer-queue entries fired by the reactor.
     ReactorTimerFires,
     /// Flow tasks whose poll panicked and was contained by the reactor.
     ReactorTaskPanics,

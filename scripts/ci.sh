@@ -38,8 +38,14 @@ if [ "$lint_ms" -ge 5000 ]; then
     exit 1
 fi
 
-say "cargo test -q"
-cargo test -q
+say "cargo build --workspace --all-targets"
+# Examples, binaries and test targets of every crate must compile too.
+cargo build --workspace --all-targets
+
+say "cargo test --workspace -q"
+# Every crate's unit and integration tests, the root package's tier-1
+# suites (`cargo test -q`) included.
+cargo test --workspace -q
 
 say "exp-testbed --trace + journal validation"
 cargo run --release -q -p liberate-bench --bin exp-testbed -- --trace target/trace.jsonl >/dev/null

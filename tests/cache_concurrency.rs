@@ -67,7 +67,7 @@ fn concurrent_lookup_counters_are_exact() {
 /// with ever-newer markers, 8 readers must only ever observe complete
 /// entries (marker fields agree) with markers that never go backwards —
 /// an entry is replaced atomically or not at all. Readers go through the
-/// seqlock snapshot path, so this doubles as its torn-read gate.
+/// `Arc` snapshot path, so this doubles as its torn-read gate.
 #[test]
 fn republish_race_never_tears_an_entry() {
     const PUBLISHES: u64 = 2_000;

@@ -334,7 +334,7 @@ fn same_seed_deployment_journals_are_byte_identical() {
     assert_eq!(a, b, "same seed must replay to byte-identical journals");
 }
 
-/// (f) The seqlock contention property at the API level: 8 reader
+/// (f) The snapshot contention property at the API level: 8 reader
 /// threads hammering `PublishedState` while a writer publishes 500
 /// generations observe only fully-published states — the generation
 /// stamp always agrees with the marker baked into the technique it is

@@ -233,7 +233,7 @@ fn dropping_a_reactor_with_parked_timers_leaks_no_task_state() {
 
     let telemetry = Journal::disabled();
     let mut reactor = Reactor::new(&session, vec![ParkedForever, ParkedForever], &telemetry);
-    // First two steps poll each task once; both park on the wheel.
+    // First two steps poll each task once; both park on the timer queue.
     assert!(reactor.step(&mut session, &telemetry));
     assert!(reactor.step(&mut session, &telemetry));
     assert_eq!(reactor.parked(), 2);
