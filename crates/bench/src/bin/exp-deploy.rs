@@ -18,10 +18,8 @@
 //! - **adaptation latency**: wall-clock from the rule flip to the
 //!   refreshed technique being published and live (burned flows, change
 //!   detection, the shared re-characterization wave, evaluation);
-//! - **parity**: the adapted technique must equal what the sequential
-//!   `LiberateProxy` re-learns from the same flip, at every worker count,
-//!   and a single-user single-worker pool must adapt about as fast as the
-//!   sequential proxy (the pool machinery may not tax the change path).
+//! - **parity**: the initial and adapted techniques at 2 and 4 workers
+//!   must equal what the one-worker pool learns from the same flip.
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-deploy`
 //! (`--workers <n>` picks which pool's merged journal `--trace` dumps,
@@ -100,60 +98,14 @@ fn main() {
     let copts = CharacterizeOpts::default();
     let wave_bytes = app_bytes(&trace) * USERS as u64;
 
-    // --- Sequential baseline: one LiberateProxy rides the same flip.
-    let session = Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
-    let mut proxy = LiberateProxy::new(session, copts.clone());
-    proxy.run_flow(&trace).expect("sequential initial learn");
-    let seq_initial = proxy.active_technique().unwrap().effective.clone();
-    let rules = flipped_rules(&proxy.session.env.dpi_mut().unwrap().config.rules);
-    let before = proxy.session.env.network.clock.as_micros();
-    proxy
-        .session
-        .env
-        .dpi_mut()
-        .unwrap()
-        .hot_swap_rules(rules.clone());
-    let report = proxy.run_flow(&trace).expect("sequential re-learn");
-    assert!(report.recharacterized, "the flip must force a re-learn");
-    let seq_latency_us = proxy.session.env.network.clock.as_micros() - before;
-    let seq_adapted = proxy.active_technique().unwrap().effective.clone();
-    println!(
-        "sequential proxy: adapts to \"{}\" in {:.1} s simulated",
-        seq_adapted.description(),
-        seq_latency_us as f64 / 1e6
-    );
-
-    // --- Latency parity: a 1-worker, 1-user pool must ride the same flip
-    // about as fast as the sequential proxy (same pipeline, plus the
-    // pool's publish machinery, which must stay cheap).
-    let mut solo = DeploymentPool::new(
-        EnvKind::Testbed,
-        OsKind::Linux,
-        LiberateConfig::default(),
-        1,
-        copts.clone(),
-    );
-    solo.run_flows(&trace, 1).expect("solo initial wave");
-    let before = max_clock_us(&mut solo);
-    solo.hot_swap_rules(&rules);
-    let wave = solo.run_flows(&trace, 1).expect("solo flip wave");
-    assert!(wave.recharacterized);
-    let solo_latency_us = max_clock_us(&mut solo) - before;
-    let ratio = solo_latency_us as f64 / seq_latency_us.max(1) as f64;
-    println!(
-        "1-user pool:      adapts in {:.1} s simulated ({ratio:.2}x the sequential path)",
-        solo_latency_us as f64 / 1e6
-    );
-    assert!(
-        (0.5..=1.5).contains(&ratio),
-        "pool adaptation latency must track the sequential path: {ratio:.2}x"
-    );
-
     // --- Scaling sweep: USERS users per wave at 1, 2, and 4 workers,
     // through steady -> flip -> recovery.
     let trace_workers = obsflag::workers().max(2).min(4);
     let trace_journal = Arc::new(Journal::new());
     let mut runs = Vec::new();
+    // The one-worker pool's (initial, adapted) techniques: the reference
+    // every wider pool must reproduce.
+    let mut reference: Option<(Technique, Technique)> = None;
     for workers in [1usize, 2, 4] {
         let t0 = Instant::now();
         let mut pool = DeploymentPool::new(
@@ -165,13 +117,13 @@ fn main() {
         );
         let wave1 = pool.run_flows(&trace, USERS).expect("steady wave");
         assert!(wave1.all_evaded(), "steady wave must stream clean");
-        assert_eq!(
-            pool.active_technique().unwrap(),
-            seq_initial,
-            "initial parity at {workers} workers"
-        );
+        let initial = pool.active_technique().unwrap();
 
         // The flip. Adaptation latency: flip -> refreshed technique live.
+        let rules = {
+            let dpi = pool.pool_mut().session_mut(0).env.dpi_mut().unwrap();
+            flipped_rules(&dpi.config.rules)
+        };
         let before = max_clock_us(&mut pool);
         pool.hot_swap_rules(&rules);
         let wave2 = pool.run_flows(&trace, USERS).expect("flip wave");
@@ -182,10 +134,17 @@ fn main() {
             pool.characterizations, 2,
             "{USERS} change signals, exactly one re-characterization"
         );
+        let adapted = pool.active_technique().unwrap();
+        assert_ne!(adapted, initial, "the flip burns the initial technique");
+        let (ref_initial, ref_adapted) =
+            reference.get_or_insert((initial.clone(), adapted.clone()));
         assert_eq!(
-            pool.active_technique().unwrap(),
-            seq_adapted,
-            "adapted parity at {workers} workers"
+            &initial, ref_initial,
+            "initial parity with one worker at {workers} workers"
+        );
+        assert_eq!(
+            &adapted, ref_adapted,
+            "adapted parity with one worker at {workers} workers"
         );
 
         // Recovery: throughput of the post-adaptation steady state.
@@ -237,14 +196,6 @@ fn main() {
             Json::s("testbed 'web' decoy rule re-classed as throttled video"),
         ),
         (
-            "sequential_adaptation_latency_us".into(),
-            Json::n(seq_latency_us as f64),
-        ),
-        (
-            "solo_pool_adaptation_latency_us".into(),
-            Json::n(solo_latency_us as f64),
-        ),
-        (
             "runs".into(),
             Json::Arr(runs.iter().map(RunStats::to_json).collect()),
         ),
@@ -266,6 +217,6 @@ fn main() {
     obsflag::finish(&trace_journal);
     println!(
         "\n[ok] one re-characterization per flip, adapted technique matches the \
-sequential proxy, recovery throughput scales with workers"
+one-worker pool, recovery throughput scales with workers"
     );
 }

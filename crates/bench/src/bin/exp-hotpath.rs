@@ -1,8 +1,9 @@
 //! **Hot-path overhaul benchmark**: the combined proof for the zero-copy
-//! packet plumbing, the skip-loop automaton, and the per-wave read
-//! paths. Writes `results/BENCH_hotpath.json`.
+//! packet plumbing and the per-wave read paths. Writes
+//! `results/BENCH_hotpath.json`. (The automaton-vs-naive matcher cells
+//! and their per-profile floor live in `exp-matcher`.)
 //!
-//! Three measurements, each with its own gate:
+//! Two measurements, each with its own gate:
 //!
 //! 1. **Payload copy census** — the same replay workload runs once in
 //!    eager-copy mode (`PacketBuf` clones/slices materialize fresh
@@ -10,12 +11,7 @@
 //!    shared-view mode. The process-wide census counts every deep copy;
 //!    copies per replay must fall ≥ 5× with sharing on. The journal's
 //!    `payload-copies` counter reports the CoW-tallied remainder.
-//! 2. **Per-profile matcher curves** — automaton vs naive host time on
-//!    the exp-matcher workload at three trace sizes. With the root skip
-//!    loop the automaton must hold every cell (`≤ 1.05× naive`), the
-//!    single-pattern Iran profile included — the regression that
-//!    motivated the overhaul.
-//! 3. **Deploy worker scaling** — host wall-clock of an identical
+//! 2. **Deploy worker scaling** — host wall-clock of an identical
 //!    steady deployment wave at 1 and 4 workers. Published-state
 //!    snapshots and the per-shard batch drain must keep host cost flat:
 //!    `host_cpu_ms(4w) ≤ 1.05 × host_cpu_ms(1w)`. The two arms are
@@ -29,34 +25,17 @@
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-hotpath`
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use liberate::prelude::*;
 use liberate::report::Json;
-use liberate_dpi::automaton::MatcherKind;
-use liberate_dpi::device::{DpiConfig, DpiDevice};
-use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device};
-use liberate_netsim::element::{Effects, PacketBuf, PathElement};
-use liberate_netsim::time::SimTime;
-use liberate_obs::{Counter, Journal};
-use liberate_packet::flow::Direction;
-use liberate_packet::packet::Packet;
-use liberate_packet::tcp::TcpFlags;
+use liberate_obs::Counter;
 use liberate_substrate::buf::{copy_census, set_eager_copy_mode};
 use liberate_traces::apps;
 use liberate_traces::recorded::RecordedTrace;
 
-use std::net::Ipv4Addr;
-
-const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-const S: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
-
 /// Replays per census arm; copies-per-replay is the reported figure.
 const CENSUS_REPLAYS: usize = 8;
-
-/// Timing repetitions; best run reported to shed scheduler noise.
-const REPS: usize = 3;
 
 /// Users per deployment wave in the scaling measurement.
 const USERS: usize = 8;
@@ -90,71 +69,7 @@ fn census_arm(eager: bool) -> (u64, u64, u64) {
     (c1 - c0, b1 - b0, copies_j1 - copies_j0)
 }
 
-// --- 2. Matcher curves (exp-matcher workload) -------------------------
-
-const SEGMENT_BYTES: usize = 1000;
-const SEGMENTS_PER_FLOW: usize = 4;
-const FLOW_BYTES: usize = SEGMENT_BYTES * SEGMENTS_PER_FLOW;
-
-type Step = (u64, Direction, Vec<u8>);
-
-/// Non-matching HTTP-ish flows that keep every rule unsatisfied, so
-/// inspection never short-circuits (worst case for both matchers).
-fn synthetic_trace(flows: usize) -> Vec<Step> {
-    let mut steps = Vec::new();
-    let mut t = 0u64;
-    for f in 0..flows {
-        let port = 40_000 + f as u16;
-        let isn = 1_000 * (f as u32 + 1);
-        steps.push((
-            t,
-            Direction::ClientToServer,
-            Packet::tcp(C, S, port, 80, isn, 0, vec![])
-                .with_flags(TcpFlags::SYN)
-                .serialize(),
-        ));
-        let mut seq = isn + 1;
-        for s in 0..SEGMENTS_PER_FLOW {
-            t += 500;
-            let head = format!("GET /flow{f:04}/seg{s} HTTP/1.1\r\nHost: pad.invalid\r\n");
-            let mut payload = head.into_bytes();
-            payload.resize(SEGMENT_BYTES, b'a');
-            steps.push((
-                t,
-                Direction::ClientToServer,
-                Packet::tcp(C, S, port, 80, seq, 1, payload).serialize(),
-            ));
-            seq += SEGMENT_BYTES as u32;
-        }
-        t += 500;
-    }
-    steps
-}
-
-/// Best host µs over `REPS` runs of `trace` through a fresh device.
-fn device_host_us(config: &DpiConfig, matcher: MatcherKind, trace: &[Step]) -> u64 {
-    let steps: Vec<(u64, Direction, PacketBuf)> = trace
-        .iter()
-        .map(|(us, dir, wire)| (*us, *dir, PacketBuf::from(wire.clone())))
-        .collect();
-    let mut best_us = u64::MAX;
-    for _ in 0..REPS {
-        let mut cfg = config.clone();
-        cfg.matcher = matcher;
-        let mut dev = DpiDevice::new(cfg);
-        let journal = Arc::new(Journal::new());
-        dev.attach_journal(&journal);
-        let t0 = Instant::now();
-        for (us, dir, wire) in &steps {
-            let mut fx = Effects::default();
-            dev.process(SimTime::from_micros(*us), *dir, wire.clone(), &mut fx);
-        }
-        best_us = best_us.min(t0.elapsed().as_micros() as u64);
-    }
-    best_us
-}
-
-// --- 3. Deploy worker scaling -----------------------------------------
+// --- 2. Deploy worker scaling -----------------------------------------
 
 /// Build a deployment pool and pay the initial characterize wave
 /// untimed, leaving it in the steady state. This isolates the per-wave
@@ -209,7 +124,7 @@ fn deploy_scaling_us() -> (u64, u64) {
 }
 
 fn main() {
-    println!("Benchmark: hot-path overhaul (zero-copy, skip-loop, per-wave reads)\n");
+    println!("Benchmark: hot-path overhaul (zero-copy, per-wave reads)\n");
 
     // --- 1. Copy census, eager (pre-overhaul) vs shared (current).
     let (before_copies, before_bytes, _) = census_arm(true);
@@ -238,41 +153,7 @@ eliminated (journal payload-copies: {after_journal_copies})"
 (got {copy_reduction:.2}x)"
     );
 
-    // --- 2. Matcher curves with the per-profile floor.
-    let profiles: Vec<(&'static str, DpiConfig)> = vec![
-        ("testbed", testbed_device()),
-        ("tmobile", tmus_device()),
-        ("gfc", gfc_device(3 * 3600)),
-        ("iran", iran_device()),
-    ];
-    let flow_counts = [8usize, 32, 128];
-    let mut matcher_cells = Vec::new();
-    println!();
-    for &flows in &flow_counts {
-        let trace = synthetic_trace(flows);
-        let trace_bytes = flows * FLOW_BYTES;
-        for (name, config) in &profiles {
-            let naive_us = device_host_us(config, MatcherKind::NaiveRescan, &trace);
-            let auto_us = device_host_us(config, MatcherKind::Automaton, &trace);
-            println!(
-                "matcher {name:8} {:>4} KB  naive {naive_us:>7} us   automaton {auto_us:>7} us",
-                trace_bytes / 1024
-            );
-            assert!(
-                auto_us as f64 <= naive_us as f64 * 1.05,
-                "{name}/{trace_bytes}B: automaton {auto_us} us exceeds naive \
-{naive_us} us by more than 5% — the skip loop regressed"
-            );
-            matcher_cells.push(Json::Obj(vec![
-                ("profile".into(), Json::s(*name)),
-                ("trace_bytes".into(), Json::n(trace_bytes as f64)),
-                ("naive_host_us".into(), Json::n(naive_us as f64)),
-                ("automaton_host_us".into(), Json::n(auto_us as f64)),
-            ]));
-        }
-    }
-
-    // --- 3. Deploy scaling: host cost must be flat 1 -> 4 workers.
+    // --- 2. Deploy scaling: host cost must be flat 1 -> 4 workers.
     println!();
     let (host_1w, host_4w) = deploy_scaling_us();
     let host_1w_ms = host_1w as f64 / 1000.0;
@@ -316,7 +197,6 @@ batch drain regressed"
                 ),
             ]),
         ),
-        ("matcher_cells".into(), Json::Arr(matcher_cells)),
         (
             "deploy_scaling".into(),
             Json::Obj(vec![
@@ -350,7 +230,7 @@ batch drain regressed"
 
     println!(
         "\n[ok] payload deep-copies {copies_per_replay_before:.0} -> \
-{copies_per_replay_after:.0} per replay, automaton holds every profile at every \
-size, host cost flat 1 -> 4 workers ({scaling_ratio:.2}x)"
+{copies_per_replay_after:.0} per replay, host cost flat 1 -> 4 workers \
+({scaling_ratio:.2}x)"
     );
 }

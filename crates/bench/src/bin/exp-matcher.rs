@@ -31,11 +31,11 @@ use liberate_dpi::automaton::MatcherKind;
 use liberate_dpi::device::{DpiConfig, DpiDevice};
 use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device};
 use liberate_netsim::element::{Effects, PacketBuf, PathElement};
-use liberate_netsim::time::SimTime;
 use liberate_obs::{Counter, Journal};
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
+use liberate_substrate::time::SimTime;
 use liberate_traces::apps;
 
 use std::net::Ipv4Addr;

@@ -1,8 +1,8 @@
 //! **Reactor scale benchmark**: how many concurrent deployed flows one
 //! pool can hold in flight. Drives waves of up to 100k+ simultaneous
-//! users through a `DeploymentPool` on the event-driven reactor engine
-//! (`Engine::Reactor`) at 1/2/4 workers, recording throughput
-//! (flows/sec), simulated wall-clock, and peak-RSS-per-flow curves to
+//! users through a `DeploymentPool`, whose flows run as reactor tasks,
+//! at 1/2/4 workers, recording throughput (flows/sec), simulated
+//! wall-clock, and peak-heap-per-flow curves to
 //! `results/BENCH_scale.json`.
 //!
 //! Each user in a wave is a resumable `FlowTask` on its own lane — no OS
@@ -12,12 +12,15 @@
 //! increment. Both are gated here:
 //!
 //! - every flow in the big wave must complete and report;
-//! - marginal peak RSS per flow (VmHWM delta across the wave) must stay
-//!   under `--max-bytes-per-flow` (default 64 KiB).
+//! - marginal peak heap per flow (the wave's live-heap high-water mark
+//!   over the live heap when it opened, counted by this binary's global
+//!   allocator) must stay under `--max-bytes-per-flow` (default 64 KiB).
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-scale`
 //! CI runs a reduced count: `exp-scale --flows 20000`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -49,12 +52,67 @@ fn blocked_page() -> RecordedTrace {
     t
 }
 
-/// `VmHWM` (peak resident set) in kilobytes, from `/proc/self/status`.
-/// `None` off Linux — the memory gates are skipped there.
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
+// Live heap bytes and their high-water mark. Statistics that publish no
+// other data, so relaxed ordering suffices.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting live and peak heap bytes.
+struct Counting;
+
+fn grew(size: usize) {
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged, so `System`'s guarantees carry over; the counters
+// are plain atomics and never touch the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by this allocator (hence `System`)
+        // with `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            grew(new_size);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Restart the high-water mark at the current live heap; returns it.
+fn reset_peak() -> u64 {
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    live as u64
 }
 
 struct WaveStats {
@@ -63,9 +121,11 @@ struct WaveStats {
     host_ms: u64,
     flows_per_sec: f64,
     sim_us: u64,
-    rss_before_kb: Option<u64>,
-    rss_after_kb: Option<u64>,
-    bytes_per_flow: Option<u64>,
+    /// Live heap when the wave opened, and its high-water mark during the
+    /// wave, in bytes.
+    heap_before: u64,
+    heap_peak: u64,
+    bytes_per_flow: u64,
     tasks_admitted: u64,
     reactor_ticks: u64,
     timer_fires: u64,
@@ -73,7 +133,6 @@ struct WaveStats {
 
 impl WaveStats {
     fn to_json(&self) -> Json {
-        let opt = |v: Option<u64>| v.map_or(Json::Null, |v| Json::n(v as f64));
         Json::Obj(vec![
             ("workers".into(), Json::n(self.workers as f64)),
             ("flows".into(), Json::n(self.flows as f64)),
@@ -83,9 +142,12 @@ impl WaveStats {
                 Json::Num((self.flows_per_sec * 10.0).round() / 10.0),
             ),
             ("sim_us".into(), Json::n(self.sim_us as f64)),
-            ("peak_rss_before_kb".into(), opt(self.rss_before_kb)),
-            ("peak_rss_after_kb".into(), opt(self.rss_after_kb)),
-            ("bytes_per_flow".into(), opt(self.bytes_per_flow)),
+            (
+                "live_heap_before_bytes".into(),
+                Json::n(self.heap_before as f64),
+            ),
+            ("peak_heap_bytes".into(), Json::n(self.heap_peak as f64)),
+            ("bytes_per_flow".into(), Json::n(self.bytes_per_flow as f64)),
             ("tasks_admitted".into(), Json::n(self.tasks_admitted as f64)),
             ("reactor_ticks".into(), Json::n(self.reactor_ticks as f64)),
             ("timer_fires".into(), Json::n(self.timer_fires as f64)),
@@ -116,7 +178,7 @@ fn run_wave(
         .reactor_telemetry()
         .metrics
         .get(Counter::ReactorTimerFires);
-    let rss_before_kb = peak_rss_kb();
+    let heap_before = reset_peak();
 
     let t0 = Instant::now();
     let wave = pool.run_flows(trace, flows).expect("deployment wave");
@@ -128,7 +190,7 @@ fn run_wave(
         "a steady-state wave must carry every user's traffic"
     );
 
-    let rss_after_kb = peak_rss_kb();
+    let heap_peak = PEAK.load(Relaxed) as u64;
     let sim_us = pool
         .pool_mut()
         .sessions()
@@ -140,7 +202,7 @@ fn run_wave(
     let tasks_admitted = telemetry.metrics.get(Counter::ReactorTasksAdmitted) - admitted_before;
     assert_eq!(
         tasks_admitted, flows as u64,
-        "every flow must run as a reactor task (not the threads fallback)"
+        "every flow must run as a reactor task (not as a closure)"
     );
 
     WaveStats {
@@ -149,11 +211,9 @@ fn run_wave(
         host_ms,
         flows_per_sec: flows as f64 / (host_ms.max(1) as f64 / 1_000.0),
         sim_us,
-        rss_before_kb,
-        rss_after_kb,
-        bytes_per_flow: rss_before_kb
-            .zip(rss_after_kb)
-            .map(|(b, a)| a.saturating_sub(b) * 1_024 / flows.max(1) as u64),
+        heap_before,
+        heap_peak,
+        bytes_per_flow: (heap_peak - heap_before) / flows.max(1) as u64,
         tasks_admitted,
         reactor_ticks: telemetry.metrics.get(Counter::ReactorTicks) - before,
         timer_fires: telemetry.metrics.get(Counter::ReactorTimerFires) - fires_before,
@@ -166,8 +226,7 @@ fn scale_pool(workers: usize) -> DeploymentPool {
         OsKind::Linux,
         LiberateConfig::default(),
         workers,
-    )
-    .with_engine(Engine::Reactor);
+    );
     // Port rotation is mandatory against the GFC model: it blocks a
     // server:port pair after two classified flows.
     let copts = CharacterizeOpts {
@@ -202,12 +261,12 @@ fn main() {
         }
     }
 
-    println!("Benchmark: reactor-engine deployment scale ({flows} concurrent flows)\n");
+    println!("Benchmark: reactor deployment scale ({flows} concurrent flows)\n");
     let trace = blocked_page();
 
     // --- Memory / sim-clock curve on one worker: ascending wave sizes,
-    // same pool, so each step's VmHWM delta is that scale's marginal
-    // footprint.
+    // same pool; each wave's peak heap over the heap it opened with is
+    // that scale's marginal footprint.
     let mut curve = Vec::new();
     {
         let mut pool = scale_pool(1);
@@ -219,50 +278,45 @@ fn main() {
             }
             let stats = run_wave(&mut pool, &trace, scale);
             println!(
-                "curve: {:>7} flows  {:>7} ms host  {:>6.0} flows/s  peak RSS {} kB",
+                "curve: {:>7} flows  {:>7} ms host  {:>6.0} flows/s  peak heap {} kB",
                 stats.flows,
                 stats.host_ms,
                 stats.flows_per_sec,
-                stats.rss_after_kb.unwrap_or(0),
+                stats.heap_peak / 1_024,
             );
             curve.push(stats);
         }
     }
 
     // Sub-linear aggregate growth: 10x the flows must cost well under
-    // 10x the peak RSS (fixed pool overhead dominates; per-flow state is
+    // 10x the peak heap (fixed pool overhead dominates; per-flow state is
     // small). Gate the marginal per-flow bytes of the largest wave.
-    if let (Some(big), Some(_)) = (curve.last(), peak_rss_kb()) {
-        if let Some(bpf) = big.bytes_per_flow {
-            println!(
-                "\nmarginal memory: {} bytes/flow at {} flows (gate: <= {})",
-                bpf, big.flows, max_bytes_per_flow
-            );
-            assert!(
-                bpf <= max_bytes_per_flow,
-                "peak RSS per flow {bpf} B exceeds the {max_bytes_per_flow} B gate"
-            );
-        }
+    if let Some(big) = curve.last() {
+        println!(
+            "\nmarginal memory: {} bytes/flow at {} flows (gate: <= {})",
+            big.bytes_per_flow, big.flows, max_bytes_per_flow
+        );
+        assert!(
+            big.bytes_per_flow <= max_bytes_per_flow,
+            "peak heap per flow {} B exceeds the {max_bytes_per_flow} B gate",
+            big.bytes_per_flow
+        );
         if curve.len() >= 2 {
             let small = &curve[0];
-            let growth = big.rss_after_kb.unwrap_or(0) as f64
-                / small.rss_after_kb.unwrap_or(1).max(1) as f64;
+            let growth = big.heap_peak as f64 / small.heap_peak.max(1) as f64;
             let scale_up = big.flows as f64 / small.flows.max(1) as f64;
             println!(
-                "aggregate growth: {growth:.2}x peak RSS across a {scale_up:.0}x flow scale-up"
+                "aggregate growth: {growth:.2}x peak heap across a {scale_up:.0}x flow scale-up"
             );
             assert!(
                 growth < scale_up,
                 "memory grew {growth:.2}x over a {scale_up:.0}x scale-up — not sub-linear"
             );
         }
-    } else {
-        println!("\n/proc/self/status unavailable; memory gates skipped");
     }
 
-    // --- Worker sweep at full scale: flows/sec and RSS at 1, 2, 4
-    // workers (each its own process-phase; VmHWM is monotonic so only
-    // deltas are meaningful).
+    // --- Worker sweep at full scale: flows/sec and peak heap at 1, 2, 4
+    // workers.
     let mut runs = Vec::new();
     for workers in [1usize, 2, 4] {
         let mut pool = scale_pool(workers);

@@ -40,10 +40,10 @@ fn characterize_app(
             &CharacterizeOpts::default(),
         )
     } else {
-        // Engine path: a worker pool over one shared sharded flow table,
-        // checked probe-for-probe against the sequential reference (which
-        // keeps its own private journal so the shared one only accounts
-        // for the pool's replays).
+        // Pool path: a worker pool over one shared sharded flow table,
+        // checked against a bare-session reference (which keeps its own
+        // private journal so the shared one only accounts for the pool's
+        // replays).
         let mut pool = SessionPool::new(
             EnvKind::Testbed,
             OsKind::Linux,
@@ -68,15 +68,15 @@ fn characterize_app(
         );
         assert_eq!(
             c.fields, r.fields,
-            "{name}: parallel matching fields must equal sequential"
+            "{name}: pooled matching fields must equal the bare session's"
         );
         assert_eq!(
             c.rounds, r.rounds,
-            "{name}: parallel replay count must equal sequential"
+            "{name}: pooled replay count must equal the bare session's"
         );
         assert_eq!(
             c.position, r.position,
-            "{name}: parallel position profile must equal sequential"
+            "{name}: pooled position profile must equal the bare session's"
         );
         c
     };
@@ -96,7 +96,7 @@ fn main() {
     println!("Experiment §6.1: testbed classifier analysis\n");
     if workers > 1 {
         println!(
-            "engine: SessionPool with {workers} worker sessions (sequential parity checked)\n"
+            "engine: SessionPool with {workers} worker sessions (bare-session parity checked)\n"
         );
     }
     let journal = Arc::new(Journal::new());

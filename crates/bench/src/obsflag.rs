@@ -30,7 +30,7 @@ pub fn trace_path() -> Option<String> {
 }
 
 /// Worker-session count requested via `--workers <n>` (or
-/// `--workers=<n>`), defaulting to 1 — the sequential, pre-engine path.
+/// `--workers=<n>`), defaulting to 1 — a bare session, no pool.
 /// Values below 1 and unparsable values fall back to 1.
 pub fn workers() -> usize {
     let mut args = std::env::args().skip(1);

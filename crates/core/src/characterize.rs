@@ -4,10 +4,13 @@
 //!
 //! Two instruments:
 //!
-//! 1. **Binary blinding search** — recursively invert ("blind") byte
-//!    ranges of the trace and replay; ranges whose blinding stops
-//!    classification contain matching fields. Runs over both directions
-//!    (AT&T also matches on server-to-client `Content-Type`, §6.3).
+//! 1. **Binary blinding search** — invert ("blind") byte ranges of the
+//!    trace, halving them level by level, and replay; ranges whose
+//!    blinding stops classification contain matching fields. Runs over
+//!    both directions (AT&T also matches on server-to-client
+//!    `Content-Type`, §6.3). The search itself is the engine's
+//!    level-synchronous wave search ([`crate::engine`]); a bare session
+//!    runs it as a one-worker pool.
 //! 2. **Position probing** — prepend increasing numbers of random
 //!    packets/bytes to find packet- or byte-count inspection limits and
 //!    detect match-everything classifiers (Iran).
@@ -17,7 +20,7 @@ use std::time::Duration;
 
 use rand::Rng;
 
-use liberate_obs::{Counter, Hist, Phase};
+use liberate_obs::{Counter, Journal, Phase};
 use liberate_packet::mutate::{invert_range, merge_regions, ByteRegion};
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender, TraceMessage};
@@ -94,7 +97,7 @@ impl Default for CharacterizeOpts {
 
 /// Characterization output plus its cost accounting (§6 reports rounds,
 /// time, and bytes for every network).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Characterization {
     pub fields: Vec<MatchingField>,
     pub position: PositionProfile,
@@ -138,35 +141,10 @@ impl Characterization {
     }
 }
 
-struct Prober<'a, S: Substrate> {
-    session: &'a mut Session<S>,
-    trace: &'a RecordedTrace,
-    signal: &'a Signal,
-    opts: &'a CharacterizeOpts,
-    round: u64,
-}
-
-impl<'a, S: Substrate> Prober<'a, S> {
-    /// Replay with the given ranges blinded; return whether classification
-    /// still happened.
-    fn classified_with_blinded(&mut self, blind: &[(usize, Range<usize>)]) -> bool {
-        let round = self.round;
-        self.round += 1;
-        probe_blinded(
-            self.session,
-            self.trace,
-            self.signal,
-            self.opts,
-            blind,
-            round,
-        )
-    }
-}
-
-/// One blinding probe at an explicit round number — the shared primitive
-/// under the sequential recursion and the engine's parallel wave search.
-/// The round only feeds [`port_for_round`], so any execution order that
-/// assigns the same round numbers produces the same replays.
+/// One blinding probe at an explicit round number — the closure-wave
+/// primitive of the engine's wave search. The round only feeds
+/// [`port_for_round`], so any execution order that assigns the same
+/// round numbers produces the same replays.
 pub(crate) fn probe_blinded<S: Substrate>(
     session: &mut Session<S>,
     trace: &RecordedTrace,
@@ -204,164 +182,6 @@ pub(crate) fn port_for_round(opts: &CharacterizeOpts, round: u64) -> Option<u16>
     }
 }
 
-/// Binary blinding search over one message. Precondition: blinding the
-/// whole message stops classification.
-fn search_message<S: Substrate>(
-    prober: &mut Prober<'_, S>,
-    msg_idx: usize,
-    range: Range<usize>,
-    found: &mut Vec<Range<usize>>,
-) {
-    if range.len() <= 1 {
-        found.push(range);
-        return;
-    }
-    let mid = range.start + range.len() / 2;
-    let left = range.start..mid;
-    let right = mid..range.end;
-    let left_kills = !prober.classified_with_blinded(&[(msg_idx, left.clone())]);
-    let right_kills = !prober.classified_with_blinded(&[(msg_idx, right.clone())]);
-    if left_kills {
-        search_message(prober, msg_idx, left, found);
-    }
-    if right_kills {
-        search_message(prober, msg_idx, right, found);
-    }
-    if !left_kills && !right_kills {
-        // The field straddles the midpoint and neither half alone covers
-        // enough of it: try the centered half.
-        let quarter = range.len() / 4;
-        let middle = (range.start + quarter)..(range.end - quarter).max(range.start + quarter + 1);
-        if middle.len() < range.len()
-            && !prober.classified_with_blinded(&[(msg_idx, middle.clone())])
-        {
-            search_message(prober, msg_idx, middle, found);
-        } else {
-            // Give up at this granularity: record the whole range.
-            found.push(range);
-        }
-    }
-}
-
-/// Bisect over *message indices* first: find the messages whose blinding
-/// stops classification, then byte-search inside each. This keeps round
-/// counts logarithmic in trace length (a multi-megabyte video trace has
-/// thousands of messages; probing each would take thousands of replays).
-fn search_message_range<S: Substrate>(
-    prober: &mut Prober<'_, S>,
-    atoms: &[usize],
-    fields: &mut Vec<MatchingField>,
-) {
-    let blind_all = |atoms: &[usize], trace: &RecordedTrace| -> Vec<(usize, Range<usize>)> {
-        atoms
-            .iter()
-            .map(|&i| (i, 0..trace.messages[i].payload.len()))
-            .collect()
-    };
-    if atoms.is_empty() {
-        return;
-    }
-    if atoms.len() == 1 {
-        let i = atoms[0];
-        let msg = &prober.trace.messages[i];
-        let mut ranges = Vec::new();
-        search_message(prober, i, 0..msg.payload.len(), &mut ranges);
-        let merged = merge_regions(
-            ranges
-                .into_iter()
-                .map(|r| ByteRegion::new(i, r))
-                .collect::<Vec<_>>(),
-        );
-        for region in merged {
-            fields.push(MatchingField {
-                message: i,
-                sender: msg.sender,
-                range: region.range.clone(),
-                bytes: msg.payload[region.range.clone()].to_vec(),
-            });
-        }
-        return;
-    }
-    let mid = atoms.len() / 2;
-    let (left, right) = atoms.split_at(mid);
-    let left_kills = !prober.classified_with_blinded(&blind_all(left, prober.trace));
-    let right_kills = !prober.classified_with_blinded(&blind_all(right, prober.trace));
-    if left_kills {
-        search_message_range(prober, left, fields);
-    }
-    if right_kills {
-        search_message_range(prober, right, fields);
-    }
-    if !left_kills && !right_kills {
-        // Conjunctive fields split across the halves would make each half
-        // alone insufficient — only possible for multi-keyword rules whose
-        // keywords all sit within this range; recurse into both.
-        search_message_range(prober, left, fields);
-        search_message_range(prober, right, fields);
-    }
-}
-
-/// Phase 2a: locate the matching fields.
-pub fn find_matching_fields<S: Substrate>(
-    session: &mut Session<S>,
-    trace: &RecordedTrace,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-) -> (Vec<MatchingField>, u64) {
-    let journal = session.env.journal().clone();
-    journal.span_start(session.env.clock().as_micros(), Phase::BlindSearch);
-    let out = find_matching_fields_inner(session, trace, signal, opts);
-    journal.span_end(session.env.clock().as_micros(), Phase::BlindSearch);
-    // Rounds-per-characterization distribution (§6.1 reports the worst
-    // case; the histogram shows where typical searches land).
-    journal.observe(Hist::BlindRounds, out.1);
-    out
-}
-
-fn find_matching_fields_inner<S: Substrate>(
-    session: &mut Session<S>,
-    trace: &RecordedTrace,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-) -> (Vec<MatchingField>, u64) {
-    let mut prober = Prober {
-        session,
-        trace,
-        signal,
-        opts,
-        round: 0,
-    };
-    // Sanity: the unmodified trace must classify.
-    if !prober.classified_with_blinded(&[]) {
-        return (Vec::new(), prober.round);
-    }
-
-    let atoms: Vec<usize> = trace
-        .messages
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| {
-            !m.payload.is_empty() && (m.sender == Sender::Client || opts.search_server_direction)
-        })
-        .map(|(i, _)| i)
-        .collect();
-
-    // Establish the bisection invariant: blinding the whole searchable
-    // space must stop classification (otherwise differentiation is not
-    // based on these contents).
-    let everything: Vec<(usize, Range<usize>)> = atoms
-        .iter()
-        .map(|&i| (i, 0..trace.messages[i].payload.len()))
-        .collect();
-    if prober.classified_with_blinded(&everything) {
-        return (Vec::new(), prober.round);
-    }
-
-    let mut fields = Vec::new();
-    search_message_range(&mut prober, &atoms, &mut fields);
-    (fields, prober.round)
-}
-
 /// Phase 2b: position probing (prepend ladders).
 pub fn probe_position<S: Substrate>(
     session: &mut Session<S>,
@@ -371,17 +191,6 @@ pub fn probe_position<S: Substrate>(
 ) -> (PositionProfile, u64) {
     let journal = session.env.journal().clone();
     journal.span_start(session.env.clock().as_micros(), Phase::PositionProbe);
-    let out = probe_position_inner(session, trace, signal, opts);
-    journal.span_end(session.env.clock().as_micros(), Phase::PositionProbe);
-    out
-}
-
-pub(crate) fn probe_position_inner<S: Substrate>(
-    session: &mut Session<S>,
-    trace: &RecordedTrace,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-) -> (PositionProfile, u64) {
     let max = session.config.max_prepend_packets;
     let mut rounds = 0u64;
     let mut prepend_break = None;
@@ -424,6 +233,7 @@ pub(crate) fn probe_position_inner<S: Substrate>(
         None => false,
     };
 
+    journal.span_end(session.env.clock().as_micros(), Phase::PositionProbe);
     (
         PositionProfile {
             prepend_break,
@@ -435,25 +245,21 @@ pub(crate) fn probe_position_inner<S: Substrate>(
 }
 
 /// Full characterization: fields + position profile + cost accounting.
+/// Runs the engine's wave search on this one session; the reactor's
+/// scheduling telemetry goes to a disabled journal.
 pub fn characterize<S: Substrate>(
     session: &mut Session<S>,
     trace: &RecordedTrace,
     signal: &Signal,
     opts: &CharacterizeOpts,
 ) -> Characterization {
-    let t0 = session.env.clock();
-    let bytes0 = session.bytes_sent_total;
-    let recv0 = session.bytes_received_total;
-    let (fields, rounds_a) = find_matching_fields(session, trace, signal, opts);
-    let (position, rounds_b) = probe_position(session, trace, signal, opts);
-    Characterization {
-        fields,
-        position,
-        rounds: rounds_a + rounds_b,
-        bytes_sent: session.bytes_sent_total - bytes0,
-        bytes_received: session.bytes_received_total - recv0,
-        elapsed: session.env.clock() - t0,
-    }
+    crate::engine::characterize_one(
+        std::slice::from_mut(session),
+        &Journal::disabled(),
+        trace,
+        signal,
+        opts,
+    )
 }
 
 #[cfg(test)]
@@ -599,13 +405,13 @@ mod tests {
         let trace = apps::control_http();
         // control_http matches the "web" no-op class only: no effective
         // differentiation, so characterization refuses to run.
-        let (fields, rounds) = find_matching_fields(
+        let c = characterize(
             &mut s,
             &trace,
             &Signal::Readout,
             &CharacterizeOpts::default(),
         );
-        assert!(fields.is_empty());
-        assert_eq!(rounds, 1);
+        assert!(c.fields.is_empty());
+        assert_eq!(c.rounds, 3);
     }
 }

@@ -3,12 +3,11 @@
 //! shared sharded DPI flow table, with one adaptation loop for all of
 //! them.
 //!
-//! The single-session [`super::LiberateProxy`] re-learns inline the moment
-//! its one flow trips the change signal. A pool cannot do that: N workers
-//! may observe the same classifier change in the same wave, and N
-//! re-characterizations would multiply the most expensive phase of the
-//! pipeline by the worker count. Instead the pool publishes its evasion
-//! state once, generation-stamped, behind [`PublishedState`]:
+//! A burned flow does not re-learn inline: N workers may observe the same
+//! classifier change in the same wave, and N re-characterizations would
+//! multiply the most expensive phase of the pipeline by the worker count.
+//! Instead the pool publishes its evasion state once, generation-stamped,
+//! behind [`PublishedState`]:
 //!
 //! - **Workers only read.** Each flow snapshots the published state
 //!   (an `Arc` clone — never a torn read), applies the technique, and
@@ -42,7 +41,7 @@ use crate::characterize::{Characterization, CharacterizeOpts};
 use crate::config::LiberateConfig;
 use crate::deploy::{billed_baseline, complete_pipeline, signal_from_detection, ActiveEvasion};
 use crate::detect::{detect_rotating, was_classified, Signal};
-use crate::engine::{characterize_parallel, Engine, SessionPool};
+use crate::engine::{characterize_parallel, SessionPool};
 use crate::error::{LiberateError, Result};
 use crate::evasion::Technique;
 use crate::reactor::lane_addr;
@@ -182,10 +181,10 @@ impl DeploymentPool<SimSubstrate> {
     pub fn hot_swap_rules(&mut self, rules: &RuleSet) {
         for w in 0..self.pool.workers() {
             // Stamp the swap at the worker's quiesced wave-boundary clock,
-            // not at its device's last inspected packet: the reactor
-            // engine's lane timestamps lag the session clock, and the
-            // swap event must land at the same instant under both
-            // engines.
+            // not at its device's last inspected packet: lane timestamps
+            // lag the session clock, and the swap event must land at the
+            // same instant whether the last wave ran as tasks or as
+            // closures.
             let now = self.pool.session_mut(w).env.clock();
             if let Some(dpi) = self.pool.session_mut(w).env.dpi_mut() {
                 dpi.observe_now(now);
@@ -284,38 +283,36 @@ impl<S: Substrate> DeploymentPool<S> {
                 user % workers
             }
         };
-        // The reactor engine interleaves flows as resumable tasks on
-        // private lanes. That is only sound when flows cannot observe
-        // each other through session-global mutable state: the zero-rating
-        // signal reads the billed counter (an RNG-jittered session
-        // global), so it stays on the threads path; blocking, throttling,
+        // Flows run as resumable tasks on private lanes when the
+        // substrate supports lanes. That is only sound when flows cannot
+        // observe each other through session-global mutable state: the
+        // zero-rating signal reads the billed counter (an RNG-jittered
+        // session global), so it runs as closures; blocking, throttling,
         // and readout judgments are functions of the lane's own outcome.
         let interleavable = compiled
             .evasion
             .as_deref()
             .is_none_or(|e| !matches!(e.signal, Signal::ZeroRating));
-        let reports: Vec<PoolFlowReport> = if self.pool.engine() == Engine::Reactor
-            && interleavable
-            && self.pool.sessions()[0].env.supports_lanes()
-        {
-            let tasks: Vec<DeployFlowTask> = (0..users)
-                .map(|user| DeployFlowTask::new(trace, &compiled, user, worker_of(user)))
-                .collect();
-            self.pool
-                .run_wave_tasks(tasks)
-                .into_iter()
-                .map(|r| {
-                    // lint: allow(no-panic) contract: deploy tasks judge
-                    // and report; a panicking replay is a deployment bug.
-                    r.expect("deploy flow task completed")
-                })
-                .collect()
-        } else {
-            let exec = |session: &mut Session<S>, user: usize| {
-                run_one_flow(session, trace, user, worker_of(user), &compiled)
+        let reports: Vec<PoolFlowReport> =
+            if interleavable && self.pool.sessions()[0].env.supports_lanes() {
+                let tasks: Vec<DeployFlowTask> = (0..users)
+                    .map(|user| DeployFlowTask::new(trace, &compiled, user, worker_of(user)))
+                    .collect();
+                self.pool
+                    .run_wave_tasks(tasks)
+                    .into_iter()
+                    .map(|r| {
+                        // lint: allow(no-panic) contract: deploy tasks judge
+                        // and report; a panicking replay is a deployment bug.
+                        r.expect("deploy flow task completed")
+                    })
+                    .collect()
+            } else {
+                let exec = |session: &mut Session<S>, user: usize| {
+                    run_one_flow(session, trace, user, worker_of(user), &compiled)
+                };
+                self.pool.run_wave((0..users).collect(), &exec)
             };
-            self.pool.run_wave((0..users).collect(), &exec)
-        };
 
         // Between-wave housekeeping: the wave left one abandoned probe
         // flow per user in the shared table, and nothing ever looks them
@@ -397,8 +394,8 @@ impl<S: Substrate> DeploymentPool<S> {
             None => characterize_parallel(&mut self.pool, trace, &signal, &copts),
         };
 
-        // Phases 3–4, on worker 0 — the same code path the sequential
-        // proxy runs, so the adapted technique cannot diverge from it.
+        // Phases 3–4, on worker 0 — the same code path `run_pipeline`
+        // runs, so the adapted technique cannot diverge from it.
         let report = complete_pipeline(
             self.pool.session_mut(0),
             trace,
@@ -450,9 +447,9 @@ impl<S: Substrate> DeploymentPool<S> {
 /// A wave of N flows deploys the *same* published technique against the
 /// *same* trace; compiling the schedule (and every fallback rung's) once
 /// per wave instead of once per flow turns schedule lowering from O(N)
-/// into O(1) and lets both engines share the immutable result by
-/// reference — the reactor's task wave and the threads engine's closures
-/// read the same `Arc`s. `None` entries record rungs whose technique
+/// into O(1) and lets tasks and closures alike share the immutable
+/// result by reference — they read the same `Arc`s. `None` entries
+/// record rungs whose technique
 /// declined the trace shape (`Technique::apply` returned `None`), so
 /// flows skip them without re-attempting the lowering.
 pub(crate) struct CompiledWave {

@@ -7,29 +7,37 @@
 //! level: on a live path, characterization wall-clock is dominated by the
 //! mandatory gap between rounds ([`crate::config::LiberateConfig::round_gap`]),
 //! and probes over disjoint flows neither share client state nor — thanks
-//! to port striding — contend on classifier flow entries. The engine
-//! exploits that by converting the characterizer's recursive blinding
-//! search into a **level-synchronous wave search**: every bisection level
-//! enqueues its left/right(/middle) probes as independent jobs, workers
-//! execute them on pool sessions, and results are merged in canonical
-//! order.
+//! to port striding — contend on classifier flow entries. The blinding
+//! search is therefore a **level-synchronous wave search**: every
+//! bisection level enqueues its left/right(/middle) probes as independent
+//! jobs, workers execute them on pool sessions, and results are merged in
+//! canonical order. It is the only characterizer: a bare
+//! [`crate::characterize::characterize`] runs it on a one-session slice.
+//!
+//! Each wave runs its jobs one of two ways, chosen from the job shape,
+//! not by the caller. Jobs judged from per-flow state alone (blinding
+//! probes under [`Signal::Readout`] / [`Signal::Blocking`], deployed
+//! flows under any signal but zero-rating) become [`FlowTask`]s that a
+//! [`Reactor`] interleaves on per-flow lanes, provided the substrate
+//! [`Substrate::supports_lanes`]. Everything else runs as closures, each
+//! worker's bucket job after job.
 //!
 //! ## Determinism contract
 //!
 //! For a fixed seed and worker count, every run is bit-identical. Across
 //! *worker counts*, the engine executes the **same probe multiset** as
-//! the sequential recursion — only the execution order and the
-//! round-number permutation differ. Probe outcomes under the
+//! the one-worker run — only the execution order and the round-number
+//! permutation differ. Probe outcomes under the
 //! [`Signal::Readout`] and [`Signal::Blocking`] signals are
 //! history-independent (each probe is a fresh flow on a fresh client
 //! port; rotated server ports are used at most once, so residual
 //! penalties never fire), so:
 //!
-//! - discovered [`MatchingField`]s are identical to sequential for any
-//!   worker count (leaves are merged through the canonically-sorting
+//! - discovered [`MatchingField`]s are identical for any worker count
+//!   (leaves are merged through the canonically-sorting
 //!   [`merge_regions`]);
 //! - per-probe counter totals ([`liberate_obs::Counter`]) sum to the
-//!   sequential totals.
+//!   one-worker totals.
 //!
 //! Worker `w` seeds its RNG with `seed + w` and owns the client-port
 //! lane `42_000 + w, step workers`, so concurrent probes always hit
@@ -47,7 +55,7 @@ use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
 use crate::characterize::{
-    port_for_round, probe_blinded, probe_position_inner, Characterization, CharacterizeOpts,
+    port_for_round, probe_blinded, probe_position, Characterization, CharacterizeOpts,
     MatchingField,
 };
 use crate::config::LiberateConfig;
@@ -58,28 +66,15 @@ use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
 use crate::task::{FlowTask, TaskPoll, Wake};
 
-/// How a pool executes a wave's jobs on its workers.
-///
-/// | | per-worker concurrency | blocking cost |
-/// |---|---|---|
-/// | `Threads` | none (bucket runs job-by-job) | one OS thread per worker |
-/// | `Reactor` | lane-virtualized ([`crate::reactor`]) | one OS thread per worker |
-///
-/// Both engines execute the same probe multiset and produce
-/// byte-identical per-worker journals (pinned by
-/// `tests/reactor_parity.rs`); `Reactor` additionally sustains thousands
-/// of in-flight flows per worker, which is what
-/// [`crate::deploy::DeploymentPool`] scale runs need.
+/// The wave-execution engine. There is only one: waves pick tasks or
+/// closures from the job shape (see the module docs). The type and
+/// [`SessionPool::with_engine`] remain only so existing callers that
+/// name them keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// One OS thread per worker; each bucket's jobs run to completion in
-    /// order (the paper's wave search as-is).
+    /// Event-driven: per-flow jobs become [`FlowTask`]s interleaved on
+    /// each worker by a [`Reactor`] over per-flow lanes.
     #[default]
-    Threads,
-    /// Event-driven: jobs become [`FlowTask`]s interleaved on each
-    /// worker by a [`Reactor`] over per-flow lanes. Job shapes that
-    /// cannot interleave — non-lane substrates, signals with cross-flow
-    /// state — run as closure waves, exactly as under `Threads`.
     Reactor,
 }
 
@@ -89,11 +84,10 @@ pub enum Engine {
 /// Generic over the [`Substrate`]; the default is the simulator.
 pub struct SessionPool<S: Substrate = SimSubstrate> {
     sessions: Vec<Session<S>>,
-    engine: Engine,
     /// The reactor's scheduling telemetry (ticks, queue depth, timer
     /// fires). A separate journal that is never merged into worker
-    /// journals, so engine choice cannot perturb the determinism
-    /// contract. Event recording stays off; counters are always live.
+    /// journals, so scheduling cannot perturb the determinism contract.
+    /// Event recording stays off; counters are always live.
     reactor_telemetry: Arc<Journal>,
 }
 
@@ -130,23 +124,17 @@ impl<S: Substrate> SessionPool<S> {
         assert!(!sessions.is_empty(), "a pool needs at least one worker");
         SessionPool {
             sessions,
-            engine: Engine::default(),
             reactor_telemetry: Arc::new(Journal::disabled()),
         }
     }
 
-    /// Select the wave-execution engine (builder-style).
-    pub fn with_engine(mut self, engine: Engine) -> SessionPool<S> {
-        self.engine = engine;
+    /// Does nothing: there is one engine. Kept for callers that name it.
+    pub fn with_engine(self, _engine: Engine) -> SessionPool<S> {
         self
     }
 
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// The reactor's scheduling telemetry journal (counter/histogram
-    /// totals accumulate across waves; empty under [`Engine::Threads`]).
+    /// totals accumulate across task waves; closure waves add nothing).
     pub fn reactor_telemetry(&self) -> &Arc<Journal> {
         &self.reactor_telemetry
     }
@@ -172,113 +160,139 @@ impl<S: Substrate> SessionPool<S> {
         }
     }
 
-    /// Execute one wave of jobs. Job `i` runs on worker `i % workers`
-    /// (deterministic round-robin); each worker processes its bucket in
-    /// order on its own OS thread; results come back in job order. A
-    /// single-worker pool (or a single job) runs inline — no threads, no
-    /// behavioral difference.
+    /// Execute one wave of jobs on the pool's workers: job `i` on worker
+    /// `i % workers`, results in job order.
     pub fn run_wave<T, R, F>(&mut self, jobs: Vec<T>, f: &F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(&mut Session<S>, T) -> R + Sync,
     {
-        let n = self.sessions.len();
-        if n == 1 || jobs.len() <= 1 {
-            if jobs.is_empty() {
-                return Vec::new();
-            }
-            let session = &mut self.sessions[0];
-            wave_open(session, jobs.len());
-            let out = jobs.into_iter().map(|job| f(session, job)).collect();
-            wave_close(session);
-            return out;
-        }
-
-        let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            buckets[i % n].push((i, job));
-        }
-
-        let mut tagged: Vec<(usize, R)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (session, bucket) in self.sessions.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    wave_open(session, bucket.len());
-                    let part = bucket
-                        .into_iter()
-                        .map(|(i, job)| (i, f(session, job)))
-                        .collect::<Vec<_>>();
-                    wave_close(session);
-                    part
-                }));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(mut part) => tagged.append(&mut part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, r)| r).collect()
+        run_wave(&mut self.sessions, jobs, f)
     }
 
-    /// Execute one wave of [`FlowTask`]s — the reactor counterpart of
-    /// [`SessionPool::run_wave`]. Bucketing (job `i` on worker `i % n`),
-    /// empty-bucket skipping, and the single-worker shortcut are
-    /// identical; within each worker the bucket's tasks run interleaved
-    /// on a [`Reactor`], and every finished lane's staged journal is
-    /// spliced back in admission order, so per-worker journals are
-    /// byte-identical to the threads engine running the same jobs.
-    /// `None` results mark contained task panics.
+    /// Execute one wave of [`FlowTask`]s on the pool's workers, each
+    /// worker's bucket interleaved on a [`Reactor`]; results in job
+    /// order, `None` for a contained task panic.
     pub fn run_wave_tasks<T>(&mut self, tasks: Vec<T>) -> Vec<Option<T::Output>>
     where
         T: FlowTask<S>,
         T::Output: Send,
     {
-        let n = self.sessions.len();
-        let telemetry = Arc::clone(&self.reactor_telemetry);
-        if n == 1 || tasks.len() <= 1 {
-            if tasks.is_empty() {
-                return Vec::new();
-            }
-            return run_task_bucket(&mut self.sessions[0], tasks, &telemetry);
-        }
-
-        let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            buckets[i % n].push((i, task));
-        }
-
-        let mut tagged: Vec<(usize, Option<T::Output>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (session, bucket) in self.sessions.iter_mut().zip(buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let telemetry = &telemetry;
-                handles.push(scope.spawn(move || {
-                    let (ids, tasks): (Vec<usize>, Vec<T>) = bucket.into_iter().unzip();
-                    let part = run_task_bucket(session, tasks, telemetry);
-                    ids.into_iter().zip(part).collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                match handle.join() {
-                    Ok(mut part) => tagged.append(&mut part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        tagged.sort_by_key(|(i, _)| *i);
-        tagged.into_iter().map(|(_, r)| r).collect()
+        run_wave_tasks(&mut self.sessions, tasks, &self.reactor_telemetry)
     }
+}
+
+/// Execute one wave of jobs over `sessions`. Job `i` runs on worker
+/// `i % workers` (deterministic round-robin); each worker processes its
+/// bucket in order on its own OS thread; results come back in job order.
+/// A single worker (or a single job) runs inline — no threads, no
+/// behavioral difference.
+pub(crate) fn run_wave<S, T, R, F>(sessions: &mut [Session<S>], jobs: Vec<T>, f: &F) -> Vec<R>
+where
+    S: Substrate,
+    T: Send,
+    R: Send,
+    F: Fn(&mut Session<S>, T) -> R + Sync,
+{
+    let n = sessions.len();
+    if n == 1 || jobs.len() <= 1 {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let session = &mut sessions[0];
+        wave_open(session, jobs.len());
+        let out = jobs.into_iter().map(|job| f(session, job)).collect();
+        wave_close(session);
+        return out;
+    }
+
+    let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        buckets[i % n].push((i, job));
+    }
+
+    let mut tagged: Vec<(usize, R)> = Vec::new();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (session, bucket) in sessions.iter_mut().zip(buckets) {
+            if bucket.is_empty() {
+                continue;
+            }
+            handles.push(scope.spawn(move || {
+                wave_open(session, bucket.len());
+                let part = bucket
+                    .into_iter()
+                    .map(|(i, job)| (i, f(session, job)))
+                    .collect::<Vec<_>>();
+                wave_close(session);
+                part
+            }));
+        }
+        for handle in handles {
+            match handle.join() {
+                Ok(mut part) => tagged.append(&mut part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    tagged.sort_by_key(|(i, _)| *i);
+    tagged.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Execute one wave of [`FlowTask`]s over `sessions` — the task
+/// counterpart of [`run_wave`]. Bucketing (job `i` on worker `i % n`),
+/// empty-bucket skipping, and the single-worker shortcut are identical;
+/// within each worker the bucket's tasks run interleaved on a
+/// [`Reactor`] that records its scheduling into `telemetry`, and every
+/// finished lane's staged journal is spliced back in admission order, so
+/// per-worker journals are byte-identical to running the same jobs as
+/// closures. `None` results mark contained task panics.
+pub(crate) fn run_wave_tasks<S, T>(
+    sessions: &mut [Session<S>],
+    tasks: Vec<T>,
+    telemetry: &Journal,
+) -> Vec<Option<T::Output>>
+where
+    S: Substrate,
+    T: FlowTask<S>,
+    T::Output: Send,
+{
+    let n = sessions.len();
+    if n == 1 || tasks.len() <= 1 {
+        if tasks.is_empty() {
+            return Vec::new();
+        }
+        return run_task_bucket(&mut sessions[0], tasks, telemetry);
+    }
+
+    let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
+    for (i, task) in tasks.into_iter().enumerate() {
+        buckets[i % n].push((i, task));
+    }
+
+    let mut tagged: Vec<(usize, Option<T::Output>)> = Vec::new();
+    std::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for (session, bucket) in sessions.iter_mut().zip(buckets) {
+            if bucket.is_empty() {
+                continue;
+            }
+            handles.push(scope.spawn(move || {
+                let (ids, tasks): (Vec<usize>, Vec<T>) = bucket.into_iter().unzip();
+                let part = run_task_bucket(session, tasks, telemetry);
+                ids.into_iter().zip(part).collect::<Vec<_>>()
+            }));
+        }
+        for handle in handles {
+            match handle.join() {
+                Ok(mut part) => tagged.append(&mut part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    tagged.sort_by_key(|(i, _)| *i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Run one worker's bucket of tasks on a [`Reactor`] and splice the
@@ -292,7 +306,7 @@ impl<S: Substrate> SessionPool<S> {
 /// rebased [`liberate_obs::EventKind::ReplayFinished`] ordinals stay
 /// consistent with the session's replay counter. The worker clock then
 /// advances by the total spliced duration, closing the wave at the same
-/// instant the threads engine would.
+/// instant the closure path would.
 fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
     session: &mut Session<S>,
     tasks: Vec<T>,
@@ -334,12 +348,15 @@ fn wave_close<S: Substrate>(session: &Session<S>) {
         .span_end(session.env.clock().as_micros(), Phase::Wave);
 }
 
-/// A bisection node awaiting its probes in the next wave. Mirrors the
-/// sequential recursion's stack frames exactly.
+/// A bisection node awaiting its probes in the next wave.
 enum Pending {
-    /// `search_message_range` frame: bisect over message indices.
+    /// Bisect over message indices: find the messages whose blinding
+    /// stops classification. This keeps round counts logarithmic in trace
+    /// length (a multi-megabyte video trace has thousands of messages;
+    /// probing each would take thousands of replays).
     SplitAtoms(Vec<usize>),
-    /// `search_message` frame: bisect a byte range of one message.
+    /// Bisect a byte range of one message. Precondition: blinding the
+    /// whole range stops classification.
     SplitBytes { msg: usize, range: Range<usize> },
     /// The conditional centered-half probe of a `SplitBytes` whose halves
     /// both failed to kill classification.
@@ -371,7 +388,7 @@ enum ProbeTaskState {
     /// (blinded-bytes counter, billed-counter read) *and* the replay's
     /// Init segment in one go, so every order-sensitive session-global
     /// mutation — the RNG draw, the client-port stride, the ISN bump —
-    /// happens in admission order, exactly as the threads engine
+    /// happens in admission order, exactly as the closure path
     /// sequences them.
     Start,
     /// Forwarding polls to the inner [`ReplaySm`].
@@ -515,8 +532,7 @@ impl TraceState {
     }
 
     /// Normalize-and-enqueue for message-index nodes: empty ranges vanish,
-    /// single messages fall through to the byte search — exactly the
-    /// sequential base cases.
+    /// single messages fall through to the byte search.
     fn push_atoms(&mut self, trace: &RecordedTrace, atoms: Vec<usize>) {
         match atoms.len() {
             0 => {}
@@ -547,11 +563,65 @@ fn blind_all(atoms: &[usize], trace: &RecordedTrace) -> Vec<(usize, Range<usize>
 }
 
 /// [`crate::characterize::characterize`] for a batch of traces, fanned
-/// out over the pool. One trace and one worker degenerate to the
-/// sequential algorithm; several traces share each wave, which is what
+/// out over the pool. Several traces share each wave, which is what
 /// actually fills the pool (individual bisection levels are narrow).
 pub fn characterize_many<S: Substrate>(
     pool: &mut SessionPool<S>,
+    traces: &[RecordedTrace],
+    signal: &Signal,
+    opts: &CharacterizeOpts,
+) -> Vec<Characterization> {
+    wave_search(
+        &mut pool.sessions,
+        &pool.reactor_telemetry,
+        traces,
+        signal,
+        opts,
+    )
+}
+
+/// [`characterize_many`] for a single trace.
+pub fn characterize_parallel<S: Substrate>(
+    pool: &mut SessionPool<S>,
+    trace: &RecordedTrace,
+    signal: &Signal,
+    opts: &CharacterizeOpts,
+) -> Characterization {
+    characterize_one(
+        &mut pool.sessions,
+        &pool.reactor_telemetry,
+        trace,
+        signal,
+        opts,
+    )
+}
+
+/// The wave search for one trace over `sessions`, with reactor
+/// scheduling recorded into `telemetry`.
+pub(crate) fn characterize_one<S: Substrate>(
+    sessions: &mut [Session<S>],
+    telemetry: &Journal,
+    trace: &RecordedTrace,
+    signal: &Signal,
+    opts: &CharacterizeOpts,
+) -> Characterization {
+    let mut out = wave_search(
+        sessions,
+        telemetry,
+        std::slice::from_ref(trace),
+        signal,
+        opts,
+    );
+    // lint: allow(no-panic) contract: one characterization per trace in
+    out.pop().expect("one trace in, one characterization out")
+}
+
+/// The level-synchronous blinding search plus one position ladder per
+/// trace, over the worker `sessions` (one session is a bare
+/// characterization).
+fn wave_search<S: Substrate>(
+    sessions: &mut [Session<S>],
+    telemetry: &Journal,
     traces: &[RecordedTrace],
     signal: &Signal,
     opts: &CharacterizeOpts,
@@ -576,35 +646,34 @@ pub fn characterize_many<S: Substrate>(
         }
     };
 
-    // The reactor engine interleaves blinding probes on per-flow lanes.
-    // Eligibility: the substrate must support lane swaps, and the signal
-    // must be judged from per-flow state alone (Readout, Blocking) —
-    // Throttling and ZeroRating compare against shared counters whose
-    // readings are order-sensitive, so they run as closure waves.
-    let use_reactor = pool.engine == Engine::Reactor
-        && matches!(signal, Signal::Readout | Signal::Blocking)
-        && pool.sessions[0].env.supports_lanes();
-    let run_probe_wave = |pool: &mut SessionPool<S>, jobs: Vec<ProbeJob>| -> Vec<ProbeResult> {
-        if use_reactor {
+    // Blinding probes run as tasks on per-flow lanes when the substrate
+    // supports lane swaps and the signal is judged from per-flow state
+    // alone (Readout, Blocking). Throttling and ZeroRating compare
+    // against shared counters whose readings are order-sensitive, so
+    // they run as closure waves.
+    let use_tasks =
+        matches!(signal, Signal::Readout | Signal::Blocking) && sessions[0].env.supports_lanes();
+    let run_probe_wave = |sessions: &mut [Session<S>], jobs: Vec<ProbeJob>| -> Vec<ProbeResult> {
+        if use_tasks {
             let tasks: Vec<ProbeTask<'_>> = jobs
                 .into_iter()
                 .enumerate()
                 .map(|(i, job)| ProbeTask::new(&traces[job.trace], job, i, signal, opts))
                 .collect();
-            pool.run_wave_tasks(tasks)
+            run_wave_tasks(sessions, tasks, telemetry)
                 .into_iter()
                 // lint: allow(no-panic) contract: a panicking replay is a
                 // characterization bug; surfacing it beats a silent skip.
                 .map(|r| r.expect("probe replays do not panic"))
                 .collect()
         } else {
-            pool.run_wave(jobs, &exec)
+            run_wave(sessions, jobs, &exec)
         }
     };
 
     let mut states: Vec<TraceState> = traces.iter().map(|_| TraceState::default()).collect();
 
-    for s in pool.sessions.iter() {
+    for s in sessions.iter() {
         s.journal()
             .span_start(s.env.clock().as_micros(), Phase::BlindSearch);
     }
@@ -617,7 +686,7 @@ pub fn characterize_many<S: Substrate>(
             blind: Vec::new(),
         })
         .collect();
-    let boot = run_probe_wave(pool, boot_jobs);
+    let boot = run_probe_wave(sessions, boot_jobs);
     let survivors: Vec<usize> = boot
         .iter()
         .enumerate()
@@ -654,7 +723,7 @@ pub fn characterize_many<S: Substrate>(
             blind: blind_all(&atoms_of[t], &traces[t]),
         })
         .collect();
-    let everything = run_probe_wave(pool, everything_jobs);
+    let everything = run_probe_wave(sessions, everything_jobs);
     for (&t, r) in survivors.iter().zip(&everything) {
         states[t].absorb_cost(r);
         if !r.classified {
@@ -719,12 +788,12 @@ pub fn characterize_many<S: Substrate>(
             break;
         }
         let job_trace: Vec<usize> = jobs.iter().map(|j| j.trace).collect();
-        let results = run_probe_wave(pool, jobs);
+        let results = run_probe_wave(sessions, jobs);
         for (idx, r) in results.iter().enumerate() {
             states[job_trace[idx]].absorb_cost(r);
         }
 
-        // Expand each node with the sequential recursion's exact rules.
+        // Expand each node.
         for item in items {
             let t = item.trace;
             let kills: Vec<bool> = item.jobs.clone().map(|i| !results[i].classified).collect();
@@ -783,7 +852,7 @@ pub fn characterize_many<S: Substrate>(
         }
     }
 
-    for s in pool.sessions.iter() {
+    for s in sessions.iter() {
         s.journal()
             .span_end(s.env.clock().as_micros(), Phase::BlindSearch);
     }
@@ -818,13 +887,10 @@ pub fn characterize_many<S: Substrate>(
     // sequential job (the ladder is inherently serial), traces fanned
     // across workers.
     let pos_exec = |session: &mut Session<S>, t: usize| {
-        let journal = session.journal().clone();
-        journal.span_start(session.env.clock().as_micros(), Phase::PositionProbe);
         let bytes0 = session.bytes_sent_total;
         let recv0 = session.bytes_received_total;
         let t0 = session.env.clock();
-        let (profile, rounds) = probe_position_inner(session, &traces[t], signal, opts);
-        journal.span_end(session.env.clock().as_micros(), Phase::PositionProbe);
+        let (profile, rounds) = probe_position(session, &traces[t], signal, opts);
         (
             profile,
             rounds,
@@ -833,13 +899,13 @@ pub fn characterize_many<S: Substrate>(
             session.env.clock() - t0,
         )
     };
-    let ladders = pool.run_wave((0..traces.len()).collect(), &pos_exec);
+    let ladders = run_wave(sessions, (0..traces.len()).collect(), &pos_exec);
 
-    // One blind-rounds sample per trace, mirroring the sequential
-    // `find_matching_fields`. Worker 0's journal keeps the merged
-    // histogram invariant across worker counts.
+    // One blind-rounds sample per trace (§6.1 reports the worst case; the
+    // histogram shows where typical searches land). Worker 0's journal
+    // keeps the merged histogram invariant across worker counts.
     for state in &states {
-        pool.sessions[0]
+        sessions[0]
             .journal()
             .observe(Hist::BlindRounds, state.rounds);
     }
@@ -860,18 +926,6 @@ pub fn characterize_many<S: Substrate>(
             },
         )
         .collect()
-}
-
-/// [`characterize_many`] for a single trace.
-pub fn characterize_parallel<S: Substrate>(
-    pool: &mut SessionPool<S>,
-    trace: &RecordedTrace,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-) -> Characterization {
-    let mut out = characterize_many(pool, std::slice::from_ref(trace), signal, opts);
-    // lint: allow(no-panic) contract: one characterization per trace in
-    out.pop().expect("one trace in, one characterization out")
 }
 
 #[cfg(test)]
@@ -899,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_stun_characterization_matches_sequential() {
+    fn pooled_stun_characterization_matches_bare_session() {
         let trace = apps::skype_stun(4);
         let opts = CharacterizeOpts::default();
 

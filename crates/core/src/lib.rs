@@ -36,15 +36,18 @@
 //! ```no_run
 //! use liberate::prelude::*;
 //!
-//! // A client behind the Great Firewall model fetching a blocked site.
-//! let session = Session::new(EnvKind::Gfc, OsKind::Linux, LiberateConfig::default());
-//! let mut proxy = LiberateProxy::new(
-//!     session,
+//! // A client behind the Great Firewall model fetching a blocked site,
+//! // through a one-worker deployment pool (the transparent proxy).
+//! let mut proxy = DeploymentPool::new(
+//!     EnvKind::Gfc,
+//!     OsKind::Linux,
+//!     LiberateConfig::default(),
+//!     1,
 //!     CharacterizeOpts { rotate_server_ports: true, ..Default::default() },
 //! );
 //! let flow = liberate_traces::apps::economist_http();
-//! let report = proxy.run_flow(&flow).expect("an evasion technique exists");
-//! assert!(!report.outcome.blocked());
+//! let wave = proxy.run_flows(&flow, 1).expect("an evasion technique exists");
+//! assert!(!wave.reports[0].outcome.blocked());
 //! ```
 
 pub mod bilateral;
@@ -76,8 +79,8 @@ pub mod prelude {
     };
     pub use crate::config::LiberateConfig;
     pub use crate::deploy::{
-        run_pipeline, signal_from_detection, ActiveEvasion, DeployWave, DeploymentPool, FlowReport,
-        LiberateProxy, PipelineReport, PoolFlowReport, PublishedState, PublishedTechnique,
+        run_pipeline, signal_from_detection, ActiveEvasion, DeployWave, DeploymentPool,
+        PipelineReport, PoolFlowReport, PublishedState, PublishedTechnique,
     };
     pub use crate::detect::{detect, inverted_trace, probe, DetectionOutcome, Signal};
     pub use crate::engine::{characterize_many, characterize_parallel, Engine, SessionPool};

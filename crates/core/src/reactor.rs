@@ -174,17 +174,19 @@ pub struct Reactor<S: Substrate, T: FlowTask<S>> {
 impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
     /// Admit `tasks` (in order) against the session's current instant.
     /// Lane journals mirror the worker journal's enabled flag so a
-    /// journal-off run stays journal-off (counters always live).
+    /// journal-off run stays journal-off (counters always live); enabled
+    /// ones record histogram samples straight into the worker journal.
     pub fn new(session: &Session<S>, tasks: Vec<T>, telemetry: &Journal) -> Reactor<S, T> {
         let t0 = session.env.clock();
-        let enabled = session.journal().is_enabled();
+        let worker_journal = session.journal();
+        let enabled = worker_journal.is_enabled();
         let n = tasks.len();
         let slots: Vec<TaskSlot<T>> = tasks
             .into_iter()
             .map(|task| {
                 telemetry.metrics.incr(Counter::ReactorTasksAdmitted);
                 let staging = Arc::new(if enabled {
-                    Journal::new()
+                    worker_journal.staging()
                 } else {
                     Journal::disabled()
                 });

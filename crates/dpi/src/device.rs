@@ -12,11 +12,11 @@ use std::sync::Arc;
 
 use liberate_netsim::element::{CopyTally, Effects, PacketBuf, PathElement, TimedPacket, Verdict};
 use liberate_netsim::shaper::TokenBucket;
-use liberate_netsim::time::SimTime;
 use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
+use liberate_substrate::time::SimTime;
 
 use crate::actions::Policy;
 use crate::automaton::{CompiledRuleSet, MatcherKind};

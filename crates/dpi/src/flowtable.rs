@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use liberate_netsim::element::PacketBuf;
 use liberate_netsim::shaper::TokenBucket;
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::FlowKey;
+use liberate_substrate::time::SimTime;
 
 use crate::automaton::StreamScan;
 use crate::inspect::{FlowConfig, RstEffect};

@@ -15,11 +15,11 @@ use std::collections::{BTreeMap, HashMap};
 
 use liberate_netsim::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
 use liberate_netsim::shaper::TokenBucket;
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
 use liberate_packet::validate::validate_wire;
+use liberate_substrate::time::SimTime;
 
 use crate::matcher::contains;
 

@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use liberate_netsim::time::SimTime;
+use liberate_substrate::time::SimTime;
 
 /// Maps simulation time to the middlebox's current idle-eviction threshold
 /// for pre-match flow-tracking state.

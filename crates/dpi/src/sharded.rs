@@ -34,8 +34,8 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::FlowKey;
+use liberate_substrate::time::SimTime;
 
 use crate::flowtable::{FlowTable, PenaltyBox};
 use crate::inspect::FlowConfig;

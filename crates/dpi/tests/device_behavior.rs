@@ -289,7 +289,7 @@ fn tmus_zero_rates_video_and_reordering_evades() {
 
 #[test]
 fn att_proxy_transfers_and_throttles_video() {
-    use liberate_netsim::capture::TapPoint;
+    use liberate_substrate::capture::TapPoint;
     // An app that answers any request with an HTTP video response.
     struct VideoApp;
     impl liberate_netsim::server::ServerApp for VideoApp {

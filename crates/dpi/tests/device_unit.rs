@@ -8,10 +8,10 @@ use std::time::Duration;
 use liberate_dpi::device::DpiDevice;
 use liberate_dpi::profiles::{gfc_device, testbed_device, tmus_device};
 use liberate_netsim::element::{Effects, PathElement, Verdict};
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
+use liberate_substrate::time::SimTime;
 use liberate_traces::http::get_request;
 
 const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);

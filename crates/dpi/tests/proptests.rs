@@ -9,8 +9,8 @@ use liberate_dpi::flowtable::{FlowTable, StreamAssembler};
 use liberate_dpi::inspect::{FlowConfig, RstEffect};
 use liberate_dpi::matcher::{contains, find};
 use liberate_dpi::rules::{MatchRule, RuleSet};
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::{Direction, FlowKey};
+use liberate_substrate::time::SimTime;
 
 proptest! {
     /// The matcher agrees with a naive scan for arbitrary inputs.

@@ -9,10 +9,10 @@ use liberate_netsim::element::{Effects, PathElement, Verdict};
 use liberate_netsim::network::Network;
 use liberate_netsim::os::OsProfile;
 use liberate_netsim::server::{EchoApp, ServerHost};
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
+use liberate_substrate::time::SimTime;
 
 const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const S: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
@@ -56,7 +56,7 @@ fn non_intercepted_ports_pass_untouched() {
         .iter()
         .any(|(_, w)| ParsedPacket::parse(w).unwrap().payload == b"direct"));
     // Server ingress saw the client's own sequence numbers.
-    use liberate_netsim::capture::TapPoint;
+    use liberate_substrate::capture::TapPoint;
     let saw_raw_seq = net.capture.at(TapPoint::ServerIngress).any(|r| {
         ParsedPacket::parse(&r.wire)
             .and_then(|p| p.tcp().map(|t| t.seq == cseq))
@@ -74,7 +74,7 @@ fn intercepted_port_reoriginates_sequence_space() {
     net.send_from_client(Duration::ZERO, data.serialize());
     net.run_until_idle();
     // The server never sees the client's sequence numbers on port 80.
-    use liberate_netsim::capture::TapPoint;
+    use liberate_substrate::capture::TapPoint;
     let saw_raw_seq = net.capture.at(TapPoint::ServerIngress).any(|r| {
         ParsedPacket::parse(&r.wire)
             .and_then(|p| p.tcp().map(|t| t.seq == cseq))

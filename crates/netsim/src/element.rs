@@ -12,7 +12,7 @@ use std::sync::Arc;
 use liberate_obs::Journal;
 use liberate_packet::flow::Direction;
 
-use crate::time::SimTime;
+use liberate_substrate::time::SimTime;
 
 pub use liberate_substrate::buf::{CopyTally, PacketBuf};
 pub use liberate_substrate::verdict::{Effects, TimedPacket, Verdict};

@@ -11,7 +11,7 @@ use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::ParsedPacket;
 
 use crate::element::{Effects, PacketBuf, PathElement, Verdict};
-use crate::time::SimTime;
+use liberate_substrate::time::SimTime;
 
 /// Tracked per-connection expectations.
 #[derive(Debug, Clone, Copy)]

@@ -11,8 +11,8 @@ use liberate_packet::ipv4::ParsedIpv4;
 
 use crate::element::{CopyTally, Effects, PacketBuf, PathElement, TimedPacket, Verdict};
 use crate::filter::{FilterPolicy, FragmentHandling};
-use crate::icmp::time_exceeded;
-use crate::time::SimTime;
+use liberate_substrate::icmp::time_exceeded;
+use liberate_substrate::time::SimTime;
 
 /// A router hop.
 pub struct RouterHop {
@@ -202,8 +202,8 @@ impl PathElement for RouterHop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::icmp::parse_icmp_error;
     use liberate_packet::packet::{Packet, ParsedPacket};
+    use liberate_substrate::icmp::parse_icmp_error;
 
     fn hop() -> RouterHop {
         RouterHop::transparent("r1", Ipv4Addr::new(172, 16, 0, 1))
@@ -387,11 +387,11 @@ mod tests {
 mod checksum_fix_tests {
     use super::*;
     use crate::element::Effects;
-    use crate::time::SimTime;
     use liberate_packet::checksum::ChecksumSpec;
     use liberate_packet::flow::Direction;
     use liberate_packet::packet::Packet;
     use liberate_packet::validate::{validate_wire, Malformation};
+    use liberate_substrate::time::SimTime;
     use std::net::Ipv4Addr;
 
     #[test]

@@ -16,10 +16,10 @@ use std::time::Duration;
 use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::Direction;
 
-use crate::capture::{Capture, TapPoint};
 use crate::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
 use crate::server::ServerHost;
-use crate::time::SimTime;
+use liberate_substrate::capture::{Capture, TapPoint};
+use liberate_substrate::time::SimTime;
 
 /// Hard cap on processed events per `run_until_idle`, guarding against a
 /// misbehaving element ping-ponging packets forever.
@@ -402,7 +402,7 @@ mod tests {
         // An ICMP Time Exceeded came back from hop r1 (the second hop).
         let inbox = net.take_client_inbox();
         assert_eq!(inbox.len(), 1);
-        let icmp = crate::icmp::parse_icmp_error(&inbox[0].1).unwrap();
+        let icmp = liberate_substrate::icmp::parse_icmp_error(&inbox[0].1).unwrap();
         assert_eq!(icmp.from, Ipv4Addr::new(172, 16, 0, 2));
     }
 

@@ -20,7 +20,7 @@ use liberate_packet::tcp::TcpFlags;
 use liberate_packet::validate::validate_wire;
 
 use crate::os::{OsAction, OsProfile};
-use crate::time::SimTime;
+use liberate_substrate::time::SimTime;
 
 /// Maximum segment size used when the server segments responses.
 pub const SERVER_MSS: usize = 1460;

@@ -7,7 +7,7 @@ use std::time::Duration;
 use liberate_packet::flow::Direction;
 
 use crate::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
-use crate::time::SimTime;
+use liberate_substrate::time::SimTime;
 
 /// A byte-based token bucket. Tokens accrue at `rate_bps / 8` bytes per
 /// second up to `burst_bytes`; a packet of `n` bytes departs as soon as `n`

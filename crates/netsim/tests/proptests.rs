@@ -7,11 +7,11 @@ use std::time::Duration;
 use liberate_netsim::element::{Effects, PathElement, Verdict};
 use liberate_netsim::hop::RouterHop;
 use liberate_netsim::shaper::TokenBucket;
-use liberate_netsim::time::SimTime;
 use liberate_packet::checksum::ChecksumSpec;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::validate::{validate_wire, Malformation};
+use liberate_substrate::time::SimTime;
 
 proptest! {
     /// Token buckets are FIFO (departures never reorder) and never
@@ -86,7 +86,7 @@ proptest! {
         use liberate_netsim::network::Network;
         use liberate_netsim::os::OsProfile;
         use liberate_netsim::server::{ServerHost, SinkApp};
-        use liberate_netsim::capture::TapPoint;
+        use liberate_substrate::capture::TapPoint;
         use liberate_packet::tcp::TcpFlags;
 
         let client = Ipv4Addr::new(10, 0, 0, 1);
@@ -139,7 +139,7 @@ proptest! {
         dst in any::<u32>().prop_map(Ipv4Addr::from),
         router in any::<u32>().prop_map(Ipv4Addr::from),
     ) {
-        use liberate_netsim::icmp::{parse_icmp_error, time_exceeded};
+        use liberate_substrate::icmp::{parse_icmp_error, time_exceeded};
         let orig = Packet::tcp(src, dst, 1, 2, 3, 4, vec![1, 2, 3]).serialize();
         let icmp = time_exceeded(router, &orig);
         let parsed = parse_icmp_error(&icmp).unwrap();

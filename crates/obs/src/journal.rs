@@ -242,6 +242,18 @@ impl Journal {
         j
     }
 
+    /// An enabled journal that stages work for a later
+    /// [`Journal::splice_staged`] into `self` (a reactor lane's): its own
+    /// events and counters, but histogram samples go straight into
+    /// `self`'s table, so a lane allocates none and its splice folds
+    /// none. Samples of a lane that is never spliced are kept.
+    pub fn staging(&self) -> Journal {
+        Journal {
+            metrics: Metrics::sharing_hists(&self.metrics),
+            ..Journal::default()
+        }
+    }
+
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }
@@ -648,6 +660,20 @@ mod tests {
         assert_eq!(main.metrics.get(Counter::PacketsInjected), 1);
         // The id sequence continues past the spliced spans.
         assert_eq!(main.span_start(40, Phase::Detect), 4);
+    }
+
+    #[test]
+    fn staging_journal_records_hists_into_its_parent_once() {
+        let main = Journal::new();
+        let staged = main.staging();
+        staged.observe(Hist::InjectBytes, 40);
+        assert_eq!(main.metrics.hist(Hist::InjectBytes).count(), 1);
+        main.splice_staged(&staged, 0, 0);
+        assert_eq!(
+            main.metrics.hist(Hist::InjectBytes).count(),
+            1,
+            "splicing a staging journal must not count its samples twice"
+        );
     }
 
     #[test]

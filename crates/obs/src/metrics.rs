@@ -137,7 +137,7 @@ impl Counter {
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: [AtomicU64; Counter::ALL.len()],
-    hists: std::sync::OnceLock<Box<[Histogram]>>,
+    hists: std::sync::OnceLock<std::sync::Arc<[Histogram]>>,
 }
 
 impl Metrics {
@@ -145,9 +145,19 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn hist_table(&self) -> &[Histogram] {
+    fn hist_table(&self) -> &std::sync::Arc<[Histogram]> {
         self.hists
             .get_or_init(|| (0..Hist::ALL.len()).map(|_| Histogram::default()).collect())
+    }
+
+    /// A registry with its own counters whose histograms are `parent`'s
+    /// table: samples land there directly, and merging the two is a
+    /// no-op. Bucket-wise sums are order-independent, so recording in
+    /// place equals merging later, without a table per registry.
+    pub fn sharing_hists(parent: &Metrics) -> Metrics {
+        let m = Metrics::default();
+        let _ = m.hists.set(std::sync::Arc::clone(parent.hist_table()));
+        m
     }
 
     pub fn incr(&self, c: Counter) {
@@ -200,10 +210,14 @@ impl Metrics {
         let Some(theirs) = other.hists.get() else {
             return;
         };
+        let mine = self.hist_table();
+        if std::sync::Arc::ptr_eq(mine, theirs) {
+            return;
+        }
         for h in Hist::ALL {
             let hist = &theirs[h as usize];
             if !hist.is_empty() {
-                self.hist_table()[h as usize].merge(hist);
+                mine[h as usize].merge(hist);
             }
         }
     }

@@ -74,22 +74,24 @@ fn main() {
     // ---------------------------------------------------------------
     println!("3. community rule-sharing against Iran's censor\n");
     let flow = apps::facebook_http();
-    let mut user_a = LiberateProxy::new(
-        Session::new(EnvKind::Iran, OsKind::Linux, LiberateConfig::default()),
-        CharacterizeOpts::default(),
-    )
-    .with_cache(RuleCache::new(), "iran");
-    user_a.run_flow(&flow).expect("user A evades");
-    let rounds_a = user_a.session.replays;
-    let cache = user_a.take_cache().unwrap();
+    let cache = SharedRuleCache::from_cache(RuleCache::new());
+    let user = |cache: &SharedRuleCache| {
+        DeploymentPool::new(
+            EnvKind::Iran,
+            OsKind::Linux,
+            LiberateConfig::default(),
+            1,
+            CharacterizeOpts::default(),
+        )
+        .with_shared_cache(cache.clone(), "iran")
+    };
+    let mut user_a = user(&cache);
+    user_a.run_flows(&flow, 1).expect("user A evades");
+    let rounds_a = user_a.pool_mut().sessions()[0].replays;
 
-    let mut user_b = LiberateProxy::new(
-        Session::new(EnvKind::Iran, OsKind::Linux, LiberateConfig::default()),
-        CharacterizeOpts::default(),
-    )
-    .with_cache(cache, "iran");
-    user_b.run_flow(&flow).expect("user B evades");
-    let rounds_b = user_b.session.replays;
+    let mut user_b = user(&cache);
+    user_b.run_flows(&flow, 1).expect("user B evades");
+    let rounds_b = user_b.pool_mut().sessions()[0].replays;
     println!(
         "   user A (characterizes): {rounds_a} replay rounds\n   \
          user B (shared cache):  {rounds_b} replay rounds ({}x cheaper)",

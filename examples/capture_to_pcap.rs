@@ -12,7 +12,7 @@
 use std::fs;
 
 use liberate::prelude::*;
-use liberate_netsim::capture::TapPoint;
+use liberate_substrate::capture::TapPoint;
 use liberate_traces::apps;
 
 fn dump(session: &Session, label: &str) -> std::io::Result<()> {
@@ -39,6 +39,9 @@ fn dump(session: &Session, label: &str) -> std::io::Result<()> {
 fn main() -> std::io::Result<()> {
     println!("writing packet captures of a blocked vs an evading flow\n");
     let mut session = Session::new(EnvKind::Gfc, OsKind::Linux, LiberateConfig::default());
+    // Sessions record only the server-ingress tap (all that detection
+    // reads); this example wants every vantage point.
+    session.env.set_capture_points(&TapPoint::ALL);
     let trace = apps::economist_http();
 
     // 1. Blocked: the capture shows the censor's RST burst.

@@ -19,9 +19,12 @@ fn circumvent(
     rotate: bool,
 ) {
     println!("--- {name} ---");
-    let session = Session::new(kind, OsKind::Linux, LiberateConfig::default());
-    let mut proxy = LiberateProxy::new(
-        session,
+    // One user: a one-worker deployment pool is the transparent proxy.
+    let mut proxy = DeploymentPool::new(
+        kind,
+        OsKind::Linux,
+        LiberateConfig::default(),
+        1,
         CharacterizeOpts {
             rotate_server_ports: rotate,
             ..Default::default()
@@ -29,8 +32,9 @@ fn circumvent(
     );
 
     // First flow: lib·erate learns everything it needs.
-    let first = proxy.run_flow(flow).expect("a technique exists");
-    let technique = proxy.active_technique().unwrap().effective.clone();
+    let wave = proxy.run_flows(flow, 1).expect("a technique exists");
+    let first = &wave.reports[0];
+    let technique = proxy.active_technique().unwrap();
     println!(
         "  learned technique: {} ({:?} category)",
         technique.description(),
@@ -43,10 +47,11 @@ fn circumvent(
     );
     assert!(!first.outcome.blocked() && first.outcome.complete);
 
-    // Subsequent flows reuse the cached technique with no testing cost.
+    // Subsequent flows reuse the published technique with no testing
+    // cost.
     for i in 0..3 {
-        let again = proxy.run_flow(flow).expect("cached technique works");
-        assert!(!again.outcome.blocked(), "flow {i} blocked");
+        let again = proxy.run_flows(flow, 1).expect("published technique works");
+        assert!(!again.reports[0].outcome.blocked(), "flow {i} blocked");
         assert!(!again.recharacterized, "no re-learning needed");
     }
     println!("  3 subsequent flows: evaded with zero additional measurement\n");

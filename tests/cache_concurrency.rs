@@ -167,52 +167,50 @@ fn verify_races_concurrent_publishes_safely() {
 
 /// The §4.2 economics through one shared handle (the asserted version of
 /// `examples/beyond_the_paper.rs` part 3): user A characterizes and
-/// publishes; user B — a separate proxy holding a clone of the same
-/// handle — verifies in one round per field and reuses the entry.
+/// publishes; user B — a separate one-worker pool holding a clone of the
+/// same handle — verifies in one round per field and reuses the entry.
 #[test]
 fn two_users_one_characterization_via_shared_handle() {
     let flow = apps::facebook_http();
     let shared = SharedRuleCache::new();
+    let user = |shared: &SharedRuleCache| {
+        DeploymentPool::new(
+            EnvKind::Iran,
+            OsKind::Linux,
+            LiberateConfig::default(),
+            1,
+            CharacterizeOpts::default(),
+        )
+        .with_shared_cache(shared.clone(), "iran")
+    };
 
-    let mut user_a = LiberateProxy::new(
-        Session::new(EnvKind::Iran, OsKind::Linux, LiberateConfig::default()),
-        CharacterizeOpts::default(),
-    )
-    .with_shared_cache(shared.clone(), "iran");
-    let report_a = user_a.run_flow(&flow).expect("user A evades");
-    assert!(
-        report_a.recharacterized,
+    let mut user_a = user(&shared);
+    let report_a = user_a.run_flows(&flow, 1).expect("user A evades");
+    assert_eq!(
+        user_a.characterizations, 1,
         "cold cache: A pays the full search"
     );
     assert_eq!(user_a.cache_hits, 0);
-    let rounds_a = user_a.session.replays;
+    let rounds_a = user_a.pool_mut().sessions()[0].replays;
     assert_eq!(shared.len(), 1, "A's characterization is published");
 
-    let mut user_b = LiberateProxy::new(
-        Session::new(EnvKind::Iran, OsKind::Linux, LiberateConfig::default()),
-        CharacterizeOpts::default(),
-    )
-    .with_shared_cache(shared.clone(), "iran");
-    let report_b = user_b.run_flow(&flow).expect("user B evades");
-    let rounds_b = user_b.session.replays;
+    let mut user_b = user(&shared);
+    let report_b = user_b.run_flows(&flow, 1).expect("user B evades");
+    let rounds_b = user_b.pool_mut().sessions()[0].replays;
 
     assert_eq!(user_b.cache_hits, 1, "B reuses A's entry");
     assert!(
         rounds_b * 2 < rounds_a,
         "shared entry must save most of the search: A={rounds_a} B={rounds_b}"
     );
-    assert!(report_a.evaded && report_b.evaded);
+    assert!(report_a.all_evaded() && report_b.all_evaded());
     assert_eq!(
-        user_b.active_technique().map(|t| t.effective.clone()),
-        user_a.active_technique().map(|t| t.effective.clone()),
+        user_b.active_technique(),
+        user_a.active_technique(),
         "both users deploy the same technique"
     );
 
     // Both handles still address the same store.
     assert_eq!(shared.len(), 1);
-    assert!(user_b
-        .take_cache()
-        .unwrap()
-        .lookup("iran", &flow.app)
-        .is_some());
+    assert!(shared.lookup("iran", &flow.app).is_some());
 }

@@ -10,7 +10,8 @@
 //! - a burned published technique degrades onto the fallback ladder in
 //!   ladder order;
 //! - the adapted technique at 1, 2, and 4 workers is identical to what
-//!   the sequential `LiberateProxy` re-learns from the same rule flip;
+//!   the sequential proxy (a one-worker pool, one user per wave)
+//!   re-learns from the same rule flip;
 //! - same seed, same worker count ⇒ byte-identical merged journals.
 //!
 //! The scripted classifier change used throughout: the testbed's "web"
@@ -254,57 +255,45 @@ fn exhausted_ladder_parks_nothing() {
     assert_eq!(recovery.change_signals(), 0);
 }
 
-/// (d) Worker-count parity: after the same scripted flip, the pool at 1,
-/// 2, and 4 workers publishes exactly the technique the sequential
-/// `LiberateProxy` adapts to — fanning deployment out never changes what
-/// is deployed.
+/// (d) Worker-count parity: after the same scripted flip, pools at 1, 2,
+/// and 4 workers carrying two users per worker publish exactly the
+/// technique the sequential proxy — a one-worker pool carrying one user
+/// per wave — adapts to. Fanning deployment out never changes what is
+/// deployed.
 #[test]
 fn adapted_technique_matches_sequential_proxy_at_1_2_4_workers() {
     let trace = trace();
+    // (initial, adapted) techniques of a pool of `workers` carrying
+    // `users` flows per wave.
+    let adapt = |workers: usize, users: usize| {
+        let mut pool = testbed_pool(workers);
+        let wave1 = pool.run_flows(&trace, users).expect("initial wave");
+        assert!(wave1.all_evaded());
+        let initial = pool.active_technique().unwrap();
 
-    // Sequential baseline.
-    let session = Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
-    let mut proxy = LiberateProxy::new(session, CharacterizeOpts::default());
-    let first = proxy.run_flow(&trace).expect("initial learn");
-    assert!(first.recharacterized);
-    let seq_initial = proxy.active_technique().unwrap().effective.clone();
+        let rules = {
+            let dpi = pool.pool_mut().session_mut(0).env.dpi_mut().unwrap();
+            flipped_rules(&dpi.config.rules)
+        };
+        pool.hot_swap_rules(&rules);
+        let wave2 = pool.run_flows(&trace, users).expect("flip wave");
+        assert!(wave2.recharacterized, "flip should force a re-learn");
+        let adapted = pool.active_technique().unwrap();
 
-    let rules = flipped_rules(&proxy.session.env.dpi_mut().unwrap().config.rules);
-    proxy
-        .session
-        .env
-        .dpi_mut()
-        .unwrap()
-        .hot_swap_rules(rules.clone());
-    let adapted = proxy.run_flow(&trace).expect("re-learn");
-    assert!(adapted.recharacterized, "flip should force a re-learn");
-    let seq_adapted = proxy.active_technique().unwrap().effective.clone();
+        let wave3 = pool.run_flows(&trace, users).expect("recovery wave");
+        assert!(wave3.all_evaded(), "refreshed technique carries all users");
+        (initial, adapted)
+    };
+
+    let (seq_initial, seq_adapted) = adapt(1, 1);
     assert_ne!(
         seq_initial, seq_adapted,
         "the flip burns the initial technique"
     );
-
     for workers in [1usize, 2, 4] {
-        let mut pool = testbed_pool(workers);
-        let wave1 = pool.run_flows(&trace, workers * 2).expect("initial wave");
-        assert!(wave1.all_evaded());
-        assert_eq!(
-            pool.active_technique().unwrap(),
-            seq_initial,
-            "initial parity at {workers} workers"
-        );
-
-        pool.hot_swap_rules(&rules);
-        let wave2 = pool.run_flows(&trace, workers * 2).expect("flip wave");
-        assert!(wave2.recharacterized);
-        assert_eq!(
-            pool.active_technique().unwrap(),
-            seq_adapted,
-            "adapted parity at {workers} workers"
-        );
-
-        let wave3 = pool.run_flows(&trace, workers * 2).expect("recovery wave");
-        assert!(wave3.all_evaded(), "refreshed technique carries all users");
+        let (initial, adapted) = adapt(workers, workers * 2);
+        assert_eq!(initial, seq_initial, "initial parity at {workers} workers");
+        assert_eq!(adapted, seq_adapted, "adapted parity at {workers} workers");
     }
 }
 

@@ -17,10 +17,10 @@ use liberate_dpi::device::{DpiConfig, DpiDevice};
 use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device, EnvKind};
 use liberate_netsim::element::{Effects, PathElement};
 use liberate_netsim::os::OsKind;
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
+use liberate_substrate::time::SimTime;
 use liberate_traces::apps;
 
 const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);

@@ -138,23 +138,29 @@ fn server_supported_dummy_prefix_beats_gfc_testbed_tmobile() {
 #[test]
 fn adaptation_loop_survives_rule_change() {
     // Condensed version of the §4.2 adaptation story at the integration
-    // level: learn, get countered, re-learn.
-    let s = session(EnvKind::Testbed);
-    let mut proxy = LiberateProxy::new(s, CharacterizeOpts::default());
+    // level: learn, get countered, re-learn — one user, so a one-worker
+    // deployment pool.
+    let mut proxy = DeploymentPool::new(
+        EnvKind::Testbed,
+        OsKind::Linux,
+        LiberateConfig::default(),
+        1,
+        CharacterizeOpts::default(),
+    );
     let trace = apps::amazon_prime_http(1_200_000);
-    proxy.run_flow(&trace).unwrap();
-    let first = proxy.active_technique().unwrap().effective.clone();
+    proxy.run_flows(&trace, 1).unwrap();
+    let first = proxy.active_technique().unwrap();
 
     // Countermeasure: the decoy class is blacklisted.
     {
-        let dpi = proxy.session.env.dpi_mut().unwrap();
+        let dpi = proxy.pool_mut().session_mut(0).env.dpi_mut().unwrap();
         dpi.config.policies.insert(
             "web".into(),
             liberate_dpi::actions::Policy::throttle(1_500_000, 420_000),
         );
         dpi.reset();
     }
-    let adapted = proxy.run_flow(&trace).unwrap();
+    let adapted = proxy.run_flows(&trace, 1).unwrap();
     assert!(adapted.recharacterized);
-    assert_ne!(proxy.active_technique().unwrap().effective, first);
+    assert_ne!(proxy.active_technique().unwrap(), first);
 }

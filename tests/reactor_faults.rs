@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use liberate::config::LiberateConfig;
-use liberate::engine::{Engine, SessionPool};
+use liberate::engine::SessionPool;
 use liberate::reactor::Reactor;
 use liberate::replay::{ReplayOpts, Session};
 use liberate::task::{FlowTask, TaskPoll, Wake};
@@ -162,8 +162,7 @@ fn panicking_task_is_contained_and_the_wave_completes() {
         OsKind::Linux,
         LiberateConfig::default(),
         2,
-    )
-    .with_engine(Engine::Reactor);
+    );
     let tasks: Vec<BoomTask> = (0..6)
         .map(|id| BoomTask {
             id,
@@ -251,40 +250,36 @@ fn dropping_a_reactor_with_parked_timers_leaks_no_task_state() {
 }
 
 /// A wave smaller than the pool leaves the surplus workers completely
-/// untouched — no wave span, no events — under both engines and both
-/// wave entry points.
+/// untouched — no wave span, no events — under both wave entry points.
 #[test]
 fn surplus_workers_see_no_wave_when_jobs_are_scarce() {
-    for engine in [Engine::Threads, Engine::Reactor] {
-        let mut pool = SessionPool::new(
-            EnvKind::Testbed,
-            OsKind::Linux,
-            LiberateConfig::default(),
-            4,
-        )
-        .with_engine(engine);
-        let baselines: Vec<String> = (0..4)
-            .map(|w| to_jsonl(pool.sessions()[w].journal()))
-            .collect();
+    let mut pool = SessionPool::new(
+        EnvKind::Testbed,
+        OsKind::Linux,
+        LiberateConfig::default(),
+        4,
+    );
+    let baselines: Vec<String> = (0..4)
+        .map(|w| to_jsonl(pool.sessions()[w].journal()))
+        .collect();
 
-        let results = pool.run_wave(vec![10usize, 20], &|_s: &mut Session, job: usize| job * 2);
-        assert_eq!(results, vec![20, 40]);
+    let results = pool.run_wave(vec![10usize, 20], &|_s: &mut Session, job: usize| job * 2);
+    assert_eq!(results, vec![20, 40]);
 
-        let task_results = pool.run_wave_tasks(ChattyTask::wave(2));
-        assert_eq!(task_results, vec![Some(0), Some(1)]);
+    let task_results = pool.run_wave_tasks(ChattyTask::wave(2));
+    assert_eq!(task_results, vec![Some(0), Some(1)]);
 
-        for w in [2usize, 3] {
-            assert_eq!(
-                to_jsonl(pool.sessions()[w].journal()),
-                baselines[w],
-                "{engine:?}: worker {w} had no jobs but its journal moved"
-            );
-        }
-        for w in [0usize, 1] {
-            assert!(
-                to_jsonl(pool.sessions()[w].journal()).contains("\"phase\":\"wave\""),
-                "{engine:?}: worker {w} should have run a wave"
-            );
-        }
+    for w in [2usize, 3] {
+        assert_eq!(
+            to_jsonl(pool.sessions()[w].journal()),
+            baselines[w],
+            "worker {w} had no jobs but its journal moved"
+        );
+    }
+    for w in [0usize, 1] {
+        assert!(
+            to_jsonl(pool.sessions()[w].journal()).contains("\"phase\":\"wave\""),
+            "worker {w} should have run a wave"
+        );
     }
 }

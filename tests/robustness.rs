@@ -14,8 +14,8 @@ use liberate_netsim::firewall::StatefulFirewall;
 use liberate_netsim::hop::RouterHop;
 use liberate_netsim::os::{OsKind, OsProfile};
 use liberate_netsim::server::{ServerHost, SinkApp};
-use liberate_netsim::time::SimTime;
 use liberate_packet::flow::Direction;
+use liberate_substrate::time::SimTime;
 
 /// Arbitrary bytes, with a bias toward things that *almost* parse: real
 /// packet prefixes with tails fuzzed.
