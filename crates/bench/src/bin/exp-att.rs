@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::{fmt_bps, fmt_bytes};
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 use liberate_traces::recorded::Sender;
@@ -114,6 +114,6 @@ fn main() {
         fmt_bps(out.avg_bps)
     );
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.3 findings reproduce");
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::{fmt_bytes, TextTable};
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 
@@ -138,6 +138,6 @@ fn main() {
     );
     assert!(overhead < 0.005);
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §5.3 cost findings reproduce");
 }

@@ -22,21 +22,23 @@
 //!   must equal what the one-worker pool learns from the same flip.
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-deploy`
-//! (`--workers <n>` picks which pool's merged journal `--trace` dumps,
-//! default 4.)
+//! (`--workers <1|2|4>` picks which pool's merged journal `--trace`
+//! dumps, default 4; any other count exits with status 2.)
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_dpi::rules::RuleSet;
-use liberate_obs::Journal;
+use liberate_obs::{Journal, JsonValue};
 use liberate_traces::apps;
 use liberate_traces::recorded::RecordedTrace;
 
 const USERS: usize = 8;
+
+/// The worker counts of the scaling sweep.
+const SWEEP: [usize; 3] = [1, 2, 4];
 
 /// The scripted classifier change: the decoy "web" rule re-classed as
 /// throttled video.
@@ -54,15 +56,6 @@ fn app_bytes(trace: &RecordedTrace) -> u64 {
     trace.messages.iter().map(|m| m.payload.len() as u64).sum()
 }
 
-fn max_clock_us(pool: &mut DeploymentPool) -> u64 {
-    pool.pool_mut()
-        .sessions()
-        .iter()
-        .map(|s| s.env.network.clock.as_micros())
-        .max()
-        .unwrap_or(0)
-}
-
 struct RunStats {
     workers: usize,
     throughput_bps: f64,
@@ -72,22 +65,16 @@ struct RunStats {
 }
 
 impl RunStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), Json::n(self.workers as f64)),
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("workers", self.workers.into()),
             (
-                "recovery_throughput_bps".into(),
-                Json::Num((self.throughput_bps * 10.0).round() / 10.0),
+                "recovery_throughput_bps",
+                harness::round_to(self.throughput_bps, 1).into(),
             ),
-            (
-                "adaptation_latency_us".into(),
-                Json::n(self.adaptation_latency_us as f64),
-            ),
-            (
-                "recharacterizations".into(),
-                Json::n(self.recharacterizations as f64),
-            ),
-            ("host_cpu_ms".into(), Json::n(self.host_ms as f64)),
+            ("adaptation_latency_us", self.adaptation_latency_us.into()),
+            ("recharacterizations", self.recharacterizations.into()),
+            ("host_cpu_ms", self.host_ms.into()),
         ])
     }
 }
@@ -100,13 +87,13 @@ fn main() {
 
     // --- Scaling sweep: USERS users per wave at 1, 2, and 4 workers,
     // through steady -> flip -> recovery.
-    let trace_workers = obsflag::workers().max(2).min(4);
+    let trace_workers = harness::swept_workers(&SWEEP, 4);
     let trace_journal = Arc::new(Journal::new());
     let mut runs = Vec::new();
     // The one-worker pool's (initial, adapted) techniques: the reference
     // every wider pool must reproduce.
     let mut reference: Option<(Technique, Technique)> = None;
-    for workers in [1usize, 2, 4] {
+    for workers in SWEEP {
         let t0 = Instant::now();
         let mut pool = DeploymentPool::new(
             EnvKind::Testbed,
@@ -124,10 +111,10 @@ fn main() {
             let dpi = pool.pool_mut().session_mut(0).env.dpi_mut().unwrap();
             flipped_rules(&dpi.config.rules)
         };
-        let before = max_clock_us(&mut pool);
+        let before = harness::max_clock_us(pool.pool_mut());
         pool.hot_swap_rules(&rules);
         let wave2 = pool.run_flows(&trace, USERS).expect("flip wave");
-        let adaptation_latency_us = max_clock_us(&mut pool) - before;
+        let adaptation_latency_us = harness::max_clock_us(pool.pool_mut()) - before;
         assert_eq!(wave2.change_signals(), USERS, "every user sees the flip");
         assert!(wave2.recharacterized);
         assert_eq!(
@@ -148,9 +135,9 @@ fn main() {
         );
 
         // Recovery: throughput of the post-adaptation steady state.
-        let before = max_clock_us(&mut pool);
+        let before = harness::max_clock_us(pool.pool_mut());
         let wave3 = pool.run_flows(&trace, USERS).expect("recovery wave");
-        let recovery_us = max_clock_us(&mut pool) - before;
+        let recovery_us = harness::max_clock_us(pool.pool_mut()) - before;
         assert!(wave3.all_evaded(), "recovery wave must stream clean");
         assert!(!wave3.recharacterized);
         let throughput_bps = wave_bytes as f64 * 8.0 / (recovery_us as f64 / 1e6);
@@ -183,38 +170,32 @@ fn main() {
         "fanning {USERS} users over 4 workers must scale recovery throughput: {scaling:.2}x"
     );
 
-    let dataset = Json::Obj(vec![
-        ("experiment".into(), Json::s("pool-deployment-rule-flip")),
-        ("trace".into(), Json::s("amazon-prime-http")),
-        ("users_per_wave".into(), Json::n(USERS as f64)),
-        (
-            "clock".into(),
-            Json::s("simulated wall-clock (max per-worker clock advance per wave)"),
-        ),
-        (
-            "rule_flip".into(),
-            Json::s("testbed 'web' decoy rule re-classed as throttled video"),
-        ),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(RunStats::to_json).collect()),
-        ),
-        (
-            "throughput_scaling_4v1".into(),
-            Json::Num((scaling * 100.0).round() / 100.0),
-        ),
-    ]);
+    harness::publish(
+        "deploy",
+        &JsonValue::object([
+            ("experiment", "pool-deployment-rule-flip".into()),
+            ("trace", "amazon-prime-http".into()),
+            ("users_per_wave", USERS.into()),
+            (
+                "clock",
+                "simulated wall-clock (max per-worker clock advance per wave)".into(),
+            ),
+            (
+                "rule_flip",
+                "testbed 'web' decoy rule re-classed as throttled video".into(),
+            ),
+            (
+                "runs",
+                JsonValue::Array(runs.iter().map(RunStats::to_json).collect()),
+            ),
+            (
+                "throughput_scaling_4v1",
+                harness::round_to(scaling, 2).into(),
+            ),
+        ]),
+    );
 
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_deploy.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
-
-    obsflag::finish(&trace_journal);
+    harness::finish(&trace_journal);
     println!(
         "\n[ok] one re-characterization per flip, adapted technique matches the \
 one-worker pool, recovery throughput scales with workers"

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::fmt_bytes;
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 
@@ -131,6 +131,6 @@ fn main() {
     assert!(after.blocked(), "RST-after does not evade");
     println!("RST flush: before-match evades, after-match does not (matches §6.5)");
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.5 findings reproduce");
 }

@@ -5,12 +5,10 @@
 //!
 //! Two measurements, each with its own gate:
 //!
-//! 1. **Payload copy census** — the same replay workload runs once in
-//!    eager-copy mode (`PacketBuf` clones/slices materialize fresh
-//!    buffers: the pre-overhaul copy discipline) and once in normal
-//!    shared-view mode. The process-wide census counts every deep copy;
-//!    copies per replay must fall ≥ 5× with sharing on. The journal's
-//!    `payload-copies` counter reports the CoW-tallied remainder.
+//! 1. **Payload copy census** — a detection replay workload runs with
+//!    `PacketBuf` clones and slices sharing one buffer. The process-wide
+//!    census counts every deep copy and the journal's `payload-copies`
+//!    counter every copy-on-write fault; both must stay at 0 per replay.
 //! 2. **Deploy worker scaling** — host wall-clock of an identical
 //!    steady deployment wave at 1 and 4 workers. Published-state
 //!    snapshots and the per-shard batch drain must keep host cost flat:
@@ -28,13 +26,13 @@
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
-use liberate_obs::Counter;
-use liberate_substrate::buf::{copy_census, set_eager_copy_mode};
+use liberate_bench::harness;
+use liberate_obs::{Counter, JsonValue};
+use liberate_substrate::buf::copy_census;
 use liberate_traces::apps;
 use liberate_traces::recorded::RecordedTrace;
 
-/// Replays per census arm; copies-per-replay is the reported figure.
+/// Replays in the copy census; the gate is zero deep copies over all.
 const CENSUS_REPLAYS: usize = 8;
 
 /// Users per deployment wave in the scaling measurement.
@@ -51,8 +49,7 @@ const DEPLOY_ROUNDS: usize = 5;
 /// bidirectional VoIP call, the two differentiation targets a detection
 /// session sweeps — `CENSUS_REPLAYS` times and return (deep copies,
 /// bytes copied, journal `payload-copies`) deltas.
-fn census_arm(eager: bool) -> (u64, u64, u64) {
-    set_eager_copy_mode(eager);
+fn copy_census_deltas() -> (u64, u64, u64) {
     let mut session = Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
     let traces = [apps::amazon_prime_http(64_000), apps::skype_stun(120)];
     let journal = session.journal().clone();
@@ -65,7 +62,6 @@ fn census_arm(eager: bool) -> (u64, u64, u64) {
     }
     let (c1, b1) = copy_census();
     let copies_j1 = journal.metrics.get(Counter::PayloadCopies);
-    set_eager_copy_mode(false);
     (c1 - c0, b1 - b0, copies_j1 - copies_j0)
 }
 
@@ -98,59 +94,39 @@ fn steady_wave_us(pool: &mut DeploymentPool, trace: &RecordedTrace) -> u64 {
     us
 }
 
-/// Steady-wave host cost at 1 and 4 workers, measured in paired
-/// alternating rounds. Returns the `(host_1w_us, host_4w_us)` pair from
-/// the round with the lowest 4w/1w ratio: ambient load (this can run on
-/// a single-core CI box where four worker threads time-slice one CPU)
+/// Steady-wave host cost at 1 and 4 workers, measured in alternating
+/// paired rounds. Returns the `(host_1w_us, host_4w_us)` pair from the
+/// round with the lowest 4w/1w ratio: ambient load (this can run on a
+/// single-core CI box where four worker threads time-slice one CPU)
 /// hits both arms of a round, while a structural scaling regression
 /// inflates the 4-worker arm in every round and survives the min.
 fn deploy_scaling_us() -> (u64, u64) {
     let trace = apps::amazon_prime_http(1_200_000);
-    let mut pool_1w = warm_pool(&trace, 1);
-    let mut pool_4w = warm_pool(&trace, 4);
-    let mut best: Option<(u64, u64)> = None;
-    for _ in 0..DEPLOY_ROUNDS {
-        let t1 = steady_wave_us(&mut pool_1w, &trace).max(1);
-        let t4 = steady_wave_us(&mut pool_4w, &trace);
-        let better = match best {
-            None => true,
-            Some((b1, b4)) => (t4 as u128) * (b1 as u128) < (b4 as u128) * (t1 as u128),
-        };
-        if better {
-            best = Some((t1, t4));
-        }
-    }
-    best.expect("at least one timing round")
+    let mut pools = [warm_pool(&trace, 1), warm_pool(&trace, 4)];
+    let [one, four] = harness::alternate(DEPLOY_ROUNDS, |arm| {
+        steady_wave_us(&mut pools[arm], &trace).max(1)
+    });
+    one.into_iter()
+        .zip(four)
+        .min_by(|&(a1, a4), &(b1, b4)| {
+            ((a4 as u128) * (b1 as u128)).cmp(&((b4 as u128) * (a1 as u128)))
+        })
+        .expect("at least one timing round")
 }
 
 fn main() {
     println!("Benchmark: hot-path overhaul (zero-copy, per-wave reads)\n");
 
-    // --- 1. Copy census, eager (pre-overhaul) vs shared (current).
-    let (before_copies, before_bytes, _) = census_arm(true);
-    let (after_copies, after_bytes, after_journal_copies) = census_arm(false);
-    let copies_per_replay_before = before_copies as f64 / CENSUS_REPLAYS as f64;
-    let copies_per_replay_after = after_copies as f64 / CENSUS_REPLAYS as f64;
-    let copy_reduction = before_copies as f64 / after_copies.max(1) as f64;
+    // --- 1. Copy census: shared views only, no deep copies anywhere.
+    let (copies, bytes, journal_copies) = copy_census_deltas();
     println!(
-        "copy census ({CENSUS_REPLAYS} replays): eager {before_copies} copies \
-({before_bytes} B), shared {after_copies} copies ({after_bytes} B)"
+        "copy census ({CENSUS_REPLAYS} replays): {copies} deep copies ({bytes} B), \
+journal payload-copies {journal_copies}"
     );
-    if after_copies == 0 {
-        println!(
-            "  per replay: {copies_per_replay_before:.0} -> 0 — payload deep-copies \
-eliminated (journal payload-copies: {after_journal_copies})"
-        );
-    } else {
-        println!(
-            "  per replay: {copies_per_replay_before:.0} -> {copies_per_replay_after:.0} \
-({copy_reduction:.1}x fewer; journal payload-copies: {after_journal_copies})"
-        );
-    }
     assert!(
-        copy_reduction >= 5.0,
-        "zero-copy plumbing must cut payload deep-copies >= 5x per replay \
-(got {copy_reduction:.2}x)"
+        copies == 0 && journal_copies == 0,
+        "replays must make no payload deep-copies \
+(census {copies}, journal payload-copies {journal_copies})"
     );
 
     // --- 2. Deploy scaling: host cost must be flat 1 -> 4 workers.
@@ -177,60 +153,38 @@ on {cores} core(s))"
 batch drain regressed"
     );
 
-    let dataset = Json::Obj(vec![
-        ("experiment".into(), Json::s("hotpath-overhaul")),
-        (
-            "copy_census".into(),
-            Json::Obj(vec![
-                ("replays".into(), Json::n(CENSUS_REPLAYS as f64)),
-                ("eager_copies".into(), Json::n(before_copies as f64)),
-                ("eager_bytes".into(), Json::n(before_bytes as f64)),
-                ("shared_copies".into(), Json::n(after_copies as f64)),
-                ("shared_bytes".into(), Json::n(after_bytes as f64)),
-                (
-                    "journal_payload_copies".into(),
-                    Json::n(after_journal_copies as f64),
-                ),
-                (
-                    "copy_reduction".into(),
-                    Json::Num((copy_reduction * 100.0).round() / 100.0),
-                ),
-            ]),
-        ),
-        (
-            "deploy_scaling".into(),
-            Json::Obj(vec![
-                ("users_per_wave".into(), Json::n(USERS as f64)),
-                (
-                    "host_cpu_ms_1w".into(),
-                    Json::Num((host_1w_ms * 10.0).round() / 10.0),
-                ),
-                (
-                    "host_cpu_ms_4w".into(),
-                    Json::Num((host_4w_ms * 10.0).round() / 10.0),
-                ),
-                (
-                    "host_cpu_ratio_4v1".into(),
-                    Json::Num((scaling_ratio * 100.0).round() / 100.0),
-                ),
-                ("host_cores".into(), Json::n(cores as f64)),
-                ("flat_gate".into(), Json::Num(flat_gate)),
-            ]),
-        ),
-    ]);
-
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_hotpath.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
+    harness::publish(
+        "hotpath",
+        &JsonValue::object([
+            ("experiment", "hotpath-overhaul".into()),
+            (
+                "copy_census",
+                JsonValue::object([
+                    ("replays", CENSUS_REPLAYS.into()),
+                    ("shared_copies", copies.into()),
+                    ("shared_bytes", bytes.into()),
+                    ("journal_payload_copies", journal_copies.into()),
+                ]),
+            ),
+            (
+                "deploy_scaling",
+                JsonValue::object([
+                    ("users_per_wave", USERS.into()),
+                    ("host_cpu_ms_1w", harness::round_to(host_1w_ms, 1).into()),
+                    ("host_cpu_ms_4w", harness::round_to(host_4w_ms, 1).into()),
+                    (
+                        "host_cpu_ratio_4v1",
+                        harness::round_to(scaling_ratio, 2).into(),
+                    ),
+                    ("host_cores", cores.into()),
+                    ("flat_gate", flat_gate.into()),
+                ]),
+            ),
+        ]),
+    );
 
     println!(
-        "\n[ok] payload deep-copies {copies_per_replay_before:.0} -> \
-{copies_per_replay_after:.0} per replay, host cost flat 1 -> 4 workers \
+        "\n[ok] no payload deep-copies per replay, host cost flat 1 -> 4 workers \
 ({scaling_ratio:.2}x)"
     );
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::fmt_bytes;
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 
@@ -135,6 +135,6 @@ fn main() {
     }
     println!("evasion: splitting the matching field across 2 segments evades (±reorder)");
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.6 findings reproduce");
 }

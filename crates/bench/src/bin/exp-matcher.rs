@@ -13,8 +13,9 @@
 //!   journal): the naive matcher re-walks the reassembled prefix per
 //!   packet per applicable rule; the automaton feeds each stream byte
 //!   through the DFA exactly once.
-//! - **host wall-clock** (best of `REPS` runs): end-to-end `process()`
-//!   time for the whole trace through a bare device.
+//! - **host wall-clock** (best of `REPS` runs, the two matchers timed in
+//!   alternating rounds): end-to-end `process()` time for the whole
+//!   trace through a bare device.
 //!
 //! Verdict parity is asserted inline for every cell — events, billed
 //! and zero-rated byte accounting must be identical between matchers —
@@ -26,12 +27,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
+use liberate_bench::harness;
 use liberate_dpi::automaton::MatcherKind;
 use liberate_dpi::device::{DpiConfig, DpiDevice};
 use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device};
 use liberate_netsim::element::{Effects, PacketBuf, PathElement};
-use liberate_obs::{Counter, Journal};
+use liberate_obs::{Counter, Journal, JsonValue};
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
@@ -53,6 +54,9 @@ const FLOW_BYTES: usize = SEGMENT_BYTES * SEGMENTS_PER_FLOW;
 /// Timing repetitions per cell; the best run is reported to shed
 /// scheduler noise.
 const REPS: usize = 3;
+
+/// The two arms of every cell.
+const MATCHERS: [MatcherKind; 2] = [MatcherKind::NaiveRescan, MatcherKind::Automaton];
 
 /// One synthetic wire packet: (micros, c2s, bytes).
 type Step = (u64, Direction, Vec<u8>);
@@ -91,44 +95,57 @@ fn synthetic_trace(flows: usize) -> Vec<Step> {
     steps
 }
 
-/// Feed `trace` through a fresh device of `config` with `matcher`,
-/// returning (best host µs over REPS, bytes scanned, events, accounting).
+/// One pass of a trace through a fresh device.
+struct Pass {
+    host_us: u64,
+    scanned: u64,
+    events: Vec<(String, String)>,
+    /// (billed, zero-rated) bytes.
+    accounting: (u64, u64),
+}
+
+/// Feed `steps` once through a fresh device of `config` with `matcher`.
 fn run_device(
     config: &DpiConfig,
     matcher: MatcherKind,
-    trace: &[Step],
-) -> (u64, u64, Vec<(String, String)>, (u64, u64)) {
-    let mut best_us = u64::MAX;
-    let mut scanned = 0u64;
-    let mut events = Vec::new();
-    let mut accounting = (0u64, 0u64);
+    steps: &[(u64, Direction, PacketBuf)],
+) -> Pass {
+    let mut cfg = config.clone();
+    cfg.matcher = matcher;
+    let mut dev = DpiDevice::new(cfg);
+    let journal = Arc::new(Journal::new());
+    dev.attach_journal(&journal);
+    let t0 = Instant::now();
+    for (us, dir, wire) in steps {
+        let mut fx = Effects::default();
+        dev.process(SimTime::from_micros(*us), *dir, wire.clone(), &mut fx);
+    }
+    Pass {
+        host_us: t0.elapsed().as_micros() as u64,
+        scanned: journal.metrics.get(Counter::MatcherBytesScanned),
+        events: dev
+            .events
+            .iter()
+            .map(|e| (e.class.clone(), e.rule_id.clone()))
+            .collect(),
+        accounting: (dev.billed_bytes, dev.zero_rated_bytes),
+    }
+}
+
+/// The fastest of `REPS` passes per matcher, naive then automaton.
+fn best_passes(config: &DpiConfig, trace: &[Step]) -> [Pass; 2] {
     // Materialize the wire buffers once: the timed loop hands the device
     // refcounted views, so per-packet cost is the matcher, not memcpy.
     let steps: Vec<(u64, Direction, PacketBuf)> = trace
         .iter()
         .map(|(us, dir, wire)| (*us, *dir, PacketBuf::from(wire.clone())))
         .collect();
-    for _ in 0..REPS {
-        let mut cfg = config.clone();
-        cfg.matcher = matcher;
-        let mut dev = DpiDevice::new(cfg);
-        let journal = Arc::new(Journal::new());
-        dev.attach_journal(&journal);
-        let t0 = Instant::now();
-        for (us, dir, wire) in &steps {
-            let mut fx = Effects::default();
-            dev.process(SimTime::from_micros(*us), *dir, wire.clone(), &mut fx);
-        }
-        best_us = best_us.min(t0.elapsed().as_micros() as u64);
-        scanned = journal.metrics.get(Counter::MatcherBytesScanned);
-        events = dev
-            .events
-            .iter()
-            .map(|e| (e.class.clone(), e.rule_id.clone()))
-            .collect();
-        accounting = (dev.billed_bytes, dev.zero_rated_bytes);
-    }
-    (best_us, scanned, events, accounting)
+    harness::alternate(REPS, |arm| run_device(config, MATCHERS[arm], &steps)).map(|passes| {
+        passes
+            .into_iter()
+            .min_by_key(|p| p.host_us)
+            .expect("at least one repetition")
+    })
 }
 
 struct Cell {
@@ -145,23 +162,17 @@ impl Cell {
         self.naive_scanned as f64 / self.auto_scanned.max(1) as f64
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("profile".into(), Json::s(self.profile)),
-            ("trace_bytes".into(), Json::n(self.trace_bytes as f64)),
-            ("naive_host_us".into(), Json::n(self.naive_us as f64)),
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("profile", self.profile.into()),
+            ("trace_bytes", self.trace_bytes.into()),
+            ("naive_host_us", self.naive_us.into()),
+            ("naive_bytes_scanned", self.naive_scanned.into()),
+            ("automaton_host_us", self.auto_us.into()),
+            ("automaton_bytes_scanned", self.auto_scanned.into()),
             (
-                "naive_bytes_scanned".into(),
-                Json::n(self.naive_scanned as f64),
-            ),
-            ("automaton_host_us".into(), Json::n(self.auto_us as f64)),
-            (
-                "automaton_bytes_scanned".into(),
-                Json::n(self.auto_scanned as f64),
-            ),
-            (
-                "bytes_scanned_reduction".into(),
-                Json::Num((self.reduction() * 100.0).round() / 100.0),
+                "bytes_scanned_reduction",
+                harness::round_to(self.reduction(), 2).into(),
             ),
         ])
     }
@@ -184,31 +195,32 @@ fn main() {
         let trace = synthetic_trace(flows);
         let trace_bytes = flows * FLOW_BYTES;
         for (name, config) in &profiles {
-            let (naive_us, naive_scanned, naive_events, naive_acct) =
-                run_device(config, MatcherKind::NaiveRescan, &trace);
-            let (auto_us, auto_scanned, auto_events, auto_acct) =
-                run_device(config, MatcherKind::Automaton, &trace);
+            let [naive, auto] = best_passes(config, &trace);
             assert_eq!(
-                naive_events, auto_events,
+                naive.events, auto.events,
                 "{name}/{trace_bytes}B: classification events diverge between matchers"
             );
             assert_eq!(
-                naive_acct, auto_acct,
+                naive.accounting, auto.accounting,
                 "{name}/{trace_bytes}B: byte accounting diverges between matchers"
             );
             println!(
-                "{name:8} {:>4} KB  naive {naive_scanned:>10} B scanned / {naive_us:>7} us   \
-automaton {auto_scanned:>9} B / {auto_us:>6} us   ({:.1}x fewer bytes)",
+                "{name:8} {:>4} KB  naive {:>10} B scanned / {:>7} us   \
+automaton {:>9} B / {:>6} us   ({:.1}x fewer bytes)",
                 trace_bytes / 1024,
-                naive_scanned as f64 / auto_scanned.max(1) as f64,
+                naive.scanned,
+                naive.host_us,
+                auto.scanned,
+                auto.host_us,
+                naive.scanned as f64 / auto.scanned.max(1) as f64,
             );
             cells.push(Cell {
                 profile: name,
                 trace_bytes,
-                naive_us,
-                naive_scanned,
-                auto_us,
-                auto_scanned,
+                naive_us: naive.host_us,
+                naive_scanned: naive.scanned,
+                auto_us: auto.host_us,
+                auto_scanned: auto.scanned,
             });
         }
     }
@@ -262,7 +274,7 @@ automaton {auto_scanned:>9} B / {auto_us:>6} us   ({:.1}x fewer bytes)",
     let mut pool_runs = Vec::new();
     let mut pool_fields: Option<Vec<String>> = None;
     for workers in [1usize, 4] {
-        for matcher in [MatcherKind::NaiveRescan, MatcherKind::Automaton] {
+        for matcher in MATCHERS {
             let t0 = Instant::now();
             let mut pool = SessionPool::new(
                 EnvKind::Testbed,
@@ -292,63 +304,52 @@ automaton {auto_scanned:>9} B / {auto_us:>6} us   ({:.1}x fewer bytes)",
                 "pool {matcher:?} workers={workers}: {} replays, {host_ms} ms host",
                 c.rounds
             );
-            pool_runs.push(Json::Obj(vec![
+            pool_runs.push(JsonValue::object([
                 (
-                    "matcher".into(),
-                    Json::s(match matcher {
+                    "matcher",
+                    match matcher {
                         MatcherKind::NaiveRescan => "naive",
                         MatcherKind::Automaton => "automaton",
-                    }),
+                    }
+                    .into(),
                 ),
-                ("workers".into(), Json::n(workers as f64)),
-                ("replays".into(), Json::n(c.rounds as f64)),
-                ("host_ms".into(), Json::n(host_ms as f64)),
+                ("workers", workers.into()),
+                ("replays", c.rounds.into()),
+                ("host_ms", host_ms.into()),
             ]));
         }
     }
 
-    let dataset = Json::Obj(vec![
-        ("experiment".into(), Json::s("streaming-matcher")),
-        (
-            "workload".into(),
-            Json::s("non-matching GET flows, 4x1000B segments per flow, all DPI profiles"),
-        ),
-        (
-            "cells".into(),
-            Json::Arr(cells.iter().map(Cell::to_json).collect()),
-        ),
-        (
-            "largest_trace".into(),
-            Json::Obj(vec![
-                ("trace_bytes".into(), Json::n(largest as f64)),
-                ("naive_bytes_scanned".into(), Json::n(naive_scanned as f64)),
-                (
-                    "automaton_bytes_scanned".into(),
-                    Json::n(auto_scanned as f64),
-                ),
-                (
-                    "bytes_scanned_reduction".into(),
-                    Json::Num((reduction * 100.0).round() / 100.0),
-                ),
-                ("naive_host_us".into(), Json::n(naive_us as f64)),
-                ("automaton_host_us".into(), Json::n(auto_us as f64)),
-                (
-                    "host_speedup".into(),
-                    Json::Num((speedup * 100.0).round() / 100.0),
-                ),
-            ]),
-        ),
-        ("pool_characterization".into(), Json::Arr(pool_runs)),
-    ]);
-
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_matcher.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
+    harness::publish(
+        "matcher",
+        &JsonValue::object([
+            ("experiment", "streaming-matcher".into()),
+            (
+                "workload",
+                "non-matching GET flows, 4x1000B segments per flow, all DPI profiles".into(),
+            ),
+            (
+                "cells",
+                JsonValue::Array(cells.iter().map(Cell::to_json).collect()),
+            ),
+            (
+                "largest_trace",
+                JsonValue::object([
+                    ("trace_bytes", largest.into()),
+                    ("naive_bytes_scanned", naive_scanned.into()),
+                    ("automaton_bytes_scanned", auto_scanned.into()),
+                    (
+                        "bytes_scanned_reduction",
+                        harness::round_to(reduction, 2).into(),
+                    ),
+                    ("naive_host_us", naive_us.into()),
+                    ("automaton_host_us", auto_us.into()),
+                    ("host_speedup", harness::round_to(speedup, 2).into()),
+                ]),
+            ),
+            ("pool_characterization", JsonValue::Array(pool_runs)),
+        ]),
+    );
 
     println!(
         "\n[ok] automaton matches naive verdicts with {reduction:.1}x fewer bytes scanned \

@@ -4,8 +4,7 @@
 //! with the journal enabled (spans, events, histograms) and once with a
 //! disabled journal (`Journal::disabled()`, every record/span/observe
 //! call short-circuits on the atomic gate) — and compares host
-//! wall-clock. The gate: enabled must cost less than
-//! `LIBERATE_OBS_BUDGET_PCT` percent (default 10) over disabled,
+//! wall-clock. The gate: enabled must cost less than 10% over disabled,
 //! min-of-reps on both sides so scheduler noise cannot fail the run.
 //!
 //! Also asserts the enabled runs are deterministic: every repetition
@@ -19,20 +18,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
-use liberate_obs::{to_jsonl, Journal};
+use liberate_bench::harness;
+use liberate_obs::{to_jsonl, Journal, JsonValue};
 use liberate_traces::apps;
 
 const REPS: usize = 5;
-const DEFAULT_BUDGET_PCT: f64 = 10.0;
 
-fn budget_pct() -> f64 {
-    std::env::var("LIBERATE_OBS_BUDGET_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|v: &f64| *v > 0.0)
-        .unwrap_or(DEFAULT_BUDGET_PCT)
-}
+/// Tracing-overhead budget, percent of journal-off host time.
+const BUDGET_PCT: f64 = 10.0;
 
 /// One full workload pass: characterize an HTTP and a UDP application
 /// against the testbed classifier with the given journal attached.
@@ -62,51 +55,43 @@ fn run_workload(journal: &Arc<Journal>) -> (u64, u64) {
 
 fn main() {
     println!("Experiment: observability overhead (journal on vs off)\n");
-    let budget = budget_pct();
 
-    let mut on_us = Vec::with_capacity(REPS);
-    let mut off_us = Vec::with_capacity(REPS);
-    let mut on_rounds = 0;
-    let mut off_rounds = 0;
     let mut first_jsonl: Option<String> = None;
     let mut journal_events = 0;
-
-    for rep in 0..REPS {
-        // Alternate arm order per rep so cache warm-up cannot
-        // systematically favor one side.
-        for arm in 0..2 {
-            let enabled = (rep + arm) % 2 == 0;
-            let journal = Arc::new(if enabled {
-                Journal::new()
-            } else {
-                Journal::disabled()
-            });
-            let (us, rounds) = run_workload(&journal);
-            if enabled {
-                on_us.push(us);
-                on_rounds = rounds;
-                journal_events = journal.len();
-                let jsonl = to_jsonl(&journal);
-                match &first_jsonl {
-                    None => first_jsonl = Some(jsonl),
-                    Some(prev) => assert_eq!(
-                        prev, &jsonl,
-                        "enabled-journal export must be byte-identical across reps"
-                    ),
-                }
-            } else {
-                off_us.push(us);
-                off_rounds = rounds;
-                assert_eq!(journal.len(), 0, "disabled journal must record no events");
+    // Arm 0 records into an enabled journal, arm 1 into a disabled one.
+    let [on, off] = harness::alternate(REPS, |arm| {
+        let enabled = arm == 0;
+        let journal = Arc::new(if enabled {
+            Journal::new()
+        } else {
+            Journal::disabled()
+        });
+        let sample = run_workload(&journal);
+        if enabled {
+            journal_events = journal.len();
+            let jsonl = to_jsonl(&journal);
+            match &first_jsonl {
+                None => first_jsonl = Some(jsonl),
+                Some(prev) => assert_eq!(
+                    prev, &jsonl,
+                    "enabled-journal export must be byte-identical across reps"
+                ),
             }
+        } else {
+            assert_eq!(journal.len(), 0, "disabled journal must record no events");
         }
-    }
+        sample
+    });
 
-    assert_eq!(
-        on_rounds, off_rounds,
+    let on_rounds = on[0].1;
+    assert!(
+        on.iter()
+            .chain(&off)
+            .all(|&(_, rounds)| rounds == on_rounds),
         "journal gating must not change the workload"
     );
-
+    let on_us: Vec<u64> = on.iter().map(|&(us, _)| us).collect();
+    let off_us: Vec<u64> = off.iter().map(|&(us, _)| us).collect();
     let on_min = *on_us.iter().min().unwrap();
     let off_min = *off_us.iter().min().unwrap();
     let overhead_pct = if off_min == 0 {
@@ -121,46 +106,31 @@ fn main() {
         on_min
     );
     println!("journal off (min of {REPS}): {:>10} us", off_min);
-    println!("overhead: {overhead_pct:.2}% (budget {budget:.1}%)");
+    println!("overhead: {overhead_pct:.2}% (budget {BUDGET_PCT:.1}%)");
 
-    let dataset = Json::Obj(vec![
-        ("experiment".into(), Json::s("observability overhead")),
-        (
-            "workload".into(),
-            Json::s("prime+spotify+espn http(20000) + skype-stun(8) testbed characterization"),
-        ),
-        ("reps".into(), Json::n(REPS as f64)),
-        ("rounds".into(), Json::n(on_rounds as f64)),
-        ("journal_events".into(), Json::n(journal_events as f64)),
-        ("on_min_us".into(), Json::n(on_min as f64)),
-        ("off_min_us".into(), Json::n(off_min as f64)),
-        (
-            "overhead_pct".into(),
-            Json::Num((overhead_pct * 100.0).round() / 100.0),
-        ),
-        ("budget_pct".into(), Json::Num(budget)),
-        (
-            "on_us".into(),
-            Json::Arr(on_us.iter().map(|&u| Json::n(u as f64)).collect()),
-        ),
-        (
-            "off_us".into(),
-            Json::Arr(off_us.iter().map(|&u| Json::n(u as f64)).collect()),
-        ),
-    ]);
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_obs.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
+    harness::publish(
+        "obs",
+        &JsonValue::object([
+            ("experiment", "observability overhead".into()),
+            (
+                "workload",
+                "prime+spotify+espn http(20000) + skype-stun(8) testbed characterization".into(),
+            ),
+            ("reps", REPS.into()),
+            ("rounds", on_rounds.into()),
+            ("journal_events", journal_events.into()),
+            ("on_min_us", on_min.into()),
+            ("off_min_us", off_min.into()),
+            ("overhead_pct", harness::round_to(overhead_pct, 2).into()),
+            ("budget_pct", BUDGET_PCT.into()),
+            ("on_us", on_us.into()),
+            ("off_us", off_us.into()),
+        ]),
+    );
 
     assert!(
-        overhead_pct < budget,
-        "tracing overhead {overhead_pct:.2}% exceeds the {budget:.1}% budget \
-         (override with LIBERATE_OBS_BUDGET_PCT)"
+        overhead_pct < BUDGET_PCT,
+        "tracing overhead {overhead_pct:.2}% exceeds the {BUDGET_PCT:.1}% budget"
     );
     println!("\n[ok] tracing overhead within budget, exports byte-identical across reps");
 }

@@ -18,7 +18,8 @@
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
+use liberate_bench::harness;
+use liberate_obs::JsonValue;
 use liberate_traces::apps;
 use liberate_traces::recorded::RecordedTrace;
 
@@ -39,15 +40,12 @@ struct RunStats {
 }
 
 impl RunStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), Json::n(self.workers as f64)),
-            (
-                "experiment_wall_clock_us".into(),
-                Json::n(self.sim_us as f64),
-            ),
-            ("host_cpu_ms".into(), Json::n(self.host_ms as f64)),
-            ("replays".into(), Json::n(self.replays as f64)),
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("workers", self.workers.into()),
+            ("experiment_wall_clock_us", self.sim_us.into()),
+            ("host_cpu_ms", self.host_ms.into()),
+            ("replays", self.replays.into()),
         ])
     }
 }
@@ -96,12 +94,7 @@ fn main() {
         );
         let cs = characterize_many(&mut pool, &traces, &Signal::Readout, &opts);
         let host_ms = t0.elapsed().as_millis() as u64;
-        let sim_us = pool
-            .sessions()
-            .iter()
-            .map(|s| s.env.network.clock.as_micros())
-            .max()
-            .unwrap_or(0);
+        let sim_us = harness::max_clock_us(&pool);
         let replays: u64 = cs.iter().map(|c| c.rounds).sum();
 
         // Parity: worker count must never change what gets discovered or
@@ -138,38 +131,26 @@ fn main() {
         "expected >= 2x simulated wall-clock speedup at 4 workers, got {speedup:.2}x"
     );
 
-    let dataset = Json::Obj(vec![
-        (
-            "experiment".into(),
-            Json::s("parallel-characterization-testbed"),
-        ),
-        (
-            "traces".into(),
-            Json::Arr(named.iter().map(|(n, _)| Json::s(*n)).collect()),
-        ),
-        (
-            "clock".into(),
-            Json::s("simulated experiment wall-clock (round gaps dominate live runs)"),
-        ),
-        ("sequential".into(), seq.to_json()),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(RunStats::to_json).collect()),
-        ),
-        (
-            "speedup_4v1".into(),
-            Json::Num((speedup * 100.0).round() / 100.0),
-        ),
-    ]);
-
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_parallel.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
+    harness::publish(
+        "parallel",
+        &JsonValue::object([
+            ("experiment", "parallel-characterization-testbed".into()),
+            (
+                "traces",
+                named.iter().map(|&(n, _)| n).collect::<Vec<_>>().into(),
+            ),
+            (
+                "clock",
+                "simulated experiment wall-clock (round gaps dominate live runs)".into(),
+            ),
+            ("sequential", seq.to_json()),
+            (
+                "runs",
+                JsonValue::Array(runs.iter().map(RunStats::to_json).collect()),
+            ),
+            ("speedup_4v1", harness::round_to(speedup, 2).into()),
+        ]),
+    );
 
     println!("\n[ok] parallel engine reproduces sequential results at >= 2x less experiment time");
 }

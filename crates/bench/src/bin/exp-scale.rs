@@ -14,7 +14,7 @@
 //! - every flow in the big wave must complete and report;
 //! - marginal peak heap per flow (the wave's live-heap high-water mark
 //!   over the live heap when it opened, counted by this binary's global
-//!   allocator) must stay under `--max-bytes-per-flow` (default 64 KiB).
+//!   allocator) must stay under 64 KiB.
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-scale`
 //! CI runs a reduced count: `exp-scale --flows 20000`.
@@ -25,9 +25,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use liberate::prelude::*;
-use liberate::report::Json;
-use liberate_obs::{Counter, Journal};
+use liberate_bench::harness;
+use liberate_obs::{Counter, Journal, JsonValue};
 use liberate_traces::recorded::{RecordedTrace, Sender, TraceProtocol};
+
+/// The marginal peak-heap gate per flow in the largest wave.
+const MAX_BYTES_PER_FLOW: u64 = 64 * 1024;
 
 /// A one-request page fetch the GFC model RST-blocks on its
 /// `economist.com` keyword: a crisp Blocking signal over a handful of
@@ -118,7 +121,7 @@ fn reset_peak() -> u64 {
 struct WaveStats {
     workers: usize,
     flows: usize,
-    host_ms: u64,
+    host_us: u64,
     flows_per_sec: f64,
     sim_us: u64,
     /// Live heap when the wave opened, and its high-water mark during the
@@ -132,25 +135,22 @@ struct WaveStats {
 }
 
 impl WaveStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".into(), Json::n(self.workers as f64)),
-            ("flows".into(), Json::n(self.flows as f64)),
-            ("host_ms".into(), Json::n(self.host_ms as f64)),
+    fn to_json(&self) -> JsonValue {
+        JsonValue::object([
+            ("workers", self.workers.into()),
+            ("flows", self.flows.into()),
+            ("host_ms", (self.host_us / 1_000).into()),
             (
-                "flows_per_sec".into(),
-                Json::Num((self.flows_per_sec * 10.0).round() / 10.0),
+                "flows_per_sec",
+                harness::round_to(self.flows_per_sec, 1).into(),
             ),
-            ("sim_us".into(), Json::n(self.sim_us as f64)),
-            (
-                "live_heap_before_bytes".into(),
-                Json::n(self.heap_before as f64),
-            ),
-            ("peak_heap_bytes".into(), Json::n(self.heap_peak as f64)),
-            ("bytes_per_flow".into(), Json::n(self.bytes_per_flow as f64)),
-            ("tasks_admitted".into(), Json::n(self.tasks_admitted as f64)),
-            ("reactor_ticks".into(), Json::n(self.reactor_ticks as f64)),
-            ("timer_fires".into(), Json::n(self.timer_fires as f64)),
+            ("sim_us", self.sim_us.into()),
+            ("live_heap_before_bytes", self.heap_before.into()),
+            ("peak_heap_bytes", self.heap_peak.into()),
+            ("bytes_per_flow", self.bytes_per_flow.into()),
+            ("tasks_admitted", self.tasks_admitted.into()),
+            ("reactor_ticks", self.reactor_ticks.into()),
+            ("timer_fires", self.timer_fires.into()),
         ])
     }
 }
@@ -182,7 +182,7 @@ fn run_wave(
 
     let t0 = Instant::now();
     let wave = pool.run_flows(trace, flows).expect("deployment wave");
-    let host_ms = t0.elapsed().as_millis() as u64;
+    let host_us = t0.elapsed().as_micros() as u64;
 
     assert_eq!(wave.reports.len(), flows, "every flow must report");
     assert!(
@@ -191,13 +191,7 @@ fn run_wave(
     );
 
     let heap_peak = PEAK.load(Relaxed) as u64;
-    let sim_us = pool
-        .pool_mut()
-        .sessions()
-        .iter()
-        .map(|s| s.env.network.clock.as_micros())
-        .max()
-        .unwrap_or(0);
+    let sim_us = harness::max_clock_us(pool.pool_mut());
     let telemetry = pool.pool_mut().reactor_telemetry().clone();
     let tasks_admitted = telemetry.metrics.get(Counter::ReactorTasksAdmitted) - admitted_before;
     assert_eq!(
@@ -208,8 +202,8 @@ fn run_wave(
     WaveStats {
         workers,
         flows,
-        host_ms,
-        flows_per_sec: flows as f64 / (host_ms.max(1) as f64 / 1_000.0),
+        host_us,
+        flows_per_sec: flows as f64 / (host_us.max(1) as f64 / 1e6),
         sim_us,
         heap_before,
         heap_peak,
@@ -244,18 +238,11 @@ fn scale_pool(workers: usize) -> DeploymentPool {
 
 fn main() {
     let mut flows: usize = 100_000;
-    let mut max_bytes_per_flow: u64 = 64 * 1024;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--flows" => {
                 flows = args.next().and_then(|v| v.parse().ok()).expect("--flows N");
-            }
-            "--max-bytes-per-flow" => {
-                max_bytes_per_flow = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--max-bytes-per-flow N");
             }
             other => panic!("unknown argument: {other}"),
         }
@@ -278,9 +265,9 @@ fn main() {
             }
             let stats = run_wave(&mut pool, &trace, scale);
             println!(
-                "curve: {:>7} flows  {:>7} ms host  {:>6.0} flows/s  peak heap {} kB",
+                "curve: {:>7} flows  {:>7.1} ms host  {:>6.0} flows/s  peak heap {} kB",
                 stats.flows,
-                stats.host_ms,
+                stats.host_us as f64 / 1e3,
                 stats.flows_per_sec,
                 stats.heap_peak / 1_024,
             );
@@ -294,11 +281,11 @@ fn main() {
     if let Some(big) = curve.last() {
         println!(
             "\nmarginal memory: {} bytes/flow at {} flows (gate: <= {})",
-            big.bytes_per_flow, big.flows, max_bytes_per_flow
+            big.bytes_per_flow, big.flows, MAX_BYTES_PER_FLOW
         );
         assert!(
-            big.bytes_per_flow <= max_bytes_per_flow,
-            "peak heap per flow {} B exceeds the {max_bytes_per_flow} B gate",
+            big.bytes_per_flow <= MAX_BYTES_PER_FLOW,
+            "peak heap per flow {} B exceeds the {MAX_BYTES_PER_FLOW} B gate",
             big.bytes_per_flow
         );
         if curve.len() >= 2 {
@@ -323,42 +310,33 @@ fn main() {
         pool.run_flows(&trace, workers).expect("initial learn");
         let stats = run_wave(&mut pool, &trace, flows);
         println!(
-            "{} worker(s): {} flows in {} ms host ({:.0} flows/s), {:.1} min simulated",
+            "{} worker(s): {} flows in {:.1} ms host ({:.0} flows/s), {:.1} min simulated",
             workers,
             stats.flows,
-            stats.host_ms,
+            stats.host_us as f64 / 1e3,
             stats.flows_per_sec,
             stats.sim_us as f64 / 60e6,
         );
         runs.push(stats);
     }
 
-    let dataset = Json::Obj(vec![
-        ("experiment".into(), Json::s("reactor-deployment-scale")),
-        ("trace".into(), Json::s("economist-http")),
-        ("flows".into(), Json::n(flows as f64)),
-        (
-            "max_bytes_per_flow_gate".into(),
-            Json::n(max_bytes_per_flow as f64),
-        ),
-        (
-            "curve".into(),
-            Json::Arr(curve.iter().map(WaveStats::to_json).collect()),
-        ),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(WaveStats::to_json).collect()),
-        ),
-    ]);
-
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("BENCH_scale.json");
-        match std::fs::write(&path, dataset.render() + "\n") {
-            Ok(()) => println!("dataset: wrote {}", path.display()),
-            Err(e) => eprintln!("dataset: cannot write {}: {e}", path.display()),
-        }
-    }
+    harness::publish(
+        "scale",
+        &JsonValue::object([
+            ("experiment", "reactor-deployment-scale".into()),
+            ("trace", "economist-http".into()),
+            ("flows", flows.into()),
+            ("max_bytes_per_flow_gate", MAX_BYTES_PER_FLOW.into()),
+            (
+                "curve",
+                JsonValue::Array(curve.iter().map(WaveStats::to_json).collect()),
+            ),
+            (
+                "runs",
+                JsonValue::Array(runs.iter().map(WaveStats::to_json).collect()),
+            ),
+        ]),
+    );
 
     println!("\n[ok] reactor sustained {flows} concurrent flows per wave within the memory gate");
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::fmt_bps;
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 
@@ -90,6 +90,6 @@ fn main() {
          independent of content, port, or bit inversion (paper: \"we found no\n\
          pattern to which flows received relatively more or less bandwidth\")"
     );
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.4 findings reproduce");
 }

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::{fmt_bytes, TextTable};
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::{phase_summaries, Journal, Phase};
 use liberate_traces::apps;
 
@@ -92,7 +92,7 @@ fn characterize_app(
 }
 
 fn main() {
-    let workers = obsflag::workers();
+    let workers = harness::workers();
     println!("Experiment §6.1: testbed classifier analysis\n");
     if workers > 1 {
         println!(
@@ -199,6 +199,6 @@ fn main() {
          == {reported_rounds} characterizer rounds"
     );
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.1 efficiency and matching-field findings reproduce");
 }

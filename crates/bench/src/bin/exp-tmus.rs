@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use liberate::prelude::*;
 use liberate::report::{fmt_bps, fmt_bytes};
-use liberate_bench::obsflag;
+use liberate_bench::harness;
 use liberate_obs::Journal;
 use liberate_traces::apps;
 
@@ -117,6 +117,6 @@ fn main() {
     assert!(evaded.avg_bps > 2.0 * throttled.avg_bps);
     assert!(evaded.peak_bps > 2.0 * throttled.peak_bps);
 
-    obsflag::finish(&journal);
+    harness::finish(&journal);
     println!("\n[ok] §6.2 findings reproduce (zero-rating, fields, QUIC, throughput gain)");
 }

@@ -7,8 +7,9 @@
 
 use liberate::report::TextTable;
 use liberate_bench::expected::OsExpect;
+use liberate_bench::harness;
 use liberate_bench::osmatrix::run_inert_matrix;
-use liberate_bench::table3::{diff_against_paper, render, run_table3};
+use liberate_bench::table3::{diff_against_paper, render, run_table3, to_json};
 
 fn os_mark(e: OsExpect) -> &'static str {
     match e {
@@ -49,13 +50,9 @@ fn main() {
     println!("{}", t.render());
 
     // Publish the dataset.
-    let dataset = liberate_bench::table3::to_json(&measured).render();
-    let out_dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(out_dir).is_ok() {
-        let path = out_dir.join("table3.json");
-        if std::fs::write(&path, &dataset).is_ok() {
-            println!("dataset written to {}", path.display());
-        }
+    let dataset = to_json(&measured).render();
+    if let Ok(path) = harness::write_result("table3.json", &dataset) {
+        println!("dataset written to {}", path.display());
     }
 
     let mismatches = diff_against_paper(&measured);

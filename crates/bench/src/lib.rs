@@ -8,6 +8,6 @@
 
 pub mod envs;
 pub mod expected;
-pub mod obsflag;
+pub mod harness;
 pub mod osmatrix;
 pub mod table3;

@@ -3,6 +3,7 @@
 //! the published matrix.
 
 use liberate::prelude::*;
+use liberate_obs::JsonValue;
 
 use crate::envs::{context_for, EnvSpec};
 use crate::expected::{table3 as expected_table3, Cell, ExpectedRow};
@@ -195,44 +196,32 @@ pub fn expected_rows() -> Vec<ExpectedRow> {
 
 /// Export the measured matrix as a JSON dataset (the paper publishes its
 /// tools *and datasets*).
-pub fn to_json(measured: &[MeasuredRow]) -> liberate::report::Json {
-    use liberate::report::{mark_cc, mark_reach, Json};
+pub fn to_json(measured: &[MeasuredRow]) -> JsonValue {
+    use liberate::report::{mark_cc, mark_reach};
     let cell = |c: &Cell| {
-        Json::Obj(vec![
-            ("cc".into(), Json::s(mark_cc(c.cc))),
-            ("rs".into(), Json::s(mark_reach(c.rs))),
+        JsonValue::object([
+            ("cc", mark_cc(c.cc).into()),
+            ("rs", mark_reach(c.rs).into()),
         ])
     };
-    Json::Obj(vec![
-        ("table".into(), Json::s("3")),
+    let row = |r: &MeasuredRow| {
+        JsonValue::object([
+            ("protocol", r.technique.protocol_row().into()),
+            ("technique", r.technique.description().into()),
+            ("testbed", cell(&r.testbed)),
+            ("tmobile", cell(&r.tmobile)),
+            ("china", cell(&r.china)),
+            ("iran", cell(&r.iran)),
+            ("att_cc", r.att_cc.into()),
+        ])
+    };
+    JsonValue::object([
+        ("table", "3".into()),
         (
-            "environments".into(),
-            Json::Arr(
-                ["Testbed", "T-Mobile", "China", "Iran", "AT&T"]
-                    .iter()
-                    .map(|e| Json::s(*e))
-                    .collect(),
-            ),
+            "environments",
+            vec!["Testbed", "T-Mobile", "China", "Iran", "AT&T"].into(),
         ),
-        (
-            "rows".into(),
-            Json::Arr(
-                measured
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("protocol".into(), Json::s(r.technique.protocol_row())),
-                            ("technique".into(), Json::s(r.technique.description())),
-                            ("testbed".into(), cell(&r.testbed)),
-                            ("tmobile".into(), cell(&r.tmobile)),
-                            ("china".into(), cell(&r.china)),
-                            ("iran".into(), cell(&r.iran)),
-                            ("att_cc".into(), Json::Bool(r.att_cc)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("rows", JsonValue::Array(measured.iter().map(row).collect())),
     ])
 }
 

@@ -165,115 +165,3 @@ mod tests {
         assert_eq!(fmt_bytes(42), "42 B");
     }
 }
-
-/// A minimal JSON value for publishing experiment datasets (the paper
-/// ships "public, open-source tools and datasets"). Hand-rolled to keep
-/// the dependency set to the sanctioned crates.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn s(v: impl Into<String>) -> Json {
-        Json::Str(v.into())
-    }
-
-    pub fn n(v: impl Into<f64>) -> Json {
-        Json::Num(v.into())
-    }
-
-    /// Serialize with deterministic field order.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    out.push_str(&format!("{}", *n as i64));
-                } else {
-                    out.push_str(&format!("{n}"));
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).write(out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::Json;
-
-    #[test]
-    fn renders_all_value_kinds() {
-        let v = Json::Obj(vec![
-            ("name".into(), Json::s("lib\u{b7}erate")),
-            ("rounds".into(), Json::n(86.0)),
-            ("rate".into(), Json::n(1.48)),
-            ("ok".into(), Json::Bool(true)),
-            ("none".into(), Json::Null),
-            (
-                "cells".into(),
-                Json::Arr(vec![Json::s("Y"), Json::s("."), Json::s("-")]),
-            ),
-        ]);
-        assert_eq!(
-            v.render(),
-            "{\"name\":\"lib\u{b7}erate\",\"rounds\":86,\"rate\":1.48,\
-             \"ok\":true,\"none\":null,\"cells\":[\"Y\",\".\",\"-\"]}"
-        );
-    }
-
-    #[test]
-    fn escapes_strings() {
-        assert_eq!(Json::s("a\"b\\c\nd").render(), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(Json::s("\u{01}").render(), "\"\\u0001\"");
-    }
-}

@@ -46,7 +46,7 @@ the reason."
             || rel_path.starts_with("crates/dpi/src/")
             || rel_path.starts_with("crates/substrate/src/");
         // buf.rs is the PacketBuf implementation: it owns the sanctioned
-        // copy machinery (eager mode, make_mut, copy_to_vec) itself.
+        // copy machinery (make_mut, copy_to_vec) itself.
         in_scope
             && rel_path != "crates/substrate/src/buf.rs"
             && !crate::rules::in_test_tree(rel_path)

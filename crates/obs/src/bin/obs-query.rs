@@ -12,8 +12,6 @@
 //! - `diff <a> <b>`           — counter deltas + histogram-quantile
 //!   shifts; exits 1 when the journals drift (the regression primitive
 //!   CI gates on)
-//! - `bench-history <json> <history.jsonl>` — append a bench result as
-//!   one compacted JSONL line
 //!
 //! Exit codes: 0 ok (diff: no drift), 1 drift or invalid journal,
 //! 2 usage or I/O error.
@@ -114,43 +112,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 Ok(ExitCode::from(1))
             }
         }
-        "bench-history" => {
-            let [json, history] = rest else {
-                return Err(usage());
-            };
-            let text = read(json)?;
-            let line = compact_json(&text)?;
-            // Dedup: CI reruns regenerate identical bench datasets; an
-            // exact repeat of (experiment, dataset) would only pad the
-            // history with noise, so it is skipped rather than appended.
-            let existing = match std::fs::read_to_string(history) {
-                Ok(t) => t,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-                Err(e) => return Err(format!("{history}: {e}")),
-            };
-            if existing.lines().any(|l| l == line) {
-                println!(
-                    "obs-query: {json} already in {history} (same experiment and dataset); skipped"
-                );
-                return Ok(ExitCode::SUCCESS);
-            }
-            let mut out = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(history)
-                .map_err(|e| format!("{history}: {e}"))?;
-            use std::io::Write as _;
-            writeln!(out, "{line}").map_err(|e| format!("{history}: {e}"))?;
-            println!("obs-query: appended {json} to {history}");
-            Ok(ExitCode::SUCCESS)
-        }
         _ => Err(usage()),
     }
 }
 
 fn usage() -> String {
-    "usage: obs-query <summary|hist|top|tree|critical|folded|filter|diff|bench-history> ..."
-        .to_string()
+    "usage: obs-query <summary|hist|top|tree|critical|folded|filter|diff> ...".to_string()
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -454,40 +421,6 @@ fn describe(ev: &Event) -> String {
     )
 }
 
-/// Strip insignificant whitespace from a JSON document so it fits on one
-/// JSONL line. String-aware: whitespace inside string literals (and
-/// escaped quotes) survives untouched.
-fn compact_json(text: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(text.len());
-    let mut in_string = false;
-    let mut escaped = false;
-    for ch in text.chars() {
-        if in_string {
-            out.push(ch);
-            if escaped {
-                escaped = false;
-            } else if ch == '\\' {
-                escaped = true;
-            } else if ch == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => {
-                in_string = true;
-                out.push(ch);
-            }
-            c if c.is_whitespace() => {}
-            c => out.push(c),
-        }
-    }
-    if in_string {
-        return Err("unterminated string in JSON document".to_string());
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,47 +475,6 @@ mod tests {
         let only = filter_lines(&text, Some("replay"), None, Some("span_end")).unwrap();
         assert_eq!(only.lines().count(), 1, "{only}");
         assert!(only.contains("\"event\":\"span_end\""));
-    }
-
-    #[test]
-    fn compact_json_preserves_strings() {
-        let compacted =
-            compact_json("{\n  \"name\": \"two  spaces\",\n  \"n\": [1, 2]\n}").unwrap();
-        assert_eq!(compacted, "{\"name\":\"two  spaces\",\"n\":[1,2]}");
-    }
-
-    /// Re-recording an identical bench dataset must not grow the history:
-    /// the (experiment, dataset) line dedups, while a changed dataset for
-    /// the same experiment still appends.
-    #[test]
-    fn bench_history_skips_exact_repeats() {
-        let dir = std::env::temp_dir();
-        let bench = dir.join(format!("obs-query-bench-{}.json", std::process::id()));
-        let history = dir.join(format!("obs-query-hist-{}.jsonl", std::process::id()));
-        std::fs::remove_file(&history).ok();
-        let args = |b: &std::path::Path| {
-            vec![
-                "bench-history".to_string(),
-                b.display().to_string(),
-                history.display().to_string(),
-            ]
-        };
-
-        std::fs::write(&bench, "{\n  \"experiment\": \"e1\",\n  \"rounds\": 7\n}").unwrap();
-        run(&args(&bench)).unwrap();
-        run(&args(&bench)).unwrap();
-        let text = std::fs::read_to_string(&history).unwrap();
-        assert_eq!(text.lines().count(), 1, "exact repeat must dedup: {text}");
-
-        // Same experiment, new dataset: appends.
-        std::fs::write(&bench, "{\"experiment\":\"e1\",\"rounds\":8}").unwrap();
-        run(&args(&bench)).unwrap();
-        let text = std::fs::read_to_string(&history).unwrap();
-        assert_eq!(text.lines().count(), 2, "{text}");
-        assert!(text.lines().all(|l| l.contains("\"experiment\":\"e1\"")));
-
-        std::fs::remove_file(&bench).ok();
-        std::fs::remove_file(&history).ok();
     }
 
     /// A missing journal path must surface as a one-line error (which

@@ -169,6 +169,13 @@ fn write_event(out: &mut String, ev: &Event) {
 /// A JSON string literal for `s` (quotes included).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    out
+}
+
+/// Append `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else (non-ASCII included) raw UTF-8.
+fn write_json_str(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -184,7 +191,6 @@ fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Validate a JSONL journal: every non-empty line must parse as a JSON
@@ -214,10 +220,11 @@ pub fn validate_jsonl(text: &str) -> Result<usize, String> {
     Ok(count)
 }
 
-/// Parsed JSON value. Fully typed so the `obs-query` reader can recover
-/// counters, histogram buckets, and span ids from an exported journal.
-/// Numbers are `f64` — exact for every integer the journal emits (all
-/// well under 2^53).
+/// A JSON value: what the `obs-query` reader parses out of an exported
+/// journal (counters, histogram buckets, span ids) and what the
+/// experiment binaries build and [`render`](JsonValue::render) to publish
+/// their datasets. Numbers are `f64` — exact for every integer either
+/// side emits (all well under 2^53). Objects keep their keys in order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -248,6 +255,103 @@ impl JsonValue {
             JsonValue::Bool(b) => Some(*b),
             _ => None,
         }
+    }
+
+    /// An object with `fields` in the given order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Compact serialization, keys in stored order. Integral numbers
+    /// below 1e15 print without a fraction (`86`, not `86.0`).
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => {
+                if n.fract() == 0.0 && n.abs() < 1e15 {
+                    let _ = write!(out, "{}", *n as i64);
+                } else {
+                    let _ = write!(out, "{n}");
+                }
+            }
+            JsonValue::String(s) => write_json_str(out, s),
+            JsonValue::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            JsonValue::Object(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json_str(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> JsonValue {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<f64> for JsonValue {
+    fn from(n: f64) -> JsonValue {
+        JsonValue::Number(n)
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(n: u64) -> JsonValue {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(n: usize) -> JsonValue {
+        JsonValue::Number(n as f64)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> JsonValue {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> JsonValue {
+        JsonValue::String(s)
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> JsonValue {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
     }
 }
 
@@ -682,6 +786,39 @@ mod tests {
             }
             other => panic!("expected array, got {other:?}"),
         }
+    }
+
+    /// `render` is the inverse of the parser: every value kind, escapes,
+    /// integral vs fractional numbers and nesting survive the round trip,
+    /// and the compact text is pinned.
+    #[test]
+    fn render_roundtrips_through_the_parser() {
+        let value = JsonValue::object([
+            ("name", "lib\u{b7}erate".into()),
+            ("rounds", 86u64.into()),
+            ("rate", 1.48.into()),
+            ("neg", (-2.5).into()),
+            ("ok", true.into()),
+            ("none", JsonValue::Null),
+            ("cells", vec!["Y", ".", "-"].into()),
+            ("esc", "a\"b\\c\nd\r\t\u{1}\u{1f}".into()),
+            (
+                "nested",
+                JsonValue::object([("deep", vec![vec![1u64, 2], vec![]].into())]),
+            ),
+            ("empty", JsonValue::object([])),
+        ]);
+        let text = value.render();
+        assert_eq!(
+            text,
+            "{\"name\":\"lib\u{b7}erate\",\"rounds\":86,\"rate\":1.48,\"neg\":-2.5,\
+             \"ok\":true,\"none\":null,\"cells\":[\"Y\",\".\",\"-\"],\
+             \"esc\":\"a\\\"b\\\\c\\nd\\r\\t\\u0001\\u001f\",\
+             \"nested\":{\"deep\":[[1,2],[]]},\"empty\":{}}"
+        );
+        assert_eq!(JsonValue::Object(parse_object_line(&text).unwrap()), value);
+        assert_eq!(JsonValue::from(86.0).render(), "86");
+        assert_eq!(JsonValue::from(0.5).render(), "0.5");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod summary;
 
 pub use hist::{Hist, HistSnapshot, Histogram};
 pub use journal::{Event, EventKind, Journal, Phase};
-pub use jsonl::{to_jsonl, validate_jsonl};
+pub use jsonl::{to_jsonl, validate_jsonl, JsonValue};
 pub use metrics::{Counter, Metrics};
 pub use reader::{parse_journal, ParsedJournal};
 pub use spantree::{build_span_forest, critical_path, folded_stacks, SpanForest, SpanNode};

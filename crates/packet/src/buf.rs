@@ -16,11 +16,6 @@
 //! journal counters by journal-holding callers) and into a process-wide
 //! census the `exp-hotpath` bench reads.
 //!
-//! For before/after measurement, [`set_eager_copy_mode`] restores the
-//! pre-overhaul behavior: every clone and slice deep-copies (and is
-//! counted), while observable semantics stay byte-identical — the bench
-//! flips it on to reproduce the old world's copy volume on today's code.
-//!
 //! The type lives here at the bottom of the stack so the tolerant parsers
 //! can hand out payload *views* of the wire buffer instead of copies (see
 //! [`WireBytes`]); `liberate_substrate::buf` re-exports everything for
@@ -28,7 +23,7 @@
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "view tracks the end of the backing buffer", so a
@@ -37,26 +32,16 @@ use std::sync::Arc;
 const TO_END: usize = usize::MAX;
 
 /// Process-wide deep-copy census (copies, bytes). Fed by every
-/// materializing operation — CoW faults, eager-mode clones/slices,
-/// payload views minted from raw slices ([`WireBytes::tail_view`]) — and
-/// read by `exp-hotpath` to report copies-per-replay. Monotonic relaxed
+/// materializing operation — CoW faults, payload views minted from raw
+/// slices ([`WireBytes::tail_view`]), sanctioned egress copies — and
+/// read by `exp-hotpath` to gate copies per replay. Monotonic relaxed
 /// counters; never consulted by simulation logic, so determinism holds.
 static COPIES: AtomicU64 = AtomicU64::new(0);
 static BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
 
-/// When set, `clone()` and `slice()` materialize fresh buffers instead
-/// of sharing — the pre-overhaul copy discipline, kept for A/B copy
-/// accounting in benches. Off in all normal operation.
-static EAGER: AtomicBool = AtomicBool::new(false);
-
 fn census(bytes: usize) {
     COPIES.fetch_add(1, Ordering::Relaxed);
     BYTES_COPIED.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-/// Enable/disable eager-copy (pre-overhaul) mode. Bench-only.
-pub fn set_eager_copy_mode(on: bool) {
-    EAGER.store(on, Ordering::Relaxed);
 }
 
 /// Snapshot of the process-wide deep-copy census: `(copies, bytes)`.
@@ -133,11 +118,6 @@ impl PacketBuf {
             Bound::Unbounded => len,
         }
         .clamp(lo, len);
-        if EAGER.load(Ordering::Relaxed) {
-            let copied = self.as_slice()[lo..hi].to_vec();
-            census(copied.len());
-            return PacketBuf::from(copied);
-        }
         PacketBuf {
             data: Arc::clone(&self.data),
             start: self.start + lo,
@@ -250,11 +230,6 @@ impl<W: WireBytes + ?Sized> WireBytes for &W {
 
 impl Clone for PacketBuf {
     fn clone(&self) -> PacketBuf {
-        if EAGER.load(Ordering::Relaxed) {
-            let copied = self.as_slice().to_vec();
-            census(copied.len());
-            return PacketBuf::from(copied);
-        }
         PacketBuf {
             data: Arc::clone(&self.data),
             start: self.start,
@@ -313,11 +288,6 @@ impl<const N: usize> From<&[u8; N]> for PacketBuf {
 
 impl From<&PacketBuf> for PacketBuf {
     fn from(v: &PacketBuf) -> PacketBuf {
-        if EAGER.load(Ordering::Relaxed) {
-            let copied = v.as_slice().to_vec();
-            census(copied.len());
-            return PacketBuf::from(copied);
-        }
         v.clone()
     }
 }

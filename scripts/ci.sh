@@ -71,6 +71,9 @@ cargo run --release -q -p liberate-bench --bin exp-testbed -- --workers 4 --trac
 cargo run --release -q -p liberate-obs --bin obs-check -- target/trace-parallel.jsonl
 
 say "exp-parallel (regenerates results/BENCH_parallel.json)"
+# Each bench binary from here on rewrites its results/BENCH_<name>.json
+# and appends the dataset to results/BENCH_history.jsonl, skipping an
+# exact repeat of a line already there.
 cargo run --release -q -p liberate-bench --bin exp-parallel >/dev/null
 
 say "exp-deploy --workers 4 --trace (deployment pool gates, regenerates results/BENCH_deploy.json)"
@@ -86,15 +89,14 @@ say "exp-matcher (matcher parity + speedup gate, regenerates results/BENCH_match
 cargo run --release -q -p liberate-bench --bin exp-matcher >/dev/null
 
 say "exp-hotpath (hot-path gates, regenerates results/BENCH_hotpath.json)"
-# Asserts internally: payload deep-copies per replay fall >= 5x with
-# shared buffers on (vs the eager-copy baseline), and steady-wave host
-# cost stays flat from 1 to 4 workers (<= 1.05x).
+# Asserts internally: zero payload deep-copies per replay (process census
+# and journal payload-copies counter), and steady-wave host cost stays
+# flat from 1 to 4 workers (<= 1.05x).
 cargo run --release -q -p liberate-bench --bin exp-hotpath >/dev/null
 
 say "exp-obs (tracing-overhead gate, regenerates results/BENCH_obs.json)"
 # Asserts internally: journal-on vs journal-off overhead under 10% host
-# wall-clock (LIBERATE_OBS_BUDGET_PCT overrides) and byte-identical
-# exports across repetitions.
+# wall-clock and byte-identical exports across repetitions.
 cargo run --release -q -p liberate-bench --bin exp-obs >/dev/null
 
 say "exp-scale --flows 20000 (reactor scale gates, regenerates results/BENCH_scale.json)"
@@ -127,14 +129,6 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
         echo "perfbench $workload: incorrect or failed operations" >&2
         exit 1
     fi
-done
-
-say "bench history (results/BENCH_history.jsonl, exact repeats dedup)"
-for bench in results/BENCH_obs.json results/BENCH_parallel.json \
-    results/BENCH_deploy.json results/BENCH_matcher.json \
-    results/BENCH_hotpath.json results/BENCH_scale.json; do
-    [ -f "$bench" ] || continue
-    ./target/release/obs-query bench-history "$bench" results/BENCH_history.jsonl
 done
 
 say "ci: all green"
