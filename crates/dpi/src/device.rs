@@ -641,21 +641,16 @@ impl DpiDevice {
         }
     }
 
-    /// Apply the classified policy to a forwarded packet. `ft` is the
-    /// caller's already-locked shard for this flow.
+    /// Apply the classified policy `c` of the packet's flow to a
+    /// forwarded packet.
     fn forward_classified(
         &mut self,
-        ft: &mut FlowTable,
+        c: &mut Classification,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
-        key: FlowKey,
     ) -> Verdict {
-        let entry = ft
-            .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-            .expect("caller checked classification exists");
-        let class = &entry.classification.as_ref().expect("caller checked").class;
-        let policy = self.config.policies.get(class).unwrap_or(&NO_POLICY);
+        let policy = self.config.policies.get(&c.class).unwrap_or(&NO_POLICY);
         let (zero_rate, delay, throttle) = (policy.zero_rate, policy.delay, policy.throttle);
         let len = wire.len();
 
@@ -686,18 +681,14 @@ impl DpiDevice {
             None => now,
         };
 
-        if let (Some((rate, burst)), Direction::ServerToClient) = (throttle, dir) {
-            let entry = ft
-                .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-                .expect("still present");
-            let c = entry.classification.as_mut().expect("still classified");
-            let shaper = c
+        let at = match (throttle, dir) {
+            (Some((rate, burst)), Direction::ServerToClient) => c
                 .shaper
-                .get_or_insert_with(|| TokenBucket::new(rate, burst));
-            let at = shaper.schedule(base, wire.len());
-            return Verdict::Forward(vec![TimedPacket { at, wire }]);
-        }
-        Verdict::Forward(vec![TimedPacket { at: base, wire }])
+                .get_or_insert_with(|| TokenBucket::new(rate, burst))
+                .schedule(base, wire.len()),
+            _ => base,
+        };
+        Verdict::Forward(TimedPacket { at, wire })
     }
 }
 
@@ -856,48 +847,32 @@ impl DpiDevice {
             }
         }
 
-        // Flow entry management.
-        let window_bytes = self.window_bytes();
-        let have_entry = ft
-            .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-            .is_some();
-        if !have_entry {
-            let is_flow_start = if is_tcp {
-                let t = pkt.tcp().expect("is_tcp");
-                t.flags.syn && !t.flags.ack
-            } else {
-                is_udp && dir == Direction::ClientToServer
-            };
-            if !is_flow_start {
-                // Mid-flow packet for an unknown (or evicted) flow: not
-                // inspected. This is what pause- and RST-based flushing
-                // exploit.
-                self.account(false, len);
-                return Verdict::pass(now, wire);
-            }
-            let entry = ft.create(key, now, window_bytes);
-            if is_tcp {
-                let t = pkt.tcp().expect("is_tcp");
+        // Flow entry management: the one lookup of this packet, which
+        // applies expiry. Every later stage works on the entry it returns
+        // (a refreshed entry cannot expire again at the same `now`).
+        let entry = match ft.lookup(key, now, &self.config.flow, self.config.resource.as_ref()) {
+            Some(entry) => entry,
+            None => {
+                let flow_start_seq = match pkt.tcp() {
+                    Some(t) => (t.flags.syn && !t.flags.ack).then(|| t.seq.wrapping_add(1)),
+                    None => (is_udp && dir == Direction::ClientToServer).then_some(0),
+                };
+                let Some(base_seq) = flow_start_seq else {
+                    // Mid-flow packet for an unknown (or evicted) flow: not
+                    // inspected. This is what pause- and RST-based flushing
+                    // exploit.
+                    self.account(false, len);
+                    return Verdict::pass(now, wire);
+                };
+                let entry = ft.create(key, now, self.window_bytes());
                 if let Some(tr) = entry.tracking.as_mut() {
-                    tr.stream.base_seq = Some(t.seq.wrapping_add(1));
+                    tr.stream.base_seq = Some(base_seq);
                 }
-            } else if let Some(tr) = entry.tracking.as_mut() {
-                tr.stream.base_seq = Some(0);
+                entry
             }
-        }
-
-        // Refresh activity.
-        {
-            let entry = ft
-                .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-                .expect("present");
-            entry.last_activity = now;
-        }
-
-        let already_classified = ft
-            .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-            .map(|e| e.classification.is_some())
-            .unwrap_or(false);
+        };
+        entry.last_activity = now;
+        let already_classified = entry.classification.is_some();
 
         // Decide whether to inspect this packet.
         let eligible = !pkt.payload.is_empty()
@@ -912,44 +887,29 @@ impl DpiDevice {
             // aliases the in-flight bytes — inspection and reassembly
             // buffering never copy them.
             let payload = wire.slice(wire.len() - pkt.payload.len()..);
-            let (matched, scanned) = {
-                let config = &self.config;
-                let entry = ft
-                    .lookup(key, now, &config.flow, config.resource.as_ref())
-                    .expect("present");
-                Self::inspect(
-                    entry,
-                    config,
-                    compiled.as_deref(),
-                    pkt,
-                    &payload,
-                    dir,
-                    server_port,
-                )
-            };
+            let (matched, scanned) = Self::inspect(
+                entry,
+                &self.config,
+                compiled.as_deref(),
+                pkt,
+                &payload,
+                dir,
+                server_port,
+            );
             if scanned > 0 {
                 if let Some(j) = &self.journal {
                     j.metrics.add(Counter::MatcherBytesScanned, scanned);
                 }
             }
             if let Some((class, rule_id)) = matched {
-                let newly = !already_classified;
-                {
-                    let entry = ft
-                        .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-                        .expect("present");
-                    if entry.classification.is_none() {
-                        entry.classification = Some(Classification {
-                            class: class.clone(),
-                            rule_id: rule_id.clone(),
-                            at: now,
-                            shaper: None,
-                            block_fired: false,
-                            result_timeout: self.config.flow.result_timeout,
-                        });
-                    }
-                }
-                if newly {
+                if !already_classified {
+                    entry.classification = Some(Classification {
+                        class: class.clone(),
+                        rule_id: rule_id.clone(),
+                        at: now,
+                        shaper: None,
+                        result_timeout: self.config.flow.result_timeout,
+                    });
                     self.journal_incr(Counter::Verdicts);
                     self.journal_record(
                         now,
@@ -965,27 +925,17 @@ impl DpiDevice {
                         rule_id,
                     });
                     self.fire_block(now, dir, pkt, key, effects, &class);
-                    if let Some(entry) =
-                        ft.lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-                    {
-                        if let Some(c) = entry.classification.as_mut() {
-                            c.block_fired = true;
-                        }
-                    }
                 }
             }
         }
 
         // Forward under whatever classification now stands.
-        let classified_now = ft
-            .lookup(key, now, &self.config.flow, self.config.resource.as_ref())
-            .map(|e| e.classification.is_some())
-            .unwrap_or(false);
-        if classified_now {
-            self.forward_classified(ft, now, dir, wire, key)
-        } else {
-            self.account(false, len);
-            Verdict::pass(now, wire)
+        match &mut entry.classification {
+            Some(c) => self.forward_classified(c, now, dir, wire),
+            None => {
+                self.account(false, len);
+                Verdict::pass(now, wire)
+            }
         }
     }
 }

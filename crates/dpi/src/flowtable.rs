@@ -2,6 +2,7 @@
 //! reassembly buffers, classification results, and their lifecycles
 //! (timeouts, RST effects, resource-pressure eviction).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -217,8 +218,6 @@ pub struct Classification {
     pub at: SimTime,
     /// Per-flow shaper when the class's policy throttles.
     pub shaper: Option<TokenBucket>,
-    /// Whether the block page / RST burst has been fired already.
-    pub block_fired: bool,
     /// Idle timeout currently in force for this result (can be shortened
     /// by a RST on the testbed device).
     pub result_timeout: Option<Duration>,
@@ -231,6 +230,46 @@ pub struct FlowEntry {
     pub last_activity: SimTime,
     pub tracking: Option<Tracking>,
     pub classification: Option<Classification>,
+}
+
+impl FlowEntry {
+    /// The idle-expiry rule, shared by lazy lookup and the batch sweep:
+    /// drop a classification idle past its result timeout, then tracking
+    /// idle past `tracking_timeout`. Returns the payload-byte total of
+    /// tracking dropped now (the flow's bytes-scanned sample) and whether
+    /// the entry is still alive, i.e. keeps either half.
+    fn expire(&mut self, now: SimTime, tracking_timeout: Option<Duration>) -> (Option<u64>, bool) {
+        let idle = now.since(self.last_activity);
+        if let Some(c) = &self.classification {
+            if c.result_timeout.is_some_and(|t| idle > t) {
+                self.classification = None;
+            }
+        }
+        let mut scanned = None;
+        if tracking_timeout.is_some_and(|t| idle > t) {
+            scanned = self
+                .tracking
+                .take()
+                .map(|tr| tr.client_payload_bytes + tr.server_payload_bytes);
+        }
+        (
+            scanned,
+            self.classification.is_some() || self.tracking.is_some(),
+        )
+    }
+}
+
+/// The tracking timeout in force at `now`: the resource model, when
+/// present, wins over the static configuration.
+fn tracking_timeout(
+    now: SimTime,
+    config: &FlowConfig,
+    load: Option<&TimeOfDayLoad>,
+) -> Option<Duration> {
+    match load {
+        Some(model) => model.eviction_threshold(now),
+        None => config.tracking_timeout,
+    }
 }
 
 /// Residual server:port blocking state (the GFC's collateral damage,
@@ -315,7 +354,8 @@ pub struct FlowTable {
 impl FlowTable {
     /// Look up a flow, applying expiry rules first. `config` supplies the
     /// static timeouts; `load` (when present) overrides the tracking
-    /// timeout with the time-of-day resource model.
+    /// timeout with the time-of-day resource model. One hash probe finds,
+    /// expires and, when it dies, removes the entry.
     pub fn lookup(
         &mut self,
         key: FlowKey,
@@ -323,39 +363,19 @@ impl FlowTable {
         config: &FlowConfig,
         load: Option<&TimeOfDayLoad>,
     ) -> Option<&mut FlowEntry> {
-        let canonical = key.canonical();
-        let remove = {
-            let entry = self.entries.get_mut(&canonical)?;
-            let idle = now.since(entry.last_activity);
-            // Result expiry: idle-based.
-            if let Some(c) = &entry.classification {
-                if let Some(t) = c.result_timeout {
-                    if idle > t {
-                        entry.classification = None;
-                    }
-                }
-            }
-            // Tracking expiry: resource model wins over static config.
-            let tracking_timeout = match load {
-                Some(model) => model.eviction_threshold(now),
-                None => config.tracking_timeout,
-            };
-            if let Some(t) = tracking_timeout {
-                if idle > t {
-                    if let Some(tr) = entry.tracking.take() {
-                        self.evicted_scanned_pending
-                            .push(tr.client_payload_bytes + tr.server_payload_bytes);
-                    }
-                }
-            }
-            entry.classification.is_none() && entry.tracking.is_none()
-        };
-        if remove {
-            self.entries.remove(&canonical);
-            self.evicted_total += 1;
+        let Entry::Occupied(mut slot) = self.entries.entry(key.canonical()) else {
             return None;
+        };
+        let (scanned, alive) = slot
+            .get_mut()
+            .expire(now, tracking_timeout(now, config, load));
+        self.evicted_scanned_pending.extend(scanned);
+        if alive {
+            return Some(slot.into_mut());
         }
-        self.entries.get_mut(&canonical)
+        slot.remove();
+        self.evicted_total += 1;
+        None
     }
 
     /// Create or replace the entry for a flow (called on SYN for TCP, on
@@ -424,48 +444,29 @@ impl FlowTable {
     /// Returns the number of entries evicted; their scanned-byte figures
     /// land in the same pending buffer lazy eviction feeds.
     ///
-    /// Sweeps in canonical-key order: `HashMap` iteration order varies run
-    /// to run, and the scanned samples flow into journal output that must
-    /// stay byte-identical for a fixed seed.
+    /// The samples enter that buffer in canonical-key order: `HashMap`
+    /// iteration order varies run to run, and they flow into journal
+    /// output that must stay byte-identical for a fixed seed. Only the
+    /// flows whose tracking died are sorted.
     pub fn sweep_expired(
         &mut self,
         now: SimTime,
         config: &FlowConfig,
         load: Option<&TimeOfDayLoad>,
     ) -> u64 {
-        let tracking_timeout = match load {
-            Some(model) => model.eviction_threshold(now),
-            None => config.tracking_timeout,
-        };
-        let mut keys: Vec<FlowKey> = self.entries.keys().copied().collect();
-        keys.sort_unstable();
-        let mut evicted = 0;
-        for key in keys {
-            let Some(entry) = self.entries.get_mut(&key) else {
-                continue;
-            };
-            let idle = now.since(entry.last_activity);
-            if let Some(c) = &entry.classification {
-                if let Some(t) = c.result_timeout {
-                    if idle > t {
-                        entry.classification = None;
-                    }
-                }
-            }
-            if let Some(t) = tracking_timeout {
-                if idle > t {
-                    if let Some(tr) = entry.tracking.take() {
-                        self.evicted_scanned_pending
-                            .push(tr.client_payload_bytes + tr.server_payload_bytes);
-                    }
-                }
-            }
-            if entry.classification.is_none() && entry.tracking.is_none() {
-                self.entries.remove(&key);
-                self.evicted_total += 1;
-                evicted += 1;
-            }
-        }
+        let tracking_timeout = tracking_timeout(now, config, load);
+        let live = self.entries.len();
+        let mut samples = Vec::new();
+        self.entries.retain(|key, entry| {
+            let (scanned, alive) = entry.expire(now, tracking_timeout);
+            samples.extend(scanned.map(|bytes| (*key, bytes)));
+            alive
+        });
+        samples.sort_unstable_by_key(|&(key, _)| key);
+        self.evicted_scanned_pending
+            .extend(samples.into_iter().map(|(_, bytes)| bytes));
+        let evicted = (live - self.entries.len()) as u64;
+        self.evicted_total += evicted;
         evicted
     }
 
@@ -685,7 +686,6 @@ mod tests {
             rule_id: "r".into(),
             at: SimTime::ZERO,
             shaper: None,
-            block_fired: false,
             result_timeout: cfg.result_timeout,
         });
         // At t=60 s everything survives.
@@ -718,7 +718,6 @@ mod tests {
             rule_id: "r".into(),
             at: SimTime::ZERO,
             shaper: None,
-            block_fired: false,
             result_timeout: cfg.result_timeout,
         });
         table.apply_rst(key(), &cfg);

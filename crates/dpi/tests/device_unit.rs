@@ -1,13 +1,15 @@
 //! Device-local tests for the DPI engine, exercising it as a bare path
 //! element (no network around it): accounting, events, validation,
-//! loose transport parsing, and resource-model eviction.
+//! loose transport parsing, resource-model eviction, and idle expiry.
 
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use liberate_dpi::device::DpiDevice;
 use liberate_dpi::profiles::{gfc_device, testbed_device, tmus_device};
 use liberate_netsim::element::{Effects, PathElement, Verdict};
+use liberate_obs::{Counter, Hist, Journal};
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
@@ -194,7 +196,7 @@ fn throttle_delays_server_direction_only() {
         data(40_000, 50_000, &[1u8; 100]),
     );
     match v {
-        Verdict::Forward(out) => assert_eq!(out[0].at, SimTime::from_secs(1)),
+        Verdict::Forward(out) => assert_eq!(out.at, SimTime::from_secs(1)),
         Verdict::Drop => panic!("forwarded"),
     }
     // Server-direction bulk data gets shaped: a large burst departs later
@@ -209,11 +211,96 @@ fn throttle_delays_server_direction_only() {
             seg.into(),
             &mut fx,
         ) {
-            last = out[0].at;
+            last = out.at;
         }
     }
     assert!(
         last > SimTime::from_secs(1) + Duration::from_secs(2),
         "1.1 MB at 1.5 Mbps must take seconds, departed {last}"
+    );
+}
+
+fn from_server(dev: &mut DpiDevice, at: SimTime, port: u16, payload: &[u8]) -> Verdict {
+    let seg = Packet::tcp(S, C, 80, port, 1, 101, payload.to_vec()).serialize();
+    let mut fx = Effects::default();
+    dev.process(at, Direction::ServerToClient, seg.into(), &mut fx)
+}
+
+fn forwarded_at(v: Verdict) -> SimTime {
+    match v {
+        Verdict::Forward(out) => out.at,
+        Verdict::Drop => panic!("forwarded"),
+    }
+}
+
+#[test]
+fn result_expired_before_tracking_is_inspected_again() {
+    let mut dev = DpiDevice::new(testbed_device());
+    let journal = Arc::new(Journal::new());
+    dev.attach_journal(&journal);
+    let req = get_request("x.cloudfront.net", "/v", "p");
+    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
+    feed(&mut dev, SimTime::from_secs(1), data(40_000, 101, &req));
+    assert_eq!(dev.events.len(), 1);
+    let scanned = journal.metrics.get(Counter::MatcherBytesScanned);
+    // The testbed shortens a matched result's timeout to 10 s on a RST;
+    // its 120 s tracking timeout is untouched.
+    let rst = Packet::tcp(C, S, 40_000, 80, 101 + req.len() as u32, 1, vec![])
+        .with_flags(TcpFlags::RST)
+        .serialize();
+    feed(&mut dev, SimTime::from_secs(2), rst);
+
+    // 20 s later the result has expired but the tracking state has not:
+    // the next payload packet is inspected (match-and-forget no longer
+    // applies) and classifies the flow afresh.
+    let again = data(40_000, 101 + req.len() as u32, &req);
+    feed(&mut dev, SimTime::from_secs(21), again);
+    assert_eq!(dev.events.len(), 2, "reclassified after the result expired");
+    assert_eq!(dev.events[1].at, SimTime::from_secs(21));
+    assert!(journal.metrics.get(Counter::MatcherBytesScanned) > scanned);
+    assert_eq!(journal.metrics.get(Counter::FlowsEvicted), 0);
+    assert_eq!(journal.metrics.hist(Hist::FlowBytesScanned).count(), 0);
+}
+
+#[test]
+fn flow_idle_past_both_timeouts_is_forwarded_uninspected() {
+    let mut config = testbed_device();
+    // A shallow bucket, so any packet still under the video policy
+    // departs visibly late.
+    config
+        .policies
+        .get_mut("video")
+        .expect("video policy")
+        .throttle = Some((8_000, 100));
+    let mut dev = DpiDevice::new(config);
+    let journal = Arc::new(Journal::new());
+    dev.attach_journal(&journal);
+    let req = get_request("x.cloudfront.net", "/v", "p");
+    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
+    feed(&mut dev, SimTime::ZERO, data(40_000, 101, &req));
+    assert_eq!(dev.events.len(), 1);
+    let at = SimTime::from_secs(1);
+    assert!(forwarded_at(from_server(&mut dev, at, 40_000, &[7u8; 1400])) > at);
+
+    // Idle 200 s, past the 120 s result and tracking timeouts: the entry
+    // expires on this packet's lookup, and a mid-flow packet cannot
+    // re-create it.
+    let at = SimTime::from_secs(201);
+    let billed = dev.billed_bytes;
+    assert_eq!(
+        forwarded_at(from_server(&mut dev, at, 40_000, &[7u8; 1400])),
+        at,
+        "unthrottled"
+    );
+    assert!(dev.billed_bytes > billed);
+    assert_eq!(dev.events.len(), 1, "not inspected");
+    assert_eq!(dev.shared_table().live_flow_count(), 0, "entry removed");
+    assert_eq!(journal.metrics.get(Counter::FlowsEvicted), 1);
+    let samples = journal.metrics.hist(Hist::FlowBytesScanned).snapshot();
+    assert_eq!(samples.count, 1);
+    assert_eq!(
+        samples.sum,
+        req.len() as u64,
+        "the request was all it scanned"
     );
 }

@@ -234,9 +234,9 @@ mod tests {
             &mut fx,
         ) {
             Verdict::Forward(out) => {
-                let p = ParsedPacket::parse(&out[0].wire).unwrap();
+                let p = ParsedPacket::parse(&out.wire).unwrap();
                 assert_eq!(p.ip.ttl, 9);
-                assert!(liberate_packet::validate::is_well_formed(&out[0].wire));
+                assert!(liberate_packet::validate::is_well_formed(&out.wire));
             }
             Verdict::Drop => panic!("should forward"),
         }
@@ -372,7 +372,7 @@ mod tests {
                 f.clone().into(),
                 &mut fx,
             ) {
-                forwarded.extend(out);
+                forwarded.push(out);
             }
         }
         assert_eq!(forwarded.len(), 1);
@@ -419,7 +419,7 @@ mod checksum_fix_tests {
             &mut fx,
         ) {
             Verdict::Forward(out) => {
-                assert!(!validate_wire(&out[0].wire).contains(&Malformation::TcpChecksumWrong));
+                assert!(!validate_wire(&out.wire).contains(&Malformation::TcpChecksumWrong));
             }
             Verdict::Drop => panic!("should forward"),
         }

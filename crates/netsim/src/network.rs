@@ -310,14 +310,12 @@ impl Network {
             );
         }
 
-        if let Verdict::Forward(packets) = verdict {
-            for TimedPacket { at: t, wire } in packets {
-                let next = match dir {
-                    Direction::ClientToServer => pos + 1,
-                    Direction::ServerToClient => pos.checked_sub(1).unwrap_or(usize::MAX),
-                };
-                self.push_event(t.max(at) + self.hop_latency, next, dir, wire);
-            }
+        if let Verdict::Forward(TimedPacket { at: t, wire }) = verdict {
+            let next = match dir {
+                Direction::ClientToServer => pos + 1,
+                Direction::ServerToClient => pos.checked_sub(1).unwrap_or(usize::MAX),
+            };
+            self.push_event(t.max(at) + self.hop_latency, next, dir, wire);
         }
     }
 

@@ -97,7 +97,7 @@ impl PathElement for LinkShaper {
             Direction::ServerToClient => &mut self.downstream,
         };
         let at = bucket.schedule(now, wire.len());
-        Verdict::Forward(vec![TimedPacket { at, wire }])
+        Verdict::Forward(TimedPacket { at, wire })
     }
 }
 
@@ -153,7 +153,7 @@ mod tests {
             &mut fx,
         );
         match v {
-            Verdict::Forward(p) => assert_eq!(p[0].at, SimTime::ZERO),
+            Verdict::Forward(p) => assert_eq!(p.at, SimTime::ZERO),
             _ => panic!(),
         }
         // Downstream still has its own burst.
@@ -164,7 +164,7 @@ mod tests {
             &mut fx,
         );
         match v {
-            Verdict::Forward(p) => assert_eq!(p[0].at, SimTime::ZERO),
+            Verdict::Forward(p) => assert_eq!(p.at, SimTime::ZERO),
             _ => panic!(),
         }
     }

@@ -63,10 +63,7 @@ proptest! {
             );
             let verdict = hop.process(SimTime::ZERO, Direction::ClientToServer, wire.clone(), &mut fx);
             match verdict {
-                Verdict::Forward(mut out) => {
-                    prop_assert_eq!(out.len(), 1);
-                    wire = out.pop().unwrap().wire;
-                }
+                Verdict::Forward(out) => wire = out.wire,
                 Verdict::Drop => prop_assert!(false, "TTL was large enough"),
             }
         }

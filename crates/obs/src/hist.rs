@@ -88,11 +88,11 @@ impl HistSnapshot {
 }
 
 /// The live histogram: a fixed table of relaxed atomic buckets plus
-/// count/sum/max. Recording is two `fetch_add`s, one `fetch_add` on the
-/// bucket, and a `fetch_max` — cheap enough for per-packet paths.
+/// sum/max; the count is the buckets' total. Recording is a `fetch_add`
+/// on the bucket, one on the sum, and a load of the max — cheap enough
+/// for per-packet paths.
 pub struct Histogram {
     buckets: [AtomicU64; NUM_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -100,7 +100,7 @@ pub struct Histogram {
 impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
-            .field("count", &self.count.load(Ordering::Relaxed))
+            .field("count", &self.count())
             .field("sum", &self.sum.load(Ordering::Relaxed))
             .field("max", &self.max.load(Ordering::Relaxed))
             .finish_non_exhaustive()
@@ -117,7 +117,6 @@ impl Histogram {
     pub fn new() -> Histogram {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -125,13 +124,16 @@ impl Histogram {
 
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // Few samples raise the maximum; a plain load spares the rest the
+        // compare-and-swap loop `fetch_max` compiles to.
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     pub fn sum(&self) -> u64 {
@@ -156,7 +158,6 @@ impl Histogram {
                 self.buckets[i].fetch_add(n, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
         self.sum.fetch_add(other.sum(), Ordering::Relaxed);
         self.max.fetch_max(other.max(), Ordering::Relaxed);
     }
@@ -170,7 +171,7 @@ impl Histogram {
             }
         }
         HistSnapshot {
-            count: self.count(),
+            count: buckets.iter().map(|&(_, n)| n).sum(),
             sum: self.sum(),
             max: self.max(),
             buckets,

@@ -62,6 +62,20 @@ pub enum Malformation {
 /// An ordered set of malformations found in one packet.
 pub type MalformationSet = BTreeSet<Malformation>;
 
+/// A set of malformations as bits: `m` is bit `m as u32`.
+type Mask = u32;
+
+// Every discriminant must name a bit of `Mask`. Discriminants are implicit,
+// so they count up from 0 in declaration order and the last variant, which
+// this assertion must keep naming, holds the largest one.
+const _: () = assert!((Malformation::UdpLengthShort as u32) < Mask::BITS);
+
+impl Malformation {
+    fn bit(self) -> Mask {
+        1 << self as u32
+    }
+}
+
 /// Run every structural check against raw wire bytes.
 ///
 /// Checks on the transport layer are skipped for *all* fragments: a
@@ -79,7 +93,8 @@ pub fn validate_wire(buf: &[u8]) -> MalformationSet {
 /// reads the payload, runs only when `TcpChecksumWrong` or
 /// `UdpChecksumWrong` is in `set`.
 pub fn has_defect_in(buf: &[u8], set: &MalformationSet) -> bool {
-    !set.is_empty() && !check(buf, |m| set.contains(&m)).is_empty()
+    let mask = set.iter().fold(0, |mask, m| mask | m.bit());
+    mask != 0 && !check(buf, |m| mask & m.bit() != 0).is_empty()
 }
 
 /// The defects of `buf` for which `wanted` holds; checks for unwanted

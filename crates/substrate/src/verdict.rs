@@ -33,11 +33,11 @@ impl TimedPacket {
 /// What a path element decided to do with a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Verdict {
-    /// Forward these packets onward in the packet's original direction.
-    /// Usually one packet at `now`; shapers delay, normalizers may emit
-    /// several (e.g. a reassembled datagram), proxies may emit re-written
-    /// segments.
-    Forward(Vec<TimedPacket>),
+    /// Forward the packet onward in its original direction, at `now` or,
+    /// when a shaper or a deprioritizing policy holds it back, later. An
+    /// element forwards at most the one packet it was given (possibly
+    /// rewritten); anything else it emits is an injection in [`Effects`].
+    Forward(TimedPacket),
     /// Silently drop.
     Drop,
 }
@@ -45,7 +45,7 @@ pub enum Verdict {
 impl Verdict {
     /// Forward a single packet immediately.
     pub fn pass(now: SimTime, wire: impl Into<PacketBuf>) -> Verdict {
-        Verdict::Forward(vec![TimedPacket::now(now, wire)])
+        Verdict::Forward(TimedPacket::now(now, wire))
     }
 }
 
@@ -96,10 +96,7 @@ mod tests {
     #[test]
     fn verdict_pass_is_single_immediate() {
         match Verdict::pass(SimTime::from_secs(3), vec![9]) {
-            Verdict::Forward(v) => {
-                assert_eq!(v.len(), 1);
-                assert_eq!(v[0].at, SimTime::from_secs(3));
-            }
+            Verdict::Forward(p) => assert_eq!(p.at, SimTime::from_secs(3)),
             Verdict::Drop => panic!("expected forward"),
         }
     }

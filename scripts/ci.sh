@@ -117,7 +117,10 @@ cargo test -q --test nft_fixtures
 
 say "perfbench smoke (learn / deploy / adapt, traced, 1 s each)"
 # Every workload must build, run its checked operations, and report
-# `"correct": true` with no failed operation on its result line.
+# `"correct": true` with no failed operation on its result line. Its
+# simulated-work counts must equal the pinned ones in
+# tests/fixtures/perfbench_counts.json (host timings and allocation
+# figures are not pinned): a performance change must not change the work.
 for workload in learn deploy adapt; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
     echo "$workload: $result"
@@ -127,6 +130,19 @@ r = json.loads(sys.stdin.read())
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
 '; then
         echo "perfbench $workload: incorrect or failed operations" >&2
+        exit 1
+    fi
+    if ! printf '%s' "$result" | python3 -c '
+import json, sys
+workload, fixture = sys.argv[1], sys.argv[2]
+got = json.loads(sys.stdin.read())["metrics"]
+want = json.load(open(fixture))[workload]
+bad = [(k, v, got.get(k, {}).get("value")) for k, v in want.items() if got.get(k, {}).get("value") != v]
+for k, v, g in bad:
+    print(f"  {k}: pinned {v}, got {g}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+' "$workload" tests/fixtures/perfbench_counts.json; then
+        echo "perfbench $workload: work counts differ from tests/fixtures/perfbench_counts.json" >&2
         exit 1
     fi
 done
