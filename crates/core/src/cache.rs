@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
-use crate::characterize::{Characterization, MatchingField, PositionProfile};
-use crate::detect::{inverted_trace, probe, Signal};
+use crate::characterize::{Blinding, Characterization, MatchingField, PositionProfile};
+use crate::detect::{inverted_trace, probe_lowered, Signal};
 use crate::replay::{ReplayOpts, Session};
 
 /// A serializable description of the signal the contributor used, so a
@@ -226,12 +226,11 @@ impl RuleCache {
         signal: &Signal,
     ) -> Option<bool> {
         let cached = self.lookup(network, app)?;
+        let blinding = Blinding::new(trace);
         for f in &cached.fields {
-            let mut blinded = trace.clone();
-            if let Some(msg) = blinded.messages.get_mut(f.message) {
-                liberate_packet::mutate::invert_range(&mut msg.payload, f.start..f.end);
-            }
-            let (_, still_classified) = probe(session, &blinded, &ReplayOpts::default(), signal);
+            let (blinded, schedule) = blinding.blinded(&[(f.message, f.start..f.end)]);
+            let (_, still_classified) =
+                probe_lowered(session, &blinded, &schedule, &ReplayOpts::default(), signal);
             if still_classified {
                 return Some(false); // this field no longer gates the rule
             }

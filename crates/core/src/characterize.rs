@@ -16,17 +16,21 @@
 //!    detect match-everything classifiers (Iran).
 
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::Rng;
 
 use liberate_obs::{Counter, Journal, Phase};
 use liberate_packet::mutate::{invert_range, merge_regions, ByteRegion};
+use liberate_substrate::buf::PacketBuf;
+use liberate_substrate::script::ResponseTable;
 use liberate_substrate::Substrate;
-use liberate_traces::recorded::{RecordedTrace, Sender, TraceMessage};
+use liberate_traces::recorded::{RecordedTrace, Sender};
 
-use crate::detect::{probe, Signal};
-use crate::replay::{ReplayOpts, Session};
+use crate::detect::{probe_lowered, Signal};
+use crate::replay::{LoweredTrace, ReplayOpts, Session};
+use crate::schedule::{Schedule, Step};
 
 /// A matching field located in the trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,24 +145,106 @@ impl Characterization {
     }
 }
 
+/// A trace lowered once for a blinding search: every probe's replay is a
+/// rewrite of this base. A probe that blinds only client bytes inverts
+/// them in copies of the base schedule and of the client stream the
+/// integrity check expects, and shares the base's response table; a
+/// probe that blinds server bytes gets a table of its own, which copies
+/// only the responses it blinds.
+pub(crate) struct Blinding<'a> {
+    trace: &'a RecordedTrace,
+    base: LoweredTrace,
+    schedule: Schedule,
+    /// Per trace message: its ordinal among its sender's messages.
+    ordinal: Vec<usize>,
+    /// Per client message: the index of its data packet in `schedule`.
+    data_steps: Vec<usize>,
+}
+
+impl<'a> Blinding<'a> {
+    pub(crate) fn new(trace: &'a RecordedTrace) -> Blinding<'a> {
+        let (mut clients, mut servers) = (0, 0);
+        let ordinal = trace
+            .messages
+            .iter()
+            .map(|m| {
+                let seen = match m.sender {
+                    Sender::Client => &mut clients,
+                    Sender::Server => &mut servers,
+                };
+                *seen += 1;
+                *seen - 1
+            })
+            .collect();
+        let schedule = Schedule::from_trace(trace);
+        Blinding {
+            trace,
+            base: LoweredTrace::new(trace),
+            data_steps: schedule.data_packet_indices(),
+            schedule,
+            ordinal,
+        }
+    }
+
+    /// The unblinded trace and its schedule.
+    pub(crate) fn base(&self) -> (&LoweredTrace, &Schedule) {
+        (&self.base, &self.schedule)
+    }
+
+    /// The replay with every `(message, byte range)` of `blind` inverted.
+    /// Messages past the end of the trace are skipped.
+    pub(crate) fn blinded(&self, blind: &[(usize, Range<usize>)]) -> (LoweredTrace, Schedule) {
+        let mut lowered = self.base.clone();
+        let mut schedule = self.schedule.clone();
+        let mut responses: Option<Vec<PacketBuf>> = None;
+        for (msg, range) in blind {
+            let Some(m) = self.trace.messages.get(*msg) else {
+                continue;
+            };
+            let i = self.ordinal[*msg];
+            match m.sender {
+                Sender::Client => {
+                    let span = lowered.client_range(i);
+                    invert_range(&mut lowered.client_stream[span], range.clone());
+                    if let Step::Packet(sp) = &mut schedule.steps[self.data_steps[i]] {
+                        invert_range(&mut sp.payload, range.clone());
+                    }
+                }
+                Sender::Server => {
+                    let responses =
+                        responses.get_or_insert_with(|| self.base.table.responses().to_vec());
+                    let mut bytes = responses[i].to_vec();
+                    invert_range(&mut bytes, range.clone());
+                    responses[i] = PacketBuf::from(bytes);
+                }
+            }
+        }
+        if let Some(responses) = responses {
+            lowered.table = Arc::new(ResponseTable::from_responses(responses));
+        }
+        (lowered, schedule)
+    }
+}
+
+/// Bytes a blinding probe inverts (the `bytes-blinded` counter).
+pub(crate) fn blinded_bytes(blind: &[(usize, Range<usize>)]) -> u64 {
+    blind.iter().map(|(_, range)| range.len() as u64).sum()
+}
+
 /// One blinding probe at an explicit round number — the closure-wave
 /// primitive of the engine's wave search. The round only feeds
 /// [`port_for_round`], so any execution order that assigns the same
 /// round numbers produces the same replays.
 pub(crate) fn probe_blinded<S: Substrate>(
     session: &mut Session<S>,
-    trace: &RecordedTrace,
+    blinding: &Blinding<'_>,
     signal: &Signal,
     opts: &CharacterizeOpts,
     blind: &[(usize, Range<usize>)],
     round: u64,
 ) -> bool {
-    let mut t = trace.clone();
-    let mut blinded_bytes = 0u64;
-    for (msg, range) in blind {
-        blinded_bytes += range.len() as u64;
-        invert_range(&mut t.messages[*msg].payload, range.clone());
-    }
+    let (trace, schedule) = blinding.blinded(blind);
+    let blinded_bytes = blinded_bytes(blind);
     if blinded_bytes > 0 {
         session
             .env
@@ -170,7 +256,7 @@ pub(crate) fn probe_blinded<S: Substrate>(
         server_port: port_for_round(opts, round),
         ..Default::default()
     };
-    let (_, classified) = probe(session, &t, &replay_opts, signal);
+    let (_, classified) = probe_lowered(session, &trace, &schedule, &replay_opts, signal);
     classified
 }
 
@@ -189,6 +275,20 @@ pub fn probe_position<S: Substrate>(
     signal: &Signal,
     opts: &CharacterizeOpts,
 ) -> (PositionProfile, u64) {
+    let schedule = Schedule::from_trace(trace);
+    probe_position_lowered(session, &LoweredTrace::new(trace), &schedule, signal, opts)
+}
+
+/// [`probe_position`] over an already lowered trace and its base
+/// schedule: each rung prepends its random packets to copies of the
+/// client side only and shares the response table.
+pub(crate) fn probe_position_lowered<S: Substrate>(
+    session: &mut Session<S>,
+    trace: &LoweredTrace,
+    schedule: &Schedule,
+    signal: &Signal,
+    opts: &CharacterizeOpts,
+) -> (PositionProfile, u64) {
     let journal = session.env.journal().clone();
     journal.span_start(session.env.clock().as_micros(), Phase::PositionProbe);
     let max = session.config.max_prepend_packets;
@@ -196,22 +296,25 @@ pub fn probe_position<S: Substrate>(
     let mut prepend_break = None;
 
     let run = |session: &mut Session<S>, k: usize, size: usize, round: u64| -> bool {
-        let mut t = trace.clone();
         let mut rng_bytes = vec![0u8; size * k];
         session.rng.fill(&mut rng_bytes[..]);
-        for j in 0..k {
-            t.messages.insert(
-                0,
-                TraceMessage::client(rng_bytes[j * size..(j + 1) * size].to_vec()),
-            );
-        }
+        // The last-drawn packet goes first, as when each packet is put
+        // at the front of the trace in draw order; same-seed replays
+        // depend on this order.
+        let prefix: Vec<&[u8]> = rng_bytes.chunks(size).rev().collect();
         let replay_opts = ReplayOpts {
             server_port: opts
                 .rotate_server_ports
                 .then_some(opts.rotate_base.wrapping_add(20_000 + round as u16)),
             ..Default::default()
         };
-        let (_, classified) = probe(session, &t, &replay_opts, signal);
+        let (_, classified) = probe_lowered(
+            session,
+            &trace.with_client_prefix(&prefix),
+            &schedule.with_data_prefix(&prefix),
+            &replay_opts,
+            signal,
+        );
         classified
     };
 
@@ -269,9 +372,80 @@ mod tests {
     use crate::sim::OsKind;
     use liberate_dpi::profiles::EnvKind;
     use liberate_traces::apps;
+    use liberate_traces::recorded::TraceProtocol;
 
     fn session(kind: EnvKind) -> Session {
         Session::new(kind, OsKind::Linux, LiberateConfig::default())
+    }
+
+    /// The blinding probe's replay as it used to be built: clone the
+    /// whole trace, server messages included, invert the ranges in the
+    /// copy, and replay it.
+    fn clone_and_replay(
+        session: &mut Session,
+        trace: &RecordedTrace,
+        blind: &[(usize, Range<usize>)],
+    ) -> crate::replay::ReplayOutcome {
+        let mut t = trace.clone();
+        for (msg, range) in blind {
+            invert_range(&mut t.messages[*msg].payload, range.clone());
+        }
+        session.replay_trace(&t, &ReplayOpts::default())
+    }
+
+    #[test]
+    fn blinded_replay_matches_clone_and_replay_oracle() {
+        let cases = [
+            (
+                apps::amazon_prime_http(20_000),
+                vec![
+                    vec![],
+                    vec![(0, 0..16)],
+                    vec![(0, 5..40), (0, 100..120)],
+                    vec![(0, 30..10_000)],
+                    vec![(1, 0..64)],
+                    vec![(0, 0..3), (1, 10..20), (2, 0..1_460), (2, 7..9)],
+                ],
+            ),
+            (
+                apps::skype_stun(4),
+                vec![vec![(0, 20..28)], vec![(2, 0..160)], vec![(3, 0..50)]],
+            ),
+        ];
+        for (trace, blinds) in &cases {
+            let blinding = Blinding::new(trace);
+            for blind in blinds {
+                let mut old = session(EnvKind::Testbed);
+                let mut new = session(EnvKind::Testbed);
+                let want = clone_and_replay(&mut old, trace, blind);
+                let (t, schedule) = blinding.blinded(blind);
+                let got = new.replay_lowered(&t, &schedule, &ReplayOpts::default());
+                assert_eq!(got, want, "{} blinding {blind:?}", trace.app);
+                let verdict = |s: &mut Session| {
+                    let key = liberate_packet::flow::FlowKey::new(
+                        want.client_addr,
+                        liberate_dpi::profiles::SERVER_ADDR,
+                        want.client_port,
+                        want.server_port,
+                        if trace.protocol == TraceProtocol::Tcp {
+                            6
+                        } else {
+                            17
+                        },
+                    );
+                    s.env.verdict_for(key)
+                };
+                assert_eq!(verdict(&mut new), verdict(&mut old));
+                let client_only = blind
+                    .iter()
+                    .all(|(m, _)| trace.messages[*m].sender == Sender::Client);
+                assert_eq!(
+                    Arc::ptr_eq(&t.table, &blinding.base().0.table),
+                    client_only,
+                    "{blind:?}"
+                );
+            }
+        }
     }
 
     #[test]

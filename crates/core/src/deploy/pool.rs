@@ -45,7 +45,7 @@ use crate::engine::{characterize_parallel, SessionPool};
 use crate::error::{LiberateError, Result};
 use crate::evasion::Technique;
 use crate::reactor::lane_addr;
-use crate::replay::{LaneAddr, ReplayOpts, ReplayOutcome, ReplaySm, Session};
+use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
 use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
 use crate::task::{FlowTask, TaskPoll};
@@ -296,7 +296,7 @@ impl<S: Substrate> DeploymentPool<S> {
         let reports: Vec<PoolFlowReport> =
             if interleavable && self.pool.sessions()[0].env.supports_lanes() {
                 let tasks: Vec<DeployFlowTask> = (0..users)
-                    .map(|user| DeployFlowTask::new(trace, &compiled, user, worker_of(user)))
+                    .map(|user| DeployFlowTask::new(&compiled, user, worker_of(user)))
                     .collect();
                 self.pool
                     .run_wave_tasks(tasks)
@@ -309,7 +309,7 @@ impl<S: Substrate> DeploymentPool<S> {
                     .collect()
             } else {
                 let exec = |session: &mut Session<S>, user: usize| {
-                    run_one_flow(session, trace, user, worker_of(user), &compiled)
+                    run_one_flow(session, user, worker_of(user), &compiled)
                 };
                 self.pool.run_wave((0..users).collect(), &exec)
             };
@@ -442,13 +442,15 @@ impl<S: Substrate> DeploymentPool<S> {
     }
 }
 
-/// One wave's evasion state lowered to ready-to-replay packet schedules.
+/// One wave's evasion state lowered to ready-to-replay packet schedules,
+/// and the wave's trace lowered once for replay.
 ///
 /// A wave of N flows deploys the *same* published technique against the
-/// *same* trace; compiling the schedule (and every fallback rung's) once
-/// per wave instead of once per flow turns schedule lowering from O(N)
-/// into O(1) and lets tasks and closures alike share the immutable
-/// result by reference — they read the same `Arc`s. `None` entries
+/// *same* trace; compiling the schedule (and every fallback rung's) and
+/// the trace's response table once per wave instead of once per flow
+/// turns lowering from O(N) into O(1) and lets tasks and closures alike
+/// share the immutable result by reference — every in-flight flow's
+/// scripted server reads the one table. `None` entries
 /// record rungs whose technique
 /// declined the trace shape (`Technique::apply` returned `None`), so
 /// flows skip them without re-attempting the lowering.
@@ -464,6 +466,8 @@ pub(crate) struct CompiledWave {
     /// The unmodified trace schedule (the empty-cell and
     /// technique-declined path).
     plain: Arc<Schedule>,
+    /// The trace every flow of the wave replays.
+    trace: LoweredTrace,
 }
 
 impl CompiledWave {
@@ -493,6 +497,7 @@ impl CompiledWave {
             main,
             ladder,
             plain,
+            trace: LoweredTrace::new(trace),
         }
     }
 }
@@ -502,7 +507,6 @@ impl CompiledWave {
 /// burns. Runs inside a `Phase::Deploy` span on the worker's journal.
 fn run_one_flow<S: Substrate>(
     session: &mut Session<S>,
-    trace: &RecordedTrace,
     user: usize,
     worker: usize,
     compiled: &CompiledWave,
@@ -510,26 +514,26 @@ fn run_one_flow<S: Substrate>(
     let journal = session.journal().clone();
     journal.span_start(session.env.clock().as_micros(), Phase::Deploy);
     journal.metrics.incr(Counter::DeployFlows);
-    let report = run_one_flow_inner(session, trace, user, worker, compiled, &journal);
+    let report = run_one_flow_inner(session, user, worker, compiled, &journal);
     journal.span_end(session.env.clock().as_micros(), Phase::Deploy);
     report
 }
 
 fn run_one_flow_inner<S: Substrate>(
     session: &mut Session<S>,
-    trace: &RecordedTrace,
     user: usize,
     worker: usize,
     compiled: &CompiledWave,
     journal: &Arc<Journal>,
 ) -> PoolFlowReport {
     let generation = compiled.generation;
+    let trace = &compiled.trace;
     let Some(evasion) = compiled.evasion.as_deref() else {
         // `run_flows` publishes before the first wave, so this only
         // happens when a caller drives flows against an empty cell: send
         // the traffic plain and report a change signal so the driver
         // learns a technique for the next wave.
-        let outcome = session.replay_schedule(trace, &compiled.plain, &ReplayOpts::default());
+        let outcome = session.replay_lowered(trace, &compiled.plain, &ReplayOpts::default());
         return PoolFlowReport {
             user,
             worker,
@@ -544,7 +548,7 @@ fn run_one_flow_inner<S: Substrate>(
 
     let judge = |session: &mut Session<S>, schedule: &Schedule| {
         let billed_before = billed_baseline(session, &evasion.signal);
-        let outcome = session.replay_schedule(trace, schedule, &ReplayOpts::default());
+        let outcome = session.replay_lowered(trace, schedule, &ReplayOpts::default());
         let classified = was_classified(session, &evasion.signal, &outcome, billed_before);
         (outcome, classified)
     };
@@ -555,7 +559,7 @@ fn run_one_flow_inner<S: Substrate>(
         // A published technique always applied once (evaluation proved
         // it); replay the trace plain if the trace shape changed under us.
         None => (
-            session.replay_schedule(trace, &compiled.plain, &ReplayOpts::default()),
+            session.replay_lowered(trace, &compiled.plain, &ReplayOpts::default()),
             true,
         ),
     };
@@ -625,13 +629,12 @@ enum DeployStage {
 /// lane. Between replays it moves straight to the next rung's schedule
 /// (the closure path has no inter-replay rest either).
 struct DeployFlowTask<'a> {
-    trace: &'a RecordedTrace,
     compiled: &'a CompiledWave,
     user: usize,
     worker: usize,
     started: bool,
     stage: DeployStage,
-    sm: Option<ReplaySm<&'a RecordedTrace, Arc<Schedule>>>,
+    sm: Option<ReplaySm<&'a LoweredTrace, Arc<Schedule>>>,
     billed_before: i64,
     /// The last judged outcome (what the final report carries).
     outcome: Option<ReplayOutcome>,
@@ -640,14 +643,8 @@ struct DeployFlowTask<'a> {
 }
 
 impl<'a> DeployFlowTask<'a> {
-    fn new(
-        trace: &'a RecordedTrace,
-        compiled: &'a CompiledWave,
-        user: usize,
-        worker: usize,
-    ) -> DeployFlowTask<'a> {
+    fn new(compiled: &'a CompiledWave, user: usize, worker: usize) -> DeployFlowTask<'a> {
         DeployFlowTask {
-            trace,
             compiled,
             user,
             worker,
@@ -672,7 +669,7 @@ impl<'a> DeployFlowTask<'a> {
             replay_no: self.replays,
         };
         self.sm = Some(ReplaySm::new(
-            self.trace,
+            &self.compiled.trace,
             schedule,
             ReplayOpts::default(),
             Some(lane),

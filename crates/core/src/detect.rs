@@ -12,7 +12,8 @@ use liberate_packet::mutate::invert_bits;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
-use crate::replay::{ReplayOpts, ReplayOutcome, Session};
+use crate::replay::{LoweredTrace, ReplayOpts, ReplayOutcome, Session};
+use crate::schedule::Schedule;
 
 /// The observable used to decide "was this replay classified?". Picked per
 /// environment, exactly as the paper's case studies do.
@@ -118,8 +119,20 @@ pub fn probe<S: Substrate>(
     opts: &ReplayOpts,
     signal: &Signal,
 ) -> (ReplayOutcome, bool) {
+    let schedule = Schedule::from_trace(trace);
+    probe_lowered(session, &LoweredTrace::new(trace), &schedule, opts, signal)
+}
+
+/// [`probe`] of a schedule against an already lowered trace.
+pub(crate) fn probe_lowered<S: Substrate>(
+    session: &mut Session<S>,
+    trace: &LoweredTrace,
+    schedule: &Schedule,
+    opts: &ReplayOpts,
+    signal: &Signal,
+) -> (ReplayOutcome, bool) {
     let billed_before = read_billed_counter(session);
-    let outcome = session.replay_trace(trace, opts);
+    let outcome = session.replay_lowered(trace, schedule, opts);
     let classified = was_classified(session, signal, &outcome, billed_before);
     let gap = session.config.round_gap;
     session.rest(gap);

@@ -49,19 +49,19 @@ use std::time::Duration;
 
 use liberate_dpi::profiles::{EnvKind, EnvironmentBlueprint};
 use liberate_obs::{Counter, Hist, Journal, Phase};
-use liberate_packet::mutate::{invert_range, merge_regions, ByteRegion};
+use liberate_packet::mutate::{merge_regions, ByteRegion};
 use liberate_substrate::time::SimTime;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
 use crate::characterize::{
-    port_for_round, probe_blinded, probe_position, Characterization, CharacterizeOpts,
-    MatchingField,
+    blinded_bytes, port_for_round, probe_blinded, probe_position_lowered, Blinding,
+    Characterization, CharacterizeOpts, MatchingField,
 };
 use crate::config::LiberateConfig;
 use crate::detect::{read_billed_counter, was_classified, Signal};
 use crate::reactor::{lane_addr, Reactor};
-use crate::replay::{LaneAddr, ReplayOpts, ReplayOutcome, ReplaySm, Session};
+use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
 use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
 use crate::task::{FlowTask, TaskPoll, Wake};
@@ -402,7 +402,7 @@ enum ProbeTaskState {
 /// judgment, rest — as a resumable machine over a private lane.
 struct ProbeTask<'a> {
     signal: &'a Signal,
-    sm: ReplaySm<RecordedTrace, Schedule>,
+    sm: ReplaySm<LoweredTrace, Schedule>,
     blinded_bytes: u64,
     state: ProbeTaskState,
     t0: SimTime,
@@ -413,24 +413,17 @@ struct ProbeTask<'a> {
 }
 
 impl<'a> ProbeTask<'a> {
-    /// Build the task for `job`, cloning and blinding the trace and
-    /// compiling its schedule up front (both are journal-silent, pure
-    /// transformations). `job_index` is the wave-global job number —
-    /// the lane's unique client address.
+    /// Build the task for `job`, blinding the trace's base replay up
+    /// front (a journal-silent, pure rewrite). `job_index` is the
+    /// wave-global job number — the lane's unique client address.
     fn new(
-        trace: &RecordedTrace,
+        blinding: &Blinding<'_>,
         job: ProbeJob,
         job_index: usize,
         signal: &'a Signal,
         opts: &CharacterizeOpts,
     ) -> ProbeTask<'a> {
-        let mut t = trace.clone();
-        let mut blinded_bytes = 0u64;
-        for (msg, range) in &job.blind {
-            blinded_bytes += range.len() as u64;
-            invert_range(&mut t.messages[*msg].payload, range.clone());
-        }
-        let schedule = Schedule::from_trace(&t);
+        let (trace, schedule) = blinding.blinded(&job.blind);
         let replay_opts = ReplayOpts {
             server_port: port_for_round(opts, job.round),
             ..Default::default()
@@ -441,8 +434,8 @@ impl<'a> ProbeTask<'a> {
         };
         ProbeTask {
             signal,
-            sm: ReplaySm::new(t, schedule, replay_opts, Some(lane)),
-            blinded_bytes,
+            sm: ReplaySm::new(trace, schedule, replay_opts, Some(lane)),
+            blinded_bytes: blinded_bytes(&job.blind),
             state: ProbeTaskState::Start,
             t0: SimTime::ZERO,
             billed_before: 0,
@@ -626,13 +619,16 @@ fn wave_search<S: Substrate>(
     signal: &Signal,
     opts: &CharacterizeOpts,
 ) -> Vec<Characterization> {
+    // Each trace is lowered once; every probe and position rung below
+    // replays a rewrite of its base.
+    let blindings: Vec<Blinding<'_>> = traces.iter().map(Blinding::new).collect();
     let exec = |session: &mut Session<S>, job: ProbeJob| -> ProbeResult {
         let bytes0 = session.bytes_sent_total;
         let recv0 = session.bytes_received_total;
         let t0 = session.env.clock();
         let classified = probe_blinded(
             session,
-            &traces[job.trace],
+            &blindings[job.trace],
             signal,
             opts,
             &job.blind,
@@ -658,7 +654,7 @@ fn wave_search<S: Substrate>(
             let tasks: Vec<ProbeTask<'_>> = jobs
                 .into_iter()
                 .enumerate()
-                .map(|(i, job)| ProbeTask::new(&traces[job.trace], job, i, signal, opts))
+                .map(|(i, job)| ProbeTask::new(&blindings[job.trace], job, i, signal, opts))
                 .collect();
             run_wave_tasks(sessions, tasks, telemetry)
                 .into_iter()
@@ -890,7 +886,8 @@ fn wave_search<S: Substrate>(
         let bytes0 = session.bytes_sent_total;
         let recv0 = session.bytes_received_total;
         let t0 = session.env.clock();
-        let (profile, rounds) = probe_position(session, &traces[t], signal, opts);
+        let (trace, schedule) = blindings[t].base();
+        let (profile, rounds) = probe_position_lowered(session, trace, schedule, signal, opts);
         (
             profile,
             rounds,

@@ -16,7 +16,7 @@ use crate::characterize::PositionProfile;
 use crate::detect::{read_billed_counter, was_classified, Signal};
 use crate::evasion::{Category, EvasionContext, Technique};
 use crate::probe::DECOY_MARKER;
-use crate::replay::{ReplayOpts, ReplayOutcome, Session};
+use crate::replay::{LoweredTrace, ReplayOpts, ReplayOutcome, Session};
 use crate::schedule::Schedule;
 
 /// Table 3's RS? verdicts.
@@ -67,17 +67,19 @@ fn replay_opts<S: Substrate>(inputs: &EvaluationInputs, session: &Session<S>) ->
     }
 }
 
-/// Replay `trace` with `technique`; judge classification.
+/// Replay the lowered trace with `technique` applied to its `base`
+/// schedule; judge classification.
 fn run_technique<S: Substrate>(
     session: &mut Session<S>,
-    trace: &RecordedTrace,
+    lowered: &LoweredTrace,
+    base: &Schedule,
     technique: &Technique,
     inputs: &EvaluationInputs,
 ) -> Option<(ReplayOutcome, bool)> {
-    let schedule = technique.apply(&Schedule::from_trace(trace), &inputs.ctx)?;
+    let schedule = technique.apply(base, &inputs.ctx)?;
     let opts = replay_opts(inputs, session);
     let billed_before = read_billed_counter(session);
-    let outcome = session.replay_schedule(trace, &schedule, &opts);
+    let outcome = session.replay_lowered(lowered, &schedule, &opts);
     let classified = was_classified(session, &inputs.signal, &outcome, billed_before);
     let gap = session.config.round_gap;
     session.rest(gap);
@@ -250,6 +252,28 @@ pub fn evaluate_technique<S: Substrate>(
     inputs: &EvaluationInputs,
     baseline_classified: bool,
 ) -> Option<TechniqueResult> {
+    let base = Schedule::from_trace(trace);
+    let lowered = LoweredTrace::new(trace);
+    evaluate_lowered(
+        session,
+        trace,
+        (&lowered, &base),
+        technique,
+        inputs,
+        baseline_classified,
+    )
+}
+
+/// [`evaluate_technique`] over `trace` already lowered, with its base
+/// schedule: every candidate replays against the same response table.
+fn evaluate_lowered<S: Substrate>(
+    session: &mut Session<S>,
+    trace: &RecordedTrace,
+    (lowered, base): (&LoweredTrace, &Schedule),
+    technique: &Technique,
+    inputs: &EvaluationInputs,
+    baseline_classified: bool,
+) -> Option<TechniqueResult> {
     use Technique::*;
     let max_split = session.config.max_split_segments;
     let candidates: Vec<Technique> = match technique {
@@ -271,7 +295,7 @@ pub fn evaluate_technique<S: Substrate>(
     let mut rounds = 0u64;
     let mut last: Option<(Technique, ReplayOutcome, bool, Reach)> = None;
     for cand in candidates {
-        let (outcome, classified) = run_technique(session, trace, &cand, inputs)?;
+        let (outcome, classified) = run_technique(session, lowered, base, &cand, inputs)?;
         let reach = judge_reach(session, &cand, trace, &inputs.ctx);
         rounds += 1;
         // Evasion means the classifier lost *and* the content still got
@@ -356,8 +380,12 @@ fn find_working_technique_inner<S: Substrate>(
     inputs: &EvaluationInputs,
 ) -> Option<(TechniqueResult, u64)> {
     let mut tries = 0u64;
+    let base = Schedule::from_trace(trace);
+    let lowered = LoweredTrace::new(trace);
     for technique in plan(position, trace.protocol) {
-        let Some(result) = evaluate_technique(session, trace, &technique, inputs, true) else {
+        let Some(result) =
+            evaluate_lowered(session, trace, (&lowered, &base), &technique, inputs, true)
+        else {
             continue;
         };
         tries += result.rounds;

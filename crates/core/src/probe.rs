@@ -8,7 +8,7 @@ use liberate_traces::recorded::RecordedTrace;
 
 use crate::detect::{read_billed_counter, was_classified, Signal};
 use crate::evasion::{EvasionContext, Technique};
-use crate::replay::{ReplayOpts, Session};
+use crate::replay::{LoweredTrace, ReplayOpts, Session};
 use crate::schedule::Schedule;
 
 /// Marker embedded in decoy payloads so captures can recognize them.
@@ -56,11 +56,13 @@ pub fn locate_middlebox_rotating<S: Substrate>(
     rotate_base: Option<u16>,
 ) -> Localization {
     let mut rounds = 0;
+    // The sweep replays one carrier: lower it (and its base schedule) once.
+    let lowered = LoweredTrace::new(carrier);
+    let base = Schedule::from_trace(carrier);
     for ttl in 1..=session.config.max_probe_ttl {
         rounds += 1;
         let ctx = EvasionContext::blind(matching_payload.to_vec(), ttl);
-        let Some(schedule) = Technique::InertLowTtl.apply(&Schedule::from_trace(carrier), &ctx)
-        else {
+        let Some(schedule) = Technique::InertLowTtl.apply(&base, &ctx) else {
             // A carrier with no data packets can't probe at any TTL.
             break;
         };
@@ -69,7 +71,7 @@ pub fn locate_middlebox_rotating<S: Substrate>(
             server_port: rotate_base.map(|b| b.wrapping_add(ttl as u16)),
             ..Default::default()
         };
-        let outcome = session.replay_schedule(carrier, &schedule, &opts);
+        let outcome = session.replay_lowered(&lowered, &schedule, &opts);
         let classified = was_classified(session, signal, &outcome, billed_before);
         let gap = session.config.round_gap;
         session.rest(gap);

@@ -14,6 +14,7 @@
 
 use std::borrow::Borrow;
 use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -28,7 +29,7 @@ use liberate_packet::tcp::TcpFlags;
 use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::TapPoint;
 use liberate_substrate::icmp::{parse_icmp_error, IcmpError};
-use liberate_substrate::script::{ServerObs, ServerScript};
+use liberate_substrate::script::{ResponseTable, ServerObs, ServerScript};
 use liberate_substrate::stats::ThroughputMeter;
 use liberate_substrate::time::SimTime;
 use liberate_substrate::Substrate;
@@ -46,34 +47,110 @@ use crate::task::{TaskPoll, Wake};
 /// mirror this when they build their per-flow capture buffers.
 pub(crate) const SESSION_TAPS: &[TapPoint] = &[TapPoint::ServerIngress];
 
-/// Build the scripted replay server for a (possibly transformed) trace:
-/// `(cumulative client bytes required, response payload)` for TCP and
-/// `(client datagram count required, response payload)` for UDP, plus the
-/// stream prefix to discard (server-side support for the dummy-prefix
-/// technique). Each server payload is copied once, into a buffer both
-/// scripts share.
+/// Build the scripted replay server for `trace`: its server responses
+/// lowered into a fresh [`ResponseTable`], each released once the client
+/// bytes (TCP) or datagrams (UDP) before it in the trace have arrived,
+/// plus the stream prefix to discard (server-side support for the
+/// dummy-prefix technique). Replays inside lib·erate's phases do not call
+/// this per replay: each phase call lowers its trace once and every replay
+/// it runs installs a script sharing that table.
 pub fn server_script(trace: &RecordedTrace, skip_prefix: u64) -> ServerScript {
-    let mut tcp_script = Vec::new();
-    let mut udp_script = Vec::new();
-    let mut client_bytes = 0u64;
-    let mut client_dgrams = 0usize;
-    for msg in &trace.messages {
-        match msg.sender {
-            Sender::Client => {
-                client_bytes += msg.payload.len() as u64;
-                client_dgrams += 1;
-            }
-            Sender::Server => {
-                let payload = PacketBuf::from(&msg.payload);
-                tcp_script.push((client_bytes, payload.clone()));
-                udp_script.push((client_dgrams, payload));
+    LoweredTrace::new(trace).script(skip_prefix)
+}
+
+/// A trace lowered for replay. The server half is a [`ResponseTable`]
+/// shared through an `Arc` by every replay of one phase call; the client
+/// half — the stream the server application must receive and what
+/// releases each response — is small and owned, so a probe that rewrites
+/// client bytes copies only those.
+#[derive(Debug, Clone)]
+pub(crate) struct LoweredTrace {
+    pub server_port: u16,
+    pub protocol: TraceProtocol,
+    /// The server's responses, in order.
+    pub table: Arc<ResponseTable>,
+    /// The client stream the server application must receive (the
+    /// integrity check's expectation).
+    pub client_stream: Vec<u8>,
+    /// End of each client message within `client_stream`.
+    pub client_ends: Vec<usize>,
+    /// Per server response: the client bytes and client messages sent
+    /// before it in the trace.
+    pub releases: Vec<(u64, usize)>,
+}
+
+impl LoweredTrace {
+    /// Lower `trace`, copying its server payloads into a new table.
+    pub fn new(trace: &RecordedTrace) -> LoweredTrace {
+        let server = trace.messages.iter().filter(|m| m.sender == Sender::Server);
+        let table = ResponseTable::lower(server.map(|m| m.payload.as_slice()));
+        let mut client_stream = Vec::with_capacity(trace.client_bytes());
+        let mut client_ends = Vec::new();
+        let mut releases = Vec::with_capacity(table.responses().len());
+        for msg in &trace.messages {
+            match msg.sender {
+                Sender::Client => {
+                    client_stream.extend_from_slice(&msg.payload);
+                    client_ends.push(client_stream.len());
+                }
+                Sender::Server => releases.push((client_stream.len() as u64, client_ends.len())),
             }
         }
+        LoweredTrace {
+            server_port: trace.server_port,
+            protocol: trace.protocol,
+            table: Arc::new(table),
+            client_stream,
+            client_ends,
+            releases,
+        }
     }
-    ServerScript {
-        tcp_script,
-        udp_script,
-        skip_prefix,
+
+    /// The scripted server for one replay: a refcount bump on the table
+    /// plus this replay's releases.
+    pub fn script(&self, skip_prefix: u64) -> ServerScript {
+        ServerScript {
+            table: Arc::clone(&self.table),
+            releases: self.releases.clone(),
+            skip_prefix,
+        }
+    }
+
+    /// Where client message `i` sits in the client stream.
+    pub fn client_range(&self, i: usize) -> Range<usize> {
+        let start = if i == 0 { 0 } else { self.client_ends[i - 1] };
+        start..self.client_ends[i]
+    }
+
+    /// The client messages, in order.
+    fn client_messages(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.client_ends.len()).map(|i| &self.client_stream[self.client_range(i)])
+    }
+
+    /// This trace with `prefix` sent first as extra client messages,
+    /// sharing the table: every response's release moves past them.
+    pub fn with_client_prefix(&self, prefix: &[&[u8]]) -> LoweredTrace {
+        let shift: usize = prefix.iter().map(|p| p.len()).sum();
+        let mut client_stream = Vec::with_capacity(shift + self.client_stream.len());
+        let mut client_ends = Vec::with_capacity(prefix.len() + self.client_ends.len());
+        for p in prefix {
+            client_stream.extend_from_slice(p);
+            client_ends.push(client_stream.len());
+        }
+        client_stream.extend_from_slice(&self.client_stream);
+        client_ends.extend(self.client_ends.iter().map(|end| end + shift));
+        let releases = self
+            .releases
+            .iter()
+            .map(|&(bytes, msgs)| (bytes + shift as u64, msgs + prefix.len()))
+            .collect();
+        LoweredTrace {
+            table: Arc::clone(&self.table),
+            client_stream,
+            client_ends,
+            releases,
+            ..*self
+        }
     }
 }
 
@@ -89,7 +166,7 @@ pub struct ReplayOpts {
 }
 
 /// Everything observed during one replay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Source address the client side used. [`CLIENT_ADDR`] for ordinary
     /// sessions; reactor lanes assign each in-flight flow its own.
@@ -301,13 +378,25 @@ impl<S: Substrate> Session<S> {
         self.env.advance(d);
     }
 
-    /// Replay an explicit schedule derived from `trace`. A thin inline
-    /// driver over [`ReplaySm`]: constructs the state machine and polls
-    /// it to completion, performing `Timer` advances itself — the exact
-    /// loop the reactor runs, minus the lane swaps.
+    /// Replay an explicit schedule derived from `trace`, lowering the
+    /// trace for this one replay.
     pub fn replay_schedule(
         &mut self,
         trace: &RecordedTrace,
+        schedule: &Schedule,
+        opts: &ReplayOpts,
+    ) -> ReplayOutcome {
+        self.replay_lowered(&LoweredTrace::new(trace), schedule, opts)
+    }
+
+    /// Replay `schedule` against an already lowered trace — how phases
+    /// run many replays of one trace without re-lowering it. A thin
+    /// inline driver over [`ReplaySm`]: constructs the state machine and
+    /// polls it to completion, performing `Timer` advances itself — the
+    /// exact loop the reactor runs, minus the lane swaps.
+    pub(crate) fn replay_lowered(
+        &mut self,
+        trace: &LoweredTrace,
         schedule: &Schedule,
         opts: &ReplayOpts,
     ) -> ReplayOutcome {
@@ -348,8 +437,9 @@ enum SmState {
 /// One replay as a resumable state machine — the poll-style core of both
 /// the sequential [`Session::replay_schedule`] driver and the reactor's
 /// interleaved flow tasks. Generic over trace/schedule ownership so the
-/// sequential path borrows (`&RecordedTrace`) while reactor tasks share
-/// wave-compiled schedules (`Arc<Schedule>`) without cloning.
+/// sequential path borrows (`&LoweredTrace`) while reactor tasks own
+/// their probe's rewrite or share wave-compiled schedules
+/// (`Arc<Schedule>`) without cloning.
 ///
 /// Invariant: every yield happens with the substrate quiesced — event
 /// heap drained (`run_until_idle`) and client inbox emptied into the
@@ -380,7 +470,7 @@ pub(crate) struct ReplaySm<Tr, Sc> {
 
 impl<Tr, Sc> ReplaySm<Tr, Sc>
 where
-    Tr: Borrow<RecordedTrace>,
+    Tr: Borrow<LoweredTrace>,
     Sc: Borrow<Schedule>,
 {
     /// A machine ready for its first poll. `lane` is `None` for ordinary
@@ -462,11 +552,11 @@ where
 
         // Install the scripted server for this (possibly transformed)
         // trace — keyed by client address in lane mode, so concurrent
-        // flows each talk to their own script.
-        let script = server_script(
-            self.trace.borrow(),
-            self.schedule.borrow().server_skip_prefix,
-        );
+        // flows each talk to their own script over the shared table.
+        let script = self
+            .trace
+            .borrow()
+            .script(self.schedule.borrow().server_skip_prefix);
         self.obs = Some(match self.lane {
             Some(l) => session.env.install_server_script_for(l.client_addr, script),
             None => session.env.install_server_script(script),
@@ -602,30 +692,25 @@ where
             icmp,
             first_payload_at,
             response_matches,
-        } = observe_inbox(&self.inbox_log, client_port, protocol, trace);
+        } = observe_inbox(&self.inbox_log, client_port, protocol, &trace.table);
 
-        let expected_server_bytes: u64 = trace
-            .server_messages()
-            .map(|m| m.payload.len() as u64)
-            .sum();
+        let expected_server_bytes = trace.table.bytes();
 
         // Server-side integrity: the delivered stream must match the
         // trace's client stream (after prefix skipping).
-        let expected_client = trace.client_stream();
+        let expected_client = trace.client_stream.as_slice();
         let integrity_ok = {
             // lint: allow(no-panic) contract: obs installed in the Init poll
             let obs = self.obs.as_ref().expect("script installed at init").lock();
             match protocol {
                 TraceProtocol::Tcp => {
-                    let got = &obs.received_stream;
-                    expected_client.starts_with(got.as_slice())
-                        || got.as_slice().starts_with(&expected_client)
+                    let got = obs.received_stream.as_slice();
+                    expected_client.starts_with(got) || got.starts_with(expected_client)
                 }
-                TraceProtocol::Udp => obs.datagrams.iter().all(|d| {
-                    trace
-                        .client_messages()
-                        .any(|m| m.payload == *d || m.payload.starts_with(d))
-                }),
+                TraceProtocol::Udp => obs
+                    .datagrams
+                    .iter()
+                    .all(|d| trace.client_messages().any(|m| m.starts_with(d))),
             }
         };
 
@@ -714,10 +799,13 @@ fn observe_inbox(
     inbox: &[(SimTime, PacketBuf)],
     client_port: u16,
     protocol: TraceProtocol,
-    trace: &RecordedTrace,
+    expected: &ResponseTable,
 ) -> InboxObservation {
-    let mut obs = InboxObservation::default();
-    let mut received: Vec<&[u8]> = Vec::new();
+    let mut obs = InboxObservation {
+        meter: ThroughputMeter::with_capacity(inbox.len()),
+        ..InboxObservation::default()
+    };
+    let mut received: Vec<&[u8]> = Vec::with_capacity(inbox.len());
     for (at, wire) in inbox {
         if let Some(e) = parse_icmp_error(wire) {
             obs.icmp.push(e);
@@ -752,7 +840,7 @@ fn observe_inbox(
     }
     // Content-modification check: the bytes the client received must be
     // a prefix of the trace's server stream.
-    let expected = trace.server_messages().map(|m| m.payload.as_slice());
+    let expected = expected.responses().iter().map(|r| r.as_slice());
     obs.response_matches = response_matches(received, expected);
     obs
 }
@@ -1057,7 +1145,8 @@ mod tests {
             SimTime::ZERO,
             to_client(1, b"unexpected", TcpFlags::PSH_ACK),
         )];
-        assert!(observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &trace).response_matches);
+        let table = LoweredTrace::new(&trace).table;
+        assert!(observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &table).response_matches);
     }
 
     fn to_client(seq: u32, payload: &[u8], flags: TcpFlags) -> PacketBuf {
@@ -1087,7 +1176,8 @@ mod tests {
         .into_iter()
         .map(|w| (SimTime::ZERO, w))
         .collect();
-        let seen = observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &trace);
+        let table = LoweredTrace::new(&trace).table;
+        let seen = observe_inbox(&inbox, 40_000, TraceProtocol::Tcp, &table);
         assert!(seen.response_matches);
         assert!(seen.block_page);
         assert_eq!(seen.rsts, 1);
@@ -1095,7 +1185,29 @@ mod tests {
         // The same bytes with one flipped do not match.
         let mut tampered = inbox;
         tampered[3].1 = to_client(1461, &stream(1461, 1540), TcpFlags::PSH_ACK);
-        assert!(!observe_inbox(&tampered, 40_000, TraceProtocol::Tcp, &trace).response_matches);
+        assert!(!observe_inbox(&tampered, 40_000, TraceProtocol::Tcp, &table).response_matches);
+    }
+
+    #[test]
+    fn client_prefix_equals_lowering_the_prepended_trace() {
+        let trace = apps::skype_stun(4);
+        let base = LoweredTrace::new(&trace);
+        let prefix: [&[u8]; 2] = [b"abc", b"de"];
+        let mut prepended = trace.clone();
+        for piece in prefix.iter().rev() {
+            prepended.messages.insert(0, TraceMessage::client(*piece));
+        }
+        let want = LoweredTrace::new(&prepended);
+        let got = base.with_client_prefix(&prefix);
+        assert!(Arc::ptr_eq(&got.table, &base.table), "the table is shared");
+        assert_eq!(*got.table, *want.table);
+        assert_eq!(got.client_stream, want.client_stream);
+        assert_eq!(got.client_ends, want.client_ends);
+        assert_eq!(got.releases, want.releases);
+        assert_eq!(
+            got.script(3).releases,
+            server_script(&prepended, 3).releases
+        );
     }
 
     #[test]

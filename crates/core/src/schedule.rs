@@ -225,6 +225,31 @@ impl Schedule {
         }
     }
 
+    /// This schedule with `prefix` sent first, one data packet per
+    /// piece, and every later packet's offset moved past it — the
+    /// schedule [`Schedule::from_trace`] builds for the trace with
+    /// `prefix` prepended as client messages.
+    pub fn with_data_prefix(&self, prefix: &[&[u8]]) -> Schedule {
+        let mut steps = Vec::with_capacity(prefix.len() + self.steps.len());
+        let mut offset = 0u64;
+        for piece in prefix {
+            steps.push(Step::Packet(ScheduledPacket::data(offset, piece.to_vec())));
+            offset += piece.len() as u64;
+        }
+        steps.extend(self.steps.iter().map(|step| match step {
+            Step::Packet(sp) => Step::Packet(ScheduledPacket {
+                offset: sp.offset + offset,
+                ..sp.clone()
+            }),
+            other => other.clone(),
+        }));
+        Schedule {
+            steps,
+            protocol: self.protocol,
+            server_skip_prefix: self.server_skip_prefix,
+        }
+    }
+
     /// Indices (into `steps`) of data packets, in order.
     pub fn data_packet_indices(&self) -> Vec<usize> {
         self.steps
@@ -374,6 +399,21 @@ mod tests {
         let wire = pkt.serialize();
         let parsed = liberate_packet::packet::ParsedPacket::parse(&wire).unwrap();
         assert_eq!(parsed.udp().unwrap().length, 12);
+    }
+
+    #[test]
+    fn data_prefix_equals_prepended_trace() {
+        let mut t = trace();
+        t.messages[0].gap_micros = 5_000;
+        let prefix: [&[u8]; 2] = [b"xyz", b"w"];
+        let mut prepended = t.clone();
+        for piece in prefix.iter().rev() {
+            prepended.messages.insert(0, TraceMessage::client(*piece));
+        }
+        assert_eq!(
+            Schedule::from_trace(&t).with_data_prefix(&prefix),
+            Schedule::from_trace(&prepended)
+        );
     }
 
     #[test]

@@ -69,6 +69,9 @@ pub struct Network {
     /// Propagation latency added per element traversal.
     pub hop_latency: Duration,
     client_inbox: Vec<(SimTime, PacketBuf)>,
+    /// The server's outbox, moved out for delivery; kept between
+    /// deliveries so its buffer is reused.
+    server_out: Vec<Vec<u8>>,
     pub capture: Capture,
     /// Shared observability journal; every simulator step and injected
     /// packet is counted here (timestamps are SimTime micros, never the
@@ -94,6 +97,7 @@ impl Network {
             client_addr,
             hop_latency: Duration::from_millis(1),
             client_inbox: Vec::new(),
+            server_out: Vec::new(),
             capture: Capture::default(),
             journal: Arc::new(Journal::new()),
             last_step_us: 0,
@@ -322,12 +326,15 @@ impl Network {
     fn deliver_to_server(&mut self, at: SimTime, wire: PacketBuf) {
         self.capture.record(at, TapPoint::ServerIngress, &wire);
         self.server.receive(at, &wire);
-        for out in self.server.take_outbox() {
+        let mut outbox = std::mem::take(&mut self.server_out);
+        self.server.take_outbox(&mut outbox);
+        for out in outbox.drain(..) {
             let out = PacketBuf::from(out);
             self.capture.record(at, TapPoint::ServerEgress, &out);
             let entry = self.elements.len().checked_sub(1).unwrap_or(usize::MAX);
             self.push_event(at + self.hop_latency, entry, Direction::ServerToClient, out);
         }
+        self.server_out = outbox;
     }
 }
 

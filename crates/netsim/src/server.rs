@@ -172,9 +172,12 @@ impl ServerHost {
         self.conns.get(flow).map(|c| c.delivered).unwrap_or(0)
     }
 
-    /// Drain packets queued for transmission toward the client.
-    pub fn take_outbox(&mut self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.outbox)
+    /// Move the packets queued for transmission toward the client onto
+    /// the end of `into`. The outbox keeps its buffer for the next
+    /// packets, and a caller that drains `into` can hand it back every
+    /// time, so steady-state delivery allocates no queue.
+    pub fn take_outbox(&mut self, into: &mut Vec<Vec<u8>>) {
+        into.append(&mut self.outbox);
     }
 
     /// Drop all connection state for flows originating at `client`.
@@ -467,6 +470,12 @@ mod tests {
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 
+    fn take(h: &mut ServerHost) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        h.take_outbox(&mut out);
+        out
+    }
+
     fn host() -> ServerHost {
         ServerHost::new(SERVER, OsProfile::linux(), Box::<EchoApp>::default())
     }
@@ -483,7 +492,7 @@ mod tests {
 
     fn handshake(h: &mut ServerHost) -> (u32, u32) {
         h.receive(SimTime::ZERO, &syn(999));
-        let out = h.take_outbox();
+        let out = take(h);
         assert_eq!(out.len(), 1);
         let sa = ParsedPacket::parse(&out[0]).unwrap();
         let t = sa.tcp().unwrap();
@@ -497,7 +506,7 @@ mod tests {
         let mut h = host();
         let (cseq, _sseq) = handshake(&mut h);
         h.receive(SimTime::ZERO, &data(cseq, 1, b"hello"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 1);
         let resp = ParsedPacket::parse(&out[0]).unwrap();
         assert_eq!(resp.payload, b"hello");
@@ -510,14 +519,14 @@ mod tests {
         let (cseq, _) = handshake(&mut h);
         // Send "world" (seq+5) before "hello" (seq).
         h.receive(SimTime::ZERO, &data(cseq + 5, 1, b"world"));
-        let dup_ack = h.take_outbox();
+        let dup_ack = take(&mut h);
         assert_eq!(dup_ack.len(), 1);
         let p = ParsedPacket::parse(&dup_ack[0]).unwrap();
         assert!(p.payload.is_empty());
         assert_eq!(p.tcp().unwrap().ack, cseq); // still waiting
 
         h.receive(SimTime::ZERO, &data(cseq, 1, b"hello"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         let resp = ParsedPacket::parse(&out[0]).unwrap();
         assert_eq!(resp.payload, b"helloworld");
     }
@@ -531,13 +540,13 @@ mod tests {
             SimTime::ZERO,
             &data(cseq.wrapping_add(1_000_000), 1, b"EVIL"),
         );
-        let out = h.take_outbox();
+        let out = take(&mut h);
         // Re-ACK only; nothing delivered.
         assert_eq!(out.len(), 1);
         assert!(ParsedPacket::parse(&out[0]).unwrap().payload.is_empty());
         // Real data still flows at the expected sequence number.
         h.receive(SimTime::ZERO, &data(cseq, 1, b"real"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"real");
     }
 
@@ -546,10 +555,10 @@ mod tests {
         let mut h = host();
         let (cseq, _) = handshake(&mut h);
         h.receive(SimTime::ZERO, &data(cseq, 1, b"abcd"));
-        h.take_outbox();
+        take(&mut h);
         // Retransmit "abcd" plus new "ef": only "ef" is new.
         h.receive(SimTime::ZERO, &data(cseq, 1, b"abcdef"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"ef");
     }
 
@@ -572,7 +581,7 @@ mod tests {
             .with_flags(TcpFlags::FIN_ACK)
             .serialize();
         h.receive(SimTime::ZERO, &fin);
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 1);
         let p = ParsedPacket::parse(&out[0]).unwrap();
         assert!(p.tcp().unwrap().flags.fin);
@@ -586,11 +595,11 @@ mod tests {
         let mut evil = Packet::tcp(CLIENT, SERVER, 40000, 80, cseq, 1, &b"EVIL"[..]);
         evil.tcp_mut().checksum = liberate_packet::checksum::ChecksumSpec::Fixed(7);
         h.receive(SimTime::ZERO, &evil.serialize());
-        assert!(h.take_outbox().is_empty());
+        assert!(take(&mut h).is_empty());
         assert_eq!(h.os_dropped, 1);
         // The stream is uncorrupted.
         h.receive(SimTime::ZERO, &data(cseq, 1, b"ok"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"ok");
     }
 
@@ -598,11 +607,11 @@ mod tests {
     fn windows_rsts_on_xmas_flags() {
         let mut h = ServerHost::new(SERVER, OsProfile::windows(), Box::<EchoApp>::default());
         h.receive(SimTime::ZERO, &syn(0));
-        h.take_outbox();
+        take(&mut h);
         let mut p = Packet::tcp(CLIENT, SERVER, 40000, 80, 1, 1, &b"X"[..]);
         p.tcp_mut().flags = TcpFlags::XMAS;
         h.receive(SimTime::ZERO, &p.serialize());
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 1);
         assert!(
             ParsedPacket::parse(&out[0])
@@ -624,7 +633,7 @@ mod tests {
         for f in &frags {
             h.receive(SimTime::ZERO, f);
         }
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 1);
         assert_eq!(
             ParsedPacket::parse(&out[0]).unwrap().payload,
@@ -636,7 +645,7 @@ mod tests {
     fn data_to_unknown_connection_gets_rst() {
         let mut h = host();
         h.receive(SimTime::ZERO, &data(5, 1, b"orphan"));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert!(
             ParsedPacket::parse(&out[0])
                 .unwrap()
@@ -652,7 +661,7 @@ mod tests {
         let mut h = host();
         let dgram = Packet::udp(CLIENT, SERVER, 5000, 53, &b"ping"[..]).serialize();
         h.receive(SimTime::ZERO, &dgram);
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 1);
         assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"ping");
     }
@@ -663,7 +672,7 @@ mod tests {
         let mut p = Packet::udp(CLIENT, SERVER, 5000, 53, &b"secret-data"[..]);
         p.udp_mut().length = Some(8 + 6);
         h.receive(SimTime::ZERO, &p.serialize());
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"secret");
     }
 
@@ -673,7 +682,7 @@ mod tests {
         let (cseq, _) = handshake(&mut h);
         // Echo app: send 4000 bytes, receive 3 segments.
         h.receive(SimTime::ZERO, &data(cseq, 1, &vec![b'q'; 4000]));
-        let out = h.take_outbox();
+        let out = take(&mut h);
         assert_eq!(out.len(), 3);
         let total: usize = out
             .iter()
@@ -722,7 +731,7 @@ mod tests {
         for (round, request) in [&b"first"[..], b"second"].into_iter().enumerate() {
             let cseq = cseq.wrapping_add(5 * round as u32);
             h.receive(SimTime::ZERO, &data(cseq, sseq, request));
-            let out = h.take_outbox();
+            let out = take(&mut h);
             // The old path: join the messages, chunk at MSS, one packet
             // per chunk.
             let stream: Vec<u8> = (sizes.iter().enumerate())

@@ -34,18 +34,55 @@ impl ChecksumSpec {
 
 /// One's-complement sum over `data`, folding carries, without the final
 /// complement. Useful for composing sums over several byte ranges.
-pub fn ones_complement_sum(data: &[u8], mut acc: u32) -> u32 {
-    let mut chunks = data.chunks_exact(2);
-    for chunk in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+///
+/// The one's-complement sum is byte-order independent (RFC 1071 §2(B)):
+/// summing native-endian words and swapping the folded result once gives
+/// the same value as summing big-endian words. So the bulk of `data` is
+/// read as native-endian `u32` words into a `u64` accumulator, a loop
+/// the compiler vectorizes, and blocks are folded often enough that no
+/// input length can overflow it.
+pub fn ones_complement_sum(data: &[u8], acc: u32) -> u32 {
+    /// Bytes per block: a block sums at most 2^16 words of 32 bits, so
+    /// its `u64` sum cannot overflow.
+    const BLOCK: usize = 4 << 16;
+    let mut native = 0u64;
+    for block in data.chunks(BLOCK) {
+        native = fold_add(native, native_sum(block));
     }
-    if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
+    let be = u16::from_be(fold16(native));
+    u32::from(fold16(u64::from(acc) + u64::from(be)))
+}
+
+/// Sum of `data` read as native-endian words: whole `u32` words, then a
+/// trailing 16-bit word and a zero-padded odd byte.
+fn native_sum(data: &[u8]) -> u64 {
+    let words = data.chunks_exact(4);
+    let mut pairs = words.remainder().chunks_exact(2);
+    let mut sum: u64 = words
+        .map(|w| u64::from(u32::from_ne_bytes([w[0], w[1], w[2], w[3]])))
+        .sum();
+    for pair in &mut pairs {
+        sum += u64::from(u16::from_ne_bytes([pair[0], pair[1]]));
     }
-    while acc > 0xffff {
-        acc = (acc & 0xffff) + (acc >> 16);
+    if let [last] = pairs.remainder() {
+        sum += u64::from(u16::from_ne_bytes([*last, 0]));
     }
-    acc
+    sum
+}
+
+/// One's-complement (end-around carry) addition of two `u64` sums.
+fn fold_add(a: u64, b: u64) -> u64 {
+    let (sum, carry) = a.overflowing_add(b);
+    sum + u64::from(carry)
+}
+
+/// Fold a one's-complement sum to 16 bits. Zero stays zero; any other
+/// sum lands in `1..=0xffff`.
+fn fold16(mut sum: u64) -> u16 {
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    sum as u16
 }
 
 /// Standard Internet checksum of a byte slice.
@@ -93,6 +130,85 @@ pub fn verify_pseudo_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scalar sum this module used before the word-width one: big-endian
+    /// 16-bit words, two bytes at a time. Its accumulator is widened to
+    /// `u64`, so it is a correct oracle for inputs of any test size.
+    fn scalar_sum(data: &[u8], acc: u32) -> u32 {
+        let mut acc = u64::from(acc);
+        let mut chunks = data.chunks_exact(2);
+        for chunk in &mut chunks {
+            acc += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        }
+        if let [last] = chunks.remainder() {
+            acc += u64::from(u16::from_be_bytes([*last, 0]));
+        }
+        while acc > 0xffff {
+            acc = (acc & 0xffff) + (acc >> 16);
+        }
+        acc as u32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_sum_matches_scalar_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..1_600),
+            acc in any::<u32>(),
+        ) {
+            prop_assert_eq!(ones_complement_sum(&data, acc), scalar_sum(&data, acc));
+            prop_assert_eq!(ones_complement_sum(&data, 0), scalar_sum(&data, 0));
+        }
+
+        #[test]
+        fn word_sum_matches_oracle_on_every_alignment(
+            data in proptest::collection::vec(any::<u8>(), 0..64),
+            skip in 0usize..8,
+        ) {
+            let data = &data[skip.min(data.len())..];
+            prop_assert_eq!(ones_complement_sum(data, 0), scalar_sum(data, 0));
+        }
+    }
+
+    #[test]
+    fn word_sum_matches_oracle_on_every_small_length() {
+        let bytes: Vec<u8> = (0..1_601u32).map(|i| (i * 167 + 13) as u8).collect();
+        for len in 0..=bytes.len() {
+            for acc in [0, 1, 0xffff, 0x1_0000, u32::MAX] {
+                assert_eq!(
+                    ones_complement_sum(&bytes[..len], acc),
+                    scalar_sum(&bytes[..len], acc),
+                    "len {len}, acc {acc:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn large_inputs_do_not_overflow() {
+        // 200 KiB of 0xff words: the old u32 accumulator overflowed past
+        // ~128 KiB. All-ones and all-zeros pin the 0 / 0xffff edge.
+        for (len, byte) in [
+            (200 * 1024, 0xffu8),
+            (200 * 1024 + 1, 0xff),
+            (200 * 1024, 0),
+        ] {
+            let data = vec![byte; len];
+            assert_eq!(
+                ones_complement_sum(&data, 0),
+                scalar_sum(&data, 0),
+                "len {len}"
+            );
+        }
+        let data: Vec<u8> = (0..200 * 1024 + 3)
+            .map(|i: u32| (i ^ (i >> 7)) as u8)
+            .collect();
+        for acc in [0, 0xabcd, u32::MAX] {
+            assert_eq!(ones_complement_sum(&data, acc), scalar_sum(&data, acc));
+        }
+    }
 
     #[test]
     fn rfc1071_example() {

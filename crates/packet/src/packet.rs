@@ -144,7 +144,8 @@ impl Packet {
             .map(|m| m.as_ref())
             .filter(|m| !m.is_empty());
         let mut current: &[u8] = &[];
-        let mut segments = Vec::new();
+        let stream: usize = messages.iter().map(|m| m.as_ref().len()).sum();
+        let mut segments = Vec::with_capacity(stream.div_ceil(mss.max(1)));
         let mut pieces: Vec<&[u8]> = Vec::new();
         loop {
             pieces.clear();

@@ -279,7 +279,7 @@ pub mod prelude {
     pub use crate::capture::{Capture, CaptureRecord, TapPoint};
     pub use crate::icmp::{parse_icmp_error, IcmpError};
     pub use crate::nft::{NftSubstrate, RecordingSink, RuleProgramSink, WireRuleset};
-    pub use crate::script::{ScriptEngine, ServerObs, ServerScript};
+    pub use crate::script::{ResponseTable, ScriptEngine, ServerObs, ServerScript};
     pub use crate::stats::ThroughputMeter;
     pub use crate::time::SimTime;
     pub use crate::verdict::{Effects, TimedPacket, Verdict};

@@ -797,6 +797,7 @@ impl Substrate for NftSubstrate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::ResponseTable;
     use std::net::Ipv4Addr;
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -849,8 +850,8 @@ mod tests {
         let state = sink.state();
         let mut sub = NftSubstrate::with_sink(gfc_like(), Box::new(sink)).unwrap();
         sub.install_server_script(ServerScript {
-            tcp_script: vec![(1, b"HTTP/1.1 200 OK".into())],
-            udp_script: vec![(1, b"HTTP/1.1 200 OK".into())],
+            table: Arc::new(ResponseTable::lower([&b"HTTP/1.1 200 OK"[..]])),
+            releases: vec![(1, 1)],
             skip_prefix: 0,
         });
 
@@ -900,8 +901,8 @@ mod tests {
     fn unmatched_flow_completes_and_bills() {
         let mut sub = NftSubstrate::with_sink(gfc_like(), Box::new(RecordingSink::new())).unwrap();
         sub.install_server_script(ServerScript {
-            tcp_script: vec![(4, b"pong".into())],
-            udp_script: vec![],
+            table: Arc::new(ResponseTable::lower([&b"pong"[..]])),
+            releases: vec![(4, 1)],
             skip_prefix: 0,
         });
         let syn = Packet::tcp(CLIENT, SERVER, 42_001, 80, 100, 0, Vec::new())

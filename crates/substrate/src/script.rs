@@ -14,19 +14,90 @@ use parking_lot::Mutex;
 
 use crate::buf::PacketBuf;
 
-/// The server's half of a recorded trace, lowered to plain data. Each
-/// response payload is one shared buffer: the TCP and UDP scripts of a
-/// trace hold views of the same bytes, and handing a TCP response to the
-/// transport never copies it.
+/// A trace's server responses, lowered once: every payload is a view
+/// into one shared buffer. Replays share a table through an `Arc`, so
+/// installing a script for one more replay copies no response bytes, and
+/// handing a response to the transport is a refcount bump.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ResponseTable {
+    responses: Vec<PacketBuf>,
+    bytes: u64,
+}
+
+impl ResponseTable {
+    /// Copy `payloads`, in order, into one buffer and view each in place.
+    pub fn lower<'a, I>(payloads: I) -> ResponseTable
+    where
+        I: IntoIterator<Item = &'a [u8]>,
+        I::IntoIter: Clone,
+    {
+        let payloads = payloads.into_iter();
+        let total: usize = payloads.clone().map(<[u8]>::len).sum();
+        let mut joined = Vec::with_capacity(total);
+        let mut ends = Vec::new();
+        for p in payloads {
+            joined.extend_from_slice(p);
+            ends.push(joined.len());
+        }
+        let joined = PacketBuf::from(joined);
+        let mut start = 0;
+        let responses = ends
+            .into_iter()
+            .map(|end| {
+                let view = joined.slice(start..end);
+                start = end;
+                view
+            })
+            .collect();
+        ResponseTable {
+            responses,
+            bytes: total as u64,
+        }
+    }
+
+    /// A table over existing response buffers (views are shared, not
+    /// copied).
+    pub fn from_responses(responses: Vec<PacketBuf>) -> ResponseTable {
+        let bytes = responses.iter().map(|r| r.len() as u64).sum();
+        ResponseTable { responses, bytes }
+    }
+
+    /// The responses, in order.
+    pub fn responses(&self) -> &[PacketBuf] {
+        &self.responses
+    }
+
+    /// Total response bytes: what a complete replay delivers.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+/// The server's half of one replay: a shared [`ResponseTable`] plus what
+/// releases each response. Built by core from the trace; cloning it
+/// copies only the release list.
 #[derive(Debug, Clone, Default)]
 pub struct ServerScript {
-    /// (cumulative client bytes required, response payload) for TCP.
-    pub tcp_script: Vec<(u64, PacketBuf)>,
-    /// (client datagram count required, response payload) for UDP.
-    pub udp_script: Vec<(usize, PacketBuf)>,
+    /// The responses, shared with every other replay of the trace.
+    pub table: Arc<ResponseTable>,
+    /// Per response, in order: the cumulative client bytes (TCP) and the
+    /// client datagram count (UDP) that must arrive before it is sent.
+    pub releases: Vec<(u64, usize)>,
     /// Bytes at the start of the client stream to discard (server-side
     /// support for the dummy-prefix technique).
     pub skip_prefix: u64,
+}
+
+impl ServerScript {
+    /// The number of responses from index `sent` on whose release has
+    /// `arrived`, up to the first one still pending.
+    fn due(&self, sent: usize, arrived: impl Fn(&(u64, usize)) -> bool) -> usize {
+        let n = self.releases.len().min(self.table.responses().len());
+        self.releases[sent.min(n)..n]
+            .iter()
+            .take_while(|r| arrived(r))
+            .count()
+    }
 }
 
 /// State shared between the scripted server (running inside a backend's
@@ -77,19 +148,12 @@ impl ScriptEngine {
         }
         shared.received_stream.extend_from_slice(data);
         let effective = shared.received_stream.len() as u64;
-        let mut out = Vec::new();
-        while shared.responses_sent < self.script.tcp_script.len() {
-            let (needed, payload) = &self.script.tcp_script[shared.responses_sent];
-            if effective >= *needed {
-                // lint: allow(payload-copy) refcount bump on the shared
-                // script buffer
-                out.push(payload.clone());
-                shared.responses_sent += 1;
-            } else {
-                break;
-            }
-        }
-        out
+        let sent = shared.responses_sent;
+        let due = self.script.due(sent, |&(bytes, _)| effective >= bytes);
+        shared.responses_sent += due;
+        // Refcount bumps on the shared table's views, into a vector sized
+        // to the responses due.
+        self.script.table.responses()[sent..sent + due].to_vec()
     }
 
     /// A UDP datagram arrived. Returns zero or more response datagrams.
@@ -97,19 +161,14 @@ impl ScriptEngine {
         let mut shared = self.shared.lock();
         shared.datagrams.push(data.to_vec());
         let count = shared.datagrams.len();
-        let mut out = Vec::new();
-        while shared.responses_sent < self.script.udp_script.len() {
-            let (needed, payload) = &self.script.udp_script[shared.responses_sent];
-            if count >= *needed {
-                // lint: allow(payload-copy) script-owned response bytes,
-                // not wire payload: each send needs its own Vec.
-                out.push(payload.to_vec());
-                shared.responses_sent += 1;
-            } else {
-                break;
-            }
-        }
-        out
+        let sent = shared.responses_sent;
+        let due = self.script.due(sent, |&(_, dgrams)| count >= dgrams);
+        shared.responses_sent += due;
+        self.script.table.responses()[sent..sent + due]
+            .iter()
+            // Each datagram send needs its own Vec.
+            .map(|r| r.to_vec())
+            .collect()
     }
 }
 
@@ -119,10 +178,21 @@ mod tests {
 
     fn script() -> ServerScript {
         ServerScript {
-            tcp_script: vec![(5, b"first".into()), (10, b"second".into())],
-            udp_script: vec![(1, b"pong".into())],
+            table: Arc::new(ResponseTable::lower([&b"first"[..], b"second"])),
+            releases: vec![(5, 1), (10, 2)],
             skip_prefix: 0,
         }
+    }
+
+    #[test]
+    fn lowering_views_one_buffer() {
+        let table = ResponseTable::lower([&b"ab"[..], b"", b"cde"]);
+        assert_eq!(table.responses(), [&b"ab"[..], b"", b"cde"]);
+        assert_eq!(table.bytes(), 5);
+        assert_eq!(
+            ResponseTable::from_responses(table.responses().to_vec()),
+            table
+        );
     }
 
     #[test]
@@ -163,7 +233,17 @@ mod tests {
     #[test]
     fn udp_responses_key_off_datagram_count() {
         let (mut eng, obs) = ScriptEngine::new(script());
-        assert_eq!(eng.on_udp_datagram(b"ping"), vec![b"pong".to_vec()]);
-        assert_eq!(obs.lock().datagrams.len(), 1);
+        assert_eq!(eng.on_udp_datagram(b"ping"), vec![b"first".to_vec()]);
+        assert_eq!(eng.on_udp_datagram(b"ping"), vec![b"second".to_vec()]);
+        assert!(eng.on_udp_datagram(b"ping").is_empty());
+        assert_eq!(obs.lock().datagrams.len(), 3);
+    }
+
+    #[test]
+    fn releases_past_the_table_are_ignored() {
+        let mut s = script();
+        s.releases.push((11, 3));
+        let (mut eng, _obs) = ScriptEngine::new(s);
+        assert_eq!(eng.on_tcp_data(b"0123456789ab").len(), 2);
     }
 }

@@ -13,6 +13,13 @@ pub struct ThroughputMeter {
 }
 
 impl ThroughputMeter {
+    /// An empty meter with room for `samples` samples.
+    pub fn with_capacity(samples: usize) -> ThroughputMeter {
+        ThroughputMeter {
+            samples: Vec::with_capacity(samples),
+        }
+    }
+
     /// Record a sample, keeping `samples` sorted by time. Arrivals are
     /// almost always in order (the simulator's clock is monotonic), so the
     /// common case is a plain push; a late sample pays one binary search

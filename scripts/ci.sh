@@ -119,8 +119,11 @@ say "perfbench smoke (learn / deploy / adapt, traced, 1 s each)"
 # Every workload must build, run its checked operations, and report
 # `"correct": true` with no failed operation on its result line. Its
 # simulated-work counts must equal the pinned ones in
-# tests/fixtures/perfbench_counts.json (host timings and allocation
-# figures are not pinned): a performance change must not change the work.
+# tests/fixtures/perfbench_counts.json (host timings are not pinned): a
+# performance change must not change the work. Allocation figures are
+# deterministic for a given toolchain, and those listed in
+# tests/fixtures/perfbench_alloc_ceilings.json (traced learn `allocs`
+# and `alloc_mb`) must not exceed their ceilings.
 for workload in learn deploy adapt; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
     echo "$workload: $result"
@@ -143,6 +146,20 @@ for k, v, g in bad:
 sys.exit(1 if bad else 0)
 ' "$workload" tests/fixtures/perfbench_counts.json; then
         echo "perfbench $workload: work counts differ from tests/fixtures/perfbench_counts.json" >&2
+        exit 1
+    fi
+    if ! printf '%s' "$result" | python3 -c '
+import json, sys
+workload, fixture = sys.argv[1], sys.argv[2]
+got = json.loads(sys.stdin.read())["metrics"]
+ceilings = json.load(open(fixture)).get(workload, {})
+bad = [(k, v, got.get(k, {}).get("value")) for k, v in ceilings.items()
+       if got.get(k, {}).get("value") is None or got[k]["value"] > v]
+for k, v, g in bad:
+    print(f"  {k}: ceiling {v}, got {g}", file=sys.stderr)
+sys.exit(1 if bad else 0)
+' "$workload" tests/fixtures/perfbench_alloc_ceilings.json; then
+        echo "perfbench $workload: allocations above tests/fixtures/perfbench_alloc_ceilings.json" >&2
         exit 1
     fi
 done
