@@ -32,6 +32,10 @@ use liberate_traces::recorded::{RecordedTrace, Sender, TraceProtocol};
 /// The marginal peak-heap gate per flow in the largest wave.
 const MAX_BYTES_PER_FLOW: u64 = 64 * 1024;
 
+/// The wave the per-flow slowdown is measured against: perfbench's
+/// `deploy` wave size.
+const BASE_WAVE: usize = 2_000;
+
 /// A one-request page fetch the GFC model RST-blocks on its
 /// `economist.com` keyword: a crisp Blocking signal over a handful of
 /// packets, so a wave's footprint measures the reactor's per-flow cost,
@@ -259,7 +263,10 @@ fn main() {
         let mut pool = scale_pool(1);
         // Pay the initial learn outside the measured waves.
         pool.run_flows(&trace, 1).expect("initial learn");
-        for scale in [flows / 100, flows / 10, flows] {
+        let mut scales = vec![flows / 100, BASE_WAVE.min(flows), flows / 10, flows];
+        scales.sort_unstable();
+        scales.dedup();
+        for scale in scales {
             if scale == 0 {
                 continue;
             }
@@ -274,6 +281,19 @@ fn main() {
             curve.push(stats);
         }
     }
+
+    // How much dearer one flow is in the largest wave than in a
+    // `BASE_WAVE` one, on the same one-worker pool. Reported, not gated:
+    // host timing noise would make a gate flaky.
+    let base_flows = BASE_WAVE.min(flows);
+    let base = curve.iter().find(|s| s.flows == base_flows);
+    let per_flow_slowdown = match (base, curve.last()) {
+        (Some(base), Some(big)) => base.flows_per_sec / big.flows_per_sec,
+        _ => 1.0,
+    };
+    println!(
+        "\nper-flow slowdown: {per_flow_slowdown:.2}x from {base_flows} to {flows} flows (1 worker)"
+    );
 
     // Sub-linear aggregate growth: 10x the flows must cost well under
     // 10x the peak heap (fixed pool overhead dominates; per-flow state is
@@ -327,6 +347,7 @@ fn main() {
             ("trace", "economist-http".into()),
             ("flows", flows.into()),
             ("max_bytes_per_flow_gate", MAX_BYTES_PER_FLOW.into()),
+            ("per_flow_slowdown", per_flow_slowdown.into()),
             (
                 "curve",
                 JsonValue::Array(curve.iter().map(WaveStats::to_json).collect()),

@@ -7,7 +7,8 @@
 //!
 //! Tasks are admitted in job order to a FIFO ready queue. Each tick pops
 //! one task, swaps its lane (private clock, step-epoch baseline, capture
-//! buffer, staging journal) into the backend, applies any pending timer
+//! buffer, and a staging journal when the worker journal is enabled)
+//! into the backend, applies any pending timer
 //! advance, and polls the task through one *quiesced segment* (see
 //! [`crate::task`]). A [`Wake::Ready`] yield re-queues the task;
 //! a [`Wake::Timer`] yield parks it on a [`TimerQueue`] keyed by
@@ -24,9 +25,12 @@
 //! and the caller splices lanes back in admission order via
 //! [`liberate_obs::Journal::splice_staged`] (timestamps rebased by the
 //! sum of earlier lanes' durations, replay ordinals rebased onto the
-//! session's canonical numbering). The reactor's own scheduling
-//! telemetry (ticks, queue depth, timer fires) goes to a separate
-//! journal that is never merged, so it cannot perturb the contract.
+//! session's canonical numbering). A disabled worker journal records
+//! only counters, whose sums do not depend on order, so its lanes share
+//! it outright: nothing is staged and nothing is spliced. The reactor's
+//! own scheduling telemetry (ticks, queue depth, timer fires) goes to a
+//! separate journal that is never merged, so it cannot perturb the
+//! contract.
 //!
 //! ## Fault containment
 //!
@@ -34,6 +38,9 @@
 //! (still swapped-in) dead lane, the worker timeline is swapped back,
 //! and the task is reported failed (`None` result) — the wave completes
 //! and no shard lock is poisoned (`parking_lot` locks do not poison).
+//! A dead lane's staged journal is dropped unspliced; on a journal-off
+//! worker the counters it moved before the panic stay, as an enabled
+//! lane's histogram samples do.
 //! Dropping a mid-wave reactor releases every parked task, lane, and
 //! timer; nothing owns backend state, so shutdown leaks no flows.
 
@@ -140,7 +147,8 @@ impl TimerQueue {
 pub struct ReactorOutcome<R> {
     /// Per task, in admission (job) order; `None` marks a panicked task.
     pub results: Vec<Option<R>>,
-    /// Each task's lane: final virtual clock and staged journal.
+    /// Each task's lane: final virtual clock and staged journal (the
+    /// worker's own journal when that one is disabled).
     pub lanes: Vec<LaneState>,
     /// Replays each task started (its lane-local ordinal count), for
     /// chaining `replay_base` across splices.
@@ -173,9 +181,11 @@ pub struct Reactor<S: Substrate, T: FlowTask<S>> {
 
 impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
     /// Admit `tasks` (in order) against the session's current instant.
-    /// Lane journals mirror the worker journal's enabled flag so a
-    /// journal-off run stays journal-off (counters always live); enabled
-    /// ones record histogram samples straight into the worker journal.
+    /// With the worker journal enabled, each lane stages into its own
+    /// journal, which records histogram samples straight into the
+    /// worker's. With it disabled there are no events to order, so every
+    /// lane shares the worker journal itself: its counters land in place
+    /// (counters commute), and swaps and splices skip it.
     pub fn new(session: &Session<S>, tasks: Vec<T>, telemetry: &Journal) -> Reactor<S, T> {
         let t0 = session.env.clock();
         let worker_journal = session.journal();
@@ -185,14 +195,14 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             .into_iter()
             .map(|task| {
                 telemetry.metrics.incr(Counter::ReactorTasksAdmitted);
-                let staging = Arc::new(if enabled {
-                    worker_journal.staging()
+                let journal = if enabled {
+                    Arc::new(worker_journal.staging())
                 } else {
-                    Journal::disabled()
-                });
+                    Arc::clone(worker_journal)
+                };
                 TaskSlot {
                     task,
-                    lane: LaneState::new(t0, SESSION_TAPS, staging),
+                    lane: LaneState::new(t0, SESSION_TAPS, journal),
                     pending_advance: None,
                 }
             })
@@ -253,18 +263,16 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             }
             return true;
         }
-        let tick_start = std::time::Instant::now();
+        // The host clock is read only for a journal that keeps samples.
+        let tick_start = telemetry.is_enabled().then(std::time::Instant::now);
         telemetry.metrics.incr(Counter::ReactorTicks);
-        telemetry
-            .metrics
-            .observe(Hist::ReadyQueueDepth, self.ready.len() as u64);
+        telemetry.observe(Hist::ReadyQueueDepth, self.ready.len() as u64);
         // lint: allow(no-panic) invariant: non-empty checked above
         let id = self.ready.pop_front().expect("ready queue is non-empty");
         self.poll_task(session, telemetry, id);
-        telemetry.metrics.observe(
-            Hist::ReactorTickMicros,
-            tick_start.elapsed().as_micros() as u64,
-        );
+        if let Some(start) = tick_start {
+            telemetry.observe(Hist::ReactorTickMicros, start.elapsed().as_micros() as u64);
+        }
         true
     }
 
@@ -280,8 +288,8 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         if polled.is_err() {
             // Containment: flush whatever the dead task left in flight
             // into its own (still swapped-in) lane before restoring the
-            // worker timeline. The lane's staged journal is never
-            // spliced; the wave carries on.
+            // worker timeline. A staged lane journal is never spliced;
+            // the wave carries on.
             session.env.run_until_idle();
             drop(session.env.take_client_inbox());
         }

@@ -218,9 +218,13 @@ impl Substrate for SimSubstrate {
         self.env
             .network
             .swap_lane(&mut lane.clock, &mut lane.step_epoch_us, &mut lane.capture);
-        let prev = Arc::clone(&self.env.journal);
-        self.env.attach_journal(Arc::clone(&lane.journal));
-        lane.journal = prev;
+        // A journal-off lane shares the worker journal: there is nothing
+        // to re-attach to the path elements.
+        if !Arc::ptr_eq(&self.env.journal, &lane.journal) {
+            let prev = Arc::clone(&self.env.journal);
+            self.env.attach_journal(Arc::clone(&lane.journal));
+            lane.journal = prev;
+        }
     }
 
     fn mark_step_epoch(&mut self) {

@@ -8,6 +8,7 @@
 //! work precisely when the middlebox's view diverges from this endpoint
 //! view.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -121,12 +122,23 @@ fn seq_le(a: u32, b: u32) -> bool {
     a == b || seq_lt(a, b)
 }
 
+/// The connections one client address holds, so evicting a finished
+/// client visits only its own flows. The first flow sits inline: a
+/// client with one connection (every deployed flow) costs the index no
+/// allocation.
+struct ClientConns {
+    first: FlowKey,
+    more: Vec<FlowKey>,
+}
+
 /// The server host.
 pub struct ServerHost {
     pub addr: Ipv4Addr,
     pub os: OsProfile,
     app: Box<dyn ServerApp>,
     conns: HashMap<FlowKey, TcpConn>,
+    /// Every key in `conns`, grouped by client address.
+    by_client: HashMap<Ipv4Addr, ClientConns>,
     reassembler: Reassembler,
     isn_counter: u32,
     /// Packets the server wants transmitted (toward the client).
@@ -142,6 +154,7 @@ impl ServerHost {
             os,
             app,
             conns: HashMap::new(),
+            by_client: HashMap::new(),
             reassembler: Reassembler::new(OverlapPolicy::FirstWins),
             isn_counter: 0x1000,
             outbox: Vec::new(),
@@ -182,9 +195,16 @@ impl ServerHost {
 
     /// Drop all connection state for flows originating at `client`.
     /// Reactor-mode sessions mux many client addresses through one host;
-    /// evicting a finished client's conns bounds endpoint memory.
+    /// evicting a finished client's conns bounds endpoint memory. Costs
+    /// the client's own connections, not every live one.
     pub fn evict_client(&mut self, client: Ipv4Addr) {
-        self.conns.retain(|flow, _| flow.src != client);
+        let Some(ClientConns { first, more }) = self.by_client.remove(&client) else {
+            return;
+        };
+        self.conns.remove(&first);
+        for flow in more {
+            self.conns.remove(&flow);
+        }
     }
 
     /// Receive one wire packet at the server NIC. `_now` is kept for
@@ -300,7 +320,19 @@ impl ServerHost {
                 ooo: BTreeMap::new(),
                 delivered: 0,
             };
-            self.conns.insert(flow, conn);
+            // A retransmitted SYN replaces the connection under the same
+            // key, which the index already holds.
+            if self.conns.insert(flow, conn).is_none() {
+                match self.by_client.entry(flow.src) {
+                    Entry::Occupied(mut e) => e.get_mut().more.push(flow),
+                    Entry::Vacant(e) => {
+                        e.insert(ClientConns {
+                            first: flow,
+                            more: Vec::new(),
+                        });
+                    }
+                }
+            }
             let syn_ack = Packet::tcp(
                 self.addr,
                 flow.src,
@@ -696,6 +728,111 @@ mod tests {
             p0.tcp().unwrap().seq.wrapping_add(p0.payload.len() as u32),
             p1.tcp().unwrap().seq
         );
+    }
+
+    fn client(i: u32) -> Ipv4Addr {
+        Ipv4Addr::from(u32::from(Ipv4Addr::new(10, 64, 0, 1)) + i)
+    }
+
+    /// Client `i` holds one to three connections, on ports 40000...
+    fn ports_of(i: u32) -> std::ops::Range<u16> {
+        40000..40001 + (i % 3) as u16
+    }
+
+    fn segment(src: Ipv4Addr, port: u16, seq: u32, flags: TcpFlags, payload: &[u8]) -> Vec<u8> {
+        Packet::tcp(src, SERVER, port, 80, seq, 1, payload.to_vec())
+            .with_flags(flags)
+            .serialize()
+    }
+
+    /// Echo `payload` on an open flow; returns the server's (seq, ack).
+    fn echo(h: &mut ServerHost, src: Ipv4Addr, port: u16, seq: u32, payload: &[u8]) -> (u32, u32) {
+        h.receive(
+            SimTime::ZERO,
+            &segment(src, port, seq, TcpFlags::ACK, payload),
+        );
+        let out = take(h);
+        assert_eq!(out.len(), 1, "{src}:{port}");
+        let p = ParsedPacket::parse(&out[0]).unwrap();
+        assert_eq!(p.payload, payload, "{src}:{port}");
+        let t = p.tcp().unwrap();
+        (t.seq, t.ack)
+    }
+
+    #[test]
+    fn evicting_one_client_leaves_every_other_connection_intact() {
+        const CLIENTS: u32 = 1_000;
+        let mut h = host();
+        // (client, port) -> the server's next send sequence number.
+        let mut snd_next = HashMap::new();
+        for i in 0..CLIENTS {
+            for port in ports_of(i) {
+                h.receive(
+                    SimTime::ZERO,
+                    &segment(client(i), port, 99, TcpFlags::SYN, b""),
+                );
+                take(&mut h);
+                let (seq, ack) = echo(&mut h, client(i), port, 100, b"first");
+                assert_eq!(ack, 105);
+                snd_next.insert((i, port), seq.wrapping_add(5));
+            }
+        }
+        let total: usize = (0..CLIENTS).map(|i| ports_of(i).len()).sum();
+        assert_eq!(h.connection_count(), total);
+
+        let gone = 500;
+        assert_eq!(ports_of(gone).len(), 3);
+        h.evict_client(client(gone));
+        assert_eq!(h.connection_count(), total - 3);
+        assert_eq!(h.by_client.len(), CLIENTS as usize - 1);
+        for port in ports_of(gone) {
+            h.receive(
+                SimTime::ZERO,
+                &segment(client(gone), port, 105, TcpFlags::ACK, b"x"),
+            );
+            let out = take(&mut h);
+            let rst = ParsedPacket::parse(&out[0]).unwrap();
+            assert!(rst.tcp().unwrap().flags.rst, "evicted flow must be unknown");
+        }
+        // Everyone else carries on exactly where they left off.
+        for i in (0..CLIENTS).filter(|&i| i != gone) {
+            for port in ports_of(i) {
+                let flow = FlowKey::new(client(i), SERVER, port, 80, 6);
+                assert_eq!(h.delivered_bytes(&flow), 5);
+                let (seq, ack) = echo(&mut h, client(i), port, 105, b"second");
+                assert_eq!((seq, ack), (snd_next[&(i, port)], 111), "{i}:{port}");
+                assert_eq!(h.delivered_bytes(&flow), 11);
+            }
+        }
+    }
+
+    #[test]
+    fn retransmitted_syn_then_eviction_leaves_nothing() {
+        let mut h = host();
+        for _ in 0..3 {
+            h.receive(SimTime::ZERO, &syn(999));
+        }
+        h.receive(
+            SimTime::ZERO,
+            &segment(CLIENT, 40001, 5, TcpFlags::SYN, b""),
+        );
+        take(&mut h);
+        assert_eq!(h.connection_count(), 2);
+        assert_eq!(h.by_client[&CLIENT].more.len(), 1);
+        h.evict_client(CLIENT);
+        assert!(h.conns.is_empty());
+        assert!(h.by_client.is_empty());
+    }
+
+    #[test]
+    fn evicting_an_unknown_client_is_a_no_op() {
+        let mut h = host();
+        let (cseq, _) = handshake(&mut h);
+        h.evict_client(client(7));
+        assert_eq!((h.conns.len(), h.by_client.len()), (1, 1));
+        h.receive(SimTime::ZERO, &data(cseq, 1, b"still here"));
+        let out = take(&mut h);
+        assert_eq!(ParsedPacket::parse(&out[0]).unwrap().payload, b"still here");
     }
 
     /// Answers each delivery with a batch of messages of odd sizes.

@@ -133,7 +133,11 @@ impl PacketBuf {
     /// edits stay coherent.
     pub fn make_mut(&mut self, tally: &mut CopyTally) -> &mut Vec<u8> {
         let full = self.start == 0 && self.end == TO_END;
-        if !full || Arc::get_mut(&mut self.data).is_none() {
+        // Plain loads decide uniqueness: with `&mut self` pinning this
+        // handle, no other can appear, so only the one `get_mut` below
+        // pays an atomic read-modify-write.
+        let unique = Arc::strong_count(&self.data) == 1 && Arc::weak_count(&self.data) == 0;
+        if !full || !unique {
             let copied = self.as_slice().to_vec();
             tally.copies += 1;
             tally.bytes += copied.len() as u64;

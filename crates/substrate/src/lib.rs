@@ -55,7 +55,9 @@ pub struct LaneState {
     pub step_epoch_us: u64,
     pub capture: Capture,
     /// The lane's staging journal; spliced into the worker journal in
-    /// canonical order when the wave completes.
+    /// canonical order when the wave completes. A lane may share the
+    /// worker journal itself (the reactor does so when it is disabled);
+    /// then nothing is staged or spliced.
     pub journal: Arc<Journal>,
 }
 
@@ -168,7 +170,8 @@ pub trait Substrate: Send {
     }
 
     /// Exchange the backend's live timeline state (clock, step-epoch
-    /// baseline, capture, journal) with `lane`'s stash. Only called while
+    /// baseline, capture, journal) with `lane`'s stash; a lane sharing
+    /// the backend's journal leaves it attached. Only called while
     /// the backend is quiescent (`run_until_idle` done, inbox drained),
     /// and only when [`Self::supports_lanes`] is true; the default is a
     /// no-op for backends without lanes.

@@ -323,7 +323,41 @@ fn same_seed_deployment_journals_are_byte_identical() {
     assert_eq!(a, b, "same seed must replay to byte-identical journals");
 }
 
-/// (f) The snapshot contention property at the API level: 8 reader
+/// (f) Journal-off lanes share the worker journal rather than staging
+/// and splicing: a 2,000-flow GFC wave moves every worker counter
+/// exactly as the journal-on path does, at 1 and 4 workers.
+#[test]
+fn journal_off_lanes_count_what_staged_lanes_count() {
+    let trace = apps::economist_http();
+    let counters = |workers: usize, enabled: bool| {
+        // Port rotation is mandatory against the GFC model.
+        let copts = CharacterizeOpts {
+            rotate_server_ports: true,
+            ..Default::default()
+        };
+        let config = LiberateConfig::default();
+        let mut pool = DeploymentPool::new(EnvKind::Gfc, OsKind::Linux, config, workers, copts);
+        for w in 0..workers {
+            let journal = Arc::new(Journal::new());
+            journal.set_enabled(enabled);
+            pool.pool_mut().session_mut(w).attach_journal(journal);
+        }
+        pool.run_flows(&trace, 1).expect("the pool learns the GFC");
+        let wave = pool.run_flows(&trace, 2_000).expect("steady wave");
+        assert!(wave.all_evaded() && !wave.recharacterized);
+        (0..workers)
+            .map(|w| pool.pool_mut().session_mut(w).journal().metrics.snapshot())
+            .collect::<Vec<_>>()
+    };
+    for workers in [1, 4] {
+        let off = counters(workers, false);
+        let idle = |s: &Vec<(Counter, u64)>| s.contains(&(Counter::ReplaysExecuted, 0));
+        assert!(!off.iter().any(idle), "every worker carries flows");
+        assert_eq!(off, counters(workers, true), "{workers} workers");
+    }
+}
+
+/// (g) The snapshot contention property at the API level: 8 reader
 /// threads hammering `PublishedState` while a writer publishes 500
 /// generations observe only fully-published states — the generation
 /// stamp always agrees with the marker baked into the technique it is
