@@ -807,13 +807,16 @@ fn observe_inbox(
     };
     let mut received: Vec<&[u8]> = Vec::with_capacity(inbox.len());
     for (at, wire) in inbox {
-        if let Some(e) = parse_icmp_error(wire) {
-            obs.icmp.push(e);
-            continue;
-        }
-        let Some((_, transport, payload_offset)) = ParsedPacket::parse_headers(wire) else {
+        let Some((ip, transport, payload_offset)) = ParsedPacket::parse_headers(wire) else {
             continue;
         };
+        // Only an ICMP packet can be an ICMP error.
+        if ip.protocol == liberate_packet::ipv4::protocol::ICMP {
+            if let Some(e) = parse_icmp_error(wire) {
+                obs.icmp.push(e);
+                continue;
+            }
+        }
         let (dst_port, rst) = match &transport {
             ParsedTransport::Tcp(t) => (Some(t.dst_port), t.flags.rst),
             ParsedTransport::Udp(u) => (Some(u.dst_port), false),

@@ -736,6 +736,8 @@ impl DpiDevice {
             self.account(false, len);
             return Verdict::pass(now, wire);
         };
+        // Validation judges the original wire, before any re-view below.
+        let processes = self.config.validation.processes(&wire, &pkt);
         // A lax device parses the transport header regardless of a bogus
         // protocol number: re-view the bytes as TCP for classification
         // only (the forwarded packet is untouched).
@@ -769,7 +771,7 @@ impl DpiDevice {
 
         // Packets failing the device's validation are invisible to the
         // classifier but still forwarded.
-        if !self.config.validation.processes(&wire) {
+        if !processes {
             self.account(false, len);
             return Verdict::pass(now, wire);
         }

@@ -14,13 +14,14 @@
 //! - **Iran and T-Mobile** "only partially check for invalid packet
 //!   headers".
 
-use liberate_packet::validate::{has_defect_in, Malformation, MalformationSet};
+use liberate_packet::packet::ParsedPacket;
+use liberate_packet::validate::{DefectMask, Malformation};
 
 /// Which defects make the middlebox ignore a packet (treat it as noise and
 /// forward it without matching on its contents).
 #[derive(Debug, Clone, Default)]
 pub struct ValidationModel {
-    ignores: MalformationSet,
+    ignores: DefectMask,
     /// Whether the classifier tracks TCP sequence numbers: if so, a
     /// segment whose sequence number is far outside the expected window is
     /// ignored rather than matched (the GFC does this; the testbed does
@@ -56,11 +57,14 @@ impl ValidationModel {
         self
     }
 
-    /// Should the packet `wire` be fed to the matcher? Only the checks for
-    /// ignored defects run, so a lax device validates nothing and the
+    /// Should the packet `wire`, which the device parsed as `pkt`, be fed
+    /// to the matcher? Only the checks for ignored defects run, against
+    /// the headers in `pkt`, so a lax device validates nothing and the
     /// transport checksum is verified only by devices that ignore on it.
-    pub fn processes(&self, wire: &[u8]) -> bool {
-        !has_defect_in(wire, &self.ignores)
+    pub fn processes(&self, wire: &[u8], pkt: &ParsedPacket) -> bool {
+        !self
+            .ignores
+            .any_in(wire, &pkt.ip, Some((&pkt.transport, pkt.payload_offset())))
     }
 }
 
@@ -72,6 +76,11 @@ mod tests {
     use liberate_packet::tcp::TcpFlags;
     use std::net::Ipv4Addr;
     use Malformation::*;
+
+    fn processes(m: &ValidationModel, p: &Packet) -> bool {
+        let wire = p.serialize();
+        m.processes(&wire, &ParsedPacket::parse(&wire).unwrap())
+    }
 
     fn tcp() -> Packet {
         let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
@@ -85,7 +94,7 @@ mod tests {
         p.ip.checksum = ChecksumSpec::Fixed(1);
         p.tcp_mut().checksum = ChecksumSpec::Fixed(1);
         p.tcp_mut().flags = TcpFlags::XMAS;
-        assert!(m.processes(&p.serialize()));
+        assert!(processes(&m, &p));
         assert!(!m.tracks_seq);
     }
 
@@ -94,11 +103,11 @@ mod tests {
         let m = ValidationModel::ignoring([IpChecksumWrong, IpVersionInvalid]).with_seq_tracking();
         let mut bad_ip = tcp();
         bad_ip.ip.checksum = ChecksumSpec::Fixed(1);
-        assert!(!m.processes(&bad_ip.serialize()));
+        assert!(!processes(&m, &bad_ip));
         let mut bad_tcp = tcp();
         bad_tcp.tcp_mut().checksum = ChecksumSpec::Fixed(1);
-        assert!(m.processes(&bad_tcp.serialize()));
-        assert!(m.processes(&tcp().serialize()));
+        assert!(processes(&m, &bad_tcp));
+        assert!(processes(&m, &tcp()));
         assert!(m.tracks_seq);
     }
 
@@ -108,6 +117,6 @@ mod tests {
         let (c, s) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
         let mut long = Packet::udp(c, s, 3478, 3478, &b"stun"[..]);
         long.udp_mut().length = Some(500);
-        assert!(!m.processes(&long.serialize()));
+        assert!(!processes(&m, &long));
     }
 }

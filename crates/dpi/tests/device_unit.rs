@@ -8,11 +8,13 @@ use std::time::Duration;
 
 use liberate_dpi::device::DpiDevice;
 use liberate_dpi::profiles::{gfc_device, testbed_device, tmus_device};
+use liberate_dpi::validation::ValidationModel;
 use liberate_netsim::element::{Effects, PathElement, Verdict};
 use liberate_obs::{Counter, Hist, Journal};
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
+use liberate_packet::validate::Malformation;
 use liberate_substrate::time::SimTime;
 use liberate_traces::http::get_request;
 
@@ -128,6 +130,47 @@ fn loose_transport_parsing_is_testbed_only() {
     assert!(
         tmus.last_event().is_none(),
         "stricter devices cannot attribute the packet to a flow"
+    );
+}
+
+#[test]
+fn loose_parsing_validates_the_original_wire_not_the_patched_view() {
+    // A wrong-protocol packet carrying a matching TCP segment. The loose
+    // re-view patches the protocol byte to TCP without fixing the IP
+    // checksum, so the view has a wrong checksum and a known protocol:
+    // the reverse of the wire.
+    let mut p = Packet::tcp(
+        C,
+        S,
+        40_000,
+        80,
+        101,
+        1,
+        get_request("x.cloudfront.net", "/v", "p"),
+    );
+    p.ip.protocol = Some(253);
+    let wire = p.serialize();
+
+    let classified = |ignored: Malformation| {
+        let mut config = testbed_device();
+        assert!(config.loose_transport_parsing);
+        config.validation = ValidationModel::ignoring([ignored]);
+        let mut dev = DpiDevice::new(config);
+        let journal = Arc::new(Journal::new());
+        dev.attach_journal(&journal);
+        feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
+        feed(&mut dev, SimTime::ZERO, wire.clone());
+        // The patch copies the shared buffer once, whatever the verdict.
+        assert_eq!(journal.metrics.get(Counter::PayloadCopies), 1);
+        dev.last_event().is_some()
+    };
+    assert!(
+        !classified(Malformation::IpProtocolUnknown),
+        "the wire's unknown protocol makes the device ignore the packet"
+    );
+    assert!(
+        classified(Malformation::IpChecksumWrong),
+        "the wire's checksum is right; only the patched view's is wrong"
     );
 }
 

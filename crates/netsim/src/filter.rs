@@ -7,7 +7,8 @@
 //! whether it then survives to the server — is decided by these policies,
 //! which is exactly what the RS? column of Table 3 measures.
 
-use liberate_packet::validate::{has_defect_in, Malformation, MalformationSet};
+use liberate_packet::ipv4::ParsedIpv4;
+use liberate_packet::validate::{DefectMask, Malformation};
 
 /// What a path element does with IP fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,7 +26,7 @@ pub enum FragmentHandling {
 /// Which malformations cause a router/firewall hop to drop a packet.
 #[derive(Debug, Clone, Default)]
 pub struct FilterPolicy {
-    drops: MalformationSet,
+    drops: DefectMask,
     pub fragments: FragmentHandling,
 }
 
@@ -92,10 +93,12 @@ impl FilterPolicy {
         self
     }
 
-    /// Whether `wire` should be dropped under this policy. Only the checks
-    /// for defects in the drop set run (see [`has_defect_in`]).
-    pub fn should_drop(&self, wire: &[u8]) -> bool {
-        has_defect_in(wire, &self.drops)
+    /// Whether `wire`, whose IP header the hop parsed as `ip`, should be
+    /// dropped under this policy. Only the checks for defects in the drop
+    /// set run, and the transport header is parsed only for a policy that
+    /// drops on a transport defect (see [`DefectMask::found_in`]).
+    pub fn should_drop(&self, wire: &[u8], ip: &ParsedIpv4) -> bool {
+        self.drops.any_in(wire, ip, None)
     }
 }
 
@@ -105,6 +108,11 @@ mod tests {
     use liberate_packet::checksum::ChecksumSpec;
     use liberate_packet::packet::Packet;
     use std::net::Ipv4Addr;
+
+    fn drops(policy: &FilterPolicy, p: &Packet) -> bool {
+        let wire = p.serialize();
+        policy.should_drop(&wire, &ParsedIpv4::parse(&wire).unwrap())
+    }
 
     fn tcp_packet() -> Packet {
         Packet::tcp(
@@ -123,7 +131,7 @@ mod tests {
         let mut p = tcp_packet();
         p.ip.checksum = ChecksumSpec::Fixed(0);
         p.ip.version = 9;
-        assert!(!FilterPolicy::permissive().should_drop(&p.serialize()));
+        assert!(!drops(&FilterPolicy::permissive(), &p));
     }
 
     #[test]
@@ -131,20 +139,20 @@ mod tests {
         let policy = FilterPolicy::ip_hygiene();
         let mut bad_ip = tcp_packet();
         bad_ip.ip.checksum = ChecksumSpec::Fixed(0x1234);
-        assert!(policy.should_drop(&bad_ip.serialize()));
+        assert!(drops(&policy, &bad_ip));
 
         let mut bad_tcp = tcp_packet();
         bad_tcp.tcp_mut().checksum = ChecksumSpec::Fixed(0x1234);
-        assert!(!policy.should_drop(&bad_tcp.serialize()));
+        assert!(!drops(&policy, &bad_tcp));
     }
 
     #[test]
     fn strict_normalizer_drops_bad_tcp() {
         let mut bad_tcp = tcp_packet();
         bad_tcp.tcp_mut().checksum = ChecksumSpec::Fixed(0x1234);
-        assert!(FilterPolicy::strict_normalizer().should_drop(&bad_tcp.serialize()));
+        assert!(drops(&FilterPolicy::strict_normalizer(), &bad_tcp));
         // A clean packet still passes.
-        assert!(!FilterPolicy::strict_normalizer().should_drop(&tcp_packet().serialize()));
+        assert!(!drops(&FilterPolicy::strict_normalizer(), &tcp_packet()));
     }
 
     #[test]
@@ -153,6 +161,6 @@ mod tests {
         let policy = FilterPolicy::ip_hygiene().also_dropping([IpOptionsDeprecated]);
         let mut p = tcp_packet();
         p.ip.options = vec![liberate_packet::ipv4::IpOption::StreamId(1)];
-        assert!(policy.should_drop(&p.serialize()));
+        assert!(drops(&policy, &p));
     }
 }

@@ -69,14 +69,11 @@ impl RouterHop {
         self
     }
 
-    /// Rewrite the TCP checksum of a serialized packet to the correct
-    /// value, if it parses as an unfragmented TCP packet.
-    fn repair_tcp_checksum(wire: &mut [u8]) {
+    /// Rewrite the TCP checksum of a serialized packet, whose IP header
+    /// is `ip`, to the correct value if it is an unfragmented TCP packet.
+    fn repair_tcp_checksum(wire: &mut [u8], ip: &ParsedIpv4) {
         use liberate_packet::checksum::pseudo_header_checksum;
         use liberate_packet::ipv4::protocol;
-        let Some(ip) = ParsedIpv4::parse(wire) else {
-            return;
-        };
         if ip.protocol != protocol::TCP || ip.is_fragment() {
             return;
         }
@@ -139,7 +136,7 @@ impl PathElement for RouterHop {
         mut wire: PacketBuf,
         effects: &mut Effects,
     ) -> Verdict {
-        let Some(ip) = ParsedIpv4::parse(&wire) else {
+        let Some(mut ip) = ParsedIpv4::parse(&wire) else {
             self.filtered_count += 1;
             return Verdict::Drop; // not even a header: unroutable
         };
@@ -156,7 +153,7 @@ impl PathElement for RouterHop {
             return Verdict::Drop;
         }
 
-        if self.filter.should_drop(&wire) {
+        if self.filter.should_drop(&wire, &ip) {
             self.filtered_count += 1;
             return Verdict::Drop;
         }
@@ -172,7 +169,12 @@ impl PathElement for RouterHop {
             FragmentHandling::Reassemble => {
                 if ip.is_fragment() {
                     match self.reassembler.push(&wire) {
-                        Some(whole) => wire = whole.into(),
+                        Some(whole) => {
+                            // The datagram carries the first fragment's
+                            // header, which always parses.
+                            ip = ParsedIpv4::parse(&whole).unwrap_or(ip);
+                            wire = whole.into();
+                        }
                         None => return Verdict::Drop, // held for reassembly
                     }
                 }
@@ -184,7 +186,7 @@ impl PathElement for RouterHop {
         let mut tally = CopyTally::default();
         let buf = wire.make_mut(&mut tally);
         if self.fix_tcp_checksum {
-            Self::repair_tcp_checksum(buf);
+            Self::repair_tcp_checksum(buf, &ip);
         }
         Self::decrement_ttl(buf);
         if let Some(journal) = &self.journal {
@@ -423,5 +425,41 @@ mod checksum_fix_tests {
             }
             Verdict::Drop => panic!("should forward"),
         }
+    }
+
+    #[test]
+    fn reassembling_hop_repairs_the_whole_datagram() {
+        let mut h = RouterHop::new(
+            "gfc-edge",
+            Ipv4Addr::new(172, 16, 0, 9),
+            FilterPolicy::permissive().with_fragments(FragmentHandling::Reassemble),
+        )
+        .fixing_tcp_checksums();
+        let mut p = Packet::tcp(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            1,
+            2,
+            100,
+            200,
+            vec![7u8; 64],
+        );
+        p.ip.ttl = 12;
+        p.tcp_mut().checksum = ChecksumSpec::Fixed(0x0bad);
+        let frags = liberate_packet::fragment::fragment_packet(&p.serialize(), 32);
+        assert!(frags.len() > 1);
+        let mut fx = Effects::default();
+        let forwarded: Vec<_> = frags
+            .into_iter()
+            .filter_map(|f| {
+                match h.process(SimTime::ZERO, Direction::ClientToServer, f.into(), &mut fx) {
+                    Verdict::Forward(out) => Some(out.wire),
+                    Verdict::Drop => None,
+                }
+            })
+            .collect();
+        assert_eq!(forwarded.len(), 1, "held until whole, then forwarded once");
+        // The repair judged the reassembled header, not the last fragment's.
+        assert!(validate_wire(&forwarded[0]).is_empty());
     }
 }

@@ -32,6 +32,7 @@ pub mod firewall;
 pub mod hop;
 pub mod network;
 pub mod os;
+pub mod queue;
 pub mod server;
 pub mod shaper;
 

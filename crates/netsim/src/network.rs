@@ -7,8 +7,6 @@
 //! raw-socket control the real tool has), while the server side runs the
 //! full endpoint stack from [`crate::server`].
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,17 +15,18 @@ use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::Direction;
 
 use crate::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
+use crate::queue::EventQueue;
 use crate::server::ServerHost;
 use liberate_substrate::capture::{Capture, TapPoint};
 use liberate_substrate::time::SimTime;
 
-/// Hard cap on processed events per `run_until_idle`, guarding against a
-/// misbehaving element ping-ponging packets forever.
+/// Hard cap on events processed by one `run_until` call (and so by one
+/// `run_until_idle`), guarding against a misbehaving element ping-ponging
+/// packets forever.
 const EVENT_BUDGET: u64 = 5_000_000;
 
+/// A packet in flight, queued at its arrival time.
 struct Event {
-    at: SimTime,
-    seq: u64,
     /// Index of the next element to process this packet. For
     /// client-to-server travel, `elements.len()` means "deliver to server";
     /// for server-to-client, index 0 is processed last and then the packet
@@ -37,32 +36,10 @@ struct Event {
     wire: PacketBuf,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The simulated network.
 pub struct Network {
     pub clock: SimTime,
-    events: BinaryHeap<Event>,
-    next_seq: u64,
+    events: EventQueue<Event>,
     elements: Vec<Box<dyn PathElement>>,
     pub server: ServerHost,
     pub client_addr: Ipv4Addr,
@@ -90,8 +67,7 @@ impl Network {
     ) -> Network {
         Network {
             clock: SimTime::ZERO,
-            events: BinaryHeap::new(),
-            next_seq: 0,
+            events: EventQueue::new(),
             elements,
             server,
             client_addr,
@@ -148,15 +124,7 @@ impl Network {
     }
 
     fn push_event(&mut self, at: SimTime, pos: usize, dir: Direction, wire: PacketBuf) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.events.push(Event {
-            at,
-            seq,
-            pos,
-            dir,
-            wire,
-        });
+        self.events.push(at, Event { pos, dir, wire });
     }
 
     /// Inject a packet from the client after `delay`.
@@ -198,12 +166,8 @@ impl Network {
         // Steps are counted here and added to `packets-stepped` once, so
         // a step costs no atomic read-modify-write.
         let mut stepped = 0;
-        while let Some(ev) = self.events.peek() {
-            if ev.at > until {
-                break;
-            }
-            let ev = self.events.pop().expect("peeked");
-            self.clock = self.clock.max(ev.at);
+        while let Some((at, ev)) = self.events.pop_until(until) {
+            self.clock = self.clock.max(at);
             stepped += 1;
             let now_us = self.clock.as_micros();
             self.journal.observe(
@@ -211,7 +175,7 @@ impl Network {
                 now_us.saturating_sub(self.last_step_us),
             );
             self.last_step_us = now_us;
-            self.dispatch(ev);
+            self.dispatch(at, ev);
             if stepped == EVENT_BUDGET {
                 // Counted first: a caller that contains the panic keeps
                 // an exact step count.
@@ -248,7 +212,7 @@ impl Network {
 
     /// Exchange the per-lane virtual-timeline state — clock, step-epoch
     /// baseline, and capture buffer — with a reactor lane's stash. Only
-    /// meaningful while the network is idle (event heap and client inbox
+    /// meaningful while the network is idle (event queue and client inbox
     /// drained): a quiesced network's *entire* mutable timeline state is
     /// exactly these three fields, which is what makes lane-virtualized
     /// replay (`liberate::reactor`) equivalent to sequential execution.
@@ -268,10 +232,8 @@ impl Network {
         std::mem::swap(&mut self.capture, capture);
     }
 
-    fn dispatch(&mut self, ev: Event) {
-        let Event {
-            at, pos, dir, wire, ..
-        } = ev;
+    fn dispatch(&mut self, at: SimTime, ev: Event) {
+        let Event { pos, dir, wire } = ev;
         match dir {
             Direction::ClientToServer => {
                 if pos == self.elements.len() {
@@ -442,6 +404,79 @@ mod tests {
         let t0 = net.clock;
         net.advance(Duration::from_secs(120));
         assert_eq!(net.clock - t0, Duration::from_secs(120));
+    }
+
+    /// Holds every other server-to-client packet back by 5 ms, so later
+    /// packets overtake it: what a shaper does to the event order.
+    struct Stagger {
+        seen: usize,
+    }
+
+    impl PathElement for Stagger {
+        fn name(&self) -> &str {
+            "stagger"
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+
+        fn process(
+            &mut self,
+            now: SimTime,
+            dir: Direction,
+            wire: PacketBuf,
+            _effects: &mut Effects,
+        ) -> Verdict {
+            if dir == Direction::ClientToServer {
+                return Verdict::pass(now, wire);
+            }
+            self.seen += 1;
+            let delay = if self.seen % 2 == 0 { 5 } else { 0 };
+            Verdict::Forward(TimedPacket {
+                at: now + Duration::from_millis(delay),
+                wire,
+            })
+        }
+    }
+
+    #[test]
+    fn overtaken_packets_reach_the_client_in_time_order() {
+        let elements: Vec<Box<dyn PathElement>> = vec![Box::new(Stagger { seen: 0 })];
+        let server = ServerHost::new(SERVER, OsProfile::linux(), Box::<EchoApp>::default());
+        let mut net = Network::new(CLIENT, elements, server);
+        for i in 0..6u8 {
+            let datagram = Packet::udp(CLIENT, SERVER, 5000, 53, vec![i]).serialize();
+            net.send_from_client(Duration::ZERO, datagram);
+        }
+        // Every echo reaches the element at 2 ms. Once it has seen them
+        // all, the prompt ones (due at 3 ms) were queued after a held one
+        // (due at 8 ms), so both tiers hold events.
+        net.run_until(SimTime::from_micros(2_000));
+        let (fifo, heap) = net.events.tier_lens();
+        assert!(
+            fifo > 0 && heap > 0,
+            "tiers: {fifo} in the FIFO, {heap} in the heap"
+        );
+
+        net.run_until_idle();
+        let got: Vec<(u64, u8)> = net
+            .take_client_inbox()
+            .iter()
+            .map(|(at, w)| (at.as_micros(), ParsedPacket::parse(w).unwrap().payload[0]))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (3_000, 0),
+                (3_000, 2),
+                (3_000, 4),
+                (8_000, 1),
+                (8_000, 3),
+                (8_000, 5)
+            ]
+        );
+        assert!(net.is_idle());
     }
 
     #[test]

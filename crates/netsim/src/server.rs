@@ -18,7 +18,7 @@ use liberate_packet::fragment::{OverlapPolicy, Reassembler};
 use liberate_packet::ipv4::ParsedIpv4;
 use liberate_packet::packet::{Packet, ParsedPacket, ParsedTransport};
 use liberate_packet::tcp::TcpFlags;
-use liberate_packet::validate::validate_wire;
+use liberate_packet::validate::DefectMask;
 
 use crate::os::{OsAction, OsProfile};
 use liberate_substrate::time::SimTime;
@@ -213,25 +213,29 @@ impl ServerHost {
     /// path) are ingested as shared views without copying.
     pub fn receive<W: WireBytes + ?Sized>(&mut self, _now: SimTime, wire: &W) {
         // IP-level reassembly first: all tested OSes reassemble fragments.
-        // A header-only probe decides; the full parse happens once below.
-        let Some(ip_probe) = ParsedIpv4::parse(wire.wire()) else {
+        // Headers are parsed once, from the whole datagram.
+        let Some(ip) = ParsedIpv4::parse(wire.wire()) else {
             self.os_dropped += 1;
             return;
         };
-        let whole: PacketBuf = if ip_probe.is_fragment() {
-            match self.reassembler.push(wire.wire()) {
-                Some(w) => PacketBuf::from(w),
-                None => return, // awaiting more fragments
-            }
+        let (whole, ip) = if ip.is_fragment() {
+            let Some(w) = self.reassembler.push(wire.wire()) else {
+                return; // awaiting more fragments
+            };
+            let Some(ip) = ParsedIpv4::parse(&w) else {
+                self.os_dropped += 1;
+                return;
+            };
+            (PacketBuf::from(w), ip)
         } else {
-            wire.tail_view(0)
+            (wire.tail_view(0), ip)
         };
+        let (transport, payload_offset) = ParsedPacket::parse_transport(&ip, &whole);
 
-        let defects = validate_wire(&whole);
-        let Some(pkt) = ParsedPacket::parse(&whole) else {
-            self.os_dropped += 1;
-            return;
-        };
+        let defects = DefectMask::ALL
+            .found_in(&whole, &ip, Some((&transport, payload_offset)))
+            .to_set();
+        let pkt = ParsedPacket::from_headers(&whole, ip, transport, payload_offset);
         if pkt.ip.dst != self.addr {
             self.os_dropped += 1;
             return;

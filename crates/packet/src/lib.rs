@@ -56,6 +56,6 @@ pub mod prelude {
     pub use crate::tcp::{TcpFlags, TcpHeader};
     pub use crate::udp::UdpHeader;
     pub use crate::validate::{
-        has_defect_in, is_well_formed, validate_wire, Malformation, MalformationSet,
+        has_defect_in, is_well_formed, validate_wire, DefectMask, Malformation, MalformationSet,
     };
 }

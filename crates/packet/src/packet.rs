@@ -205,14 +205,29 @@ impl ParsedPacket {
     /// `Vec<u8>` inputs (tests, legacy callers) materialize the payload.
     /// Callers that only need headers use [`ParsedPacket::parse_headers`].
     pub fn parse<W: WireBytes + ?Sized>(input: &W) -> Option<ParsedPacket> {
-        let buf = input.wire();
-        let (ip, transport, payload_offset) = ParsedPacket::parse_headers(buf)?;
-        Some(ParsedPacket {
+        let (ip, transport, payload_offset) = ParsedPacket::parse_headers(input.wire())?;
+        Some(ParsedPacket::from_headers(
+            input,
+            ip,
+            transport,
+            payload_offset,
+        ))
+    }
+
+    /// Assemble the view [`ParsedPacket::parse`] returns from headers
+    /// [`ParsedPacket::parse_headers`] already read out of `input`.
+    pub fn from_headers<W: WireBytes + ?Sized>(
+        input: &W,
+        ip: ParsedIpv4,
+        transport: ParsedTransport,
+        payload_offset: usize,
+    ) -> ParsedPacket {
+        ParsedPacket {
             ip,
             transport,
             payload: input.tail_view(payload_offset),
-            wire_len: buf.len(),
-        })
+            wire_len: input.wire().len(),
+        }
     }
 
     /// The header half of [`ParsedPacket::parse`]: the IP header, the
@@ -222,6 +237,14 @@ impl ParsedPacket {
     /// observation read headers without copying anything.
     pub fn parse_headers(buf: &[u8]) -> Option<(ParsedIpv4, ParsedTransport, usize)> {
         let ip = ParsedIpv4::parse(buf)?;
+        let (transport, payload_offset) = ParsedPacket::parse_transport(&ip, buf);
+        Some((ip, transport, payload_offset))
+    }
+
+    /// The transport half of [`ParsedPacket::parse_headers`]: the
+    /// transport header following `ip`, the header parsed from `buf`, and
+    /// the offset where the transport payload starts.
+    pub fn parse_transport(ip: &ParsedIpv4, buf: &[u8]) -> (ParsedTransport, usize) {
         let body_start = ip.payload_offset.min(buf.len());
         let body = &buf[body_start..];
         // Fragments with non-zero offset carry raw payload, not a transport
@@ -247,7 +270,12 @@ impl ParsedPacket {
                 ParsedTransport::Udp(_) => crate::udp::UDP_HEADER_LEN.min(body.len()),
                 ParsedTransport::Other(_) => 0,
             };
-        Some((ip, transport, payload_offset))
+        (transport, payload_offset)
+    }
+
+    /// Offset in the wire bytes where the transport payload starts.
+    pub fn payload_offset(&self) -> usize {
+        self.wire_len - self.payload.len()
     }
 
     /// Source port if a transport header was parsed.

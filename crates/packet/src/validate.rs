@@ -62,76 +62,199 @@ pub enum Malformation {
 /// An ordered set of malformations found in one packet.
 pub type MalformationSet = BTreeSet<Malformation>;
 
-/// A set of malformations as bits: `m` is bit `m as u32`.
-type Mask = u32;
-
-// Every discriminant must name a bit of `Mask`. Discriminants are implicit,
-// so they count up from 0 in declaration order and the last variant, which
-// this assertion must keep naming, holds the largest one.
-const _: () = assert!((Malformation::UdpLengthShort as u32) < Mask::BITS);
-
 impl Malformation {
-    fn bit(self) -> Mask {
+    /// Every malformation, in declaration order.
+    pub const ALL: [Malformation; 17] = [
+        Malformation::IpVersionInvalid,
+        Malformation::IpHeaderLengthInvalid,
+        Malformation::IpTotalLengthLong,
+        Malformation::IpTotalLengthShort,
+        Malformation::IpChecksumWrong,
+        Malformation::IpOptionsInvalid,
+        Malformation::IpOptionsDeprecated,
+        Malformation::IpProtocolUnknown,
+        Malformation::TtlExpired,
+        Malformation::TcpChecksumWrong,
+        Malformation::TcpDataOffsetInvalid,
+        Malformation::TcpFlagsInvalid,
+        Malformation::TcpAckFlagMissing,
+        Malformation::TransportTruncated,
+        Malformation::UdpChecksumWrong,
+        Malformation::UdpLengthLong,
+        Malformation::UdpLengthShort,
+    ];
+
+    const fn bit(self) -> u32 {
         1 << self as u32
     }
 }
 
-/// Run every structural check against raw wire bytes.
-///
-/// Checks on the transport layer are skipped for *all* fragments: a
-/// non-first fragment carries no transport header, and a first fragment
-/// (MF set) carries only part of the segment, so its transport checksum
-/// cannot be verified by any on-path device.
-pub fn validate_wire(buf: &[u8]) -> MalformationSet {
-    check(buf, |_| true)
-}
-
-/// Whether `buf` exhibits any defect in `set`: the same answer as
-/// `!validate_wire(buf).is_disjoint(set)`, but only the checks for defects
-/// in `set` run. A device that drops or ignores on a few defects pays for
-/// those alone; in particular the transport checksum, the only check that
-/// reads the payload, runs only when `TcpChecksumWrong` or
-/// `UdpChecksumWrong` is in `set`.
-pub fn has_defect_in(buf: &[u8], set: &MalformationSet) -> bool {
-    let mask = set.iter().fold(0, |mask, m| mask | m.bit());
-    mask != 0 && !check(buf, |m| mask & m.bit() != 0).is_empty()
-}
-
-/// The defects of `buf` for which `wanted` holds; checks for unwanted
-/// defects are never evaluated.
-fn check(buf: &[u8], wanted: impl Fn(Malformation) -> bool) -> MalformationSet {
-    let mut found = Found {
-        wanted,
-        set: MalformationSet::new(),
-    };
-    let Some((ip, transport, payload_offset)) = ParsedPacket::parse_headers(buf) else {
-        found.check(Malformation::IpHeaderLengthInvalid, || true);
-        return found.set;
-    };
-    validate_ip(&ip, buf, &mut found);
-    if !ip.is_fragment() {
-        validate_transport(&ip, &transport, payload_offset, buf, &mut found);
+// Every discriminant must name a bit of a `DefectMask`, and `ALL` must list
+// the variants in discriminant order (`DefectMask::to_set` relies on it).
+const _: () = {
+    let mut i = 0;
+    while i < Malformation::ALL.len() {
+        assert!(Malformation::ALL[i] as usize == i);
+        i += 1;
     }
-    found.set
+    assert!(Malformation::ALL.len() <= u32::BITS as usize);
+};
+
+/// A set of malformations as bits: `m` is bit `m as u32`. A device that
+/// drops or ignores packets on some defects folds its set into a mask
+/// once and checks every packet against the headers it has parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Hash)]
+pub struct DefectMask(u32);
+
+impl DefectMask {
+    pub const EMPTY: DefectMask = DefectMask(0);
+    pub const ALL: DefectMask = DefectMask::of(&Malformation::ALL);
+    /// The defects judged from the transport header.
+    const TRANSPORT: DefectMask = DefectMask::of(&[
+        Malformation::TcpChecksumWrong,
+        Malformation::TcpDataOffsetInvalid,
+        Malformation::TcpFlagsInvalid,
+        Malformation::TcpAckFlagMissing,
+        Malformation::TransportTruncated,
+        Malformation::UdpChecksumWrong,
+        Malformation::UdpLengthLong,
+        Malformation::UdpLengthShort,
+    ]);
+
+    const fn of(ms: &[Malformation]) -> DefectMask {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < ms.len() {
+            bits |= ms[i].bit();
+            i += 1;
+        }
+        DefectMask(bits)
+    }
+
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    pub fn contains(self, m: Malformation) -> bool {
+        self.0 & m.bit() != 0
+    }
+
+    fn intersects(self, other: DefectMask) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The malformations in this mask, as a set.
+    pub fn to_set(self) -> MalformationSet {
+        Malformation::ALL
+            .into_iter()
+            .filter(|m| self.contains(*m))
+            .collect()
+    }
+
+    /// The defects in this mask that `buf` exhibits, judged from `ip`, its
+    /// IP header as parsed from `buf`. `transport` is the transport header
+    /// and payload offset when the caller has parsed them too (as
+    /// [`ParsedPacket::parse_headers`] returns them); otherwise the
+    /// transport header is parsed here, and only when this mask holds a
+    /// transport defect. Only the checks for defects in the mask run: the
+    /// transport checksum, the one check that reads the payload, runs only
+    /// for a mask holding `TcpChecksumWrong` or `UdpChecksumWrong`.
+    ///
+    /// Transport checks are skipped for *all* fragments: a non-first
+    /// fragment carries no transport header, and a first fragment (MF set)
+    /// carries only part of the segment, so its transport checksum cannot
+    /// be verified by any on-path device.
+    pub fn found_in(
+        self,
+        buf: &[u8],
+        ip: &ParsedIpv4,
+        transport: Option<(&ParsedTransport, usize)>,
+    ) -> DefectMask {
+        let mut found = Found {
+            wanted: self,
+            found: DefectMask::EMPTY,
+        };
+        validate_ip(ip, buf, &mut found);
+        if self.intersects(DefectMask::TRANSPORT) && !ip.is_fragment() {
+            match transport {
+                Some((transport, payload_offset)) => {
+                    validate_transport(ip, transport, payload_offset, buf, &mut found)
+                }
+                None => {
+                    let (transport, payload_offset) = ParsedPacket::parse_transport(ip, buf);
+                    validate_transport(ip, &transport, payload_offset, buf, &mut found)
+                }
+            }
+        }
+        found.found
+    }
+
+    /// Whether `buf` exhibits any defect in this mask (see
+    /// [`DefectMask::found_in`]).
+    pub fn any_in(
+        self,
+        buf: &[u8],
+        ip: &ParsedIpv4,
+        transport: Option<(&ParsedTransport, usize)>,
+    ) -> bool {
+        !self.is_empty() && !self.found_in(buf, ip, transport).is_empty()
+    }
 }
 
-/// Accumulates the wanted defects that a packet exhibits.
-struct Found<W> {
-    wanted: W,
-    set: MalformationSet,
+impl FromIterator<Malformation> for DefectMask {
+    fn from_iter<I: IntoIterator<Item = Malformation>>(iter: I) -> DefectMask {
+        let mut mask = DefectMask::EMPTY;
+        mask.extend(iter);
+        mask
+    }
 }
 
-impl<W: Fn(Malformation) -> bool> Found<W> {
-    /// Record `m` if it is wanted and `present()` — which runs only when
-    /// `m` is wanted.
-    fn check(&mut self, m: Malformation, present: impl FnOnce() -> bool) {
-        if (self.wanted)(m) && present() {
-            self.set.insert(m);
+impl Extend<Malformation> for DefectMask {
+    fn extend<I: IntoIterator<Item = Malformation>>(&mut self, iter: I) {
+        for m in iter {
+            self.0 |= m.bit();
         }
     }
 }
 
-fn validate_ip<W: Fn(Malformation) -> bool>(ip: &ParsedIpv4, buf: &[u8], found: &mut Found<W>) {
+/// Run every structural check against raw wire bytes.
+pub fn validate_wire(buf: &[u8]) -> MalformationSet {
+    match ParsedPacket::parse_headers(buf) {
+        Some((ip, transport, payload_offset)) => DefectMask::ALL
+            .found_in(buf, &ip, Some((&transport, payload_offset)))
+            .to_set(),
+        None => MalformationSet::from([Malformation::IpHeaderLengthInvalid]),
+    }
+}
+
+/// Whether `buf` exhibits any defect in `set`: the same answer as
+/// `!validate_wire(buf).is_disjoint(set)`, from parsing `buf` and
+/// checking the set's [`DefectMask`] against its headers.
+pub fn has_defect_in(buf: &[u8], set: &MalformationSet) -> bool {
+    let mask: DefectMask = set.iter().copied().collect();
+    match ParsedIpv4::parse(buf) {
+        Some(ip) => mask.any_in(buf, &ip, None),
+        None => mask.contains(Malformation::IpHeaderLengthInvalid),
+    }
+}
+
+/// Accumulates the wanted defects that a packet exhibits.
+struct Found {
+    wanted: DefectMask,
+    found: DefectMask,
+}
+
+impl Found {
+    /// Record `m` if it is wanted and `present()` — which runs only when
+    /// `m` is wanted.
+    fn check(&mut self, m: Malformation, present: impl FnOnce() -> bool) {
+        if self.wanted.contains(m) && present() {
+            self.found.0 |= m.bit();
+        }
+    }
+}
+
+fn validate_ip(ip: &ParsedIpv4, buf: &[u8], found: &mut Found) {
     let total = ip.total_length as usize;
     found.check(Malformation::IpVersionInvalid, || ip.version != 4);
     found.check(Malformation::IpHeaderLengthInvalid, || {
@@ -160,12 +283,12 @@ fn validate_ip<W: Fn(Malformation) -> bool>(ip: &ParsedIpv4, buf: &[u8], found: 
     found.check(Malformation::TtlExpired, || ip.ttl == 0);
 }
 
-fn validate_transport<W: Fn(Malformation) -> bool>(
+fn validate_transport(
     ip: &ParsedIpv4,
     transport: &ParsedTransport,
     payload_offset: usize,
     buf: &[u8],
-    found: &mut Found<W>,
+    found: &mut Found,
 ) {
     let body = &buf[ip.payload_offset.min(buf.len())..];
     match transport {
@@ -334,6 +457,14 @@ mod tests {
         let mut p = base_tcp();
         p.ip.fragment_offset = 10;
         // The "TCP header" bytes are now mid-stream payload; no TCP checks.
+        let set = validate_wire(&p.serialize());
+        assert!(!set.contains(&Malformation::TcpChecksumWrong));
+
+        // A first fragment's TCP header parses, but the fragment holds
+        // only part of the segment: no TCP checks either.
+        let mut p = base_tcp();
+        p.ip.more_fragments = true;
+        p.tcp_mut().checksum = ChecksumSpec::Fixed(0x2222);
         let set = validate_wire(&p.serialize());
         assert!(!set.contains(&Malformation::TcpChecksumWrong));
     }

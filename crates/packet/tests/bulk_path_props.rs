@@ -1,7 +1,8 @@
 //! Property tests for the copy-free bulk path: header-only parsing agrees
-//! with the full parse, demand-driven validation gives the same decision
-//! as the full defect set, and single-buffer serialization is
-//! byte-identical to serializing a packet that owns its payload.
+//! with the full parse, demand-driven validation — from the wire or from
+//! headers the caller already parsed — gives the same decision as the
+//! full defect set, and single-buffer serialization is byte-identical to
+//! serializing a packet that owns its payload.
 
 use proptest::prelude::*;
 
@@ -9,7 +10,9 @@ use liberate_packet::checksum::ChecksumSpec;
 use liberate_packet::ipv4::{protocol, IpOption};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
-use liberate_packet::validate::{has_defect_in, validate_wire, Malformation, MalformationSet};
+use liberate_packet::validate::{
+    has_defect_in, validate_wire, DefectMask, Malformation, MalformationSet,
+};
 use std::net::Ipv4Addr;
 
 const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -35,6 +38,10 @@ const ALL: [Malformation; 17] = [
     Malformation::UdpLengthLong,
     Malformation::UdpLengthShort,
 ];
+
+/// Bits of `set_from_mask` naming the IP-layer defects (the first nine of
+/// `ALL`); the rest are judged from the transport header.
+const IP_BITS: u32 = (1 << 9) - 1;
 
 fn set_from_mask(mask: u32) -> MalformationSet {
     ALL.iter()
@@ -75,10 +82,14 @@ fn split<'a>(payload: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
 
 proptest! {
     /// Demand-driven validation gives the decision of the full defect set
-    /// for every policy set, on crafted packets with any mix of defects
-    /// (bad checksums, fragments, IHL/total-length/data-offset/UDP-length
-    /// overrides, options, truncated headers) and on arbitrary bytes. The
-    /// header-only parse agrees with the full parse on the way.
+    /// for every policy set — random IP-only, transport-only and mixed
+    /// sets, each single defect, none and all — on crafted packets with
+    /// any mix of defects (bad checksums, fragments, wrong protocol,
+    /// IHL/total-length/data-offset/UDP-length overrides, options,
+    /// truncated headers) and on arbitrary bytes. That holds for
+    /// `has_defect_in` on the wire and for a `DefectMask` checked against
+    /// parsed headers, with and without the caller's transport header.
+    /// The header-only parse agrees with the full parse on the way.
     #[test]
     fn demand_driven_validation_matches_the_full_defect_set(
         shape in (0usize..3, proptest::collection::vec(any::<u8>(), 0..64), any::<u8>()),
@@ -138,12 +149,31 @@ proptest! {
         };
 
         let full = validate_wire(&wire);
-        let mut sets: Vec<MalformationSet> = masks.iter().map(|m| set_from_mask(*m)).collect();
+        let mut sets: Vec<MalformationSet> = masks
+            .iter()
+            .flat_map(|m| [m & IP_BITS, m & !IP_BITS, *m])
+            .map(set_from_mask)
+            .collect();
         sets.extend(ALL.iter().map(|m| [*m].into_iter().collect()));
         sets.push(MalformationSet::new());
         sets.push(ALL.iter().copied().collect());
+        let headers = ParsedPacket::parse_headers(&wire);
         for set in &sets {
-            prop_assert_eq!(has_defect_in(&wire, set), !full.is_disjoint(set), "{:?} vs {:?}", set, full);
+            let want = !full.is_disjoint(set);
+            prop_assert_eq!(has_defect_in(&wire, set), want, "{:?} vs {:?}", set, full);
+            let Some((ip, transport, offset)) = &headers else {
+                continue;
+            };
+            let mask: DefectMask = set.iter().copied().collect();
+            let caller_transport = Some((transport, *offset));
+            prop_assert_eq!(mask.any_in(&wire, ip, None), want, "{:?} vs {:?}", set, full);
+            prop_assert_eq!(mask.any_in(&wire, ip, caller_transport), want, "{:?} vs {:?}", set, full);
+            let found: MalformationSet = full.intersection(set).copied().collect();
+            prop_assert_eq!(mask.found_in(&wire, ip, None).to_set(), found.clone());
+            prop_assert_eq!(mask.found_in(&wire, ip, caller_transport).to_set(), found);
+        }
+        if let Some((ip, transport, offset)) = &headers {
+            prop_assert_eq!(DefectMask::ALL.found_in(&wire, ip, Some((transport, *offset))).to_set(), full.clone());
         }
 
         match (ParsedPacket::parse_headers(&wire), ParsedPacket::parse(&wire)) {
@@ -154,6 +184,61 @@ proptest! {
             }
             (None, None) => {}
             (headers, full) => panic!("parse_headers {headers:?} vs parse {full:?}"),
+        }
+    }
+
+    /// A `DefectMask` checked against headers the caller parsed — with or
+    /// without the caller's transport header — finds exactly the wire's
+    /// defects in the mask, for random IP-only, transport-only and mixed
+    /// masks. Packets are TCP or UDP, with or without payload, with any
+    /// TCP flags (a bare PSH often: the ACK check reads the payload
+    /// offset), plain or mutated the way a path element sees them:
+    /// truncated, a first or a later fragment, a wrong protocol number, a
+    /// bad IP or transport checksum.
+    #[test]
+    fn mask_checks_on_parsed_headers_match_the_wire(
+        udp in any::<bool>(),
+        empty in any::<bool>(),
+        flags in prop_oneof![Just(TcpFlags::PSH_ONLY.to_byte()), any::<u8>()],
+        mutation in 0u8..7,
+        cut in 0usize..60,
+        mask in any::<u32>(),
+    ) {
+        let payload: &[u8] = if empty { b"" } else { b"GET / HTTP/1.1\r\n" };
+        let mut p = if udp {
+            Packet::udp(SRC, DST, 3478, 3478, payload)
+        } else {
+            let mut p = Packet::tcp(SRC, DST, 40000, 80, 7, 9, payload);
+            p.tcp_mut().flags = TcpFlags::from_byte(flags);
+            p
+        };
+        match mutation {
+            1 => p.ip.more_fragments = true,
+            2 => p.ip.fragment_offset = 3,
+            3 => p.ip.protocol = Some(protocol::UNASSIGNED),
+            4 => p.ip.checksum = ChecksumSpec::Fixed(0x1bad),
+            5 if udp => p.udp_mut().checksum = ChecksumSpec::Fixed(0x0bad),
+            5 => p.tcp_mut().checksum = ChecksumSpec::Fixed(0x0bad),
+            _ => {}
+        }
+        let mut wire = p.serialize();
+        if mutation == 6 {
+            wire.truncate(cut);
+        }
+
+        let full = validate_wire(&wire);
+        if let Some((ip, transport, offset)) = ParsedPacket::parse_headers(&wire) {
+            for bits in [mask & IP_BITS, mask & !IP_BITS, mask] {
+                let set = set_from_mask(bits);
+                let mask: DefectMask = set.iter().copied().collect();
+                let found: MalformationSet = full.intersection(&set).copied().collect();
+                for caller_transport in [None, Some((&transport, offset))] {
+                    prop_assert_eq!(mask.found_in(&wire, &ip, caller_transport).to_set(), found.clone());
+                    prop_assert_eq!(mask.any_in(&wire, &ip, caller_transport), !found.is_empty());
+                }
+            }
+        } else {
+            prop_assert!(wire.len() < 20, "only a short buffer fails to parse");
         }
     }
 

@@ -123,7 +123,8 @@ say "perfbench smoke (learn / deploy / adapt, traced, 1 s each)"
 # performance change must not change the work. Allocation figures are
 # deterministic for a given toolchain, and those listed in
 # tests/fixtures/perfbench_alloc_ceilings.json (traced learn `allocs`
-# and `alloc_mb`, traced deploy `allocs`) must not exceed their ceilings.
+# and `alloc_mb`, traced deploy and adapt `allocs`) must not exceed their
+# ceilings.
 for workload in learn deploy adapt; do
     result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)
     echo "$workload: $result"
