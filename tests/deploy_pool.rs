@@ -28,6 +28,8 @@ use liberate::prelude::*;
 use liberate_obs::{to_jsonl, validate_jsonl, Counter, Journal};
 use liberate_traces::apps;
 
+mod common;
+
 fn trace() -> liberate_traces::recorded::RecordedTrace {
     apps::amazon_prime_http(1_200_000)
 }
@@ -321,6 +323,25 @@ fn same_seed_deployment_journals_are_byte_identical() {
     assert!(!a.is_empty());
     validate_jsonl(&a).expect("merged deployment journal is valid JSONL");
     assert_eq!(a, b, "same seed must replay to byte-identical journals");
+}
+
+/// (e') A small journal-on pool — one wave, a scripted flip, one wave
+/// after it — exports exactly the checked-in merged journal, staged
+/// lanes, the re-learn and the `rule_swap` events included.
+#[test]
+fn deployment_journal_matches_its_golden() {
+    let trace = trace();
+    let mut pool = testbed_pool(2);
+    pool.run_flows(&trace, 2).expect("initial wave");
+    let rules = {
+        let dpi = pool.pool_mut().session_mut(0).env.dpi_mut().unwrap();
+        flipped_rules(&dpi.config.rules)
+    };
+    pool.hot_swap_rules(&rules);
+    pool.run_flows(&trace, 2).expect("recovery wave");
+    let merged = Arc::new(Journal::new());
+    pool.merge_journals_into(&merged);
+    common::assert_journal_golden("testbed_pool_2w.jsonl", &to_jsonl(&merged));
 }
 
 /// (f) Journal-off lanes share the worker journal rather than staging

@@ -16,6 +16,8 @@ use liberate_obs::{
 };
 use liberate_traces::recorded::{RecordedTrace, Sender, TraceMessage, TraceProtocol};
 
+mod common;
+
 /// A minimal Skype-like UDP trace: three client datagrams, the first a
 /// STUN-shaped packet (0x0001 binding-request prefix passes the testbed
 /// gate) carrying the 0x8055 MS-SERVICE-QUALITY attribute the skype-sq
@@ -67,6 +69,14 @@ fn same_seed_journals_are_byte_identical() {
         lines > 10,
         "expected a non-trivial journal, got {lines} lines"
     );
+}
+
+/// The seed-7 scripted characterization exports exactly the checked-in
+/// journal: a refactor of how journals are plumbed must not move a byte.
+#[test]
+fn scripted_journal_matches_its_golden() {
+    let (journal, _) = run_scripted(7);
+    common::assert_journal_golden("scripted_seed7.jsonl", &journal);
 }
 
 #[test]
