@@ -159,13 +159,26 @@ fn write_in(dir: &Path, file: &str, text: &str) -> io::Result<PathBuf> {
 }
 
 /// Publish a benchmark dataset: `results/BENCH_<name>.json`, plus its
-/// compact line appended to `results/BENCH_history.jsonl`. A write
-/// failure is reported, not fatal, so the binary's gates still run.
+/// compact line appended to `results/BENCH_history.jsonl`. The dataset
+/// is stamped with the host's `host_cores`, so every BENCH file says
+/// what hardware produced its numbers. A write failure is reported, not
+/// fatal, so the binary's gates still run.
 pub fn publish(name: &str, dataset: &JsonValue) {
-    match publish_in(Path::new(RESULTS_DIR), name, dataset) {
+    match publish_in(Path::new(RESULTS_DIR), name, &with_host_cores(dataset)) {
         Ok(path) => println!("dataset: wrote {}", path.display()),
         Err(e) => eprintln!("dataset: cannot publish BENCH_{name}.json: {e}"),
     }
+}
+
+/// `dataset` (an object) with the host's core count appended as
+/// `host_cores`.
+fn with_host_cores(dataset: &JsonValue) -> JsonValue {
+    let mut dataset = dataset.clone();
+    if let JsonValue::Object(fields) = &mut dataset {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        fields.push(("host_cores".to_string(), cores.into()));
+    }
+    dataset
 }
 
 fn publish_in(dir: &Path, name: &str, dataset: &JsonValue) -> io::Result<PathBuf> {
@@ -225,6 +238,16 @@ mod tests {
         assert_eq!(calls, [0, 1, 1, 0, 0, 1]);
         assert_eq!(a, [1, 4, 5], "arm 0's samples in round order");
         assert_eq!(b, [2, 3, 6]);
+    }
+
+    #[test]
+    fn datasets_are_stamped_with_host_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let stamped = with_host_cores(&JsonValue::object([("experiment", "e1".into())]));
+        assert_eq!(
+            stamped.render(),
+            format!("{{\"experiment\":\"e1\",\"host_cores\":{cores}}}")
+        );
     }
 
     /// Re-publishing an identical dataset must not grow the history,

@@ -176,20 +176,33 @@ impl DeploymentPool<SimSubstrate> {
     }
 
     /// Script a classifier change: swap the rule set on every worker's
-    /// DPI device (they model one middlebox, so all must agree). Flow
-    /// state is kept, mirroring a real rule push.
+    /// DPI device (they model one middlebox, so all must agree), and
+    /// journal each swap as a `rule_swap` event plus the `rule-swaps`
+    /// counter. Flow state is kept, mirroring a real rule push.
     pub fn hot_swap_rules(&mut self, rules: &RuleSet) {
         for w in 0..self.pool.workers() {
+            let session = self.pool.session_mut(w);
             // Stamp the swap at the worker's quiesced wave-boundary clock,
             // not at its device's last inspected packet: lane timestamps
             // lag the session clock, and the swap event must land at the
             // same instant whether the last wave ran as tasks or as
             // closures.
-            let now = self.pool.session_mut(w).env.clock();
-            if let Some(dpi) = self.pool.session_mut(w).env.dpi_mut() {
-                dpi.observe_now(now);
-                dpi.hot_swap_rules(rules.clone());
-            }
+            let now = session.env.clock();
+            let Some(dpi) = session.env.dpi_mut() else {
+                continue;
+            };
+            let at = dpi.observe_now(now);
+            dpi.hot_swap_rules(rules.clone());
+            let device = dpi.config.name.clone();
+            let journal = session.journal();
+            journal.metrics.incr(Counter::RuleSwaps);
+            journal.record(
+                at.as_micros(),
+                EventKind::RuleSwap {
+                    device,
+                    rules: rules.rules.len() as u64,
+                },
+            );
         }
     }
 }

@@ -299,8 +299,8 @@ where
 /// finished lanes back into the worker's journal and timeline.
 ///
 /// Splice accounting: lanes are visited in admission (bucket) order.
-/// A successful lane's staged journal (journal-off lanes have none: they
-/// share the worker journal) is rebased by `dt_us` — the sum of
+/// A successful lane's staged events (a journal-off lane has none to
+/// splice) are rebased by `dt_us` — the sum of
 /// earlier successful lanes' virtual durations — making the worker
 /// journal read as if the bucket had run sequentially; `replay_base`
 /// advances by every task's started replays (panicked ones included) so
@@ -324,11 +324,7 @@ fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
     let mut replay_base = prewave;
     for (i, lane) in outcome.lanes.iter().enumerate() {
         if outcome.results[i].is_some() {
-            // A lane sharing the worker journal has nothing staged: its
-            // counters already landed.
-            if !Arc::ptr_eq(&lane.journal, &journal) {
-                journal.splice_staged(&lane.journal, dt_us, replay_base);
-            }
+            journal.splice_staged(&lane.journal, dt_us, replay_base);
             dt_us += (lane.clock - t0).as_micros() as u64;
         }
         replay_base += outcome.replays[i];

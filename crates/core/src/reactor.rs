@@ -7,8 +7,7 @@
 //!
 //! Tasks are admitted in job order to a FIFO ready queue. Each tick pops
 //! one task, swaps its lane (private clock, step-epoch baseline, capture
-//! buffer, and a staging journal when the worker journal is enabled)
-//! into the backend, applies any pending timer
+//! buffer, and journal handle) into the backend, applies any pending timer
 //! advance, and polls the task through one *quiesced segment* (see
 //! [`crate::task`]). A [`Wake::Ready`] yield re-queues the task;
 //! a [`Wake::Timer`] yield parks it on a [`TimerQueue`] keyed by
@@ -20,17 +19,19 @@
 //! ## Determinism contract
 //!
 //! A reactor wave is journal-equivalent to running the same tasks
-//! sequentially on the worker: every lane records into a private staged
-//! journal on a virtual timeline starting at the wave's opening instant,
-//! and the caller splices lanes back in admission order via
+//! sequentially on the worker. Every lane follows one rule: counters and
+//! histogram samples land in the worker's registry at once (sums do not
+//! depend on order), and only events are staged. An enabled worker
+//! journal gives each lane a [`liberate_obs::Journal::staging`] journal
+//! whose events sit on a virtual timeline starting at the wave's opening
+//! instant; the caller splices them back in admission order via
 //! [`liberate_obs::Journal::splice_staged`] (timestamps rebased by the
 //! sum of earlier lanes' durations, replay ordinals rebased onto the
-//! session's canonical numbering). A disabled worker journal records
-//! only counters, whose sums do not depend on order, so its lanes share
-//! it outright: nothing is staged and nothing is spliced. The reactor's
-//! own scheduling telemetry (ticks, queue depth, timer fires) goes to a
-//! separate journal that is never merged, so it cannot perturb the
-//! contract.
+//! session's canonical numbering). A disabled worker journal records no
+//! events, so its lanes share it outright and their splice is a no-op.
+//! The reactor's own scheduling telemetry (ticks, queue depth, timer
+//! fires) goes to a separate journal that is never merged, so it cannot
+//! perturb the contract.
 //!
 //! ## Fault containment
 //!
@@ -38,9 +39,9 @@
 //! (still swapped-in) dead lane, the worker timeline is swapped back,
 //! and the task is reported failed (`None` result) — the wave completes
 //! and no shard lock is poisoned (`parking_lot` locks do not poison).
-//! A dead lane's staged journal is dropped unspliced; on a journal-off
-//! worker the counters it moved before the panic stay, as an enabled
-//! lane's histogram samples do.
+//! A dead lane's staged events are dropped unspliced; the counters and
+//! samples it moved before the panic stay in the worker registry,
+//! journal on or off.
 //! Dropping a mid-wave reactor releases every parked task, lane, and
 //! timer; nothing owns backend state, so shutdown leaks no flows.
 
@@ -147,8 +148,8 @@ impl TimerQueue {
 pub struct ReactorOutcome<R> {
     /// Per task, in admission (job) order; `None` marks a panicked task.
     pub results: Vec<Option<R>>,
-    /// Each task's lane: final virtual clock and staged journal (the
-    /// worker's own journal when that one is disabled).
+    /// Each task's lane: final virtual clock and journal handle (a
+    /// staging journal, or the worker's own when that one is disabled).
     pub lanes: Vec<LaneState>,
     /// Replays each task started (its lane-local ordinal count), for
     /// chaining `replay_base` across splices.
@@ -181,11 +182,10 @@ pub struct Reactor<S: Substrate, T: FlowTask<S>> {
 
 impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
     /// Admit `tasks` (in order) against the session's current instant.
-    /// With the worker journal enabled, each lane stages into its own
-    /// journal, which records histogram samples straight into the
-    /// worker's. With it disabled there are no events to order, so every
-    /// lane shares the worker journal itself: its counters land in place
-    /// (counters commute), and swaps and splices skip it.
+    /// With the worker journal enabled, each lane stages its events in a
+    /// [`Journal::staging`] journal over the worker's metrics. With it
+    /// disabled there are no events to order, so every lane shares the
+    /// worker journal itself.
     pub fn new(session: &Session<S>, tasks: Vec<T>, telemetry: &Journal) -> Reactor<S, T> {
         let t0 = session.env.clock();
         let worker_journal = session.journal();
@@ -288,8 +288,8 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         if polled.is_err() {
             // Containment: flush whatever the dead task left in flight
             // into its own (still swapped-in) lane before restoring the
-            // worker timeline. A staged lane journal is never spliced;
-            // the wave carries on.
+            // worker timeline. Its staged events are never spliced; the
+            // wave carries on.
             session.env.run_until_idle();
             drop(session.env.take_client_inbox());
         }
@@ -309,7 +309,7 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             Err(_panic) => telemetry.metrics.incr(Counter::ReactorTaskPanics),
         }
         // Nothing reads a finished lane's capture (splicing takes only
-        // clock + journal); release its packet buffers now so a
+        // clock + staged events); release its packet buffers now so a
         // 100k-task wave's footprint tracks the *live* flows, not every
         // flow ever admitted.
         slot.lane.capture.clear();

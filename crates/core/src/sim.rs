@@ -181,16 +181,17 @@ impl Substrate for SimSubstrate {
     }
 
     fn journal(&self) -> &Arc<Journal> {
-        &self.env.journal
+        self.env.network.journal()
     }
 
     fn set_journal(&mut self, journal: Arc<Journal>) {
-        self.env.attach_journal(journal);
+        *self.env.network.journal_mut() = journal;
     }
 
     fn reclaim_flows(&mut self) {
+        let journal = Arc::clone(self.env.network.journal());
         if let Some(dpi) = self.env.dpi_mut() {
-            dpi.drain_expired_flows();
+            dpi.drain_expired_flows(&journal);
         }
     }
 
@@ -215,16 +216,9 @@ impl Substrate for SimSubstrate {
     }
 
     fn swap_lane(&mut self, lane: &mut LaneState) {
-        self.env
-            .network
-            .swap_lane(&mut lane.clock, &mut lane.step_epoch_us, &mut lane.capture);
-        // A journal-off lane shares the worker journal: there is nothing
-        // to re-attach to the path elements.
-        if !Arc::ptr_eq(&self.env.journal, &lane.journal) {
-            let prev = Arc::clone(&self.env.journal);
-            self.env.attach_journal(Arc::clone(&lane.journal));
-            lane.journal = prev;
-        }
+        let network = &mut self.env.network;
+        network.swap_lane(&mut lane.clock, &mut lane.step_epoch_us, &mut lane.capture);
+        std::mem::swap(network.journal_mut(), &mut lane.journal);
     }
 
     fn mark_step_epoch(&mut self) {

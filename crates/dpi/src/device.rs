@@ -91,8 +91,6 @@ pub struct DpiDevice {
     pub events: Vec<ClassificationEvent>,
     /// Latest packet time seen, used by the readout API for expiry.
     last_seen: SimTime,
-    /// Observability journal, attached by the owning `Network`.
-    journal: Option<Arc<Journal>>,
     /// Flow churn this device caused but has not yet reported to the
     /// journal. Per-device deltas (captured from the shard guard), not
     /// table totals: with a shared table, totals mix in sibling devices'
@@ -123,7 +121,6 @@ impl DpiDevice {
             zero_rated_bytes: 0,
             events: Vec::new(),
             last_seen: SimTime::ZERO,
-            journal: None,
             flows_created_pending: 0,
             flows_evicted_pending: 0,
             evicted_scanned_pending: Vec::new(),
@@ -132,9 +129,10 @@ impl DpiDevice {
     }
 
     /// The compiled automaton for this device's rules, building it on
-    /// first use. `None` under [`MatcherKind::NaiveRescan`]. Callers hold
-    /// the returned `Arc` across flow-table borrows.
-    fn compiled_rules(&mut self) -> Option<Arc<CompiledRuleSet>> {
+    /// first use (counting its states into `journal`). `None` under
+    /// [`MatcherKind::NaiveRescan`]. Callers hold the returned `Arc`
+    /// across flow-table borrows.
+    fn compiled_rules(&mut self, journal: &Journal) -> Option<Arc<CompiledRuleSet>> {
         if self.config.matcher == MatcherKind::NaiveRescan {
             return None;
         }
@@ -143,10 +141,9 @@ impl DpiDevice {
                 &self.config.rules,
                 self.config.inspect.reassembly.gate_prefixes(),
             ));
-            if let Some(j) = &self.journal {
-                j.metrics
-                    .add(Counter::AutomatonStates, compiled.state_count() as u64);
-            }
+            journal
+                .metrics
+                .add(Counter::AutomatonStates, compiled.state_count() as u64);
             self.compiled = Some(compiled);
         }
         self.compiled.clone()
@@ -166,9 +163,10 @@ impl DpiDevice {
     /// so the action is stamped at the driver's clock rather than the
     /// last packet's. Monotonic: never moves the clock backwards — lane-
     /// virtualized engines whose per-flow timestamps lag the session
-    /// clock rely on that.
-    pub fn observe_now(&mut self, now: SimTime) {
+    /// clock rely on that. Returns the device clock after the move.
+    pub fn observe_now(&mut self, now: SimTime) -> SimTime {
         self.last_seen = self.last_seen.max(now);
+        self.last_seen
     }
 
     /// Replace this device's rule set in place — the scripted
@@ -176,19 +174,12 @@ impl DpiDevice {
     /// use to exercise re-characterization. Existing flow state is kept
     /// (live flows keep their verdicts until expiry, like a real
     /// middlebox taking a rule push); the compiled automaton is dropped
-    /// so the next inspected packet compiles the new rules. Journaled as
-    /// a `rule_swap` event plus the `rule-swaps` counter.
+    /// so the next inspected packet compiles the new rules. The caller
+    /// journals the swap (`DeploymentPool::hot_swap_rules` records a
+    /// `rule_swap` event plus the `rule-swaps` counter).
     pub fn hot_swap_rules(&mut self, rules: RuleSet) {
         self.config.rules = rules;
         self.invalidate_compiled_rules();
-        self.journal_incr(Counter::RuleSwaps);
-        self.journal_record(
-            self.last_seen,
-            EventKind::RuleSwap {
-                device: self.config.name.clone(),
-                rules: self.config.rules.rules.len() as u64,
-            },
-        );
     }
 
     /// The flow state this device fronts (for sharing with a sibling or
@@ -197,36 +188,31 @@ impl DpiDevice {
         Arc::clone(&self.table)
     }
 
-    /// Report this device's pending flow-churn deltas to the journal.
+    /// Report this device's pending flow-churn deltas to `journal`.
     /// Runs after every processed packet so the counters are exact at
-    /// packet boundaries (the table also evicts lazily inside `lookup`).
-    /// Deltas accumulated while no journal is attached stay local, like
-    /// pre-attachment totals did before sharding.
-    fn sync_flow_metrics(&mut self) {
+    /// packet boundaries (the table also evicts lazily inside `lookup`);
+    /// churn from a readout between packets rides the next report.
+    fn sync_flow_metrics(&mut self, journal: &Journal) {
         let created = std::mem::take(&mut self.flows_created_pending);
         let evicted = std::mem::take(&mut self.flows_evicted_pending);
-        let scanned = std::mem::take(&mut self.evicted_scanned_pending);
-        let Some(j) = &self.journal else {
-            return;
-        };
         if created > 0 {
-            j.metrics.add(Counter::FlowsCreated, created);
+            journal.metrics.add(Counter::FlowsCreated, created);
         }
         if evicted > 0 {
-            j.metrics.add(Counter::FlowsEvicted, evicted);
+            journal.metrics.add(Counter::FlowsEvicted, evicted);
         }
-        for bytes in scanned {
-            j.observe(Hist::FlowBytesScanned, bytes);
+        for bytes in self.evicted_scanned_pending.drain(..) {
+            journal.observe(Hist::FlowBytesScanned, bytes);
         }
     }
 
     /// Between-wave batch reclamation: evict every flow idle past its
     /// deadline in one sweep — one lock acquisition per shard instead of
     /// one per future lookup — and journal the churn (`flows-evicted`
-    /// plus the bytes-scanned histogram) immediately. The deployment
-    /// pool calls this once per wave, while its workers are quiescent.
-    /// Returns the number of flows evicted.
-    pub fn drain_expired_flows(&mut self) -> u64 {
+    /// plus the bytes-scanned histogram) into `journal` immediately. The
+    /// deployment pool calls this once per wave, while its workers are
+    /// quiescent. Returns the number of flows evicted.
+    pub fn drain_expired_flows(&mut self, journal: &Journal) -> u64 {
         let batch = self.table.drain_expired(
             self.last_seen,
             &self.config.flow,
@@ -234,7 +220,7 @@ impl DpiDevice {
         );
         self.flows_evicted_pending += batch.evicted;
         self.evicted_scanned_pending.extend(batch.scanned);
-        self.sync_flow_metrics();
+        self.sync_flow_metrics(journal);
         batch.evicted
     }
 
@@ -247,18 +233,6 @@ impl DpiDevice {
         self.flows_created_pending += created;
         self.flows_evicted_pending += evicted;
         self.evicted_scanned_pending.extend(scanned);
-    }
-
-    fn journal_record(&self, now: SimTime, kind: EventKind) {
-        if let Some(j) = &self.journal {
-            j.record(now.as_micros(), kind);
-        }
-    }
-
-    fn journal_incr(&self, c: Counter) {
-        if let Some(j) = &self.journal {
-            j.metrics.incr(c);
-        }
     }
 
     /// The testbed readout: current classification of a flow, if any.
@@ -645,6 +619,7 @@ impl DpiDevice {
     /// forwarded packet.
     fn forward_classified(
         &mut self,
+        journal: &Journal,
         c: &mut Classification,
         now: SimTime,
         dir: Direction,
@@ -663,11 +638,10 @@ impl DpiDevice {
                 if let Some(rewritten) =
                     liberate_packet::mutate::rewrite_tcp_payload(&wire, find, replace)
                 {
-                    if let Some(j) = &self.journal {
-                        j.metrics.add(Counter::PayloadCopies, 1);
-                        j.metrics
-                            .add(Counter::PayloadBytesCopied, rewritten.len() as u64);
-                    }
+                    journal.metrics.add(Counter::PayloadCopies, 1);
+                    journal
+                        .metrics
+                        .add(Counter::PayloadBytesCopied, rewritten.len() as u64);
                     wire = rewritten.into();
                 }
             }
@@ -701,23 +675,16 @@ impl PathElement for DpiDevice {
         self
     }
 
-    fn attach_journal(&mut self, journal: &Arc<Journal>) {
-        // Churn accumulated before attachment stays local; the journal
-        // sees deltas from this point on.
-        self.flows_created_pending = 0;
-        self.flows_evicted_pending = 0;
-        self.journal = Some(journal.clone());
-    }
-
     fn process(
         &mut self,
+        journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
         effects: &mut Effects,
     ) -> Verdict {
-        let verdict = self.process_packet(now, dir, wire, effects);
-        self.sync_flow_metrics();
+        let verdict = self.process_packet(journal, now, dir, wire, effects);
+        self.sync_flow_metrics(journal);
         verdict
     }
 }
@@ -725,6 +692,7 @@ impl PathElement for DpiDevice {
 impl DpiDevice {
     fn process_packet(
         &mut self,
+        journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
@@ -755,11 +723,11 @@ impl DpiDevice {
                 let mut patched = wire.clone();
                 let mut tally = CopyTally::default();
                 patched.make_mut(&mut tally)[9] = liberate_packet::ipv4::protocol::TCP;
-                if let Some(j) = &self.journal {
-                    if !tally.is_empty() {
-                        j.metrics.add(Counter::PayloadCopies, tally.copies);
-                        j.metrics.add(Counter::PayloadBytesCopied, tally.bytes);
-                    }
+                if !tally.is_empty() {
+                    journal.metrics.add(Counter::PayloadCopies, tally.copies);
+                    journal
+                        .metrics
+                        .add(Counter::PayloadBytesCopied, tally.bytes);
                 }
                 if let Some(as_tcp) = ParsedPacket::parse(&patched) {
                     if as_tcp.tcp().is_some() {
@@ -812,8 +780,17 @@ impl DpiDevice {
         // pending journal figures on the way out.
         let table = Arc::clone(&self.table);
         let mut shard = table.shard(key);
-        let verdict =
-            self.process_flow(&mut shard, now, dir, &pkt, key, wire, effects, server_port);
+        let verdict = self.process_flow(
+            journal,
+            &mut shard,
+            now,
+            dir,
+            &pkt,
+            key,
+            wire,
+            effects,
+            server_port,
+        );
         self.absorb_shard_deltas(shard);
         verdict
     }
@@ -824,6 +801,7 @@ impl DpiDevice {
     #[allow(clippy::too_many_arguments)]
     fn process_flow(
         &mut self,
+        journal: &Journal,
         ft: &mut FlowTable,
         now: SimTime,
         dir: Direction,
@@ -841,8 +819,8 @@ impl DpiDevice {
         if let Some(t) = pkt.tcp() {
             if t.flags.rst {
                 if ft.apply_rst(key, &self.config.flow) {
-                    self.journal_incr(Counter::FlowResets);
-                    self.journal_record(now, EventKind::FlowReset);
+                    journal.metrics.incr(Counter::FlowResets);
+                    journal.record(now.as_micros(), EventKind::FlowReset);
                 }
                 self.account(false, len);
                 return Verdict::pass(now, wire);
@@ -883,7 +861,7 @@ impl DpiDevice {
             && (!already_classified || !self.config.inspect.match_and_forget);
 
         if eligible {
-            let compiled = self.compiled_rules();
+            let compiled = self.compiled_rules(journal);
             // The transport payload is always the tail of the wire buffer
             // (`ParsedPacket::parse` slices to the end), so this view
             // aliases the in-flight bytes — inspection and reassembly
@@ -899,9 +877,7 @@ impl DpiDevice {
                 server_port,
             );
             if scanned > 0 {
-                if let Some(j) = &self.journal {
-                    j.metrics.add(Counter::MatcherBytesScanned, scanned);
-                }
+                journal.metrics.add(Counter::MatcherBytesScanned, scanned);
             }
             if let Some((class, rule_id)) = matched {
                 if !already_classified {
@@ -912,9 +888,9 @@ impl DpiDevice {
                         shaper: None,
                         result_timeout: self.config.flow.result_timeout,
                     });
-                    self.journal_incr(Counter::Verdicts);
-                    self.journal_record(
-                        now,
+                    journal.metrics.incr(Counter::Verdicts);
+                    journal.record(
+                        now.as_micros(),
                         EventKind::ClassifierVerdict {
                             class: class.clone(),
                             rule_id: rule_id.clone(),
@@ -933,7 +909,7 @@ impl DpiDevice {
 
         // Forward under whatever classification now stands.
         match &mut entry.classification {
-            Some(c) => self.forward_classified(c, now, dir, wire),
+            Some(c) => self.forward_classified(journal, c, now, dir, wire),
             None => {
                 self.account(false, len);
                 Verdict::pass(now, wire)

@@ -17,7 +17,6 @@ use liberate_netsim::network::Network;
 use liberate_netsim::os::{OsKind, OsProfile};
 use liberate_netsim::server::{ServerApp, ServerHost};
 use liberate_netsim::shaper::LinkShaper;
-use liberate_obs::Journal;
 use liberate_packet::validate::Malformation::*;
 use liberate_substrate::nft::{WirePolicy, WireRule, WireRuleset};
 
@@ -335,18 +334,9 @@ pub struct Environment {
     /// server).
     pub hops_before_middlebox: u8,
     pub total_hops: u8,
-    /// Shared observability journal (the same handle the network and its
-    /// DPI elements write into).
-    pub journal: Arc<Journal>,
 }
 
 impl Environment {
-    /// Replace the journal, propagating the handle to the network and all
-    /// path elements. Used when several sessions share one journal.
-    pub fn attach_journal(&mut self, journal: Arc<Journal>) {
-        self.network.set_journal(journal.clone());
-        self.journal = journal;
-    }
     /// Downcast accessor for the DPI device, when the environment has one.
     pub fn dpi_mut(&mut self) -> Option<&mut DpiDevice> {
         let idx = self.network.element_index(DPI_NAME)?;
@@ -602,15 +592,11 @@ impl EnvironmentBlueprint {
     /// server OS and application.
     pub fn build(&self, os: OsKind, app: Box<dyn ServerApp>) -> Environment {
         let server = ServerHost::new(SERVER_ADDR, OsProfile::new(os), app);
-        let journal = Arc::new(Journal::new());
-        let mut network = self.net.build(server);
-        network.set_journal(journal.clone());
         Environment {
             kind: self.kind,
-            network,
+            network: self.net.build(server),
             hops_before_middlebox: self.hops_before_middlebox,
             total_hops: self.total_hops,
-            journal,
         }
     }
 }
@@ -746,7 +732,7 @@ mod tests {
         assert!(Arc::ptr_eq(&ta, &tb), "workers must front one table");
         assert!(Arc::ptr_eq(&ta, &bp.shared_table()));
         // Journals, by contrast, are per-build.
-        assert!(!Arc::ptr_eq(&a.journal, &b.journal));
+        assert!(!Arc::ptr_eq(a.network.journal(), b.network.journal()));
     }
 
     #[test]

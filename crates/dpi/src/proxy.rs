@@ -15,6 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use liberate_netsim::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
 use liberate_netsim::shaper::TokenBucket;
+use liberate_obs::Journal;
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
@@ -219,6 +220,7 @@ impl PathElement for TransparentProxy {
 
     fn process(
         &mut self,
+        _journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,

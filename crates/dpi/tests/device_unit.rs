@@ -3,7 +3,6 @@
 //! loose transport parsing, resource-model eviction, and idle expiry.
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use liberate_dpi::device::DpiDevice;
@@ -22,8 +21,13 @@ const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 const S: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
 
 fn feed(dev: &mut DpiDevice, at: SimTime, wire: Vec<u8>) -> Verdict {
+    feed_into(dev, &Journal::new(), at, wire)
+}
+
+/// [`feed`], journaling into `journal`.
+fn feed_into(dev: &mut DpiDevice, journal: &Journal, at: SimTime, wire: Vec<u8>) -> Verdict {
     let mut fx = Effects::default();
-    dev.process(at, Direction::ClientToServer, wire.into(), &mut fx)
+    dev.process(journal, at, Direction::ClientToServer, wire.into(), &mut fx)
 }
 
 fn syn(port: u16, seq: u32) -> Vec<u8> {
@@ -156,10 +160,9 @@ fn loose_parsing_validates_the_original_wire_not_the_patched_view() {
         assert!(config.loose_transport_parsing);
         config.validation = ValidationModel::ignoring([ignored]);
         let mut dev = DpiDevice::new(config);
-        let journal = Arc::new(Journal::new());
-        dev.attach_journal(&journal);
-        feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
-        feed(&mut dev, SimTime::ZERO, wire.clone());
+        let journal = Journal::new();
+        feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+        feed_into(&mut dev, &journal, SimTime::ZERO, wire.clone());
         // The patch copies the shared buffer once, whatever the verdict.
         assert_eq!(journal.metrics.get(Counter::PayloadCopies), 1);
         dev.last_event().is_some()
@@ -249,6 +252,7 @@ fn throttle_delays_server_direction_only() {
     for i in 0..800u32 {
         let seg = Packet::tcp(S, C, 80, 40_000, 1 + i * 1400, 0, vec![7u8; 1400]).serialize();
         if let Verdict::Forward(out) = dev.process(
+            &Journal::new(),
             SimTime::from_secs(1),
             Direction::ServerToClient,
             seg.into(),
@@ -263,10 +267,16 @@ fn throttle_delays_server_direction_only() {
     );
 }
 
-fn from_server(dev: &mut DpiDevice, at: SimTime, port: u16, payload: &[u8]) -> Verdict {
+fn from_server(
+    dev: &mut DpiDevice,
+    journal: &Journal,
+    at: SimTime,
+    port: u16,
+    payload: &[u8],
+) -> Verdict {
     let seg = Packet::tcp(S, C, 80, port, 1, 101, payload.to_vec()).serialize();
     let mut fx = Effects::default();
-    dev.process(at, Direction::ServerToClient, seg.into(), &mut fx)
+    dev.process(journal, at, Direction::ServerToClient, seg.into(), &mut fx)
 }
 
 fn forwarded_at(v: Verdict) -> SimTime {
@@ -279,11 +289,15 @@ fn forwarded_at(v: Verdict) -> SimTime {
 #[test]
 fn result_expired_before_tracking_is_inspected_again() {
     let mut dev = DpiDevice::new(testbed_device());
-    let journal = Arc::new(Journal::new());
-    dev.attach_journal(&journal);
+    let journal = Journal::new();
     let req = get_request("x.cloudfront.net", "/v", "p");
-    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
-    feed(&mut dev, SimTime::from_secs(1), data(40_000, 101, &req));
+    feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+    feed_into(
+        &mut dev,
+        &journal,
+        SimTime::from_secs(1),
+        data(40_000, 101, &req),
+    );
     assert_eq!(dev.events.len(), 1);
     let scanned = journal.metrics.get(Counter::MatcherBytesScanned);
     // The testbed shortens a matched result's timeout to 10 s on a RST;
@@ -291,13 +305,13 @@ fn result_expired_before_tracking_is_inspected_again() {
     let rst = Packet::tcp(C, S, 40_000, 80, 101 + req.len() as u32, 1, vec![])
         .with_flags(TcpFlags::RST)
         .serialize();
-    feed(&mut dev, SimTime::from_secs(2), rst);
+    feed_into(&mut dev, &journal, SimTime::from_secs(2), rst);
 
     // 20 s later the result has expired but the tracking state has not:
     // the next payload packet is inspected (match-and-forget no longer
     // applies) and classifies the flow afresh.
     let again = data(40_000, 101 + req.len() as u32, &req);
-    feed(&mut dev, SimTime::from_secs(21), again);
+    feed_into(&mut dev, &journal, SimTime::from_secs(21), again);
     assert_eq!(dev.events.len(), 2, "reclassified after the result expired");
     assert_eq!(dev.events[1].at, SimTime::from_secs(21));
     assert!(journal.metrics.get(Counter::MatcherBytesScanned) > scanned);
@@ -316,14 +330,13 @@ fn flow_idle_past_both_timeouts_is_forwarded_uninspected() {
         .expect("video policy")
         .throttle = Some((8_000, 100));
     let mut dev = DpiDevice::new(config);
-    let journal = Arc::new(Journal::new());
-    dev.attach_journal(&journal);
+    let journal = Journal::new();
     let req = get_request("x.cloudfront.net", "/v", "p");
-    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
-    feed(&mut dev, SimTime::ZERO, data(40_000, 101, &req));
+    feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+    feed_into(&mut dev, &journal, SimTime::ZERO, data(40_000, 101, &req));
     assert_eq!(dev.events.len(), 1);
     let at = SimTime::from_secs(1);
-    assert!(forwarded_at(from_server(&mut dev, at, 40_000, &[7u8; 1400])) > at);
+    assert!(forwarded_at(from_server(&mut dev, &journal, at, 40_000, &[7u8; 1400])) > at);
 
     // Idle 200 s, past the 120 s result and tracking timeouts: the entry
     // expires on this packet's lookup, and a mid-flow packet cannot
@@ -331,7 +344,7 @@ fn flow_idle_past_both_timeouts_is_forwarded_uninspected() {
     let at = SimTime::from_secs(201);
     let billed = dev.billed_bytes;
     assert_eq!(
-        forwarded_at(from_server(&mut dev, at, 40_000, &[7u8; 1400])),
+        forwarded_at(from_server(&mut dev, &journal, at, 40_000, &[7u8; 1400])),
         at,
         "unthrottled"
     );

@@ -9,6 +9,7 @@ use liberate_netsim::element::{Effects, PathElement, Verdict};
 use liberate_netsim::network::Network;
 use liberate_netsim::os::OsProfile;
 use liberate_netsim::server::{EchoApp, ServerHost};
+use liberate_obs::Journal;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
@@ -94,6 +95,7 @@ fn client_rst_tears_down_both_sides() {
     let mut fx = Effects::default();
     let syn = Packet::tcp(C, S, 40_000, 80, 100, 0, vec![]).with_flags(TcpFlags::SYN);
     let v = proxy.process(
+        &Journal::new(),
         SimTime::ZERO,
         Direction::ClientToServer,
         syn.serialize().into(),
@@ -107,6 +109,7 @@ fn client_rst_tears_down_both_sides() {
     let mut fx = Effects::default();
     let rst = Packet::tcp(C, S, 40_000, 80, 101, 1, vec![]).with_flags(TcpFlags::RST);
     let v = proxy.process(
+        &Journal::new(),
         SimTime::ZERO,
         Direction::ClientToServer,
         rst.serialize().into(),
@@ -122,6 +125,7 @@ fn client_rst_tears_down_both_sides() {
     let mut fx = Effects::default();
     let data = Packet::tcp(C, S, 40_000, 80, 101, 1, &b"late"[..]);
     let v = proxy.process(
+        &Journal::new(),
         SimTime::ZERO,
         Direction::ClientToServer,
         data.serialize().into(),
@@ -172,6 +176,7 @@ fn malformed_packets_die_at_the_proxy() {
     let mut bad = Packet::tcp(C, S, 40_000, 80, 100, 0, &b"x"[..]);
     bad.tcp_mut().checksum = liberate_packet::checksum::ChecksumSpec::Fixed(1);
     let v = proxy.process(
+        &Journal::new(),
         SimTime::ZERO,
         Direction::ClientToServer,
         bad.serialize().into(),

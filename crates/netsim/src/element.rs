@@ -7,8 +7,6 @@
 //! re-exported here; the [`PathElement`] trait itself is simulator-only
 //! (real-wire backends have no element chain to walk).
 
-use std::sync::Arc;
-
 use liberate_obs::Journal;
 use liberate_packet::flow::Direction;
 
@@ -21,7 +19,10 @@ pub use liberate_substrate::verdict::{Effects, TimedPacket, Verdict};
 ///
 /// `Send` so a worker session's whole `Network` can move to (or be
 /// borrowed by) a pool thread; elements hold plain data or `Arc`s of
-/// sync state, never thread-bound handles.
+/// sync state, never thread-bound handles. No element holds a journal:
+/// the `Network` lends its own to every [`PathElement::process`] call,
+/// so an element's events and counters land in whichever journal the
+/// network holds when the packet is processed.
 pub trait PathElement: Send {
     /// Short name for traces and captures.
     fn name(&self) -> &str;
@@ -31,12 +32,14 @@ pub trait PathElement: Send {
     /// §6.1: "the middlebox shows the result of classification immediately").
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 
-    /// Process one packet traveling in `dir`. `now` is the element-local
-    /// arrival time. The wire buffer is a shared [`PacketBuf`] view:
-    /// pass-through elements forward it untouched (a move), mutating
-    /// elements go through [`PacketBuf::make_mut`] copy-on-write.
+    /// Process one packet traveling in `dir`, journaling into `journal`.
+    /// `now` is the element-local arrival time. The wire buffer is a
+    /// shared [`PacketBuf`] view: pass-through elements forward it
+    /// untouched (a move), mutating elements go through
+    /// [`PacketBuf::make_mut`] copy-on-write.
     fn process(
         &mut self,
+        journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
@@ -48,8 +51,4 @@ pub trait PathElement: Send {
     fn decrements_ttl(&self) -> bool {
         false
     }
-
-    /// Hand the element a journal handle for verdict/flow events. Most
-    /// elements ignore it; the DPI device keeps a clone.
-    fn attach_journal(&mut self, _journal: &Arc<Journal>) {}
 }

@@ -11,6 +11,7 @@ use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::ParsedPacket;
 
 use crate::element::{Effects, PacketBuf, PathElement, Verdict};
+use liberate_obs::Journal;
 use liberate_substrate::time::SimTime;
 
 /// Tracked per-connection expectations.
@@ -58,6 +59,7 @@ impl PathElement for StatefulFirewall {
 
     fn process(
         &mut self,
+        _journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
@@ -143,7 +145,13 @@ mod tests {
 
     fn process(fw: &mut StatefulFirewall, dir: Direction, p: Packet) -> Verdict {
         let mut fx = Effects::default();
-        fw.process(SimTime::ZERO, dir, p.serialize().into(), &mut fx)
+        fw.process(
+            &Journal::new(),
+            SimTime::ZERO,
+            dir,
+            p.serialize().into(),
+            &mut fx,
+        )
     }
 
     fn open(fw: &mut StatefulFirewall) {

@@ -2,7 +2,6 @@
 //! filtering, and optional in-path fragment normalization.
 
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 use liberate_obs::{Counter, Journal};
 use liberate_packet::flow::Direction;
@@ -32,9 +31,6 @@ pub struct RouterHop {
     pub filtered_count: u64,
     /// Packets dropped due to TTL expiry.
     pub expired_count: u64,
-    /// Journal for copy-on-write accounting (TTL/checksum rewrites on a
-    /// shared buffer fault a counted payload copy).
-    journal: Option<Arc<Journal>>,
 }
 
 impl RouterHop {
@@ -48,7 +44,6 @@ impl RouterHop {
             reassembler: Reassembler::new(OverlapPolicy::FirstWins),
             filtered_count: 0,
             expired_count: 0,
-            journal: None,
         }
     }
 
@@ -125,12 +120,9 @@ impl PathElement for RouterHop {
         true
     }
 
-    fn attach_journal(&mut self, journal: &Arc<Journal>) {
-        self.journal = Some(Arc::clone(journal));
-    }
-
     fn process(
         &mut self,
+        journal: &Journal,
         now: SimTime,
         dir: Direction,
         mut wire: PacketBuf,
@@ -182,20 +174,19 @@ impl PathElement for RouterHop {
         }
 
         // One copy-on-write fault covers both header rewrites; a
-        // uniquely-owned buffer (every hop after the first) is free.
+        // uniquely-owned buffer (every hop after the first) is free. A
+        // fault is a counted payload copy.
         let mut tally = CopyTally::default();
         let buf = wire.make_mut(&mut tally);
         if self.fix_tcp_checksum {
             Self::repair_tcp_checksum(buf, &ip);
         }
         Self::decrement_ttl(buf);
-        if let Some(journal) = &self.journal {
-            if !tally.is_empty() {
-                journal.metrics.add(Counter::PayloadCopies, tally.copies);
-                journal
-                    .metrics
-                    .add(Counter::PayloadBytesCopied, tally.bytes);
-            }
+        if !tally.is_empty() {
+            journal.metrics.add(Counter::PayloadCopies, tally.copies);
+            journal
+                .metrics
+                .add(Counter::PayloadBytesCopied, tally.bytes);
         }
         Verdict::pass(now, wire)
     }
@@ -230,6 +221,7 @@ mod tests {
         let mut h = hop();
         let mut fx = Effects::default();
         match h.process(
+            &Journal::new(),
             SimTime::ZERO,
             Direction::ClientToServer,
             pkt(10).into(),
@@ -250,6 +242,7 @@ mod tests {
         let mut h = hop();
         let mut fx = Effects::default();
         let verdict = h.process(
+            &Journal::new(),
             SimTime::ZERO,
             Direction::ClientToServer,
             pkt(1).into(),
@@ -268,6 +261,7 @@ mod tests {
         let mut fx = Effects::default();
         assert_eq!(
             h.process(
+                &Journal::new(),
                 SimTime::ZERO,
                 Direction::ClientToServer,
                 pkt(1).into(),
@@ -298,6 +292,7 @@ mod tests {
         let mut fx = Effects::default();
         assert_eq!(
             h.process(
+                &Journal::new(),
                 SimTime::ZERO,
                 Direction::ClientToServer,
                 bad.serialize().into(),
@@ -334,6 +329,7 @@ mod tests {
         for f in &frags {
             assert_eq!(
                 h.process(
+                    &Journal::new(),
                     SimTime::ZERO,
                     Direction::ClientToServer,
                     f.clone().into(),
@@ -369,6 +365,7 @@ mod tests {
         let mut forwarded = Vec::new();
         for f in &frags {
             if let Verdict::Forward(out) = h.process(
+                &Journal::new(),
                 SimTime::ZERO,
                 Direction::ClientToServer,
                 f.clone().into(),
@@ -415,6 +412,7 @@ mod checksum_fix_tests {
         assert!(validate_wire(&wire).contains(&Malformation::TcpChecksumWrong));
         let mut fx = Effects::default();
         match h.process(
+            &Journal::new(),
             SimTime::ZERO,
             Direction::ClientToServer,
             wire.into(),
@@ -452,7 +450,13 @@ mod checksum_fix_tests {
         let forwarded: Vec<_> = frags
             .into_iter()
             .filter_map(|f| {
-                match h.process(SimTime::ZERO, Direction::ClientToServer, f.into(), &mut fx) {
+                match h.process(
+                    &Journal::new(),
+                    SimTime::ZERO,
+                    Direction::ClientToServer,
+                    f.into(),
+                    &mut fx,
+                ) {
                     Verdict::Forward(out) => Some(out.wire),
                     Verdict::Drop => None,
                 }

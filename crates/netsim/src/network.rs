@@ -50,9 +50,10 @@ pub struct Network {
     /// deliveries so its buffer is reused.
     server_out: Vec<Vec<u8>>,
     pub capture: Capture,
-    /// Shared observability journal; every simulator step and injected
-    /// packet is counted here (timestamps are SimTime micros, never the
-    /// wall clock).
+    /// The worker's observability journal, and its only holder: every
+    /// simulator step and injected packet is counted here, and every
+    /// path element borrows it per packet (timestamps are SimTime
+    /// micros, never the wall clock).
     journal: Arc<Journal>,
     /// Sim timestamp of the last dispatched event, feeding the
     /// step-sim-micros inter-event-gap histogram.
@@ -80,17 +81,15 @@ impl Network {
         }
     }
 
-    /// Replace the journal and propagate the handle to every path element.
-    pub fn set_journal(&mut self, journal: Arc<Journal>) {
-        for el in &mut self.elements {
-            el.attach_journal(&journal);
-        }
-        self.journal = journal;
-    }
-
-    /// The shared observability journal.
+    /// The observability journal this network and its elements write.
     pub fn journal(&self) -> &Arc<Journal> {
         &self.journal
+    }
+
+    /// The journal slot: replace it (`*net.journal_mut() = j`) or swap a
+    /// reactor lane's in; the next packet's elements write there.
+    pub fn journal_mut(&mut self) -> &mut Arc<Journal> {
+        &mut self.journal
     }
 
     /// Number of path elements.
@@ -258,7 +257,7 @@ impl Network {
 
     fn traverse(&mut self, at: SimTime, pos: usize, dir: Direction, wire: PacketBuf) {
         let mut effects = Effects::default();
-        let verdict = self.elements[pos].process(at, dir, wire, &mut effects);
+        let verdict = self.elements[pos].process(&self.journal, at, dir, wire, &mut effects);
 
         // Injected packets enter the path adjacent to this element.
         let Effects {
@@ -423,6 +422,7 @@ mod tests {
 
         fn process(
             &mut self,
+            _journal: &Journal,
             now: SimTime,
             dir: Direction,
             wire: PacketBuf,
@@ -477,6 +477,43 @@ mod tests {
             ]
         );
         assert!(net.is_idle());
+    }
+
+    /// An element journals into whichever journal the network holds
+    /// when the packet is processed, with nothing to re-attach: after a
+    /// replacement, and after a lane swap and back.
+    #[test]
+    fn element_writes_follow_the_networks_journal() {
+        let mut net = net(1);
+        // Capture keeps a view of every buffer, so the hop's TTL rewrite
+        // faults a counted copy-on-write in each direction.
+        let echo = |net: &mut Network| {
+            let datagram = Packet::udp(CLIENT, SERVER, 5000, 53, vec![1]).serialize();
+            net.send_from_client(Duration::ZERO, datagram);
+            net.run_until_idle();
+            net.take_client_inbox();
+        };
+        let copies = |j: &Journal| j.metrics.get(Counter::PayloadCopies);
+        let worker = Arc::new(Journal::new());
+        *net.journal_mut() = Arc::clone(&worker);
+        echo(&mut net);
+        let per_echo = copies(&worker);
+        assert!(per_echo > 0);
+
+        let lane = Arc::new(Journal::new());
+        let mut swapped = Arc::clone(&lane);
+        let (mut clock, mut epoch, mut capture) = (net.clock, 0, Capture::default());
+        net.swap_lane(&mut clock, &mut epoch, &mut capture);
+        std::mem::swap(net.journal_mut(), &mut swapped);
+        echo(&mut net);
+        assert_eq!(copies(&lane), per_echo, "the swapped-in journal counts");
+        assert_eq!(copies(&worker), per_echo, "the swapped-out one does not");
+
+        net.swap_lane(&mut clock, &mut epoch, &mut capture);
+        std::mem::swap(net.journal_mut(), &mut swapped);
+        echo(&mut net);
+        assert_eq!(copies(&worker), 2 * per_echo);
+        assert_eq!(copies(&lane), per_echo);
     }
 
     #[test]

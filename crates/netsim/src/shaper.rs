@@ -7,6 +7,7 @@ use std::time::Duration;
 use liberate_packet::flow::Direction;
 
 use crate::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
+use liberate_obs::Journal;
 use liberate_substrate::time::SimTime;
 
 /// A byte-based token bucket. Tokens accrue at `rate_bps / 8` bytes per
@@ -87,6 +88,7 @@ impl PathElement for LinkShaper {
 
     fn process(
         &mut self,
+        _journal: &Journal,
         now: SimTime,
         dir: Direction,
         wire: PacketBuf,
@@ -147,6 +149,7 @@ mod tests {
         let mut fx = Effects::default();
         // Exhaust upstream.
         let v = s.process(
+            &Journal::new(),
             SimTime::ZERO,
             Direction::ClientToServer,
             vec![0; 100].into(),
@@ -158,6 +161,7 @@ mod tests {
         }
         // Downstream still has its own burst.
         let v = s.process(
+            &Journal::new(),
             SimTime::ZERO,
             Direction::ServerToClient,
             vec![0; 100].into(),

@@ -7,6 +7,7 @@ use std::time::Duration;
 use liberate_netsim::element::{Effects, PathElement, Verdict};
 use liberate_netsim::hop::RouterHop;
 use liberate_netsim::shaper::TokenBucket;
+use liberate_obs::Journal;
 use liberate_packet::checksum::ChecksumSpec;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::{Packet, ParsedPacket};
@@ -61,7 +62,7 @@ proptest! {
                 format!("r{i}"),
                 Ipv4Addr::new(172, 16, 0, i as u8 + 1),
             );
-            let verdict = hop.process(SimTime::ZERO, Direction::ClientToServer, wire.clone(), &mut fx);
+            let verdict = hop.process(&Journal::new(), SimTime::ZERO, Direction::ClientToServer, wire.clone(), &mut fx);
             match verdict {
                 Verdict::Forward(out) => wire = out.wire,
                 Verdict::Drop => prop_assert!(false, "TTL was large enough"),

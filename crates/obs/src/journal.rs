@@ -9,6 +9,7 @@
 //! typed event is attributed to the innermost open span at record time.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -205,8 +206,9 @@ struct Inner {
     next_span: u64,
 }
 
-/// The journal: event log plus counter registry, shared as an
-/// `Arc<Journal>` by `Environment`, `Session`, and the path elements.
+/// The journal: event log plus counter registry. A worker's one
+/// `Arc<Journal>` is held by its `Network`, which lends it to every path
+/// element per packet; the session reaches it through its substrate.
 /// All execution is synchronous today, so the mutex is uncontended; it
 /// exists so the handle can be cloned freely across layers.
 #[derive(Debug)]
@@ -216,7 +218,9 @@ pub struct Journal {
     /// uses this to measure tracing overhead (journal on vs off) on an
     /// otherwise identical workload; counters stay live either way.
     enabled: AtomicBool,
-    pub metrics: Metrics,
+    /// Counters and histograms; a [`Journal::staging`] journal shares
+    /// its parent's.
+    pub metrics: Arc<Metrics>,
 }
 
 impl Default for Journal {
@@ -224,7 +228,7 @@ impl Default for Journal {
         Journal {
             inner: Mutex::default(),
             enabled: AtomicBool::new(true),
-            metrics: Metrics::default(),
+            metrics: Arc::default(),
         }
     }
 }
@@ -242,14 +246,14 @@ impl Journal {
         j
     }
 
-    /// An enabled journal that stages work for a later
-    /// [`Journal::splice_staged`] into `self` (a reactor lane's): its own
-    /// events and counters, but histogram samples go straight into
-    /// `self`'s table, so a lane allocates none and its splice folds
-    /// none. Samples of a lane that is never spliced are kept.
+    /// An enabled journal that stages events for a later
+    /// [`Journal::splice_staged`] into `self` (a reactor lane's). It
+    /// shares `self`'s [`Metrics`]: counters and histogram samples land
+    /// in the parent at once, whether or not the lane is ever spliced,
+    /// and only the events wait for the splice.
     pub fn staging(&self) -> Journal {
         Journal {
-            metrics: Metrics::sharing_hists(&self.metrics),
+            metrics: Arc::clone(&self.metrics),
             ..Journal::default()
         }
     }
@@ -386,23 +390,22 @@ impl Journal {
     ///   have had they been recorded inline under it;
     /// - `ReplayFinished::replay` ordinals (lane-local 1..) are rebased
     ///   by `replay_base`, the session replays that canonically precede
-    ///   this lane;
-    /// - counters are added and histograms merged bucket-wise (always,
-    ///   even when event recording is disabled).
+    ///   this lane.
+    ///
+    /// The staged events are moved out, leaving `staged` empty. Metrics
+    /// are not touched: a [`Journal::staging`] journal already recorded
+    /// them into this one. A disabled journal takes no events, so
+    /// splicing a journal-off lane (which shares it) is a no-op.
     pub fn splice_staged(&self, staged: &Journal, dt_us: u64, replay_base: u64) {
-        for (counter, value) in staged.metrics.snapshot() {
-            if value > 0 {
-                self.metrics.add(counter, value);
-            }
-        }
-        self.metrics.merge_hists(&staged.metrics);
         if !self.is_enabled() {
             return;
         }
-        let events = staged.events();
-        let id_base = {
-            let staged_inner = staged.inner.lock();
-            staged_inner.next_span
+        let (events, id_base) = {
+            let mut staged_inner = staged.inner.lock();
+            (
+                std::mem::take(&mut staged_inner.events),
+                staged_inner.next_span,
+            )
         };
         let mut inner = self.inner.lock();
         let ctx_phase = inner
@@ -638,7 +641,7 @@ mod tests {
         let main = Journal::new();
         main.span_start(0, Phase::BlindSearch);
         main.span_start(0, Phase::Wave);
-        let staged = Journal::new();
+        let staged = main.staging();
         staged.span_start(0, Phase::Replay);
         staged.record(5, EventKind::PacketInjected { bytes: 9 });
         staged.metrics.incr(Counter::PacketsInjected);
@@ -657,6 +660,7 @@ mod tests {
         main.span_end(30, Phase::BlindSearch);
 
         assert_eq!(main.events(), inline.events());
+        assert!(staged.is_empty(), "the splice moves the staged events");
         assert_eq!(main.metrics.get(Counter::PacketsInjected), 1);
         // The id sequence continues past the spliced spans.
         assert_eq!(main.span_start(40, Phase::Detect), 4);
@@ -681,12 +685,33 @@ mod tests {
         use crate::metrics::Counter;
 
         let main = Journal::disabled();
-        let staged = Journal::new();
+        let staged = main.staging();
         staged.record(5, EventKind::FlowReset);
         staged.metrics.incr(Counter::FlowResets);
         main.splice_staged(&staged, 0, 0);
         assert!(main.is_empty());
         assert_eq!(main.metrics.get(Counter::FlowResets), 1);
+    }
+
+    #[test]
+    fn dead_lane_counters_stay_in_the_worker_registry() {
+        use crate::metrics::Counter;
+
+        for enabled in [true, false] {
+            let main = Journal::new();
+            main.set_enabled(enabled);
+            // A lane that dies mid-wave is dropped without a splice.
+            let lane = main.staging();
+            lane.metrics.incr(Counter::PacketsInjected);
+            lane.record(5, EventKind::PacketInjected { bytes: 40 });
+            drop(lane);
+            assert_eq!(
+                main.metrics.get(Counter::PacketsInjected),
+                1,
+                "journal enabled: {enabled}"
+            );
+            assert!(main.is_empty(), "its events never reach the worker");
+        }
     }
 
     #[test]

@@ -125,19 +125,17 @@ impl Counter {
     }
 }
 
-/// The counter registry. Shared behind the `Arc<Journal>` that rides on
-/// `Environment`/`Session`; increments are relaxed atomics because all
+/// The counter registry of one worker journal (reactor lanes' staging
+/// journals share it); increments are relaxed atomics because all
 /// counters are independent and only read after the run quiesces.
 ///
 /// The histogram table is allocated on first sample: at ~1000 buckets
-/// per histogram it is ~100 KiB of real memory, and a reactor wave
-/// carries one `Metrics` per in-flight lane — a 100k-flow wave must not
-/// pay 100 KiB per lane for tables the disabled lane journals never
-/// touch (`Journal::observe` gates samples on the enabled flag).
+/// per histogram it is ~100 KiB of real memory that a disabled journal
+/// never touches (`Journal::observe` gates samples on the enabled flag).
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: [AtomicU64; Counter::ALL.len()],
-    hists: std::sync::OnceLock<std::sync::Arc<[Histogram]>>,
+    hists: std::sync::OnceLock<Box<[Histogram]>>,
 }
 
 impl Metrics {
@@ -145,19 +143,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    fn hist_table(&self) -> &std::sync::Arc<[Histogram]> {
+    fn hist_table(&self) -> &[Histogram] {
         self.hists
             .get_or_init(|| (0..Hist::ALL.len()).map(|_| Histogram::default()).collect())
-    }
-
-    /// A registry with its own counters whose histograms are `parent`'s
-    /// table: samples land there directly, and merging the two is a
-    /// no-op. Bucket-wise sums are order-independent, so recording in
-    /// place equals merging later, without a table per registry.
-    pub fn sharing_hists(parent: &Metrics) -> Metrics {
-        let m = Metrics::default();
-        let _ = m.hists.set(std::sync::Arc::clone(parent.hist_table()));
-        m
     }
 
     pub fn incr(&self, c: Counter) {
@@ -211,9 +199,6 @@ impl Metrics {
             return;
         };
         let mine = self.hist_table();
-        if std::sync::Arc::ptr_eq(mine, theirs) {
-            return;
-        }
         for h in Hist::ALL {
             let hist = &theirs[h as usize];
             if !hist.is_empty() {

@@ -43,7 +43,7 @@ use crate::time::SimTime;
 /// The per-lane slice of a backend's mutable timeline state, for
 /// event-driven (reactor) execution: each in-flight flow task owns one
 /// `LaneState` holding its private virtual clock, step-epoch baseline,
-/// capture buffer, and staging journal. [`Substrate::swap_lane`]
+/// capture buffer, and journal handle. [`Substrate::swap_lane`]
 /// exchanges it with the backend's live state around each task poll, so
 /// thousands of flows can interleave on one backend while each observes
 /// a coherent private timeline.
@@ -54,10 +54,11 @@ pub struct LaneState {
     /// (`step-sim-micros`), saved and restored with the clock.
     pub step_epoch_us: u64,
     pub capture: Capture,
-    /// The lane's staging journal; spliced into the worker journal in
-    /// canonical order when the wave completes. A lane may share the
-    /// worker journal itself (the reactor does so when it is disabled);
-    /// then nothing is staged or spliced.
+    /// The journal the backend writes while this lane is swapped in.
+    /// The reactor hands each lane a staging journal over the worker's
+    /// metrics, whose events it splices into the worker journal in
+    /// canonical order when the wave completes; when the worker journal
+    /// is disabled, the lane shares it and has no events to splice.
     pub journal: Arc<Journal>,
 }
 
@@ -170,8 +171,9 @@ pub trait Substrate: Send {
     }
 
     /// Exchange the backend's live timeline state (clock, step-epoch
-    /// baseline, capture, journal) with `lane`'s stash; a lane sharing
-    /// the backend's journal leaves it attached. Only called while
+    /// baseline, capture, journal handle) with `lane`'s stash. The
+    /// backend holds one journal handle, so the journal swap is one
+    /// pointer exchange. Only called while
     /// the backend is quiescent (`run_until_idle` done, inbox drained),
     /// and only when [`Self::supports_lanes`] is true; the default is a
     /// no-op for backends without lanes.

@@ -17,6 +17,7 @@ use liberate_dpi::device::{DpiConfig, DpiDevice};
 use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device, EnvKind};
 use liberate_netsim::element::{Effects, PathElement};
 use liberate_netsim::os::OsKind;
+use liberate_obs::Journal;
 use liberate_packet::flow::Direction;
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
@@ -218,8 +219,8 @@ fn assert_device_parity(profile: &str, config: DpiConfig) {
             let at = SimTime::from_secs(secs);
             let mut fx_n = Effects::default();
             let mut fx_a = Effects::default();
-            let v_n = naive.process(at, dir, wire.clone().into(), &mut fx_n);
-            let v_a = auto.process(at, dir, wire.into(), &mut fx_a);
+            let v_n = naive.process(&Journal::new(), at, dir, wire.clone().into(), &mut fx_n);
+            let v_a = auto.process(&Journal::new(), at, dir, wire.into(), &mut fx_a);
             assert_eq!(v_n, v_a, "{profile}/{name}: verdict diverges at packet {i}");
             assert_eq!(
                 format!("{fx_n:?}"),

@@ -14,6 +14,7 @@ use liberate_netsim::firewall::StatefulFirewall;
 use liberate_netsim::hop::RouterHop;
 use liberate_netsim::os::{OsKind, OsProfile};
 use liberate_netsim::server::{ServerHost, SinkApp};
+use liberate_obs::Journal;
 use liberate_packet::flow::Direction;
 use liberate_substrate::time::SimTime;
 
@@ -65,7 +66,7 @@ proptest! {
                 } else {
                     Direction::ServerToClient
                 };
-                let _ = dev.process(SimTime::from_micros(i as u64), dir, wire.clone().into(), &mut fx);
+                let _ = dev.process(&Journal::new(), SimTime::from_micros(i as u64), dir, wire.clone().into(), &mut fx);
             }
         }
     }
@@ -82,7 +83,7 @@ proptest! {
             } else {
                 Direction::ServerToClient
             };
-            let _ = proxy.process(SimTime::from_micros(i as u64), dir, wire.clone().into(), &mut fx);
+            let _ = proxy.process(&Journal::new(), SimTime::from_micros(i as u64), dir, wire.clone().into(), &mut fx);
         }
     }
 
@@ -105,8 +106,8 @@ proptest! {
         for (i, wire) in packets.iter().enumerate() {
             let t = SimTime::from_micros(i as u64);
             server.receive(t, wire);
-            let _ = hop.process(t, Direction::ClientToServer, wire.clone().into(), &mut fx);
-            let _ = firewall.process(t, Direction::ServerToClient, wire.clone().into(), &mut fx);
+            let _ = hop.process(&Journal::new(), t, Direction::ClientToServer, wire.clone().into(), &mut fx);
+            let _ = firewall.process(&Journal::new(), t, Direction::ServerToClient, wire.clone().into(), &mut fx);
         }
     }
 }
