@@ -213,9 +213,11 @@ impl<'a> Blinding<'a> {
                 Sender::Server => {
                     let responses =
                         responses.get_or_insert_with(|| self.base.table.responses().to_vec());
-                    let mut bytes = responses[i].to_vec();
-                    invert_range(&mut bytes, range.clone());
-                    responses[i] = PacketBuf::from(bytes);
+                    let blinded = PacketBuf::build(responses[i].len(), |bytes| {
+                        bytes.copy_from_slice(&responses[i]);
+                        invert_range(bytes, range.clone());
+                    });
+                    responses[i] = blinded;
                 }
             }
         }
@@ -445,6 +447,39 @@ mod tests {
                     "{blind:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn server_blinded_tables_sum_their_own_segments() {
+        use liberate_packet::checksum::verify_pseudo_checksum;
+        use liberate_packet::packet::{Packet, ParsedPacket};
+        use liberate_substrate::script::Burst;
+        use std::net::Ipv4Addr;
+
+        let (server, client) = (Ipv4Addr::new(10, 9, 9, 9), Ipv4Addr::new(10, 0, 0, 1));
+        let segments = |table: &Arc<ResponseTable>| {
+            let burst = Burst::Table(Arc::clone(table), 0..table.responses().len());
+            Packet::tcp(server, client, 80, 40_000, 7, 9, Vec::new()).serialize_segments(
+                burst.messages(),
+                1460,
+                burst.payload_sums(1460).as_deref(),
+            )
+        };
+        let trace = apps::amazon_prime_http(20_000);
+        let blinding = Blinding::new(&trace);
+        let base = &blinding.base().0.table;
+        // The base table's sums are memoized before the probe is built.
+        let unblinded = segments(base);
+        let (probe, _) = blinding.blinded(&[(1, 0..64), (1, 5_001..5_002)]);
+        assert!(!Arc::ptr_eq(&probe.table, base), "a new table");
+        let blinded = segments(&probe.table);
+        assert_eq!(blinded.len(), unblinded.len());
+        assert_ne!(blinded, unblinded);
+        for seg in &blinded {
+            let (ip, _, _) = ParsedPacket::parse_headers(seg).unwrap();
+            let tcp = &seg[ip.payload_offset..];
+            assert!(verify_pseudo_checksum(server, client, 6, tcp));
         }
     }
 

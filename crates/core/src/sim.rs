@@ -22,7 +22,7 @@ use liberate_obs::Journal;
 use liberate_packet::flow::FlowKey;
 use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::Capture;
-use liberate_substrate::script::{ScriptEngine, ServerObs, ServerScript};
+use liberate_substrate::script::{Burst, ScriptEngine, ServerObs, ServerScript};
 use liberate_substrate::time::SimTime;
 use liberate_substrate::{ClassVerdict, LaneState, Substrate};
 
@@ -37,11 +37,11 @@ struct ScriptServerApp {
 }
 
 impl ServerApp for ScriptServerApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Burst {
         self.engine.on_tcp_data(data)
     }
 
-    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>> {
+    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         self.engine.on_udp_datagram(data)
     }
 }
@@ -57,14 +57,14 @@ struct MuxScriptApp {
 }
 
 impl ServerApp for MuxScriptApp {
-    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
+    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Burst {
         match self.engines.get_mut(&flow.src) {
             Some(engine) => engine.on_tcp_data(data),
-            None => Vec::new(),
+            None => Burst::none(),
         }
     }
 
-    fn on_udp_datagram(&mut self, flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>> {
+    fn on_udp_datagram(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         match self.engines.get_mut(&flow.src) {
             Some(engine) => engine.on_udp_datagram(data),
             None => Vec::new(),

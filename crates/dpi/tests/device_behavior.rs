@@ -297,7 +297,7 @@ fn att_proxy_transfers_and_throttles_video() {
             &mut self,
             _f: liberate_packet::flow::FlowKey,
             data: &[u8],
-        ) -> Vec<liberate_packet::buf::PacketBuf> {
+        ) -> liberate_substrate::script::Burst {
             if data.windows(4).any(|w| w == b"GET ") {
                 vec![liberate_traces::http::response(
                     200,
@@ -306,15 +306,16 @@ fn att_proxy_transfers_and_throttles_video() {
                     &liberate_traces::apps::media_bytes(500_000, 9),
                 )
                 .into()]
+                .into()
             } else {
-                Vec::new()
+                liberate_substrate::script::Burst::none()
             }
         }
         fn on_udp_datagram(
             &mut self,
             _f: liberate_packet::flow::FlowKey,
             _d: &[u8],
-        ) -> Vec<Vec<u8>> {
+        ) -> Vec<liberate_packet::buf::PacketBuf> {
             Vec::new()
         }
     }

@@ -48,7 +48,7 @@ pub struct Network {
     client_inbox: Vec<(SimTime, PacketBuf)>,
     /// The server's outbox, moved out for delivery; kept between
     /// deliveries so its buffer is reused.
-    server_out: Vec<Vec<u8>>,
+    server_out: Vec<PacketBuf>,
     pub capture: Capture,
     /// The worker's observability journal, and its only holder: every
     /// simulator step and injected packet is counted here, and every
@@ -297,7 +297,6 @@ impl Network {
         let mut outbox = std::mem::take(&mut self.server_out);
         self.server.take_outbox(&mut outbox);
         for out in outbox.drain(..) {
-            let out = PacketBuf::from(out);
             self.capture.record(at, TapPoint::ServerEgress, &out);
             let entry = self.elements.len().checked_sub(1).unwrap_or(usize::MAX);
             self.push_event(at + self.hop_latency, entry, Direction::ServerToClient, out);

@@ -21,6 +21,7 @@ use liberate_packet::tcp::TcpFlags;
 use liberate_packet::validate::DefectMask;
 
 use crate::os::{OsAction, OsProfile};
+use liberate_substrate::script::Burst;
 use liberate_substrate::time::SimTime;
 
 /// Maximum segment size used when the server segments responses.
@@ -33,11 +34,13 @@ pub const SERVER_MSS: usize = 1460;
 pub trait ServerApp: Send {
     /// In-order TCP bytes delivered on `flow` (the client→server key).
     /// Returns the response messages to send back, in order; the host
-    /// transmits them as one byte stream (may be empty).
-    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf>;
+    /// transmits them as one byte stream (may be empty). A burst of
+    /// table responses lets the host reuse the table's payload sums.
+    fn on_tcp_data(&mut self, flow: FlowKey, data: &[u8]) -> Burst;
 
-    /// A UDP datagram arrived. Returns zero or more response datagrams.
-    fn on_udp_datagram(&mut self, flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>>;
+    /// A UDP datagram arrived. Returns zero or more response datagrams,
+    /// each sent as one packet.
+    fn on_udp_datagram(&mut self, flow: FlowKey, data: &[u8]) -> Vec<PacketBuf>;
 
     /// A new TCP connection completed its handshake.
     fn on_tcp_connect(&mut self, _flow: FlowKey) {}
@@ -60,12 +63,12 @@ pub struct SinkApp {
 }
 
 impl ServerApp for SinkApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Burst {
         self.tcp_bytes.extend_from_slice(data);
-        Vec::new()
+        Burst::none()
     }
 
-    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>> {
+    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
         self.datagrams.push(data.to_vec());
         Vec::new()
     }
@@ -80,12 +83,12 @@ impl ServerApp for SinkApp {
 pub struct EchoApp;
 
 impl ServerApp for EchoApp {
-    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
-        vec![PacketBuf::from(data)]
+    fn on_tcp_data(&mut self, _flow: FlowKey, data: &[u8]) -> Burst {
+        Burst::from(vec![PacketBuf::from(data)])
     }
 
-    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<Vec<u8>> {
-        vec![data.to_vec()]
+    fn on_udp_datagram(&mut self, _flow: FlowKey, data: &[u8]) -> Vec<PacketBuf> {
+        vec![PacketBuf::from(data)]
     }
 }
 
@@ -142,7 +145,7 @@ pub struct ServerHost {
     reassembler: Reassembler,
     isn_counter: u32,
     /// Packets the server wants transmitted (toward the client).
-    outbox: Vec<Vec<u8>>,
+    outbox: Vec<PacketBuf>,
     /// Count of packets the OS layer dropped, by cause, for diagnostics.
     pub os_dropped: u64,
 }
@@ -189,7 +192,7 @@ impl ServerHost {
     /// the end of `into`. The outbox keeps its buffer for the next
     /// packets, and a caller that drains `into` can hand it back every
     /// time, so steady-state delivery allocates no queue.
-    pub fn take_outbox(&mut self, into: &mut Vec<Vec<u8>>) {
+    pub fn take_outbox(&mut self, into: &mut Vec<PacketBuf>) {
         into.append(&mut self.outbox);
     }
 
@@ -247,18 +250,9 @@ impl ServerHost {
             }
             OsAction::RstResponse => {
                 self.os_dropped += 1;
-                if let Some(t) = pkt.tcp() {
-                    let rst = Packet::tcp(
-                        self.addr,
-                        pkt.ip.src,
-                        t.dst_port,
-                        t.src_port,
-                        t.ack,
-                        t.seq.wrapping_add(pkt.payload.len() as u32),
-                        Vec::new(),
-                    )
-                    .with_flags(TcpFlags::RST);
-                    self.outbox.push(rst.serialize());
+                if let (Some(t), Some(flow)) = (pkt.tcp(), FlowKey::from_packet(&pkt)) {
+                    let ack = t.seq.wrapping_add(pkt.payload.len() as u32);
+                    self.send_control(flow, t.ack, ack, TcpFlags::RST);
                 }
             }
             OsAction::Deliver => self.deliver(&pkt, None),
@@ -293,8 +287,14 @@ impl ServerHost {
             None => pkt.payload.clone(),
         };
         for resp in self.app.on_udp_datagram(flow, &data) {
-            let out = Packet::udp(self.addr, flow.src, flow.dst_port, flow.src_port, resp);
-            self.outbox.push(out.serialize());
+            let out = Packet::udp(
+                self.addr,
+                flow.src,
+                flow.dst_port,
+                flow.src_port,
+                Vec::new(),
+            );
+            self.outbox.push(out.serialize_gather(&[&resp]));
         }
     }
 
@@ -337,33 +337,14 @@ impl ServerHost {
                     }
                 }
             }
-            let syn_ack = Packet::tcp(
-                self.addr,
-                flow.src,
-                flow.dst_port,
-                flow.src_port,
-                isn,
-                t.seq.wrapping_add(1),
-                Vec::new(),
-            )
-            .with_flags(TcpFlags::SYN_ACK);
-            self.outbox.push(syn_ack.serialize());
+            self.send_control(flow, isn, t.seq.wrapping_add(1), TcpFlags::SYN_ACK);
             return;
         }
 
         let Some(conn) = self.conns.get_mut(&flow) else {
             // Data for an unknown connection: answer with RST (standard).
-            let rst = Packet::tcp(
-                self.addr,
-                flow.src,
-                flow.dst_port,
-                flow.src_port,
-                t.ack,
-                t.seq.wrapping_add(pkt.payload.len() as u32),
-                Vec::new(),
-            )
-            .with_flags(TcpFlags::RST);
-            self.outbox.push(rst.serialize());
+            let ack = t.seq.wrapping_add(pkt.payload.len() as u32);
+            self.send_control(flow, t.ack, ack, TcpFlags::RST);
             return;
         };
         if conn.state == TcpState::Closed {
@@ -385,7 +366,7 @@ impl ServerHost {
                 // Entirely old, or beyond the window: discard, re-ACK.
                 let rcv_next = conn.rcv_next;
                 let snd_next = conn.snd_next;
-                self.send_ack(flow, snd_next, rcv_next);
+                self.send_control(flow, snd_next, rcv_next, TcpFlags::ACK);
                 return;
             }
 
@@ -433,7 +414,7 @@ impl ServerHost {
                 conn.delivered += delivered.len() as u64;
                 let snd_before = conn.snd_next;
                 let rcv_now = conn.rcv_next;
-                let response = self.app.on_tcp_data(flow, &delivered);
+                let burst = self.app.on_tcp_data(flow, &delivered);
                 // Segment the response stream at MSS, each segment built
                 // straight into its wire buffer across message boundaries.
                 let segments = Packet::tcp(
@@ -446,11 +427,15 @@ impl ServerHost {
                     Vec::new(),
                 )
                 .with_flags(TcpFlags::PSH_ACK)
-                .serialize_segments(&response, SERVER_MSS);
+                .serialize_segments(
+                    burst.messages(),
+                    SERVER_MSS,
+                    burst.payload_sums(SERVER_MSS).as_deref(),
+                );
                 if segments.is_empty() {
-                    self.send_ack(flow, snd_before, rcv_now);
+                    self.send_control(flow, snd_before, rcv_now, TcpFlags::ACK);
                 } else {
-                    let sent: usize = response.iter().map(|m| m.len()).sum();
+                    let sent = burst.bytes();
                     let conn = self.conns.get_mut(&flow).expect("present");
                     conn.snd_next = snd_before.wrapping_add(sent as u32);
                     self.outbox.extend(segments);
@@ -459,7 +444,7 @@ impl ServerHost {
                 // Out-of-order: duplicate ACK.
                 let conn = self.conns.get_mut(&flow).expect("present");
                 let (s, r) = (conn.snd_next, conn.rcv_next);
-                self.send_ack(flow, s, r);
+                self.send_control(flow, s, r, TcpFlags::ACK);
             }
         }
 
@@ -470,21 +455,13 @@ impl ServerHost {
             let (s, r) = (conn.snd_next, conn.rcv_next);
             self.app.on_tcp_close(flow);
             // ACK the FIN and send our own FIN.
-            let fin = Packet::tcp(
-                self.addr,
-                flow.src,
-                flow.dst_port,
-                flow.src_port,
-                s,
-                r,
-                vec![],
-            )
-            .with_flags(TcpFlags::FIN_ACK);
-            self.outbox.push(fin.serialize());
+            self.send_control(flow, s, r, TcpFlags::FIN_ACK);
         }
     }
 
-    fn send_ack(&mut self, flow: FlowKey, seq: u32, ack: u32) {
+    /// Queue a payload-free segment back to `flow`'s client, built in
+    /// its wire buffer.
+    fn send_control(&mut self, flow: FlowKey, seq: u32, ack: u32, flags: TcpFlags) {
         let pkt = Packet::tcp(
             self.addr,
             flow.src,
@@ -494,19 +471,22 @@ impl ServerHost {
             ack,
             Vec::new(),
         )
-        .with_flags(TcpFlags::ACK);
-        self.outbox.push(pkt.serialize());
+        .with_flags(flags);
+        self.outbox.push(pkt.serialize_gather(&[]));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liberate_packet::checksum::verify_pseudo_checksum;
+    use liberate_substrate::script::ResponseTable;
+    use std::sync::Arc;
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 
-    fn take(h: &mut ServerHost) -> Vec<Vec<u8>> {
+    fn take(h: &mut ServerHost) -> Vec<PacketBuf> {
         let mut out = Vec::new();
         h.take_outbox(&mut out);
         out
@@ -849,14 +829,16 @@ mod tests {
     }
 
     impl ServerApp for MessagesApp {
-        fn on_tcp_data(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<PacketBuf> {
+        fn on_tcp_data(&mut self, _flow: FlowKey, _data: &[u8]) -> Burst {
             let sizes = self.sizes.iter().enumerate();
-            sizes
-                .map(|(i, &n)| PacketBuf::from(message(i, n)))
-                .collect()
+            Burst::from(
+                sizes
+                    .map(|(i, &n)| PacketBuf::from(message(i, n)))
+                    .collect::<Vec<_>>(),
+            )
         }
 
-        fn on_udp_datagram(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<Vec<u8>> {
+        fn on_udp_datagram(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<PacketBuf> {
             Vec::new()
         }
     }
@@ -890,6 +872,67 @@ mod tests {
             }
             assert_eq!(out.len(), stream.len().div_ceil(SERVER_MSS));
             assert_eq!(out, expected, "round {round}");
+        }
+    }
+
+    /// Serves every delivery with the whole table as one burst, either
+    /// as table responses (payload sums memoized on the table) or as
+    /// plain messages (summed as they are copied).
+    struct TableApp {
+        table: Arc<ResponseTable>,
+        as_table: bool,
+    }
+
+    impl ServerApp for TableApp {
+        fn on_tcp_data(&mut self, _flow: FlowKey, _data: &[u8]) -> Burst {
+            let all = 0..self.table.responses().len();
+            if self.as_table {
+                Burst::Table(Arc::clone(&self.table), all)
+            } else {
+                Burst::from(self.table.responses().to_vec())
+            }
+        }
+
+        fn on_udp_datagram(&mut self, _flow: FlowKey, _data: &[u8]) -> Vec<PacketBuf> {
+            Vec::new()
+        }
+    }
+
+    /// One request to a fresh host serving `table`; returns its segments.
+    fn serve(table: &Arc<ResponseTable>, as_table: bool) -> Vec<PacketBuf> {
+        let app = TableApp {
+            table: Arc::clone(table),
+            as_table,
+        };
+        let mut h = ServerHost::new(SERVER, OsProfile::linux(), Box::new(app));
+        let (cseq, sseq) = handshake(&mut h);
+        h.receive(SimTime::ZERO, &data(cseq, sseq, b"GET"));
+        take(&mut h)
+    }
+
+    #[test]
+    fn a_burst_served_again_from_the_memo_is_byte_identical() {
+        let messages: Vec<Vec<u8>> = [1000, 0, 2501, 7, 1460, 3001, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| message(i, n))
+            .collect();
+        let table = Arc::new(ResponseTable::lower(messages.iter().map(Vec::as_slice)));
+        let summed = serve(&table, false);
+        let first = serve(&table, true);
+        let sums = table.segment_sums(0..messages.len(), SERVER_MSS);
+        let again = serve(&table, true);
+        assert!(
+            Arc::ptr_eq(&sums, &table.segment_sums(0..messages.len(), SERVER_MSS)),
+            "the second burst is served from the memo"
+        );
+        assert_eq!(sums.len(), summed.len());
+        assert_eq!(first, summed);
+        assert_eq!(again, summed);
+        for seg in &again {
+            let ip = ParsedIpv4::parse(seg).unwrap();
+            let tcp = &seg[ip.payload_offset..];
+            assert!(verify_pseudo_checksum(SERVER, CLIENT, 6, tcp));
         }
     }
 }

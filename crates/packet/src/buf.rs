@@ -3,15 +3,18 @@
 //! Every layer used to hand packets around as `Vec<u8>`, so forwarding a
 //! packet through N path elements, recording it at a capture tap, and
 //! feeding its payload into stream reassembly each deep-copied the bytes.
-//! [`PacketBuf`] replaces that with a ref-counted shared buffer plus a
-//! cheap `(start, end)` range view: cloning or slicing is a refcount
-//! bump, and equality/hashing/deref all act on the viewed bytes, so the
-//! rest of the code reads exactly as it did over `Vec<u8>`.
+//! [`PacketBuf`] replaces that with a ref-counted fixed-length buffer
+//! (`Arc<[u8]>`) plus a cheap `(start, end)` range view: cloning or
+//! slicing is a refcount bump, and equality/hashing/deref all act on the
+//! viewed bytes, so the rest of the code reads exactly as it did over
+//! `Vec<u8>`. [`PacketBuf::build`] fills a new buffer in place, so a
+//! packet built for the wire costs one allocation.
 //!
 //! Mutation goes through one explicit copy-on-write escape hatch,
-//! [`PacketBuf::make_mut`]: unique full-range buffers are patched in
-//! place (free); shared or sliced ones are first materialized into a
-//! fresh buffer, and that copy is tallied — into the caller's
+//! [`PacketBuf::make_mut`], which overwrites bytes and never resizes (a
+//! resized packet is a new `build`): unique full-range buffers are
+//! patched in place (free); shared or sliced ones are first materialized
+//! into a fresh buffer, and that copy is tallied — into the caller's
 //! [`CopyTally`] (routed to the `payload-copies` / `payload-bytes-copied`
 //! journal counters by journal-holding callers) and into a process-wide
 //! census the `exp-hotpath` bench reads.
@@ -22,14 +25,10 @@
 //! the layers above.
 
 use std::fmt;
+use std::iter;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Sentinel for "view tracks the end of the backing buffer", so a
-/// full-range view stays full-range even if `make_mut` callers grow or
-/// shrink the underlying `Vec`.
-const TO_END: usize = usize::MAX;
 
 /// Process-wide deep-copy census (copies, bytes). Fed by every
 /// materializing operation — CoW faults, payload views minted from raw
@@ -70,36 +69,57 @@ impl CopyTally {
 /// A ref-counted, immutable-by-default wire buffer with cheap range
 /// views. See the module docs for the ownership rules.
 pub struct PacketBuf {
-    data: Arc<Vec<u8>>,
-    start: usize,
-    /// Exclusive end, or [`TO_END`] for "to the end of the buffer".
-    end: usize,
+    data: Arc<[u8]>,
+    /// The view, `start <= end <= data.len()`. `u32` offsets keep a view
+    /// at 24 bytes next to the buffer's fat pointer, which caps a buffer
+    /// at 4 GiB.
+    start: u32,
+    end: u32,
 }
 
 impl PacketBuf {
     /// The empty buffer.
     pub fn empty() -> PacketBuf {
-        PacketBuf::from(Vec::new())
+        PacketBuf::build(0, |_| {})
     }
 
-    fn upper(&self) -> usize {
-        if self.end == TO_END {
-            self.data.len()
-        } else {
-            self.end.min(self.data.len())
+    /// A new `len`-byte buffer, zero-filled and then written in place by
+    /// `fill`: one allocation, no intermediate `Vec`.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> PacketBuf {
+        let mut data: Arc<[u8]> = iter::repeat_n(0, len).collect();
+        match Arc::get_mut(&mut data) {
+            Some(bytes) => fill(bytes),
+            // Unreachable: the buffer was allocated on the line above.
+            // lint: allow(no-panic) documented invariant, not a runtime condition
+            None => unreachable!("PacketBuf::build: fresh buffer not unique"),
+        }
+        PacketBuf::whole(data)
+    }
+
+    /// A view of all of `data`.
+    fn whole(data: Arc<[u8]>) -> PacketBuf {
+        let end = match u32::try_from(data.len()) {
+            Ok(end) => end,
+            // lint: allow(no-panic) documented limit: wire buffers are far below 4 GiB
+            Err(_) => panic!("PacketBuf: {} bytes is over the 4 GiB cap", data.len()),
+        };
+        PacketBuf {
+            data,
+            start: 0,
+            end,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.upper().saturating_sub(self.start)
+        (self.end - self.start) as usize
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.start == self.end
     }
 
     pub fn as_slice(&self) -> &[u8] {
-        &self.data[self.start.min(self.data.len())..self.upper()]
+        &self.data[self.start as usize..self.end as usize]
     }
 
     /// A cheap sub-view of this buffer (shares the backing allocation).
@@ -120,31 +140,28 @@ impl PacketBuf {
         .clamp(lo, len);
         PacketBuf {
             data: Arc::clone(&self.data),
-            start: self.start + lo,
-            end: self.start + hi,
+            start: self.start + lo as u32,
+            end: self.start + hi as u32,
         }
     }
 
-    /// The copy-on-write escape hatch: a mutable view of the underlying
-    /// bytes. A uniquely-owned full-range buffer mutates in place; a
-    /// shared or sliced one is first copied into a fresh buffer, and the
-    /// copy is tallied (caller tally + global census). After the call
-    /// this view tracks the whole backing buffer, so length-changing
-    /// edits stay coherent.
-    pub fn make_mut(&mut self, tally: &mut CopyTally) -> &mut Vec<u8> {
-        let full = self.start == 0 && self.end == TO_END;
+    /// The copy-on-write escape hatch: the viewed bytes, writable. A
+    /// uniquely-owned full-range buffer mutates in place; a shared or
+    /// sliced one is first copied into a fresh buffer, and the copy is
+    /// tallied (caller tally + global census). The length is fixed: a
+    /// resized packet is a new [`PacketBuf::build`].
+    pub fn make_mut(&mut self, tally: &mut CopyTally) -> &mut [u8] {
+        let full = self.start == 0 && self.end as usize == self.data.len();
         // Plain loads decide uniqueness: with `&mut self` pinning this
         // handle, no other can appear, so only the one `get_mut` below
         // pays an atomic read-modify-write.
         let unique = Arc::strong_count(&self.data) == 1 && Arc::weak_count(&self.data) == 0;
         if !full || !unique {
-            let copied = self.as_slice().to_vec();
+            let len = self.len();
             tally.copies += 1;
-            tally.bytes += copied.len() as u64;
-            census(copied.len());
-            self.data = Arc::new(copied);
-            self.start = 0;
-            self.end = TO_END;
+            tally.bytes += len as u64;
+            census(len);
+            *self = PacketBuf::from(self.as_slice());
         }
         match Arc::get_mut(&mut self.data) {
             Some(v) => v,
@@ -262,31 +279,29 @@ impl fmt::Debug for PacketBuf {
     }
 }
 
+/// Takes one copy of the bytes into the shared buffer; hot paths build
+/// their buffers in place with [`PacketBuf::build`] instead.
 impl From<Vec<u8>> for PacketBuf {
     fn from(v: Vec<u8>) -> PacketBuf {
-        PacketBuf {
-            data: Arc::new(v),
-            start: 0,
-            end: TO_END,
-        }
+        PacketBuf::from(v.as_slice())
     }
 }
 
 impl From<&[u8]> for PacketBuf {
     fn from(v: &[u8]) -> PacketBuf {
-        PacketBuf::from(v.to_vec())
+        PacketBuf::whole(Arc::from(v))
     }
 }
 
 impl From<&Vec<u8>> for PacketBuf {
     fn from(v: &Vec<u8>) -> PacketBuf {
-        PacketBuf::from(v.clone())
+        PacketBuf::from(v.as_slice())
     }
 }
 
 impl<const N: usize> From<&[u8; N]> for PacketBuf {
     fn from(v: &[u8; N]) -> PacketBuf {
-        PacketBuf::from(v.to_vec())
+        PacketBuf::from(v.as_slice())
     }
 }
 
@@ -418,13 +433,31 @@ mod tests {
     }
 
     #[test]
-    fn make_mut_tracks_length_changes() {
-        let mut buf = PacketBuf::from(vec![1u8, 2]);
-        let mut tally = CopyTally::default();
-        buf.make_mut(&mut tally).extend_from_slice(&[3, 4]);
-        assert_eq!(&*buf, &[1, 2, 3, 4]);
-        buf.make_mut(&mut tally).truncate(1);
-        assert_eq!(&*buf, &[1]);
+    fn a_resize_is_a_new_build_and_old_views_survive() {
+        let buf = PacketBuf::from(vec![1u8, 2]);
+        let view = buf.slice(1..);
+        let grown = PacketBuf::build(buf.len() + 2, |b| {
+            b[..2].copy_from_slice(&buf);
+            b[2..].copy_from_slice(&[3, 4]);
+        });
+        assert_eq!(&*grown, &[1, 2, 3, 4]);
+        let shrunk = grown.slice(..1);
+        assert_eq!(&*shrunk, &[1]);
+        assert!(!Arc::ptr_eq(&buf.data, &grown.data));
+        assert_eq!(&*buf, &[1, 2], "the old buffer is untouched");
+        assert_eq!(&*view, &[2], "and so are its views");
+    }
+
+    #[test]
+    fn build_fills_one_fresh_buffer_in_place() {
+        let buf = PacketBuf::build(4, |b| {
+            assert_eq!(b, &[0u8; 4], "the buffer starts zeroed");
+            b[1] = 9;
+        });
+        assert_eq!(&*buf, &[0, 9, 0, 0]);
+        assert_eq!(Arc::strong_count(&buf.data), 1);
+        assert!(PacketBuf::empty().is_empty());
+        assert_eq!(std::mem::size_of::<PacketBuf>(), 24, "as small as a Vec");
     }
 
     #[test]

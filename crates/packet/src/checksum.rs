@@ -95,14 +95,44 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 /// `proto` is the IP protocol number (6 for TCP, 17 for UDP) and `segment`
 /// is the transport header plus payload with the checksum field zeroed.
 pub fn pseudo_header_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: &[u8]) -> u16 {
+    let acc = ones_complement_sum(segment, pseudo_header_sum(src, dst, proto, segment.len()));
+    checksum_of(acc.into())
+}
+
+/// The unfolded sum of the pseudo header of a `segment_len`-byte segment.
+pub(crate) fn pseudo_header_sum(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    proto: u8,
+    segment_len: usize,
+) -> u32 {
     let mut acc = 0u32;
     acc = ones_complement_sum(&src.octets(), acc);
     acc = ones_complement_sum(&dst.octets(), acc);
     acc += u32::from(proto);
     // UDP length / TCP length field of the pseudo header.
-    acc += segment.len() as u32;
-    acc = ones_complement_sum(segment, acc);
-    !(acc as u16)
+    acc + segment_len as u32
+}
+
+/// The checksum of data given as partial sums: `total` adds up sums of
+/// even-length pieces ([`ones_complement_sum`] results or 16-bit words).
+/// Equal to summing the data in one piece.
+pub(crate) fn checksum_of(total: u64) -> u16 {
+    !fold16(total)
+}
+
+/// `ones_complement_sum(joined, 0)` of the concatenation of `pieces`,
+/// without joining them: a piece that starts at an odd offset of the
+/// joined bytes contributes its own sum byte-swapped (RFC 1071 §2(B)).
+pub(crate) fn ones_complement_sum_gather(pieces: &[&[u8]]) -> u16 {
+    let mut acc = 0u64;
+    let mut odd = false;
+    for piece in pieces {
+        let sum = ones_complement_sum(piece, 0) as u16;
+        acc += u64::from(if odd { sum.swap_bytes() } else { sum });
+        odd ^= piece.len() % 2 == 1;
+    }
+    fold16(acc)
 }
 
 /// Verify a checksum by summing over data that *includes* the checksum
@@ -118,13 +148,7 @@ pub fn verify_pseudo_checksum(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, segment: 
     if proto == 17 && segment.len() >= 8 && segment[6] == 0 && segment[7] == 0 {
         return true;
     }
-    let mut acc = 0u32;
-    acc = ones_complement_sum(&src.octets(), acc);
-    acc = ones_complement_sum(&dst.octets(), acc);
-    acc += u32::from(proto);
-    acc += segment.len() as u32;
-    acc = ones_complement_sum(segment, acc);
-    acc == 0xffff
+    ones_complement_sum(segment, pseudo_header_sum(src, dst, proto, segment.len())) == 0xffff
 }
 
 #[cfg(test)]
@@ -169,6 +193,38 @@ mod tests {
         ) {
             let data = &data[skip.min(data.len())..];
             prop_assert_eq!(ones_complement_sum(data, 0), scalar_sum(data, 0));
+        }
+
+        #[test]
+        fn gathered_sum_matches_the_joined_sum(
+            data in proptest::collection::vec(any::<u8>(), 0..600),
+            cuts in proptest::collection::vec(0usize..600, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut pieces = Vec::new();
+            let mut at = 0;
+            for c in cuts.into_iter().chain([data.len()]) {
+                pieces.push(&data[at..c]);
+                at = c;
+            }
+            prop_assert_eq!(
+                u32::from(ones_complement_sum_gather(&pieces)),
+                ones_complement_sum(&data, 0)
+            );
+        }
+
+        #[test]
+        fn partial_sums_give_the_whole_checksum(
+            parts in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..5),
+            zeros in any::<bool>(),
+        ) {
+            let parts: Vec<Vec<u8>> = parts
+                .into_iter()
+                .map(|p| if zeros { vec![0; p.len() & !1] } else { p[..p.len() & !1].to_vec() })
+                .collect();
+            let total = parts.iter().map(|p| u64::from(ones_complement_sum(p, 0))).sum();
+            prop_assert_eq!(checksum_of(total), internet_checksum(&parts.concat()));
         }
     }
 

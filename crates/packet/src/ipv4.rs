@@ -210,13 +210,14 @@ impl Ipv4Header {
     /// Serialize, given the transport protocol number to use when no
     /// override is set and the byte length of everything after the header.
     pub fn serialize(&self, derived_protocol: u8, payload_len: usize) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = vec![0; self.actual_header_len()];
         self.write(&mut out, derived_protocol, payload_len);
         out
     }
 
-    /// Append the serialized header to `out` (see [`Ipv4Header::serialize`]).
-    pub(crate) fn write(&self, out: &mut Vec<u8>, derived_protocol: u8, payload_len: usize) {
+    /// Write the serialized header (see [`Ipv4Header::serialize`]) into
+    /// `out`, which is [`Ipv4Header::actual_header_len`] bytes long.
+    pub(crate) fn write(&self, out: &mut [u8], derived_protocol: u8, payload_len: usize) {
         let options = encode_options(&self.options);
         let header_len = IPV4_MIN_HEADER_LEN + options.len();
         let ihl = self.ihl.unwrap_or((header_len / 4) as u8) & 0x0f;
@@ -224,13 +225,6 @@ impl Ipv4Header {
             .total_length
             .unwrap_or((header_len + payload_len) as u16);
         let protocol = self.protocol.unwrap_or(derived_protocol);
-
-        let start = out.len();
-        out.reserve(header_len);
-        out.push(((self.version & 0x0f) << 4) | ihl);
-        out.push(self.tos);
-        out.extend_from_slice(&total_length.to_be_bytes());
-        out.extend_from_slice(&self.identification.to_be_bytes());
         let mut flags_frag = self.fragment_offset & 0x1fff;
         if self.dont_fragment {
             flags_frag |= 0x4000;
@@ -238,16 +232,21 @@ impl Ipv4Header {
         if self.more_fragments {
             flags_frag |= 0x2000;
         }
-        out.extend_from_slice(&flags_frag.to_be_bytes());
-        out.push(self.ttl);
-        out.push(protocol);
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.src.octets());
-        out.extend_from_slice(&self.dst.octets());
-        out.extend_from_slice(&options);
 
-        let ck = self.checksum.resolve(internet_checksum(&out[start..]));
-        out[start + 10..start + 12].copy_from_slice(&ck.to_be_bytes());
+        let out = &mut out[..header_len];
+        out[0] = ((self.version & 0x0f) << 4) | ihl;
+        out[1] = self.tos;
+        out[2..4].copy_from_slice(&total_length.to_be_bytes());
+        out[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        out[6..8].copy_from_slice(&flags_frag.to_be_bytes());
+        out[8] = self.ttl;
+        out[9] = protocol;
+        out[10..12].fill(0); // checksum placeholder
+        out[12..16].copy_from_slice(&self.src.octets());
+        out[16..20].copy_from_slice(&self.dst.octets());
+        out[20..].copy_from_slice(&options);
+        let ck = self.checksum.resolve(internet_checksum(out));
+        out[10..12].copy_from_slice(&ck.to_be_bytes());
     }
 }
 

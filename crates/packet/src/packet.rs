@@ -9,6 +9,9 @@
 use std::net::Ipv4Addr;
 
 use crate::buf::{PacketBuf, WireBytes};
+use crate::checksum::{
+    checksum_of, ones_complement_sum, ones_complement_sum_gather, pseudo_header_sum, ChecksumSpec,
+};
 use crate::ipv4::{protocol, Ipv4Header, ParsedIpv4};
 use crate::tcp::{ParsedTcp, TcpFlags, TcpHeader};
 use crate::udp::{ParsedUdp, UdpHeader};
@@ -93,40 +96,57 @@ impl Packet {
 
     /// Serialize to wire bytes.
     pub fn serialize(&self) -> Vec<u8> {
-        self.serialize_gather(&[&self.payload])
+        let mut out = vec![0; self.wire_len(self.payload.len())];
+        self.write_gather(&[&self.payload], &mut out);
+        out
     }
 
     /// Serialize this packet's headers around `payload`, the concatenation
-    /// of the given pieces, in place of `self.payload`. The wire bytes are
-    /// built in one buffer — headers, payload gathered piece by piece, then
-    /// checksums in place — and are identical to serializing a packet that
-    /// owns the joined payload.
-    pub fn serialize_gather(&self, payload: &[&[u8]]) -> Vec<u8> {
-        let payload_len: usize = payload.iter().map(|p| p.len()).sum();
-        let (derived_proto, transport_len) = match &self.transport {
+    /// of the given pieces, in place of `self.payload`, straight into one
+    /// shared buffer — headers, payload gathered piece by piece, then
+    /// checksums in place. The bytes are identical to serializing a
+    /// packet that owns the joined payload.
+    pub fn serialize_gather(&self, payload: &[&[u8]]) -> PacketBuf {
+        let payload_len = payload.iter().map(|p| p.len()).sum();
+        PacketBuf::build(self.wire_len(payload_len), |out| {
+            self.write_gather(payload, out)
+        })
+    }
+
+    /// The transport's protocol number and header length.
+    fn transport_header(&self) -> (u8, usize) {
+        match &self.transport {
             Transport::Tcp(h) => (protocol::TCP, h.actual_header_len()),
             Transport::Udp(_) => (protocol::UDP, crate::udp::UDP_HEADER_LEN),
             Transport::Raw(p) => (*p, 0),
-        };
-        let segment_len = transport_len + payload_len;
-        let mut out = Vec::with_capacity(self.ip.actual_header_len() + segment_len);
-        self.ip.write(&mut out, derived_proto, segment_len);
-        let segment_start = out.len();
+        }
+    }
+
+    /// Wire length of this packet around a `payload_len`-byte payload.
+    fn wire_len(&self, payload_len: usize) -> usize {
+        self.ip.actual_header_len() + self.transport_header().1 + payload_len
+    }
+
+    /// Write the wire bytes around the gathered `payload` into `out`, which
+    /// is exactly [`Packet::wire_len`] bytes long.
+    fn write_gather(&self, payload: &[&[u8]], out: &mut [u8]) {
+        let (derived_proto, transport_len) = self.transport_header();
+        let ip_len = self.ip.actual_header_len();
+        let (ip, segment) = out.split_at_mut(ip_len);
+        self.ip.write(ip, derived_proto, segment.len());
+        let (header, body) = segment.split_at_mut(transport_len);
         match &self.transport {
-            Transport::Tcp(h) => h.write_header(&mut out),
-            Transport::Udp(h) => h.write_header(&mut out, payload_len),
+            Transport::Tcp(h) => h.write_header(header),
+            Transport::Udp(h) => h.write_header(header, body.len()),
             Transport::Raw(_) => {}
         }
-        for piece in payload {
-            out.extend_from_slice(piece);
-        }
-        let (src, dst, segment) = (self.ip.src, self.ip.dst, &mut out[segment_start..]);
+        gather(payload, body);
+        let (src, dst) = (self.ip.src, self.ip.dst);
         match &self.transport {
             Transport::Tcp(h) => h.fill_checksum(src, dst, segment),
             Transport::Udp(h) => h.fill_checksum(src, dst, segment),
             Transport::Raw(_) => {}
         }
-        out
     }
 
     /// Serialize the byte stream formed by concatenating `messages` as
@@ -134,42 +154,146 @@ impl Packet {
     /// supplies the first segment's headers (its payload is ignored); each
     /// later segment's sequence number advances by the bytes sent before
     /// it. The result equals chunking the joined stream at `mss` and
-    /// serializing one packet per chunk, without ever building the joined
-    /// stream: every payload byte is copied once, into its wire buffer.
-    /// An empty stream yields no segments. Panics if `self` is not TCP.
-    pub fn serialize_segments<M: AsRef<[u8]>>(&self, messages: &[M], mss: usize) -> Vec<Vec<u8>> {
-        let mut template = self.clone();
-        let mut remaining = messages
-            .iter()
-            .map(|m| m.as_ref())
-            .filter(|m| !m.is_empty());
-        let mut current: &[u8] = &[];
+    /// serializing one packet per chunk.
+    ///
+    /// The headers are written once and copied into each segment, which
+    /// then gets its own total length, sequence number and checksums.
+    /// Every payload byte is copied once, into its wire buffer, and each
+    /// segment is one allocation. `payload_sums`, when given, holds
+    /// [`segment_payload_sums`] of the same messages and MSS: the
+    /// segments' payloads are then never summed. An empty stream yields
+    /// no segments. Panics if `self` is not TCP.
+    pub fn serialize_segments<M: AsRef<[u8]>>(
+        &self,
+        messages: &[M],
+        mss: usize,
+        payload_sums: Option<&[u16]>,
+    ) -> Vec<PacketBuf> {
+        let Transport::Tcp(tcp) = &self.transport else {
+            // lint: allow(no-panic) documented contract: the server segments TCP streams only
+            panic!("serialize_segments on {:?}", self.transport);
+        };
+        let ip_len = self.ip.actual_header_len();
+        let tcp_len = tcp.actual_header_len();
+        let header_len = ip_len + tcp_len;
+        let mut header = vec![0; header_len];
+        let (ip, tcp_header) = header.split_at_mut(ip_len);
+        self.ip.write(ip, protocol::TCP, tcp_len);
+        tcp.write_header(tcp_header);
+        // The header sums, less the fields each segment sets: the IP total
+        // length and checksum, the TCP sequence number, and the TCP length
+        // of the pseudo header.
+        ip[2..4].fill(0);
+        ip[10..12].fill(0);
+        tcp_header[4..8].fill(0);
+        let ip_sum = u64::from(ones_complement_sum(ip, 0));
+        let tcp_sum = u64::from(ones_complement_sum(
+            tcp_header,
+            pseudo_header_sum(self.ip.src, self.ip.dst, protocol::TCP, tcp_len),
+        ));
+
+        let mut chunks = StreamChunks::new(messages, mss);
         let stream: usize = messages.iter().map(|m| m.as_ref().len()).sum();
-        let mut segments = Vec::with_capacity(stream.div_ceil(mss.max(1)));
-        let mut pieces: Vec<&[u8]> = Vec::new();
+        let mut segments = Vec::with_capacity(stream.div_ceil(chunks.mss));
+        let mut pieces = Vec::new();
+        let mut seq = tcp.seq;
         loop {
-            pieces.clear();
-            let mut room = mss.max(1);
-            while room > 0 {
-                if current.is_empty() {
-                    match remaining.next() {
-                        Some(m) => current = m,
-                        None => break,
-                    }
-                }
-                let (head, tail) = current.split_at(room.min(current.len()));
-                pieces.push(head);
-                room -= head.len();
-                current = tail;
-            }
-            let len: usize = pieces.iter().map(|p| p.len()).sum();
+            let len = chunks.next_into(&mut pieces);
             if len == 0 {
                 return segments;
             }
-            segments.push(template.serialize_gather(&pieces));
-            let tcp = template.tcp_mut();
-            tcp.seq = tcp.seq.wrapping_add(len as u32);
+            let known_sum = payload_sums.and_then(|sums| sums.get(segments.len()).copied());
+            segments.push(PacketBuf::build(header_len + len, |out| {
+                let (head, payload) = out.split_at_mut(header_len);
+                head.copy_from_slice(&header);
+                gather(&pieces, payload);
+                let (ip, tcp_header) = head.split_at_mut(ip_len);
+                let total_length = (self.ip.total_length).unwrap_or((header_len + len) as u16);
+                ip[2..4].copy_from_slice(&total_length.to_be_bytes());
+                let ip_ck = checksum_of(ip_sum + u64::from(total_length));
+                ip[10..12].copy_from_slice(&self.ip.checksum.resolve(ip_ck).to_be_bytes());
+                tcp_header[4..8].copy_from_slice(&seq.to_be_bytes());
+                let tcp_ck = match tcp.checksum {
+                    ChecksumSpec::Fixed(ck) => ck,
+                    ChecksumSpec::Auto => {
+                        let payload_sum =
+                            known_sum.unwrap_or_else(|| ones_complement_sum(payload, 0) as u16);
+                        checksum_of(
+                            tcp_sum
+                                + len as u64
+                                + u64::from(seq >> 16)
+                                + u64::from(seq & 0xffff)
+                                + u64::from(payload_sum),
+                        )
+                    }
+                };
+                tcp_header[16..18].copy_from_slice(&tcp_ck.to_be_bytes());
+            }));
+            seq = seq.wrapping_add(len as u32);
         }
+    }
+}
+
+/// Per-segment payload sums (`ones_complement_sum(payload, 0)`) of the
+/// segments [`Packet::serialize_segments`] cuts from `messages` at `mss`,
+/// computed from the messages without building any segment.
+pub fn segment_payload_sums<M: AsRef<[u8]>>(messages: &[M], mss: usize) -> Vec<u16> {
+    let mut chunks = StreamChunks::new(messages, mss);
+    let mut pieces = Vec::new();
+    let mut sums = Vec::new();
+    while chunks.next_into(&mut pieces) > 0 {
+        sums.push(ones_complement_sum_gather(&pieces));
+    }
+    sums
+}
+
+/// Copy `pieces`, in order, into `out`, which is exactly as long as they
+/// are together.
+fn gather(pieces: &[&[u8]], out: &mut [u8]) {
+    let mut at = 0;
+    for piece in pieces {
+        out[at..at + piece.len()].copy_from_slice(piece);
+        at += piece.len();
+    }
+}
+
+/// The byte stream formed by concatenating messages, cut into
+/// consecutive chunks of at most `mss` bytes without joining it: each
+/// chunk is a list of slices of the messages.
+struct StreamChunks<'a, M> {
+    messages: std::slice::Iter<'a, M>,
+    current: &'a [u8],
+    mss: usize,
+}
+
+impl<'a, M: AsRef<[u8]>> StreamChunks<'a, M> {
+    fn new(messages: &'a [M], mss: usize) -> Self {
+        StreamChunks {
+            messages: messages.iter(),
+            current: &[],
+            mss: mss.max(1),
+        }
+    }
+
+    /// Replace `pieces` with the next chunk; returns its length, 0 once
+    /// the stream is exhausted.
+    fn next_into(&mut self, pieces: &mut Vec<&'a [u8]>) -> usize {
+        pieces.clear();
+        let mut room = self.mss;
+        while room > 0 {
+            if self.current.is_empty() {
+                match self.messages.next() {
+                    Some(m) => self.current = m.as_ref(),
+                    None => break,
+                }
+                continue;
+            }
+            let (head, tail) = self.current.split_at(room.min(self.current.len()));
+            pieces.push(head);
+            room -= head.len();
+            self.current = tail;
+        }
+        self.mss - room
     }
 }
 

@@ -154,33 +154,34 @@ impl TcpHeader {
     /// Serialize the segment (header + payload), computing the pseudo-header
     /// checksum against `src`/`dst` unless overridden.
     pub fn serialize(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.actual_header_len() + payload.len());
-        self.write_header(&mut out);
-        out.extend_from_slice(payload);
+        let header_len = self.actual_header_len();
+        let mut out = vec![0; header_len + payload.len()];
+        self.write_header(&mut out[..header_len]);
+        out[header_len..].copy_from_slice(payload);
         self.fill_checksum(src, dst, &mut out);
         out
     }
 
-    /// Append the header (options padded with EOL to a 4-byte boundary)
-    /// with a zero checksum placeholder; [`TcpHeader::fill_checksum`]
-    /// completes it once the payload follows.
-    pub(crate) fn write_header(&self, out: &mut Vec<u8>) {
+    /// Write the header (options padded with EOL to a 4-byte boundary)
+    /// with a zero checksum placeholder into `out`, which is
+    /// [`TcpHeader::actual_header_len`] bytes long;
+    /// [`TcpHeader::fill_checksum`] completes it once the payload follows.
+    pub(crate) fn write_header(&self, out: &mut [u8]) {
         let header_len = self.actual_header_len();
         let offset = self.data_offset.unwrap_or((header_len / 4) as u8) & 0x0f;
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.ack.to_be_bytes());
-        out.push(offset << 4);
-        out.push(self.flags.to_byte());
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&self.urgent.to_be_bytes());
-        out.extend_from_slice(&self.options);
-        out.resize(
-            out.len() + (header_len - TCP_MIN_HEADER_LEN - self.options.len()),
-            0,
-        );
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        out[12] = offset << 4;
+        out[13] = self.flags.to_byte();
+        out[14..16].copy_from_slice(&self.window.to_be_bytes());
+        out[16..18].fill(0); // checksum placeholder
+        out[18..20].copy_from_slice(&self.urgent.to_be_bytes());
+        let (options, padding) =
+            out[TCP_MIN_HEADER_LEN..header_len].split_at_mut(self.options.len());
+        options.copy_from_slice(&self.options);
+        padding.fill(0);
     }
 
     /// Fill the checksum field of `segment` (header + payload, checksum

@@ -33,21 +33,22 @@ impl UdpHeader {
     /// Serialize the datagram (header + payload) with the pseudo-header
     /// checksum computed against `src`/`dst` unless overridden.
     pub fn serialize(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        let mut out = vec![0; UDP_HEADER_LEN + payload.len()];
         self.write_header(&mut out, payload.len());
-        out.extend_from_slice(payload);
+        out[UDP_HEADER_LEN..].copy_from_slice(payload);
         self.fill_checksum(src, dst, &mut out);
         out
     }
 
-    /// Append the header for a `payload_len`-byte payload with a zero
-    /// checksum placeholder; [`UdpHeader::fill_checksum`] completes it.
-    pub(crate) fn write_header(&self, out: &mut Vec<u8>, payload_len: usize) {
+    /// Write the header for a `payload_len`-byte payload, with a zero
+    /// checksum placeholder, into the first [`UDP_HEADER_LEN`] bytes of
+    /// `out`; [`UdpHeader::fill_checksum`] completes it.
+    pub(crate) fn write_header(&self, out: &mut [u8], payload_len: usize) {
         let length = self.length.unwrap_or((UDP_HEADER_LEN + payload_len) as u16);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&length.to_be_bytes());
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&length.to_be_bytes());
+        out[6..8].fill(0); // checksum placeholder
     }
 
     /// Fill the checksum field of `datagram` (header + payload, checksum

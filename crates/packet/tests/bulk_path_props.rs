@@ -1,14 +1,15 @@
 //! Property tests for the copy-free bulk path: header-only parsing agrees
 //! with the full parse, demand-driven validation — from the wire or from
 //! headers the caller already parsed — gives the same decision as the
-//! full defect set, and single-buffer serialization is byte-identical to
-//! serializing a packet that owns its payload.
+//! full defect set, and single-buffer serialization — of one packet or of
+//! a whole segmented stream, with or without known payload sums — is
+//! byte-identical to serializing a packet that owns its payload.
 
 use proptest::prelude::*;
 
 use liberate_packet::checksum::ChecksumSpec;
 use liberate_packet::ipv4::{protocol, IpOption};
-use liberate_packet::packet::{Packet, ParsedPacket};
+use liberate_packet::packet::{segment_payload_sums, Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
 use liberate_packet::validate::{
     has_defect_in, validate_wire, DefectMask, Malformation, MalformationSet,
@@ -298,34 +299,52 @@ proptest! {
     }
 
     /// Segmenting a multi-message response stream straight into wire
-    /// buffers equals joining the messages, chunking at the MSS and
-    /// serializing one packet per chunk.
+    /// buffers equals the oracle: join the messages, chunk at the MSS and
+    /// serialize one packet per chunk. That holds for random message
+    /// splits (empty messages included), any MSS up to 1460, TCP options,
+    /// sequence numbers that wrap, fixed checksums and header-length
+    /// overrides, and whether the payload sums are computed on the way or
+    /// supplied by `segment_payload_sums`.
     #[test]
     fn segments_match_the_chunked_joined_stream(
-        sizes in proptest::collection::vec(0usize..3000, 0..6),
-        mss in prop_oneof![Just(1460usize), 1usize..2000],
-        seq in any::<u32>(),
+        stream in proptest::collection::vec(any::<u8>(), 0..6000),
+        cuts in proptest::collection::vec(0usize..6000, 0..8),
+        mss in prop_oneof![Just(1460usize), 1usize..=1460],
+        seq in prop_oneof![any::<u32>(), (u32::MAX - 6000)..=u32::MAX],
         ack in any::<u32>(),
+        tcp_options in proptest::collection::vec(any::<u8>(), 0..13),
+        overrides in (0u8..24, 0u8..24, 0u8..4, any::<u16>(), 0usize..4),
     ) {
-        let messages: Vec<Vec<u8>> = sizes
-            .iter()
-            .enumerate()
-            .map(|(m, &n)| (0..n).map(|b| (b * 13 + m) as u8).collect())
-            .collect();
-        let template = Packet::tcp(DST, SRC, 80, 40000, seq, ack, Vec::new())
+        let (data_offset, ihl, fixed, value, opts) = overrides;
+        let messages = split(&stream, &cuts);
+        let mut template = Packet::tcp(DST, SRC, 80, 40000, seq, ack, Vec::new())
             .with_flags(TcpFlags::PSH_ACK);
+        let t = template.tcp_mut();
+        t.options = tcp_options;
+        t.data_offset = nibble(data_offset);
+        if fixed & 1 != 0 {
+            t.checksum = ChecksumSpec::Fixed(value);
+        }
+        if fixed & 2 != 0 {
+            template.ip.checksum = ChecksumSpec::Fixed(value ^ 0x5a5a);
+            template.ip.total_length = Some(value);
+        }
+        template.ip.ihl = nibble(ihl);
+        template.ip.options = ip_options(opts);
 
-        let joined: Vec<u8> = messages.concat();
         let mut expected = Vec::new();
         let mut next = seq;
-        for chunk in joined.chunks(mss) {
-            expected.push(
-                Packet::tcp(DST, SRC, 80, 40000, next, ack, chunk.to_vec())
-                    .with_flags(TcpFlags::PSH_ACK)
-                    .serialize(),
-            );
+        for chunk in stream.chunks(mss) {
+            let mut pkt = template.clone();
+            pkt.payload = chunk.to_vec();
+            pkt.tcp_mut().seq = next;
+            expected.push(pkt.serialize());
             next = next.wrapping_add(chunk.len() as u32);
         }
-        prop_assert_eq!(template.serialize_segments(&messages, mss), expected);
+        prop_assert_eq!(template.serialize_segments(&messages, mss, None), expected.clone());
+
+        let sums = segment_payload_sums(&messages, mss);
+        prop_assert_eq!(sums.len(), expected.len());
+        prop_assert_eq!(template.serialize_segments(&messages, mss, Some(&sums)), expected);
     }
 }

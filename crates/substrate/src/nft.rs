@@ -518,8 +518,7 @@ impl NftSubstrate {
         })
     }
 
-    fn push_inbox(&mut self, at: SimTime, wire: Vec<u8>) {
-        let wire = PacketBuf::from(wire);
+    fn push_inbox(&mut self, at: SimTime, wire: PacketBuf) {
         self.capture.record(at, TapPoint::ClientIngress, &wire);
         self.inbox.push((at, wire));
     }
@@ -554,7 +553,7 @@ impl NftSubstrate {
                 Vec::new(),
             )
             .with_flags(TcpFlags::SYN_ACK)
-            .serialize();
+            .serialize_gather(&[]);
             self.capture
                 .record(at + WIRE_LATENCY, TapPoint::ServerEgress, &syn_ack);
             self.push_inbox(reply_at, syn_ack);
@@ -617,7 +616,7 @@ impl NftSubstrate {
                         Vec::new(),
                     )
                     .with_flags(TcpFlags::RST)
-                    .serialize();
+                    .serialize_gather(&[]);
                     self.push_inbox(reply_at, rst);
                 }
             }
@@ -639,7 +638,7 @@ impl NftSubstrate {
         let Some(engine) = self.engine.as_mut() else {
             return;
         };
-        let response = engine.on_tcp_data(&pkt.payload);
+        let burst = engine.on_tcp_data(&pkt.payload);
         let seq = self.conns.get(&flow).map(|c| c.snd_next).unwrap_or(1);
         let ack = t.seq.wrapping_add(pkt.payload.len() as u32);
         let out_wires = Packet::tcp(
@@ -652,11 +651,15 @@ impl NftSubstrate {
             Vec::new(),
         )
         .with_flags(TcpFlags::PSH_ACK)
-        .serialize_segments(&response, WIRE_MSS);
+        .serialize_segments(
+            burst.messages(),
+            WIRE_MSS,
+            burst.payload_sums(WIRE_MSS).as_deref(),
+        );
         if out_wires.is_empty() {
             return;
         }
-        let sent: usize = response.iter().map(|m| m.len()).sum();
+        let sent = burst.bytes();
         if let Some(c) = self.conns.get_mut(&flow) {
             c.snd_next = seq.wrapping_add(sent as u32);
         }
@@ -689,8 +692,8 @@ impl NftSubstrate {
         };
         let responses = engine.on_udp_datagram(&pkt.payload);
         for resp in responses {
-            let out =
-                Packet::udp(flow.dst, flow.src, flow.dst_port, flow.src_port, resp).serialize();
+            let out = Packet::udp(flow.dst, flow.src, flow.dst_port, flow.src_port, Vec::new())
+                .serialize_gather(&[&resp]);
             self.capture
                 .record(at + WIRE_LATENCY, TapPoint::ServerEgress, &out);
             self.push_inbox(reply_at, out);

@@ -8,8 +8,11 @@
 //! built by core from the trace, a [`ScriptEngine`] state machine, and a
 //! shared [`ServerObs`] the observing replay engine reads afterwards.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
+use liberate_packet::packet::segment_payload_sums;
 use parking_lot::Mutex;
 
 use crate::buf::PacketBuf;
@@ -18,11 +21,21 @@ use crate::buf::PacketBuf;
 /// into one shared buffer. Replays share a table through an `Arc`, so
 /// installing a script for one more replay copies no response bytes, and
 /// handing a response to the transport is a refcount bump.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The table also remembers the payload sums of the segments its bursts
+/// were cut into, so a burst replayed again is never summed again.
+/// Equality compares the responses only.
+#[derive(Debug, Default)]
 pub struct ResponseTable {
     responses: Vec<PacketBuf>,
     bytes: u64,
+    /// Per-segment payload sums of the bursts served so far.
+    sums: Mutex<HashMap<BurstKey, Arc<[u16]>>>,
 }
+
+/// (first response, response count, MSS): a burst's segment payloads
+/// depend on nothing else.
+type BurstKey = (usize, usize, usize);
 
 impl ResponseTable {
     /// Copy `payloads`, in order, into one buffer and view each in place.
@@ -33,13 +46,15 @@ impl ResponseTable {
     {
         let payloads = payloads.into_iter();
         let total: usize = payloads.clone().map(<[u8]>::len).sum();
-        let mut joined = Vec::with_capacity(total);
         let mut ends = Vec::new();
-        for p in payloads {
-            joined.extend_from_slice(p);
-            ends.push(joined.len());
-        }
-        let joined = PacketBuf::from(joined);
+        let joined = PacketBuf::build(total, |joined| {
+            let mut at = 0;
+            for p in payloads {
+                joined[at..at + p.len()].copy_from_slice(p);
+                at += p.len();
+                ends.push(at);
+            }
+        });
         let mut start = 0;
         let responses = ends
             .into_iter()
@@ -49,17 +64,18 @@ impl ResponseTable {
                 view
             })
             .collect();
-        ResponseTable {
-            responses,
-            bytes: total as u64,
-        }
+        ResponseTable::from_responses(responses)
     }
 
     /// A table over existing response buffers (views are shared, not
     /// copied).
     pub fn from_responses(responses: Vec<PacketBuf>) -> ResponseTable {
         let bytes = responses.iter().map(|r| r.len() as u64).sum();
-        ResponseTable { responses, bytes }
+        ResponseTable {
+            responses,
+            bytes,
+            sums: Mutex::default(),
+        }
     }
 
     /// The responses, in order.
@@ -70,6 +86,73 @@ impl ResponseTable {
     /// Total response bytes: what a complete replay delivers.
     pub fn bytes(&self) -> u64 {
         self.bytes
+    }
+
+    /// The payload sums of the segments that the responses `range`,
+    /// sent as one stream, are cut into at `mss` (see
+    /// [`segment_payload_sums`]): computed on the first request, then
+    /// remembered.
+    pub fn segment_sums(&self, range: Range<usize>, mss: usize) -> Arc<[u16]> {
+        let key = (range.start, range.len(), mss);
+        if let Some(sums) = self.sums.lock().get(&key) {
+            return Arc::clone(sums);
+        }
+        let sums: Arc<[u16]> = segment_payload_sums(&self.responses[range], mss).into();
+        Arc::clone(self.sums.lock().entry(key).or_insert(sums))
+    }
+}
+
+impl PartialEq for ResponseTable {
+    fn eq(&self, other: &ResponseTable) -> bool {
+        self.responses == other.responses
+    }
+}
+
+/// What a server sends at once: messages the transport transmits as one
+/// byte stream.
+#[derive(Debug)]
+pub enum Burst {
+    /// Consecutive responses of a shared table; the transport reuses the
+    /// table's payload sums for their segments.
+    Table(Arc<ResponseTable>, Range<usize>),
+    /// Any other messages; the transport sums their payload as it
+    /// copies it.
+    Messages(Vec<PacketBuf>),
+}
+
+impl Burst {
+    /// Nothing to send.
+    pub fn none() -> Burst {
+        Burst::Messages(Vec::new())
+    }
+
+    /// The messages, in order.
+    pub fn messages(&self) -> &[PacketBuf] {
+        match self {
+            Burst::Table(table, range) => &table.responses()[range.clone()],
+            Burst::Messages(messages) => messages,
+        }
+    }
+
+    /// Total message bytes.
+    pub fn bytes(&self) -> usize {
+        self.messages().iter().map(|m| m.len()).sum()
+    }
+
+    /// The payload sums of the segments this burst is cut into at `mss`,
+    /// when they are known without reading the payload: table bursts
+    /// only.
+    pub fn payload_sums(&self, mss: usize) -> Option<Arc<[u16]>> {
+        match self {
+            Burst::Table(table, range) => Some(table.segment_sums(range.clone(), mss)),
+            Burst::Messages(_) => None,
+        }
+    }
+}
+
+impl From<Vec<PacketBuf>> for Burst {
+    fn from(messages: Vec<PacketBuf>) -> Burst {
+        Burst::Messages(messages)
     }
 }
 
@@ -134,8 +217,8 @@ impl ScriptEngine {
     }
 
     /// In-order TCP bytes delivered. Returns the responses now due, in
-    /// order (may be empty); the transport sends them as one byte stream.
-    pub fn on_tcp_data(&mut self, data: &[u8]) -> Vec<PacketBuf> {
+    /// order (may be none); the transport sends them as one byte stream.
+    pub fn on_tcp_data(&mut self, data: &[u8]) -> Burst {
         let mut shared = self.shared.lock();
         shared.raw_received += data.len() as u64;
         // Apply the prefix skip.
@@ -151,24 +234,22 @@ impl ScriptEngine {
         let sent = shared.responses_sent;
         let due = self.script.due(sent, |&(bytes, _)| effective >= bytes);
         shared.responses_sent += due;
-        // Refcount bumps on the shared table's views, into a vector sized
-        // to the responses due.
-        self.script.table.responses()[sent..sent + due].to_vec()
+        if due == 0 {
+            return Burst::none();
+        }
+        Burst::Table(Arc::clone(&self.script.table), sent..sent + due)
     }
 
-    /// A UDP datagram arrived. Returns zero or more response datagrams.
-    pub fn on_udp_datagram(&mut self, data: &[u8]) -> Vec<Vec<u8>> {
+    /// A UDP datagram arrived. Returns zero or more response datagrams,
+    /// views of the shared table.
+    pub fn on_udp_datagram(&mut self, data: &[u8]) -> Vec<PacketBuf> {
         let mut shared = self.shared.lock();
         shared.datagrams.push(data.to_vec());
         let count = shared.datagrams.len();
         let sent = shared.responses_sent;
         let due = self.script.due(sent, |&(_, dgrams)| count >= dgrams);
         shared.responses_sent += due;
-        self.script.table.responses()[sent..sent + due]
-            .iter()
-            // Each datagram send needs its own Vec.
-            .map(|r| r.to_vec())
-            .collect()
+        self.script.table.responses()[sent..sent + due].to_vec()
     }
 }
 
@@ -196,11 +277,44 @@ mod tests {
     }
 
     #[test]
+    fn equality_ignores_the_memo() {
+        let table = ResponseTable::lower([&b"ab"[..], b"", b"cde"]);
+        let fresh = ResponseTable::from_responses(table.responses().to_vec());
+        let sums = table.segment_sums(0..3, 2);
+        assert_eq!(&sums[..], segment_payload_sums(table.responses(), 2));
+        assert!(Arc::ptr_eq(&sums, &table.segment_sums(0..3, 2)));
+        assert_eq!(table, fresh);
+        assert_eq!(fresh, table);
+        assert_ne!(table, ResponseTable::lower([&b"ab"[..], b"cde"]));
+    }
+
+    #[test]
+    fn due_responses_are_a_burst_of_the_shared_table() {
+        let s = script();
+        let table = Arc::clone(&s.table);
+        let (mut eng, _obs) = ScriptEngine::new(s);
+        assert!(matches!(eng.on_tcp_data(b"abc"), Burst::Messages(m) if m.is_empty()));
+        match eng.on_tcp_data(b"de") {
+            Burst::Table(t, range) => {
+                assert!(Arc::ptr_eq(&t, &table));
+                assert_eq!(range, 0..1);
+            }
+            other => panic!("expected a table burst, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn tcp_responses_fire_at_cumulative_thresholds() {
         let (mut eng, obs) = ScriptEngine::new(script());
-        assert!(eng.on_tcp_data(b"abc").is_empty());
-        assert_eq!(eng.on_tcp_data(b"de"), [PacketBuf::from(b"first")]);
-        assert_eq!(eng.on_tcp_data(b"fghij"), [PacketBuf::from(b"second")]);
+        assert!(eng.on_tcp_data(b"abc").messages().is_empty());
+        assert_eq!(
+            eng.on_tcp_data(b"de").messages(),
+            [PacketBuf::from(b"first")]
+        );
+        assert_eq!(
+            eng.on_tcp_data(b"fghij").messages(),
+            [PacketBuf::from(b"second")]
+        );
         let obs = obs.lock();
         assert_eq!(obs.received_stream, b"abcdefghij");
         assert_eq!(obs.raw_received, 10);
@@ -211,7 +325,7 @@ mod tests {
     fn responses_due_together_come_back_as_separate_messages() {
         let (mut eng, _obs) = ScriptEngine::new(script());
         assert_eq!(
-            eng.on_tcp_data(b"0123456789"),
+            eng.on_tcp_data(b"0123456789").messages(),
             [PacketBuf::from(b"first"), PacketBuf::from(b"second")]
         );
     }
@@ -223,8 +337,11 @@ mod tests {
         let (mut eng, obs) = ScriptEngine::new(s);
         // 3 dummy bytes + the real 5: responses key off the post-skip
         // stream, so "first" fires once 5 effective bytes arrived.
-        assert!(eng.on_tcp_data(b"XXXab").is_empty());
-        assert_eq!(eng.on_tcp_data(b"cde"), [PacketBuf::from(b"first")]);
+        assert!(eng.on_tcp_data(b"XXXab").messages().is_empty());
+        assert_eq!(
+            eng.on_tcp_data(b"cde").messages(),
+            [PacketBuf::from(b"first")]
+        );
         let obs = obs.lock();
         assert_eq!(obs.received_stream, b"abcde");
         assert_eq!(obs.raw_received, 8);
@@ -244,6 +361,6 @@ mod tests {
         let mut s = script();
         s.releases.push((11, 3));
         let (mut eng, _obs) = ScriptEngine::new(s);
-        assert_eq!(eng.on_tcp_data(b"0123456789ab").len(), 2);
+        assert_eq!(eng.on_tcp_data(b"0123456789ab").messages().len(), 2);
     }
 }
