@@ -3,12 +3,12 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Compare `got` byte for byte with the golden journal
-/// `tests/fixtures/journals/<name>`. With `UPDATE_FIXTURES=1` set, write
-/// `got` as the new golden instead.
-pub fn assert_journal_golden(name: &str, got: &str) {
+/// Compare `got` byte for byte with the golden file
+/// `tests/fixtures/<name>` (e.g. `journals/scripted_seed7.jsonl`). With
+/// `UPDATE_FIXTURES=1` set, write `got` as the new golden instead.
+pub fn assert_golden(name: &str, got: &str) {
     let path: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures/journals")
+        .join("tests/fixtures")
         .join(name);
     if std::env::var_os("UPDATE_FIXTURES").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -28,7 +28,7 @@ pub fn assert_journal_golden(name: &str, got: &str) {
             .position(|(w, g)| w != g)
             .map_or(want.lines().count().min(got.lines().count()), |i| i);
         panic!(
-            "journal drift against {} from line {} (UPDATE_FIXTURES=1 to accept):\n--- want\n{}\n--- got\n{}",
+            "golden drift against {} from line {} (UPDATE_FIXTURES=1 to accept):\n--- want\n{}\n--- got\n{}",
             path.display(),
             line + 1,
             want.lines().nth(line).unwrap_or("<end>"),

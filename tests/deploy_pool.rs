@@ -341,7 +341,7 @@ fn deployment_journal_matches_its_golden() {
     pool.run_flows(&trace, 2).expect("recovery wave");
     let merged = Arc::new(Journal::new());
     pool.merge_journals_into(&merged);
-    common::assert_journal_golden("testbed_pool_2w.jsonl", &to_jsonl(&merged));
+    common::assert_golden("journals/testbed_pool_2w.jsonl", &to_jsonl(&merged));
 }
 
 /// (f) Journal-off lanes share the worker journal rather than staging

@@ -76,7 +76,7 @@ fn same_seed_journals_are_byte_identical() {
 #[test]
 fn scripted_journal_matches_its_golden() {
     let (journal, _) = run_scripted(7);
-    common::assert_journal_golden("scripted_seed7.jsonl", &journal);
+    common::assert_golden("journals/scripted_seed7.jsonl", &journal);
 }
 
 #[test]
