@@ -390,16 +390,13 @@ mod tests {
         // The operator swaps the rule to match the User-Agent instead of
         // the Host header.
         let mut b = Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
-        {
-            let dpi = b.env.dpi_mut().unwrap();
-            dpi.config.rules =
-                liberate_dpi::rules::RuleSet::new(vec![liberate_dpi::rules::MatchRule::keyword(
-                    "ua",
-                    "video",
-                    &b"AmazonPrimeVideo"[..],
-                )
-                .client_only()]);
-        }
+        b.env
+            .dpi_mut()
+            .unwrap()
+            .hot_swap_rules(liberate_dpi::rules::RuleSet::new(vec![
+                liberate_dpi::rules::MatchRule::keyword("ua", "video", &b"AmazonPrimeVideo"[..])
+                    .client_only(),
+            ]));
         let fresh = cache
             .verify("testbed", &trace.app, &mut b, &trace, &Signal::Readout)
             .unwrap();

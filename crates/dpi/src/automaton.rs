@@ -2,11 +2,12 @@
 //! automaton plus the per-flow scan state that lets the device feed each
 //! stream byte through it exactly once.
 //!
-//! The naive scanner in [`crate::matcher`] rescans an ever-growing
-//! reassembled prefix from offset 0 on every packet, once per rule. Real
-//! DPI boxes compile the whole rule set into one automaton and stream
-//! bytes through it; this module does the same while staying byte-exact
-//! with the naive model:
+//! Real DPI boxes compile the whole rule set into one automaton and
+//! stream bytes through it; the device does the same. The reference it
+//! must agree with is the rescan: [`RuleSet::first_match_counted`] over a
+//! packet's payload, or over `StreamAssembler::assembled_prefix()` from
+//! offset 0 on every packet, once per rule ([`crate::matcher::find`]).
+//! This module stays byte-exact with that reference:
 //!
 //! - [`Automaton`]: trie + BFS failure links flattened into a dense
 //!   byte-indexed transition table, with merged output lists per state.
@@ -18,7 +19,7 @@
 //!   earliest occurrence per pattern, gate-at-offset-0 flag). Matching a
 //!   growing stream is then O(new bytes), not O(stream × rules).
 //!
-//! Parity with the naive scanner is exact because keyword rules only ask
+//! Parity with the rescan is exact because keyword rules only ask
 //! *containment* ("has pattern p occurred in the prefix fed so far?") and
 //! the gate only asks "did a gate prefix occur starting at offset 0?" —
 //! both are monotone facts the scan state carries across packets, and the
@@ -29,20 +30,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use liberate_packet::flow::Direction;
 
+use crate::flowtable::StreamDelta;
 use crate::rules::{MatchRule, PositionConstraint, RuleSet};
-
-/// Which matcher implementation a device uses. Profiles default to the
-/// automaton; the naive rescanner is kept as the reference model for
-/// parity tests and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatcherKind {
-    /// Rescan the assembled data from offset 0, once per rule, on every
-    /// packet ([`crate::matcher::find`]).
-    NaiveRescan,
-    /// Feed each byte once through a compiled [`CompiledRuleSet`].
-    #[default]
-    Automaton,
-}
 
 /// A dense Aho–Corasick automaton over arbitrary byte patterns.
 ///
@@ -322,6 +311,24 @@ impl CompiledRuleSet {
         scan.state = state;
     }
 
+    /// Apply one `StreamAssembler::drain_new_contiguous` result to a
+    /// flow's scan: a `Restart` (first-wins overlap rewrote bytes already
+    /// fed) resets the scan and refeeds the whole prefix, an `Append`
+    /// feeds only the new bytes. Either way the scan then describes
+    /// exactly the assembler's `assembled_prefix()`. Returns the bytes
+    /// fed.
+    pub fn feed_delta(&self, scan: &mut StreamScan, delta: StreamDelta) -> u64 {
+        let bytes = match delta {
+            StreamDelta::Restart(all) => {
+                scan.reset();
+                all
+            }
+            StreamDelta::Append(new) => new,
+        };
+        self.feed(scan, &bytes);
+        bytes.len() as u64
+    }
+
     /// Streaming equivalent of `starts_with_any(prefix, gate_prefixes)`
     /// for the bytes fed so far. Only meaningful when gate prefixes were
     /// compiled in.
@@ -338,7 +345,7 @@ impl CompiledRuleSet {
     /// First rule (in rule order) matching the stream fed so far —
     /// equivalent to `RuleSet::first_match(prefix, .., None)` on the same
     /// bytes. Position-constrained rules never match stream data, exactly
-    /// like the naive path with `packet_index = None`.
+    /// like the rescan reference with `packet_index = None`.
     pub fn first_match_stream(
         &self,
         rules: &RuleSet,

@@ -19,7 +19,7 @@ use liberate_packet::tcp::TcpFlags;
 use liberate_substrate::time::SimTime;
 
 use crate::actions::Policy;
-use crate::automaton::{CompiledRuleSet, MatcherKind};
+use crate::automaton::CompiledRuleSet;
 use crate::flowtable::{Classification, FlowEntry, FlowTable, GateStatus, StreamDelta};
 use crate::inspect::{FlowConfig, InspectionPolicy, ReassemblyMode};
 use crate::matcher::starts_with_any;
@@ -32,8 +32,9 @@ use crate::validation::ValidationModel;
 /// specify one.
 const DEFAULT_WINDOW_BYTES: usize = 16 * 1024;
 
-/// Bytes-per-packet assumption when sizing a packet-count window.
-const SERVER_MSS_BYTES: usize = 1500;
+/// Bytes-per-packet assumption when sizing a `GatedStream` packet-count
+/// window: its assembler keeps `window_packets * SERVER_MSS_BYTES` bytes.
+pub const SERVER_MSS_BYTES: usize = 1500;
 
 /// The policy of a classified flow whose class has none configured:
 /// billed and forwarded untouched (`Policy::default()`).
@@ -61,10 +62,6 @@ pub struct DpiConfig {
     /// bogus (the testbed device classifies "wrong protocol" packets as if
     /// they were TCP — Table 3 footnote 1). Strict devices leave this off.
     pub loose_transport_parsing: bool,
-    /// Which matcher implementation inspects payloads. Verdicts are
-    /// byte-identical either way (pinned by the matcher parity tests);
-    /// the automaton feeds each stream byte once instead of rescanning.
-    pub matcher: MatcherKind,
 }
 
 /// One classification event, for diagnostics and the testbed's immediate
@@ -101,7 +98,7 @@ pub struct DpiDevice {
     /// observed into the bytes-scanned histogram.
     evicted_scanned_pending: Vec<u64>,
     /// Lazily compiled automaton over `config.rules` + gate prefixes
-    /// (`None` until first use, or always under `MatcherKind::NaiveRescan`).
+    /// (`None` until the first inspected packet or after a rule swap).
     compiled: Option<Arc<CompiledRuleSet>>,
 }
 
@@ -129,31 +126,18 @@ impl DpiDevice {
     }
 
     /// The compiled automaton for this device's rules, building it on
-    /// first use (counting its states into `journal`). `None` under
-    /// [`MatcherKind::NaiveRescan`]. Callers hold the returned `Arc`
-    /// across flow-table borrows.
-    fn compiled_rules(&mut self, journal: &Journal) -> Option<Arc<CompiledRuleSet>> {
-        if self.config.matcher == MatcherKind::NaiveRescan {
-            return None;
-        }
-        if self.compiled.is_none() {
-            let compiled = Arc::new(CompiledRuleSet::compile(
-                &self.config.rules,
-                self.config.inspect.reassembly.gate_prefixes(),
-            ));
+    /// first use (counting its states into `journal`). Callers hold the
+    /// returned `Arc` across flow-table borrows.
+    fn compiled_rules(&mut self, journal: &Journal) -> Arc<CompiledRuleSet> {
+        let (rules, reassembly) = (&self.config.rules, &self.config.inspect.reassembly);
+        let compiled = self.compiled.get_or_insert_with(|| {
+            let compiled = CompiledRuleSet::compile(rules, reassembly.gate_prefixes());
             journal
                 .metrics
                 .add(Counter::AutomatonStates, compiled.state_count() as u64);
-            self.compiled = Some(compiled);
-        }
-        self.compiled.clone()
-    }
-
-    /// Drop the compiled automaton so the next packet recompiles — for
-    /// tests and tools that mutate `config.rules` or `config.matcher`
-    /// after the device has already inspected traffic.
-    pub fn invalidate_compiled_rules(&mut self) {
-        self.compiled = None;
+            Arc::new(compiled)
+        });
+        Arc::clone(compiled)
     }
 
     /// Tell the device time has passed without traffic. `last_seen` (the
@@ -169,17 +153,18 @@ impl DpiDevice {
         self.last_seen
     }
 
-    /// Replace this device's rule set in place — the scripted
-    /// "classifier changed under us" event benches and deployment tests
-    /// use to exercise re-characterization. Existing flow state is kept
-    /// (live flows keep their verdicts until expiry, like a real
-    /// middlebox taking a rule push); the compiled automaton is dropped
-    /// so the next inspected packet compiles the new rules. The caller
-    /// journals the swap (`DeploymentPool::hot_swap_rules` records a
-    /// `rule_swap` event plus the `rule-swaps` counter).
+    /// Replace this device's rule set in place — the one way to change
+    /// the rules of a device that has already inspected traffic, and the
+    /// scripted "classifier changed under us" event benches and
+    /// deployment tests use to exercise re-characterization. Existing
+    /// flow state is kept (live flows keep their verdicts until expiry,
+    /// like a real middlebox taking a rule push); the compiled automaton
+    /// is dropped so the next inspected packet compiles the new rules.
+    /// The caller journals the swap (`DeploymentPool::hot_swap_rules`
+    /// records a `rule_swap` event plus the `rule-swaps` counter).
     pub fn hot_swap_rules(&mut self, rules: RuleSet) {
         self.config.rules = rules;
-        self.invalidate_compiled_rules();
+        self.compiled = None;
     }
 
     /// The flow state this device fronts (for sharing with a sibling or
@@ -284,14 +269,17 @@ impl DpiDevice {
     /// matched (class, rule id) if classification fires now, plus the
     /// payload bytes the matcher examined (for `matcher-bytes-scanned`).
     ///
-    /// `compiled` selects the implementation: `None` runs the naive
-    /// reference rescanner, `Some` streams bytes through the automaton.
-    /// Both produce identical verdicts; the parity tests pin this.
+    /// Per-packet modes scan the payload once through `compiled`; stream
+    /// modes feed only newly contiguous stream bytes into the flow's
+    /// scan state. The reference these answers must equal is
+    /// `RuleSet::first_match_counted` over the payload or over the
+    /// assembler's `assembled_prefix()` (the `automaton` unit tests, the
+    /// dpi property tests and `tests/matcher_parity.rs` pin it).
     #[allow(clippy::too_many_arguments)]
     fn inspect(
         entry: &mut FlowEntry,
         config: &DpiConfig,
-        compiled: Option<&CompiledRuleSet>,
+        compiled: &CompiledRuleSet,
         pkt: &ParsedPacket,
         payload: &PacketBuf,
         dir: Direction,
@@ -345,27 +333,14 @@ impl DpiDevice {
                 if !config.inspect.within_scope_at(idx, offset) {
                     return (None, 0);
                 }
-                match compiled {
-                    Some(c) => {
-                        let (m, scanned) = c.first_match_packet(
-                            &config.rules,
-                            &pkt.payload,
-                            dir,
-                            server_port,
-                            Some(idx),
-                        );
-                        (m.map(rule_at), scanned)
-                    }
-                    None => {
-                        let (m, scanned) = config.rules.first_match_counted(
-                            &pkt.payload,
-                            dir,
-                            server_port,
-                            Some(idx),
-                        );
-                        (m.map(|r| (r.class.clone(), r.id.clone())), scanned)
-                    }
-                }
+                let (m, scanned) = compiled.first_match_packet(
+                    &config.rules,
+                    &pkt.payload,
+                    dir,
+                    server_port,
+                    Some(idx),
+                );
+                (m.map(rule_at), scanned)
             }
             ReassemblyMode::GatedPerPacket { .. } => {
                 if tracking.gate != GateStatus::Passed
@@ -373,99 +348,48 @@ impl DpiDevice {
                 {
                     return (None, 0);
                 }
-                match compiled {
-                    Some(c) => {
-                        let (m, scanned) = c.first_match_packet(
-                            &config.rules,
-                            &pkt.payload,
-                            dir,
-                            server_port,
-                            Some(idx),
-                        );
-                        (m.map(rule_at), scanned)
-                    }
-                    None => {
-                        let (m, scanned) = config.rules.first_match_counted(
-                            &pkt.payload,
-                            dir,
-                            server_port,
-                            Some(idx),
-                        );
-                        (m.map(|r| (r.class.clone(), r.id.clone())), scanned)
-                    }
-                }
+                let (m, scanned) = compiled.first_match_packet(
+                    &config.rules,
+                    &pkt.payload,
+                    dir,
+                    server_port,
+                    Some(idx),
+                );
+                (m.map(rule_at), scanned)
             }
             ReassemblyMode::GatedStream { window_packets, .. } => {
                 if tracking.gate != GateStatus::Passed || dir != Direction::ClientToServer {
                     return (None, 0);
                 }
+                // Sequence-anchored reassembly of the first `window_packets`
+                // pushed payload packets (in-window or not), anchored at the
+                // first *arriving* one, first-wins on overlap (so a
+                // same-sequence inert decoy shadows the real data). Data
+                // before the anchor or beyond the window is invisible. The
+                // assembler persists across packets and only newly
+                // contiguous bytes are fed to the automaton.
                 let seq = pkt.tcp().map(|t| t.seq).unwrap_or(0);
-                match compiled {
-                    None => {
-                        if tracking.window_packets.len() < *window_packets {
-                            // The window buffers a view of the in-flight
-                            // wire buffer, not a copy.
-                            // lint: allow(payload-copy) PacketBuf refcount bump
-                            tracking.window_packets.push((seq, payload.clone()));
-                        }
-                        // Sequence-anchored reassembly of the window, anchored at
-                        // the first *arriving* payload packet, first-wins on
-                        // overlap (so a same-sequence inert decoy shadows the real
-                        // data). Data before the anchor or beyond the window is
-                        // invisible.
-                        let mut asm = crate::flowtable::StreamAssembler::new(
-                            window_packets * SERVER_MSS_BYTES,
-                        );
-                        asm.base_seq = Some(tracking.window_packets[0].0);
-                        for (seq, payload) in &tracking.window_packets {
-                            asm.insert(*seq, payload);
-                        }
-                        let stream = asm.assembled_prefix();
-                        let (m, scanned) =
-                            config
-                                .rules
-                                .first_match_counted(&stream, dir, server_port, None);
-                        (m.map(|r| (r.class.clone(), r.id.clone())), scanned)
-                    }
-                    Some(c) => {
-                        // Same window semantics, but the assembler persists
-                        // across packets and only newly contiguous bytes are
-                        // fed to the automaton. The packet cap counts pushed
-                        // packets (in-window or not), like the naive buffer.
-                        if tracking.window_asm.is_none() {
-                            let mut asm = crate::flowtable::StreamAssembler::new(
-                                window_packets * SERVER_MSS_BYTES,
-                            );
-                            asm.base_seq = Some(seq);
-                            tracking.window_asm = Some(asm);
-                        }
-                        let asm = tracking.window_asm.as_mut().expect("just ensured");
-                        if tracking.window_seen < *window_packets {
-                            tracking.window_seen += 1;
-                            asm.insert(seq, payload);
-                        }
-                        let scanned = match asm.drain_new_contiguous() {
-                            StreamDelta::Restart(all) => {
-                                tracking.window_scan.reset();
-                                c.feed(&mut tracking.window_scan, &all);
-                                all.len() as u64
-                            }
-                            StreamDelta::Append(new) => {
-                                c.feed(&mut tracking.window_scan, &new);
-                                new.len() as u64
-                            }
-                        };
-                        let m = c.first_match_stream(
-                            &config.rules,
-                            &tracking.window_scan,
-                            dir,
-                            server_port,
-                        );
-                        (m.map(rule_at), scanned)
-                    }
+                let asm = tracking.window_asm.get_or_insert_with(|| {
+                    let mut asm =
+                        crate::flowtable::StreamAssembler::new(window_packets * SERVER_MSS_BYTES);
+                    asm.base_seq = Some(seq);
+                    asm
+                });
+                if tracking.window_seen < *window_packets {
+                    tracking.window_seen += 1;
+                    asm.insert(seq, payload);
                 }
+                let scanned =
+                    compiled.feed_delta(&mut tracking.window_scan, asm.drain_new_contiguous());
+                let m = compiled.first_match_stream(
+                    &config.rules,
+                    &tracking.window_scan,
+                    dir,
+                    server_port,
+                );
+                (m.map(rule_at), scanned)
             }
-            ReassemblyMode::FullStream { gate_prefixes, .. } => {
+            ReassemblyMode::FullStream { .. } => {
                 if dir != Direction::ClientToServer {
                     return (None, 0);
                 }
@@ -473,54 +397,27 @@ impl DpiDevice {
                 if !tracking.stream.insert(seq, payload) {
                     return (None, 0); // out-of-window or no ISN anchor
                 }
-                match compiled {
-                    None => {
-                        let assembled = tracking.stream.assembled_prefix();
-                        if assembled.is_empty() || !starts_with_any(&assembled, gate_prefixes) {
-                            return (None, 0);
-                        }
-                        let (m, scanned) =
-                            config
-                                .rules
-                                .first_match_counted(&assembled, dir, server_port, None);
-                        (m.map(|r| (r.class.clone(), r.id.clone())), scanned)
-                    }
-                    Some(c) => {
-                        // Feed only the newly contiguous bytes. The gate is
-                        // compiled into the automaton: it passes iff a gate
-                        // prefix occurred at stream offset 0, and once enough
-                        // bytes are in to rule that out, appends are skipped
-                        // entirely (a first-wins overlap rewrite triggers a
-                        // Restart, which refeeds the real prefix).
-                        let scanned = match tracking.stream.drain_new_contiguous() {
-                            StreamDelta::Restart(all) => {
-                                tracking.stream_scan.reset();
-                                c.feed(&mut tracking.stream_scan, &all);
-                                all.len() as u64
-                            }
-                            StreamDelta::Append(new) => {
-                                if c.gate_failed(&tracking.stream_scan) {
-                                    0
-                                } else {
-                                    c.feed(&mut tracking.stream_scan, &new);
-                                    new.len() as u64
-                                }
-                            }
-                        };
-                        if tracking.stream_scan.fed_bytes() == 0
-                            || !c.gate_passed(&tracking.stream_scan)
-                        {
-                            return (None, scanned);
-                        }
-                        let m = c.first_match_stream(
-                            &config.rules,
-                            &tracking.stream_scan,
-                            dir,
-                            server_port,
-                        );
-                        (m.map(rule_at), scanned)
-                    }
+                // Feed only the newly contiguous bytes. The gate is compiled
+                // into the automaton: it passes iff a gate prefix occurred at
+                // stream offset 0, and once enough bytes are in to rule that
+                // out, appends are skipped entirely (a first-wins overlap
+                // rewrite triggers a Restart, which refeeds the real prefix).
+                let scanned = match tracking.stream.drain_new_contiguous() {
+                    StreamDelta::Append(_) if compiled.gate_failed(&tracking.stream_scan) => 0,
+                    delta => compiled.feed_delta(&mut tracking.stream_scan, delta),
+                };
+                if tracking.stream_scan.fed_bytes() == 0
+                    || !compiled.gate_passed(&tracking.stream_scan)
+                {
+                    return (None, scanned);
                 }
+                let m = compiled.first_match_stream(
+                    &config.rules,
+                    &tracking.stream_scan,
+                    dir,
+                    server_port,
+                );
+                (m.map(rule_at), scanned)
             }
         }
     }
@@ -870,7 +767,7 @@ impl DpiDevice {
             let (matched, scanned) = Self::inspect(
                 entry,
                 &self.config,
-                compiled.as_deref(),
+                &compiled,
                 pkt,
                 &payload,
                 dir,

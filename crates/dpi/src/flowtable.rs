@@ -125,7 +125,8 @@ impl StreamAssembler {
     /// first-wins overlap may have rewritten already-drained bytes. The
     /// concatenation of drained bytes (restarting on `Restart`) is always
     /// exactly `assembled_prefix()` — the device's streaming matcher
-    /// depends on that invariant for byte parity with the naive rescanner.
+    /// depends on that invariant to answer what a rescan of the prefix
+    /// would (pinned by the dpi property tests).
     pub fn drain_new_contiguous(&mut self) -> StreamDelta {
         if self.dirty {
             self.dirty = false;
@@ -173,22 +174,18 @@ pub struct Tracking {
     pub client_payload_bytes: u64,
     /// Payload bytes seen server→client.
     pub server_payload_bytes: u64,
-    /// Arrival-order payload packets collected for `GatedStream` windows:
-    /// (sequence number, payload view into the original wire buffer).
-    pub window_packets: Vec<(u32, PacketBuf)>,
-    /// Sequence-anchored assembler for `FullStream`.
+    /// Sequence-anchored assembler for `FullStream`, anchored at the ISN.
     pub stream: StreamAssembler,
-    /// Automaton cursor over `stream`'s drained prefix (`FullStream`
-    /// with `MatcherKind::Automaton`).
+    /// Automaton cursor over `stream`'s drained prefix (`FullStream`).
     pub stream_scan: StreamScan,
-    /// Persistent windowed assembler for `GatedStream` under the
-    /// automaton matcher (the naive path rebuilds one per packet from
-    /// `window_packets` instead). Anchored at the first pushed packet.
+    /// Windowed assembler for `GatedStream`, anchored at the first pushed
+    /// payload packet and created with it.
     pub window_asm: Option<StreamAssembler>,
     /// Automaton cursor over `window_asm`'s drained prefix.
     pub window_scan: StreamScan,
-    /// Payload packets counted toward the `GatedStream` window cap —
-    /// mirrors `window_packets.len()` growth without buffering payloads.
+    /// Payload packets pushed toward the `GatedStream` window cap,
+    /// whether or not the assembler kept them (an out-of-window sequence
+    /// number still uses up a slot).
     pub window_seen: usize,
 }
 
@@ -200,7 +197,6 @@ impl Tracking {
             server_payload_packets: 0,
             client_payload_bytes: 0,
             server_payload_bytes: 0,
-            window_packets: Vec::new(),
             stream: StreamAssembler::new(window_bytes),
             stream_scan: StreamScan::default(),
             window_asm: None,

@@ -21,7 +21,6 @@ use liberate_packet::validate::Malformation::*;
 use liberate_substrate::nft::{WirePolicy, WireRule, WireRuleset};
 
 use crate::actions::{BlockBehavior, Policy};
-use crate::automaton::MatcherKind;
 use crate::device::{DpiConfig, DpiDevice};
 use crate::inspect::{FlowConfig, InspectScope, InspectionPolicy, ReassemblyMode, RstEffect};
 use crate::proxy::{ProxyConfig, TransparentProxy};
@@ -160,7 +159,6 @@ pub fn testbed_device() -> DpiConfig {
         policies,
         resource: None,
         loose_transport_parsing: true,
-        matcher: MatcherKind::Automaton,
     }
 }
 
@@ -217,7 +215,6 @@ pub fn tmus_device() -> DpiConfig {
         policies,
         resource: None,
         loose_transport_parsing: false,
-        matcher: MatcherKind::Automaton,
     }
 }
 
@@ -278,7 +275,6 @@ pub fn gfc_device(start_time_of_day_secs: u64) -> DpiConfig {
         policies,
         resource: Some(TimeOfDayLoad::gfc(start_time_of_day_secs)),
         loose_transport_parsing: false,
-        matcher: MatcherKind::Automaton,
     }
 }
 
@@ -320,7 +316,6 @@ pub fn iran_device() -> DpiConfig {
         policies,
         resource: None,
         loose_transport_parsing: false,
-        matcher: MatcherKind::Automaton,
     }
 }
 

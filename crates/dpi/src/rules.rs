@@ -135,8 +135,9 @@ impl RuleSet {
     /// [`RuleSet::first_match`] plus the scan cost it paid: `data.len()`
     /// for every rule whose keyword was actually searched (rules filtered
     /// out by port/direction/position or with empty keywords cost
-    /// nothing; the scan stops at the first match). This is the naive
-    /// model's contribution to the `matcher-bytes-scanned` counter.
+    /// nothing; the scan stops at the first match). This is the rescan
+    /// reference the device's automaton is checked against, and its cost
+    /// is what `exp-matcher` compares with the automaton's.
     pub fn first_match_counted(
         &self,
         data: &[u8],

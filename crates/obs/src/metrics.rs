@@ -34,9 +34,11 @@ pub enum Counter {
     FlowResets,
     /// Evasion techniques attempted during evaluation.
     TechniquesTried,
-    /// Payload bytes the DPI matcher actually examined. The naive rescan
-    /// model pays per applicable rule per (re)scan; the compiled automaton
-    /// pays once per stream byte (plus refeeds after an overlap rewrite).
+    /// Payload bytes the DPI device's compiled automaton examined: each
+    /// packet payload once in the per-packet modes, each stream byte once
+    /// in the stream modes (plus refeeds after an overlap rewrite). The
+    /// rescan reference `exp-matcher` compares it with would pay once per
+    /// applicable rule per (re)scan of the prefix.
     MatcherBytesScanned,
     /// States in compiled rule automata (added once per lazy compile).
     AutomatonStates,

@@ -151,13 +151,14 @@ step "exp-testbed --workers 4 (bare-session parity) + journal validation" testbe
 # Each bench binary from here on rewrites its results/BENCH_<name>.json
 # and appends the dataset to results/BENCH_history.jsonl, skipping an
 # exact repeat of a line already there.
-step "exp-parallel (regenerates results/BENCH_parallel.json)" bench_bin exp-parallel
-
 step "exp-deploy --workers 4 --trace (deployment pool gates, regenerates results/BENCH_deploy.json)" deploy_trace
 
-# Asserts internally that the automaton scans >= 5x fewer bytes and is
-# no slower than the naive matcher on the largest synthetic trace.
-step "exp-matcher (matcher parity + speedup gate, regenerates results/BENCH_matcher.json)" bench_bin exp-matcher
+# Drives the automaton and the rescan reference at the matcher layer (no
+# device) over the same synthetic flows, asserts per-packet verdict
+# parity, and gates: >= 5x fewer bytes scanned on the largest trace, the
+# automaton within 1.05x of the rescan's host time in every cell, and no
+# slower than the rescan in aggregate on the largest trace.
+step "exp-matcher (matcher parity + speedup gates, regenerates results/BENCH_matcher.json)" bench_bin exp-matcher
 
 # Asserts internally: zero payload deep-copies per replay (process census
 # and journal payload-copies counter), and steady-wave host cost stays

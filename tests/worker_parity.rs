@@ -4,15 +4,19 @@
 //! `characterize` on a bare session (a one-worker run), and a fixed seed
 //! and worker count must give byte-identical merged journals. The pool
 //! reorders probes across workers but never changes *which* probes run —
-//! see the determinism contract in `liberate::engine`.
+//! see the determinism contract in `liberate::engine`. A batch of
+//! testbed apps through `characterize_many` keeps that parity at 1, 2
+//! and 4 workers, and 4 workers overlap enough round gaps to finish the
+//! simulated experiment at least twice as soon as 1.
 
 use std::sync::Arc;
 
 use liberate::characterize::{characterize, Characterization, CharacterizeOpts};
 use liberate::config::LiberateConfig;
 use liberate::detect::Signal;
-use liberate::engine::{characterize_parallel, SessionPool};
+use liberate::engine::{characterize_many, characterize_parallel, SessionPool};
 use liberate::replay::Session;
+use liberate_bench::harness::max_clock_us;
 use liberate_dpi::profiles::EnvKind;
 use liberate_netsim::os::OsKind;
 use liberate_obs::{to_jsonl, Counter, Journal};
@@ -156,4 +160,80 @@ fn same_seed_pool_journals_are_byte_identical() {
             }
         }
     }
+}
+
+/// The four §6.1 testbed apps, 20 kB of video or audio each.
+fn testbed_apps() -> Vec<RecordedTrace> {
+    vec![
+        apps::amazon_prime_http(20_000),
+        apps::spotify_http(20_000),
+        apps::espn_http(20_000),
+        apps::skype_stun(8),
+    ]
+}
+
+/// One pooled batch: each app's characterization and the pool's
+/// simulated experiment clock (the latest worker clock; workers advance
+/// concurrently from zero).
+fn pooled_batch(traces: &[RecordedTrace], workers: usize) -> (Vec<Characterization>, u64) {
+    let mut pool = SessionPool::new(
+        EnvKind::Testbed,
+        OsKind::Linux,
+        LiberateConfig::default(),
+        workers,
+    );
+    let cs = characterize_many(
+        &mut pool,
+        traces,
+        &Signal::Readout,
+        &CharacterizeOpts::default(),
+    );
+    (cs, max_clock_us(&pool))
+}
+
+/// The batch finds each app's bare-session fields at every worker count
+/// and spends the bare sessions' replay total (198 replays), and 4
+/// workers cut the simulated experiment clock at least 2x against 1
+/// worker (3.89x when measured): concurrent probing over disjoint flows
+/// divides the waiting between replay rounds, which dominates a live run.
+#[test]
+fn testbed_batch_matches_bare_sessions_and_4_workers_halve_the_clock() {
+    let traces = testbed_apps();
+    let bare: Vec<Characterization> = traces
+        .iter()
+        .map(|trace| {
+            let mut session =
+                Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
+            characterize(
+                &mut session,
+                trace,
+                &Signal::Readout,
+                &CharacterizeOpts::default(),
+            )
+        })
+        .collect();
+    let bare_replays: u64 = bare.iter().map(|c| c.rounds).sum();
+
+    let mut clocks = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let (cs, clock_us) = pooled_batch(&traces, workers);
+        for ((trace, c), reference) in traces.iter().zip(&cs).zip(&bare) {
+            assert_eq!(
+                c.fields, reference.fields,
+                "{}: matching fields diverge at {workers} workers",
+                trace.app
+            );
+        }
+        let replays: u64 = cs.iter().map(|c| c.rounds).sum();
+        assert_eq!(
+            replays, bare_replays,
+            "probe multiset diverges at {workers} workers"
+        );
+        clocks.push(clock_us);
+    }
+    let speedup = clocks[0] as f64 / clocks[2].max(1) as f64;
+    assert!(
+        speedup >= 2.0,
+        "expected >= 2x simulated wall-clock speedup at 4 workers, got {speedup:.2}x"
+    );
 }
