@@ -344,6 +344,124 @@ fn deployment_journal_matches_its_golden() {
     common::assert_golden("journals/testbed_pool_2w.jsonl", &to_jsonl(&merged));
 }
 
+/// (e'') A zero-rating pool at 2 workers — a learn wave, then a steady
+/// wave — exports exactly the checked-in merged journal. Zero-rating
+/// judges flows against the RNG-jittered billed counter, so both the
+/// blinding probes and the deployed flows run inline on the worker.
+#[test]
+fn zero_rating_pool_journal_matches_its_golden() {
+    let trace = apps::amazon_prime_http(300_000);
+    let mut pool = DeploymentPool::new(
+        EnvKind::TMobile,
+        OsKind::Linux,
+        LiberateConfig::default(),
+        2,
+        CharacterizeOpts::default(),
+    );
+    pool.run_flows(&trace, 2).expect("learn wave");
+    pool.run_flows(&trace, 3).expect("steady wave");
+    let merged = Arc::new(Journal::new());
+    pool.merge_journals_into(&merged);
+    common::assert_golden("journals/tmobile_pool_2w.jsonl", &to_jsonl(&merged));
+}
+
+/// The simulator with its lane surface hidden: `supports_lanes()` keeps
+/// the trait's default (false), so every wave over it runs inline.
+struct NoLanes(SimSubstrate);
+
+impl Substrate for NoLanes {
+    fn backend_name(&self) -> &'static str {
+        self.0.backend_name()
+    }
+    fn env_name(&self) -> String {
+        self.0.env_name()
+    }
+    fn hops_before_middlebox(&self) -> u8 {
+        Substrate::hops_before_middlebox(&self.0)
+    }
+    fn clock(&self) -> liberate_substrate::time::SimTime {
+        self.0.clock()
+    }
+    fn advance(&mut self, d: std::time::Duration) {
+        self.0.advance(d)
+    }
+    fn run_until_idle(&mut self) {
+        self.0.run_until_idle()
+    }
+    fn inject_client(&mut self, delay: std::time::Duration, wire: Vec<u8>) {
+        self.0.inject_client(delay, wire)
+    }
+    fn take_client_inbox(
+        &mut self,
+    ) -> Vec<(
+        liberate_substrate::time::SimTime,
+        liberate_substrate::buf::PacketBuf,
+    )> {
+        self.0.take_client_inbox()
+    }
+    fn install_server_script(
+        &mut self,
+        script: liberate_substrate::script::ServerScript,
+    ) -> Arc<parking_lot::Mutex<liberate_substrate::script::ServerObs>> {
+        self.0.install_server_script(script)
+    }
+    fn capture(&self) -> &liberate_substrate::capture::Capture {
+        self.0.capture()
+    }
+    fn clear_capture(&mut self) {
+        self.0.clear_capture()
+    }
+    fn set_capture_points(&mut self, points: &[liberate_substrate::capture::TapPoint]) {
+        self.0.set_capture_points(points)
+    }
+    fn journal(&self) -> &Arc<Journal> {
+        self.0.journal()
+    }
+    fn set_journal(&mut self, journal: Arc<Journal>) {
+        self.0.set_journal(journal)
+    }
+    fn reclaim_flows(&mut self) {
+        self.0.reclaim_flows()
+    }
+    fn billed_bytes(&mut self) -> Option<u64> {
+        self.0.billed_bytes()
+    }
+    fn verdict_for(&mut self, flow: liberate_packet::flow::FlowKey) -> Option<ClassVerdict> {
+        self.0.verdict_for(flow)
+    }
+    fn mark_step_epoch(&mut self) {
+        self.0.mark_step_epoch()
+    }
+}
+
+/// (e''') A GFC pool at 2 workers over a substrate without lanes — a
+/// learn wave, then a steady wave — exports exactly the checked-in
+/// merged journal: every blinding probe and every deployed flow runs
+/// inline on its worker session.
+#[test]
+fn laneless_gfc_pool_journal_matches_its_golden() {
+    let blueprint = liberate_dpi::profiles::EnvironmentBlueprint::new(EnvKind::Gfc, 0);
+    let sessions = (0..2)
+        .map(|w| {
+            let env = NoLanes(SimSubstrate::from_blueprint(&blueprint, OsKind::Linux));
+            Session::worker_over(env, LiberateConfig::default(), w, 2)
+        })
+        .collect();
+    // Port rotation is mandatory against the GFC model.
+    let copts = CharacterizeOpts {
+        rotate_server_ports: true,
+        ..Default::default()
+    };
+    let mut pool = DeploymentPool::over(SessionPool::from_sessions(sessions), copts);
+    let trace = apps::economist_http();
+    pool.run_flows(&trace, 2).expect("learn wave");
+    let wave = pool.run_flows(&trace, 3).expect("steady wave");
+    assert!(wave.all_evaded() && !wave.recharacterized);
+    let merged = Arc::new(Journal::new());
+    pool.merge_journals_into(&merged);
+    common::assert_golden("journals/gfc_pool_inline_2w.jsonl", &to_jsonl(&merged));
+}
+
 /// (f) Journal-off lanes share the worker journal rather than staging
 /// and splicing: a 2,000-flow GFC wave moves every worker counter
 /// exactly as the journal-on path does, at 1 and 4 workers.
