@@ -1,25 +1,20 @@
-//! **Hot-path overhaul benchmark**: the combined proof for the zero-copy
-//! packet plumbing and the per-wave read paths. Writes
-//! `results/BENCH_hotpath.json`. (The automaton-vs-naive matcher cells
-//! and their per-profile floor live in `exp-matcher`.)
+//! **Hot-path overhaul benchmark**: the per-wave read paths under worker
+//! scaling. Writes `results/BENCH_hotpath.json`. (The automaton-vs-naive
+//! matcher cells and their per-profile floor live in `exp-matcher`; the
+//! payload copy census, a deterministic gate, is the test
+//! `tests/payload_copy_census.rs`.)
 //!
-//! Two measurements, each with its own gate:
-//!
-//! 1. **Payload copy census** — a detection replay workload runs with
-//!    `PacketBuf` clones and slices sharing one buffer. The process-wide
-//!    census counts every deep copy and the journal's `payload-copies`
-//!    counter every copy-on-write fault; both must stay at 0 per replay.
-//! 2. **Deploy worker scaling** — host wall-clock of an identical
-//!    steady deployment wave at 1 and 4 workers. Published-state
-//!    snapshots and the per-shard batch drain must keep host cost flat:
-//!    `host_cpu_ms(4w) ≤ 1.05 × host_cpu_ms(1w)`. The two arms are
-//!    timed in alternating paired rounds and the gate takes the best
-//!    paired ratio, so ambient load lands on both arms instead of
-//!    masquerading as contention. On a single-core host the four
-//!    worker threads time-slice one CPU — the wave pays real scheduler
-//!    overhead with no parallel payback — so the bound relaxes to a
-//!    structural one (`≤ 1.35×`) that still catches a per-worker
-//!    rescan or a serialized read path (those show up as ~4×).
+//! **Deploy worker scaling** — host wall-clock of an identical steady
+//! deployment wave at 1 and 4 workers. Published-state snapshots and the
+//! per-shard batch drain must keep host cost flat:
+//! `host_cpu_ms(4w) ≤ 1.05 × host_cpu_ms(1w)`. The two arms are timed in
+//! alternating paired rounds and the gate takes the best paired ratio,
+//! so ambient load lands on both arms instead of masquerading as
+//! contention. On a single-core host the four worker threads time-slice
+//! one CPU — the wave pays real scheduler overhead with no parallel
+//! payback — so the bound relaxes to a structural one (`≤ 1.35×`) that
+//! still catches a per-worker rescan or a serialized read path (those
+//! show up as ~4×).
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-hotpath`
 
@@ -27,13 +22,9 @@ use std::time::Instant;
 
 use liberate::prelude::*;
 use liberate_bench::harness;
-use liberate_obs::{Counter, JsonValue};
-use liberate_substrate::buf::copy_census;
+use liberate_obs::JsonValue;
 use liberate_traces::apps;
 use liberate_traces::recorded::RecordedTrace;
-
-/// Replays in the copy census; the gate is zero deep copies over all.
-const CENSUS_REPLAYS: usize = 8;
 
 /// Users per deployment wave in the scaling measurement.
 const USERS: usize = 8;
@@ -42,30 +33,6 @@ const USERS: usize = 8;
 /// of milliseconds, so each round times one 1-worker and one 4-worker
 /// wave back to back and the gate keeps the round with the best ratio.
 const DEPLOY_ROUNDS: usize = 5;
-
-// --- 1. Payload copy census -------------------------------------------
-
-/// Replay the detection workload — a downstream video fetch plus a
-/// bidirectional VoIP call, the two differentiation targets a detection
-/// session sweeps — `CENSUS_REPLAYS` times and return (deep copies,
-/// bytes copied, journal `payload-copies`) deltas.
-fn copy_census_deltas() -> (u64, u64, u64) {
-    let mut session = Session::new(EnvKind::Testbed, OsKind::Linux, LiberateConfig::default());
-    let traces = [apps::amazon_prime_http(64_000), apps::skype_stun(120)];
-    let journal = session.journal().clone();
-    let copies_j0 = journal.metrics.get(Counter::PayloadCopies);
-    let (c0, b0) = copy_census();
-    for _ in 0..CENSUS_REPLAYS {
-        for trace in &traces {
-            session.replay_trace(trace, &ReplayOpts::default());
-        }
-    }
-    let (c1, b1) = copy_census();
-    let copies_j1 = journal.metrics.get(Counter::PayloadCopies);
-    (c1 - c0, b1 - b0, copies_j1 - copies_j0)
-}
-
-// --- 2. Deploy worker scaling -----------------------------------------
 
 /// Build a deployment pool and pay the initial characterize wave
 /// untimed, leaving it in the steady state. This isolates the per-wave
@@ -115,22 +82,9 @@ fn deploy_scaling_us() -> (u64, u64) {
 }
 
 fn main() {
-    println!("Benchmark: hot-path overhaul (zero-copy, per-wave reads)\n");
+    println!("Benchmark: hot-path overhaul (per-wave reads)\n");
 
-    // --- 1. Copy census: shared views only, no deep copies anywhere.
-    let (copies, bytes, journal_copies) = copy_census_deltas();
-    println!(
-        "copy census ({CENSUS_REPLAYS} replays): {copies} deep copies ({bytes} B), \
-journal payload-copies {journal_copies}"
-    );
-    assert!(
-        copies == 0 && journal_copies == 0,
-        "replays must make no payload deep-copies \
-(census {copies}, journal payload-copies {journal_copies})"
-    );
-
-    // --- 2. Deploy scaling: host cost must be flat 1 -> 4 workers.
-    println!();
+    // Deploy scaling: host cost must be flat 1 -> 4 workers.
     let (host_1w, host_4w) = deploy_scaling_us();
     let host_1w_ms = host_1w as f64 / 1000.0;
     let host_4w_ms = host_4w as f64 / 1000.0;
@@ -158,15 +112,6 @@ batch drain regressed"
         &JsonValue::object([
             ("experiment", "hotpath-overhaul".into()),
             (
-                "copy_census",
-                JsonValue::object([
-                    ("replays", CENSUS_REPLAYS.into()),
-                    ("shared_copies", copies.into()),
-                    ("shared_bytes", bytes.into()),
-                    ("journal_payload_copies", journal_copies.into()),
-                ]),
-            ),
-            (
                 "deploy_scaling",
                 JsonValue::object([
                     ("users_per_wave", USERS.into()),
@@ -183,8 +128,5 @@ batch drain regressed"
         ]),
     );
 
-    println!(
-        "\n[ok] no payload deep-copies per replay, host cost flat 1 -> 4 workers \
-({scaling_ratio:.2}x)"
-    );
+    println!("\n[ok] host cost flat 1 -> 4 workers ({scaling_ratio:.2}x)");
 }

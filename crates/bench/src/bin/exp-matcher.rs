@@ -24,7 +24,10 @@
 //!
 //! Verdict parity is asserted inline for every cell — both arms must
 //! pick the same rule (or none) for every packet — so the speedup is
-//! measured on provably equivalent outputs.
+//! measured on provably equivalent outputs. The timed flows match
+//! nothing, so an untimed parity check first runs both arms over two
+//! flows per profile that do carry a rule keyword: whole in the last
+//! segment, and split across two segments.
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-matcher`
 
@@ -37,6 +40,7 @@ use liberate_dpi::flowtable::{StreamAssembler, StreamDelta};
 use liberate_dpi::inspect::ReassemblyMode;
 use liberate_dpi::matcher::starts_with_any;
 use liberate_dpi::profiles::{gfc_device, iran_device, testbed_device, tmus_device};
+use liberate_dpi::rules::PositionConstraint;
 use liberate_netsim::element::PacketBuf;
 use liberate_obs::JsonValue;
 use liberate_packet::flow::Direction;
@@ -63,24 +67,48 @@ struct Flow {
     segments: Vec<(u32, PacketBuf)>,
 }
 
-/// `flows` non-matching HTTP-ish flows, `FLOW_BYTES` each. Every
-/// segment opens with `GET ` so the gated profiles keep inspecting; the
-/// padding never contains a rule keyword.
-fn synthetic_flows(flows: usize) -> Vec<Flow> {
-    (0..flows)
-        .map(|f| {
-            let base = 1_000 * (f as u32 + 1) + 1;
-            let segments = (0..SEGMENTS_PER_FLOW)
-                .map(|s| {
-                    let head = format!("GET /flow{f:04}/seg{s} HTTP/1.1\r\nHost: pad.invalid\r\n");
-                    let mut payload = head.into_bytes();
-                    payload.resize(SEGMENT_BYTES, b'a');
-                    (base + (s * SEGMENT_BYTES) as u32, PacketBuf::from(payload))
-                })
-                .collect();
-            Flow { base, segments }
+/// Flow `f`'s non-matching payload: `SEGMENTS_PER_FLOW` segments of
+/// `SEGMENT_BYTES`. Every segment opens with `GET ` so the gated
+/// profiles keep inspecting; the padding never contains a rule keyword.
+fn plain_segments(f: usize) -> Vec<Vec<u8>> {
+    (0..SEGMENTS_PER_FLOW)
+        .map(|s| {
+            let head = format!("GET /flow{f:04}/seg{s} HTTP/1.1\r\nHost: pad.invalid\r\n");
+            let mut payload = head.into_bytes();
+            payload.resize(SEGMENT_BYTES, b'a');
+            payload
         })
         .collect()
+}
+
+/// Flow `f` carrying `segments` back to back.
+fn flow(f: usize, segments: Vec<Vec<u8>>) -> Flow {
+    let base = 1_000 * (f as u32 + 1) + 1;
+    let segments = segments
+        .into_iter()
+        .enumerate()
+        .map(|(s, payload)| (base + (s * SEGMENT_BYTES) as u32, PacketBuf::from(payload)))
+        .collect();
+    Flow { base, segments }
+}
+
+/// `flows` non-matching HTTP-ish flows, `FLOW_BYTES` each.
+fn synthetic_flows(flows: usize) -> Vec<Flow> {
+    (0..flows).map(|f| flow(f, plain_segments(f))).collect()
+}
+
+/// Two flows that carry `keyword`: whole at the end of the last segment,
+/// and split across the boundary of the first two segments (only a
+/// streaming matcher sees it whole).
+fn matching_flows(keyword: &[u8]) -> Vec<Flow> {
+    let mut last = plain_segments(0);
+    let end = SEGMENT_BYTES - keyword.len();
+    last[SEGMENTS_PER_FLOW - 1][end..].copy_from_slice(keyword);
+    let mut split = plain_segments(1);
+    let half = keyword.len() / 2;
+    split[0][SEGMENT_BYTES - half..].copy_from_slice(&keyword[..half]);
+    split[1][..keyword.len() - half].copy_from_slice(&keyword[half..]);
+    vec![flow(0, last), flow(1, split)]
 }
 
 /// A matcher arm's answer for one packet: the matched rule's id, if
@@ -315,6 +343,42 @@ fn main() {
     ];
     // 8 / 32 / 128 flows of 4 KB: ~32 KB, ~128 KB, ~512 KB of payload.
     let flow_counts = [8usize, 32, 128];
+
+    // --- Parity on matches: the timed flows below match no rule, so
+    // their verdicts are all `None`. These flows carry a client rule's
+    // keyword, whole in the last segment and split across two segments,
+    // so a divergence on a match fails here. Untimed.
+    for (name, config) in &profiles {
+        let rule = config
+            .rules
+            .rules
+            .iter()
+            .find(|r| {
+                r.applies_to_direction(DIR)
+                    && r.applies_to_port(PORT)
+                    && r.position == PositionConstraint::Anywhere
+            })
+            .expect("every profile has a client rule on port 80");
+        let flows = matching_flows(&rule.keyword);
+        let rescan = run_arm(false, config, &flows);
+        let auto = run_arm(true, config, &flows);
+        assert_eq!(
+            rescan.verdicts, auto.verdicts,
+            "{name}: per-packet verdicts on flows carrying `{}` diverge between the arms",
+            rule.id
+        );
+        let matched = auto.verdicts.iter().filter(|v| v.is_some()).count();
+        println!(
+            "{name:8} parity on `{}`: {matched} of {} packets matched in both arms",
+            rule.id,
+            auto.verdicts.len()
+        );
+        assert!(
+            matched > 0,
+            "{name}: no packet of the matching flows matched"
+        );
+    }
+    println!();
 
     let mut cells: Vec<Cell> = Vec::new();
     for &count in &flow_counts {

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use rand::Rng;
 
-use liberate_obs::{Counter, Journal, Phase};
+use liberate_obs::{Journal, Phase};
 use liberate_packet::mutate::{invert_range, merge_regions, ByteRegion};
 use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::script::ResponseTable;
@@ -231,35 +231,6 @@ impl<'a> Blinding<'a> {
 /// Bytes a blinding probe inverts (the `bytes-blinded` counter).
 pub(crate) fn blinded_bytes(blind: &[(usize, Range<usize>)]) -> u64 {
     blind.iter().map(|(_, range)| range.len() as u64).sum()
-}
-
-/// One blinding probe at an explicit round number — the closure-wave
-/// primitive of the engine's wave search. The round only feeds
-/// [`port_for_round`], so any execution order that assigns the same
-/// round numbers produces the same replays.
-pub(crate) fn probe_blinded<S: Substrate>(
-    session: &mut Session<S>,
-    blinding: &Blinding<'_>,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-    blind: &[(usize, Range<usize>)],
-    round: u64,
-) -> bool {
-    let (trace, schedule) = blinding.blinded(blind);
-    let blinded_bytes = blinded_bytes(blind);
-    if blinded_bytes > 0 {
-        session
-            .env
-            .journal()
-            .metrics
-            .add(Counter::BytesBlinded, blinded_bytes);
-    }
-    let replay_opts = ReplayOpts {
-        server_port: port_for_round(opts, round),
-        ..Default::default()
-    };
-    let (_, classified) = probe_lowered(session, &trace, &schedule, &replay_opts, signal);
-    classified
 }
 
 pub(crate) fn port_for_round(opts: &CharacterizeOpts, round: u64) -> Option<u16> {

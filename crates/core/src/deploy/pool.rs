@@ -27,6 +27,7 @@
 //! worker count the merged journal is byte-identical run to run (the
 //! same contract the engine pins for characterization).
 
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use liberate_dpi::profiles::EnvKind;
@@ -44,7 +45,6 @@ use crate::detect::{detect_rotating, was_classified, Signal};
 use crate::engine::{characterize_parallel, SessionPool};
 use crate::error::{LiberateError, Result};
 use crate::evasion::Technique;
-use crate::reactor::lane_addr;
 use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
 use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
@@ -185,8 +185,7 @@ impl DeploymentPool<SimSubstrate> {
             // Stamp the swap at the worker's quiesced wave-boundary clock,
             // not at its device's last inspected packet: lane timestamps
             // lag the session clock, and the swap event must land at the
-            // same instant whether the last wave ran as tasks or as
-            // closures.
+            // same instant whichever driver ran the last wave.
             let now = session.env.clock();
             let Some(dpi) = session.env.dpi_mut() else {
                 continue;
@@ -279,7 +278,6 @@ impl<S: Substrate> DeploymentPool<S> {
             self.recharacterize(trace)?;
         }
 
-        let workers = self.pool.workers();
         // The driver is the only writer and it only writes between waves,
         // so every flow in this wave would snapshot the same state:
         // snapshot once, lower the technique (and fallback ladder) to
@@ -287,45 +285,31 @@ impl<S: Substrate> DeploymentPool<S> {
         // reference. Schedule lowering is a pure transformation — the
         // hoist is journal- and RNG-silent.
         let compiled = CompiledWave::lower(trace, self.published.snapshot(), &self.fallback);
-        // run_wave sends job i to worker i % n, or everything to worker 0
-        // when the pool (or wave) is too small to fan out.
-        let worker_of = move |user: usize| {
-            if workers == 1 || users <= 1 {
-                0
-            } else {
-                user % workers
-            }
-        };
-        // Flows run as resumable tasks on private lanes when the
+        // The reactor interleaves flows on private lanes when the
         // substrate supports lanes. That is only sound when flows cannot
         // observe each other through session-global mutable state: the
         // zero-rating signal reads the billed counter (an RNG-jittered
-        // session global), so it runs as closures; blocking, throttling,
-        // and readout judgments are functions of the lane's own outcome.
-        let interleavable = compiled
+        // session global), so the inline driver runs it; blocking,
+        // throttling, and readout judgments are functions of the lane's
+        // own outcome.
+        let interleave = compiled
             .evasion
             .as_deref()
-            .is_none_or(|e| !matches!(e.signal, Signal::ZeroRating));
-        let reports: Vec<PoolFlowReport> =
-            if interleavable && self.pool.sessions()[0].env.supports_lanes() {
-                let tasks: Vec<DeployFlowTask> = (0..users)
-                    .map(|user| DeployFlowTask::new(&compiled, user, worker_of(user)))
-                    .collect();
-                self.pool
-                    .run_wave_tasks(tasks)
-                    .into_iter()
-                    .map(|r| {
-                        // lint: allow(no-panic) contract: deploy tasks judge
-                        // and report; a panicking replay is a deployment bug.
-                        r.expect("deploy flow task completed")
-                    })
-                    .collect()
-            } else {
-                let exec = |session: &mut Session<S>, user: usize| {
-                    run_one_flow(session, user, worker_of(user), &compiled)
-                };
-                self.pool.run_wave((0..users).collect(), &exec)
-            };
+            .is_none_or(|e| !matches!(e.signal, Signal::ZeroRating))
+            && self.pool.sessions()[0].env.supports_lanes();
+        let build = |user: usize, worker: usize, lane: Option<Ipv4Addr>| {
+            DeployFlowTask::new(&compiled, user, worker, lane)
+        };
+        let reports: Vec<PoolFlowReport> = self
+            .pool
+            .run_flow_wave((0..users).collect(), interleave, &build)
+            .into_iter()
+            .map(|r| {
+                // lint: allow(no-panic) contract: deploy tasks judge
+                // and report; a panicking replay is a deployment bug.
+                r.expect("deploy flow task completed")
+            })
+            .collect();
 
         // Between-wave housekeeping: the wave left one abandoned probe
         // flow per user in the shared table, and nothing ever looks them
@@ -461,12 +445,11 @@ impl<S: Substrate> DeploymentPool<S> {
 /// A wave of N flows deploys the *same* published technique against the
 /// *same* trace; compiling the schedule (and every fallback rung's) and
 /// the trace's response table once per wave instead of once per flow
-/// turns lowering from O(N) into O(1) and lets tasks and closures alike
-/// share the immutable result by reference — every in-flight flow's
-/// scripted server reads the one table. `None` entries
-/// record rungs whose technique
-/// declined the trace shape (`Technique::apply` returned `None`), so
-/// flows skip them without re-attempting the lowering.
+/// turns lowering from O(N) into O(1) and lets every flow task share the
+/// immutable result by reference — every in-flight flow's scripted
+/// server reads the one table. `None` entries record rungs whose
+/// technique declined the trace shape (`Technique::apply` returned
+/// `None`), so flows skip them without re-attempting the lowering.
 pub(crate) struct CompiledWave {
     /// The published generation this wave deploys.
     generation: u64,
@@ -515,236 +498,107 @@ impl CompiledWave {
     }
 }
 
-/// One user's flow on one worker session: apply the published technique,
-/// watch for the change signal, degrade onto the fallback ladder if it
-/// burns. Runs inside a `Phase::Deploy` span on the worker's journal.
-fn run_one_flow<S: Substrate>(
-    session: &mut Session<S>,
-    user: usize,
-    worker: usize,
-    compiled: &CompiledWave,
-) -> PoolFlowReport {
-    let journal = session.journal().clone();
-    journal.span_start(session.env.clock().as_micros(), Phase::Deploy);
-    journal.metrics.incr(Counter::DeployFlows);
-    let report = run_one_flow_inner(session, user, worker, compiled, &journal);
-    journal.span_end(session.env.clock().as_micros(), Phase::Deploy);
-    report
-}
-
-fn run_one_flow_inner<S: Substrate>(
-    session: &mut Session<S>,
-    user: usize,
-    worker: usize,
-    compiled: &CompiledWave,
-    journal: &Arc<Journal>,
-) -> PoolFlowReport {
-    let generation = compiled.generation;
-    let trace = &compiled.trace;
-    let Some(evasion) = compiled.evasion.as_deref() else {
-        // `run_flows` publishes before the first wave, so this only
-        // happens when a caller drives flows against an empty cell: send
-        // the traffic plain and report a change signal so the driver
-        // learns a technique for the next wave.
-        let outcome = session.replay_lowered(trace, &compiled.plain, &ReplayOpts::default());
-        return PoolFlowReport {
-            user,
-            worker,
-            generation,
-            technique: None,
-            evaded: false,
-            parked_on_fallback: None,
-            change_signal: true,
-            outcome,
-        };
-    };
-
-    let judge = |session: &mut Session<S>, schedule: &Schedule| {
-        let billed_before = billed_baseline(session, &evasion.signal);
-        let outcome = session.replay_lowered(trace, schedule, &ReplayOpts::default());
-        let classified = was_classified(session, &evasion.signal, &outcome, billed_before);
-        (outcome, classified)
-    };
-
-    let main = evasion.technique.effective.clone();
-    let (mut outcome, classified) = match compiled.main.as_deref() {
-        Some(schedule) => judge(session, schedule),
-        // A published technique always applied once (evaluation proved
-        // it); replay the trace plain if the trace shape changed under us.
-        None => (
-            session.replay_lowered(trace, &compiled.plain, &ReplayOpts::default()),
-            true,
-        ),
-    };
-
-    if !classified {
-        return PoolFlowReport {
-            user,
-            worker,
-            generation,
-            technique: Some(main.clone()),
-            evaded: true,
-            parked_on_fallback: None,
-            change_signal: false,
-            outcome,
-        };
-    }
-
-    // The classifier caught the published technique: flag the change and
-    // park this user's traffic on the first ladder rung that still works.
-    let mut parked = None;
-    for (rung, schedule) in &compiled.ladder {
-        let Some(schedule) = schedule.as_deref() else {
-            continue;
-        };
-        let (out, still_classified) = judge(session, schedule);
-        outcome = out;
-        if !still_classified {
-            journal.metrics.incr(Counter::FallbackParks);
-            journal.record(
-                session.env.clock().as_micros(),
-                EventKind::FallbackEngaged {
-                    technique: rung.description(),
-                },
-            );
-            parked = Some(rung.clone());
-            break;
-        }
-    }
-
-    PoolFlowReport {
-        user,
-        worker,
-        generation,
-        technique: parked.clone().or_else(|| Some(main.clone())),
-        evaded: parked.is_some(),
-        parked_on_fallback: parked,
-        change_signal: true,
-        outcome,
-    }
-}
-
-/// Which replay a [`DeployFlowTask`] is driving.
-enum DeployStage {
-    /// Empty published cell: the flow runs plain and flags a change.
-    Unpublished,
-    /// The published technique (`applied: false` means the technique
-    /// declined the trace shape and the flow fell back to plain, judged
-    /// classified unconditionally — mirroring the closure path).
-    Main { applied: bool },
-    /// Fallback rung, by index into [`CompiledWave::ladder`].
-    Rung(usize),
-}
-
-/// One deployed user flow as a reactor [`FlowTask`]: replicates
-/// [`run_one_flow`]'s exact sequence — deploy span, published technique,
-/// judgment, fallback ladder — as a resumable machine over a private
-/// lane. Between replays it moves straight to the next rung's schedule
-/// (the closure path has no inter-replay rest either).
+/// One deployed user flow, the only implementation of its sequence:
+/// deploy span, published technique, judgment, fallback ladder. A burned
+/// technique flags the change and parks the user's traffic on the first
+/// ladder rung that still works. Between replays it moves straight to the
+/// next rung's schedule, with no rest. Driven on a private lane by the
+/// reactor, or inline on the worker session (see
+/// [`crate::engine::run_flow_wave`]).
 struct DeployFlowTask<'a> {
     compiled: &'a CompiledWave,
     user: usize,
     worker: usize,
-    started: bool,
-    stage: DeployStage,
+    /// The reactor lane's client address; `None` on the inline driver.
+    lane: Option<Ipv4Addr>,
+    /// The ladder rung being replayed; `None` during the first replay.
+    rung: Option<usize>,
     sm: Option<ReplaySm<&'a LoweredTrace, Arc<Schedule>>>,
     billed_before: i64,
-    /// The last judged outcome (what the final report carries).
-    outcome: Option<ReplayOutcome>,
-    parked: Option<Technique>,
     replays: u64,
 }
 
 impl<'a> DeployFlowTask<'a> {
-    fn new(compiled: &'a CompiledWave, user: usize, worker: usize) -> DeployFlowTask<'a> {
+    fn new(
+        compiled: &'a CompiledWave,
+        user: usize,
+        worker: usize,
+        lane: Option<Ipv4Addr>,
+    ) -> DeployFlowTask<'a> {
         DeployFlowTask {
             compiled,
             user,
             worker,
-            started: false,
-            stage: DeployStage::Unpublished,
+            lane,
+            rung: None,
             sm: None,
             billed_before: 0,
-            outcome: None,
-            parked: None,
             replays: 0,
         }
     }
 
-    /// Stand up the next replay on this task's lane. Lane-local replay
-    /// numbering (1, 2, …) — the reactor's journal splice rebases it onto
-    /// the worker's canonical counter.
-    fn start_replay<S: Substrate>(&mut self, session: &mut Session<S>, schedule: Arc<Schedule>) {
-        self.billed_before = billed_baseline(session, &self.signal());
+    /// Stand up the next replay of `schedule`, reading the billed
+    /// baseline first when the replay will be judged against `judge`. On
+    /// a lane the replay numbering is lane-local (1, 2, …); the reactor's
+    /// journal splice rebases it onto the worker's canonical counter.
+    fn start_replay<S: Substrate>(
+        &mut self,
+        session: &mut Session<S>,
+        schedule: &Arc<Schedule>,
+        judge: Option<&Signal>,
+    ) {
+        if let Some(signal) = judge {
+            self.billed_before = billed_baseline(session, signal);
+        }
         self.replays += 1;
-        let lane = LaneAddr {
-            client_addr: lane_addr(self.user),
+        let lane = self.lane.map(|client_addr| LaneAddr {
+            client_addr,
             replay_no: self.replays,
-        };
+        });
         self.sm = Some(ReplaySm::new(
             &self.compiled.trace,
-            schedule,
+            Arc::clone(schedule),
             ReplayOpts::default(),
-            Some(lane),
+            lane,
         ));
     }
 
-    /// The signal judging this flow. Only meaningful once published
-    /// (`Unpublished` flows are never judged).
-    fn signal(&self) -> Signal {
-        self.compiled
-            .evasion
-            .as_deref()
-            .map(|e| e.signal.clone())
-            .unwrap_or(Signal::Blocking)
+    /// Open the deploy span and start the first replay: the published
+    /// technique, judged. An empty published cell (`run_flows` publishes
+    /// before the first wave, so only a caller driving flows against an
+    /// empty cell sees one) and a technique that declined the trace shape
+    /// replay the trace plain, unjudged.
+    fn start<S: Substrate>(&mut self, session: &mut Session<S>) {
+        let journal = session.journal();
+        journal.span_start(session.env.clock().as_micros(), Phase::Deploy);
+        journal.metrics.incr(Counter::DeployFlows);
+        let compiled = self.compiled;
+        match (compiled.evasion.as_deref(), &compiled.main) {
+            (Some(evasion), Some(schedule)) => {
+                self.start_replay(session, schedule, Some(&evasion.signal))
+            }
+            _ => self.start_replay(session, &compiled.plain, None),
+        }
     }
 
-    /// `evaded_on_main` marks the happy path: the published technique
-    /// itself escaped classification (no change signal, no ladder).
-    fn report(&mut self, outcome: ReplayOutcome, evaded_on_main: bool) -> PoolFlowReport {
-        let main = self
-            .compiled
-            .evasion
-            .as_deref()
-            .map(|e| e.technique.effective.clone());
-        let (technique, evaded, change_signal) = if matches!(self.stage, DeployStage::Unpublished) {
-            (None, false, true)
-        } else if evaded_on_main {
-            (main, true, false)
-        } else {
-            (self.parked.clone().or(main), self.parked.is_some(), true)
-        };
+    fn report(
+        &self,
+        outcome: ReplayOutcome,
+        technique: Option<Technique>,
+        evaded: bool,
+        parked_on_fallback: Option<Technique>,
+    ) -> PoolFlowReport {
         PoolFlowReport {
             user: self.user,
             worker: self.worker,
             generation: self.compiled.generation,
             technique,
             evaded,
-            parked_on_fallback: self.parked.clone(),
-            change_signal,
+            parked_on_fallback,
+            // Only the published technique escaping is no change.
+            change_signal: !(evaded && self.rung.is_none()),
             outcome,
         }
-    }
-
-    /// Move to the first fallback rung at or after `from` whose technique
-    /// lowered; `None` return means a replay was started, `Some` is the
-    /// final report (ladder exhausted).
-    fn next_rung<S: Substrate>(
-        &mut self,
-        session: &mut Session<S>,
-        from: usize,
-    ) -> Option<PoolFlowReport> {
-        for (i, (_, schedule)) in self.compiled.ladder.iter().enumerate().skip(from) {
-            if let Some(schedule) = schedule.clone() {
-                self.stage = DeployStage::Rung(i);
-                self.start_replay(session, schedule);
-                return None;
-            }
-        }
-        // lint: allow(no-panic) invariant: a rung is only exhausted after
-        // the main stage judged and stored its outcome.
-        let outcome = self.outcome.take().expect("judged outcome before ladder");
-        Some(self.report(outcome, false))
     }
 
     /// Judge the finished replay and either report or stand up the next
@@ -754,44 +608,44 @@ impl<'a> DeployFlowTask<'a> {
         session: &mut Session<S>,
         outcome: ReplayOutcome,
     ) -> Option<PoolFlowReport> {
-        match self.stage {
-            DeployStage::Unpublished => Some(self.report(outcome, false)),
-            DeployStage::Main { applied } => {
-                let classified = if applied {
-                    was_classified(session, &self.signal(), &outcome, self.billed_before)
-                } else {
-                    true
-                };
-                if !classified {
-                    Some(self.report(outcome, true))
-                } else {
-                    self.outcome = Some(outcome);
-                    self.next_rung(session, 0)
-                }
-            }
-            DeployStage::Rung(i) => {
-                let still_classified =
-                    was_classified(session, &self.signal(), &outcome, self.billed_before);
-                self.outcome = Some(outcome);
-                if !still_classified {
-                    let rung = self.compiled.ladder[i].0.clone();
-                    let journal = session.journal().clone();
-                    journal.metrics.incr(Counter::FallbackParks);
-                    journal.record(
-                        session.env.clock().as_micros(),
-                        EventKind::FallbackEngaged {
-                            technique: rung.description(),
-                        },
-                    );
-                    self.parked = Some(rung);
-                    // lint: allow(no-panic) invariant: stored two lines up.
-                    let outcome = self.outcome.take().expect("rung outcome stored");
-                    Some(self.report(outcome, false))
-                } else {
-                    self.next_rung(session, i + 1)
-                }
+        let compiled = self.compiled;
+        let Some(evasion) = compiled.evasion.as_deref() else {
+            // Plain traffic and a change signal, so the driver learns a
+            // technique for the next wave.
+            return Some(self.report(outcome, None, false, None));
+        };
+        let main = &evasion.technique.effective;
+        // A published technique always applied once (evaluation proved
+        // it); a flow whose trace shape changed under it replayed plain
+        // and counts as classified.
+        let classified = (compiled.main.is_none() && self.rung.is_none())
+            || was_classified(session, &evasion.signal, &outcome, self.billed_before);
+        if !classified {
+            let Some(i) = self.rung else {
+                return Some(self.report(outcome, Some(main.clone()), true, None));
+            };
+            let rung = &compiled.ladder[i].0;
+            let journal = session.journal();
+            journal.metrics.incr(Counter::FallbackParks);
+            journal.record(
+                session.env.clock().as_micros(),
+                EventKind::FallbackEngaged {
+                    technique: rung.description(),
+                },
+            );
+            return Some(self.report(outcome, Some(rung.clone()), true, Some(rung.clone())));
+        }
+        // The classifier caught this replay: try the next ladder rung
+        // that lowered.
+        let from = self.rung.map_or(0, |i| i + 1);
+        for (i, (_, schedule)) in compiled.ladder.iter().enumerate().skip(from) {
+            if let Some(schedule) = schedule {
+                self.rung = Some(i);
+                self.start_replay(session, schedule, Some(&evasion.signal));
+                return None;
             }
         }
+        Some(self.report(outcome, Some(main.clone()), false, None))
     }
 }
 
@@ -799,25 +653,8 @@ impl<'a, S: Substrate> FlowTask<S> for DeployFlowTask<'a> {
     type Output = PoolFlowReport;
 
     fn poll(&mut self, session: &mut Session<S>) -> TaskPoll<PoolFlowReport> {
-        if !self.started {
-            self.started = true;
-            let journal = session.journal().clone();
-            journal.span_start(session.env.clock().as_micros(), Phase::Deploy);
-            journal.metrics.incr(Counter::DeployFlows);
-            match (self.compiled.evasion.as_deref(), self.compiled.main.clone()) {
-                (None, _) => {
-                    self.stage = DeployStage::Unpublished;
-                    self.start_replay(session, Arc::clone(&self.compiled.plain));
-                }
-                (Some(_), Some(schedule)) => {
-                    self.stage = DeployStage::Main { applied: true };
-                    self.start_replay(session, schedule);
-                }
-                (Some(_), None) => {
-                    self.stage = DeployStage::Main { applied: false };
-                    self.start_replay(session, Arc::clone(&self.compiled.plain));
-                }
-            }
+        if self.replays == 0 {
+            self.start(session);
         }
         loop {
             // lint: allow(no-panic) invariant: poll only runs with a
@@ -840,5 +677,80 @@ impl<'a, S: Substrate> FlowTask<S> for DeployFlowTask<'a> {
 
     fn replays_done(&self) -> u64 {
         self.replays
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::evaluate::{Reach, TechniqueResult};
+    use crate::evasion::EvasionContext;
+    use crate::reactor::lane_addr;
+    use crate::task::drive_inline;
+    use liberate_traces::apps;
+    use rand::Rng;
+
+    /// A published zero-rating technique that no longer lowers: a
+    /// TCP-only technique against a UDP trace.
+    fn declined_wave(trace: &RecordedTrace) -> CompiledWave {
+        let technique = Technique::InertTcpInvalidFlags;
+        let evasion = ActiveEvasion {
+            technique: TechniqueResult {
+                technique: technique.clone(),
+                cc: Some(true),
+                rs: Reach::No,
+                app_intact: true,
+                rounds: 1,
+                effective: technique,
+            },
+            ctx: EvasionContext::blind(b"GET / HTTP/1.1\r\n\r\n".to_vec(), 8),
+            signal: Signal::ZeroRating,
+        };
+        let snapshot = PublishedTechnique {
+            generation: 1,
+            evasion: Some(Arc::new(evasion)),
+        };
+        let compiled = CompiledWave::lower(trace, snapshot, &[]);
+        assert!(compiled.main.is_none(), "the technique declines UDP");
+        compiled
+    }
+
+    fn assert_plain_report(report: &PoolFlowReport) {
+        assert!(report.change_signal && !report.evaded);
+        assert_eq!(report.technique, Some(Technique::InertTcpInvalidFlags));
+        assert_eq!(report.parked_on_fallback, None);
+    }
+
+    /// The flow replays the trace plain and counts as classified without
+    /// judging it, so it reads no billed baseline: on either driver the
+    /// session RNG (the billed counter's jitter) is left untouched.
+    #[test]
+    fn declined_technique_replays_plain_without_a_billed_read() {
+        let trace = apps::skype_stun(4);
+        let compiled = declined_wave(&trace);
+        let next_draw = |session: &mut Session| session.rng.gen_range(0..u64::MAX);
+        let fresh = || {
+            SessionPool::new(
+                EnvKind::TMobile,
+                OsKind::Linux,
+                LiberateConfig::default(),
+                1,
+            )
+        };
+
+        let mut inline = fresh();
+        let session = inline.session_mut(0);
+        let mut task = DeployFlowTask::new(&compiled, 0, 0, None);
+        assert_plain_report(&drive_inline(session, |s| task.poll(s)));
+        assert_eq!(session.replays, 1);
+
+        let mut reactor = fresh();
+        let task = DeployFlowTask::new(&compiled, 0, 0, Some(lane_addr(0)));
+        let report = reactor.run_wave_tasks(vec![task]).pop().flatten();
+        assert_plain_report(&report.expect("the task completes"));
+
+        let want = next_draw(fresh().session_mut(0));
+        assert_eq!(next_draw(inline.session_mut(0)), want, "inline");
+        assert_eq!(next_draw(reactor.session_mut(0)), want, "reactor");
     }
 }

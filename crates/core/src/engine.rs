@@ -14,13 +14,22 @@
 //! canonical order. It is the only characterizer: a bare
 //! [`crate::characterize::characterize`] runs it on a one-session slice.
 //!
-//! Each wave runs its jobs one of two ways, chosen from the job shape,
-//! not by the caller. Jobs judged from per-flow state alone (blinding
-//! probes under [`Signal::Readout`] / [`Signal::Blocking`], deployed
-//! flows under any signal but zero-rating) become [`FlowTask`]s that a
-//! [`Reactor`] interleaves on per-flow lanes, provided the substrate
-//! [`Substrate::supports_lanes`]. Everything else runs as closures, each
-//! worker's bucket job after job.
+//! Every wave job is written once, as a [`FlowTask`]: a blinding probe
+//! here, a deployed user flow in [`crate::deploy`]. One fan-out puts job
+//! `i` on worker `i % workers` (every job on worker 0 when the pool or
+//! the wave has one member), and each wave picks one of two drivers for
+//! its tasks from observable facts, not from the caller:
+//!
+//! - the **reactor** ([`Reactor`]) interleaves each worker's bucket on
+//!   per-flow lanes. It drives jobs judged from their own flow alone
+//!   (blinding probes under [`Signal::Readout`] / [`Signal::Blocking`],
+//!   deployed flows under any signal but zero-rating), provided the
+//!   substrate [`Substrate::supports_lanes`];
+//! - the **inline driver** ([`crate::task::drive_inline`]) builds each
+//!   task just before it runs and polls it to completion on the worker
+//!   session, job after job. Throttling and zero-rating judgments read
+//!   shared state whose readings depend on order, so they run here, as
+//!   does every wave over a substrate without lanes.
 //!
 //! ## Determinism contract
 //!
@@ -43,6 +52,8 @@
 //! lane `42_000 + w, step workers`, so concurrent probes always hit
 //! disjoint [`liberate_packet::flow::FlowKey`]s of the shared table.
 
+use std::iter::StepBy;
+use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,8 +66,8 @@ use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
 use crate::characterize::{
-    blinded_bytes, port_for_round, probe_blinded, probe_position_lowered, Blinding,
-    Characterization, CharacterizeOpts, MatchingField,
+    blinded_bytes, port_for_round, probe_position_lowered, Blinding, Characterization,
+    CharacterizeOpts, MatchingField,
 };
 use crate::config::LiberateConfig;
 use crate::detect::{read_billed_counter, was_classified, Signal};
@@ -64,12 +75,12 @@ use crate::reactor::{lane_addr, Reactor};
 use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
 use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
-use crate::task::{FlowTask, TaskPoll, Wake};
+use crate::task::{drive_inline, FlowTask, TaskPoll, Wake};
 
-/// The wave-execution engine. There is only one: waves pick tasks or
-/// closures from the job shape (see the module docs). The type and
-/// [`SessionPool::with_engine`] remain only so existing callers that
-/// name them keep compiling.
+/// The wave-execution engine. There is only one: each wave picks the
+/// reactor or the inline driver for its tasks (see the module docs). The
+/// type and [`SessionPool::with_engine`] remain only so existing callers
+/// that name them keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Event-driven: per-flow jobs become [`FlowTask`]s interleaved on
@@ -134,7 +145,7 @@ impl<S: Substrate> SessionPool<S> {
     }
 
     /// The reactor's scheduling telemetry journal (counter/histogram
-    /// totals accumulate across task waves; closure waves add nothing).
+    /// totals accumulate across reactor waves; inline waves add nothing).
     pub fn reactor_telemetry(&self) -> &Arc<Journal> {
         &self.reactor_telemetry
     }
@@ -177,17 +188,99 @@ impl<S: Substrate> SessionPool<S> {
     pub fn run_wave_tasks<T>(&mut self, tasks: Vec<T>) -> Vec<Option<T::Output>>
     where
         T: FlowTask<S>,
-        T::Output: Send,
     {
-        run_wave_tasks(&mut self.sessions, tasks, &self.reactor_telemetry)
+        self.run_flow_wave(tasks, true, &|task, _, _| task)
+    }
+
+    /// Execute one wave of flow jobs on the pool's workers (see
+    /// [`run_flow_wave`]).
+    pub(crate) fn run_flow_wave<J, T, B>(
+        &mut self,
+        jobs: Vec<J>,
+        interleave: bool,
+        build: &B,
+    ) -> Vec<Option<T::Output>>
+    where
+        J: Send,
+        T: FlowTask<S>,
+        B: Fn(J, usize, Option<Ipv4Addr>) -> T + Sync,
+    {
+        run_flow_wave(
+            &mut self.sessions,
+            &self.reactor_telemetry,
+            jobs,
+            interleave,
+            build,
+        )
     }
 }
 
-/// Execute one wave of jobs over `sessions`. Job `i` runs on worker
-/// `i % workers` (deterministic round-robin); each worker processes its
-/// bucket in order on its own OS thread; results come back in job order.
-/// A single worker (or a single job) runs inline — no threads, no
-/// behavioral difference.
+/// The wave-global indices of one worker's bucket, in bucket order.
+type JobIds = StepBy<Range<usize>>;
+
+/// Split `jobs` over `sessions` and run each worker's bucket. Job `i`
+/// goes to worker `i % workers` (deterministic round-robin), or every job
+/// to worker 0 when the pool or the wave has one member, which then runs
+/// on the calling thread. Otherwise each non-empty bucket runs on its own
+/// OS thread. `run` gets the worker's session, the worker index, and its
+/// bucket with the jobs' indices, inside a wave span; it returns one
+/// result per job in bucket order. Results come back in job order.
+fn fan_out<S, T, R, F>(sessions: &mut [Session<S>], jobs: Vec<T>, run: &F) -> Vec<R>
+where
+    S: Substrate,
+    T: Send,
+    R: Send,
+    F: Fn(&mut Session<S>, usize, JobIds, Vec<T>) -> Vec<R> + Sync,
+{
+    let total = jobs.len();
+    let n = if total <= 1 { 1 } else { sessions.len() };
+    let run_bucket = |session: &mut Session<S>, worker: usize, bucket: Vec<T>| {
+        wave_open(session, bucket.len());
+        let part = run(session, worker, (worker..total).step_by(n), bucket);
+        wave_close(session);
+        part
+    };
+    if n == 1 {
+        if total == 0 {
+            return Vec::new();
+        }
+        return run_bucket(&mut sessions[0], 0, jobs);
+    }
+
+    let mut buckets: Vec<Vec<T>> = (0..n)
+        .map(|_| Vec::with_capacity(total.div_ceil(n)))
+        .collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        buckets[i % n].push(job);
+    }
+    let mut parts: Vec<std::vec::IntoIter<R>> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .iter_mut()
+            .zip(buckets)
+            .enumerate()
+            .filter(|(_, (_, bucket))| !bucket.is_empty())
+            .map(|(w, (session, bucket))| scope.spawn(move || run_bucket(session, w, bucket)))
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => parts.push(part.into_iter()),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    // Bucket `w` holds jobs `w, w + n, …`, and only trailing buckets can
+    // be empty, so job `i` is the next result of part `i % n`.
+    (0..total)
+        .map(|i| {
+            // lint: allow(no-panic) invariant: one result per bucketed job
+            parts[i % n].next().expect("one result per job")
+        })
+        .collect()
+}
+
+/// Execute one wave of jobs over `sessions` (see [`fan_out`]), calling
+/// `f` on each job in its worker's bucket order.
 pub(crate) fn run_wave<S, T, R, F>(sessions: &mut [Session<S>], jobs: Vec<T>, f: &F) -> Vec<R>
 where
     S: Substrate,
@@ -195,104 +288,57 @@ where
     R: Send,
     F: Fn(&mut Session<S>, T) -> R + Sync,
 {
-    let n = sessions.len();
-    if n == 1 || jobs.len() <= 1 {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        let session = &mut sessions[0];
-        wave_open(session, jobs.len());
-        let out = jobs.into_iter().map(|job| f(session, job)).collect();
-        wave_close(session);
-        return out;
-    }
-
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        buckets[i % n].push((i, job));
-    }
-
-    let mut tagged: Vec<(usize, R)> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (session, bucket) in sessions.iter_mut().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                wave_open(session, bucket.len());
-                let part = bucket
-                    .into_iter()
-                    .map(|(i, job)| (i, f(session, job)))
-                    .collect::<Vec<_>>();
-                wave_close(session);
-                part
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(mut part) => tagged.append(&mut part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    fan_out(sessions, jobs, &|session, _, _, bucket| {
+        bucket.into_iter().map(|job| f(session, job)).collect()
+    })
 }
 
-/// Execute one wave of [`FlowTask`]s over `sessions` — the task
-/// counterpart of [`run_wave`]. Bucketing (job `i` on worker `i % n`),
-/// empty-bucket skipping, and the single-worker shortcut are identical;
-/// within each worker the bucket's tasks run interleaved on a
-/// [`Reactor`] that records its scheduling into `telemetry`, and every
-/// finished lane's staged journal is spliced back in admission order, so
-/// per-worker journals are byte-identical to running the same jobs as
-/// closures. `None` results mark contained task panics.
-pub(crate) fn run_wave_tasks<S, T>(
+/// Execute one wave of flow jobs over `sessions` (see [`fan_out`]). Each
+/// job is written once, as the [`FlowTask`] that `build(job, worker,
+/// lane)` makes, and `interleave` picks its driver:
+///
+/// - `true`: each worker's bucket is built up front and interleaved on a
+///   [`Reactor`] that records its scheduling into `telemetry`; job `i`
+///   replays from lane address [`lane_addr`]`(i)`. A contained task
+///   panic yields `None`.
+/// - `false`: the inline driver builds each task just before it runs and
+///   polls it to completion on the worker session
+///   ([`crate::task::drive_inline`]), so no more tasks are live than one
+///   per worker. `lane` is `None`: the replays use the session's client
+///   address and replay numbering. A panic propagates.
+///
+/// Results come back in job order.
+pub(crate) fn run_flow_wave<S, J, T, B>(
     sessions: &mut [Session<S>],
-    tasks: Vec<T>,
     telemetry: &Journal,
+    jobs: Vec<J>,
+    interleave: bool,
+    build: &B,
 ) -> Vec<Option<T::Output>>
 where
     S: Substrate,
+    J: Send,
     T: FlowTask<S>,
-    T::Output: Send,
+    B: Fn(J, usize, Option<Ipv4Addr>) -> T + Sync,
 {
-    let n = sessions.len();
-    if n == 1 || tasks.len() <= 1 {
-        if tasks.is_empty() {
-            return Vec::new();
+    fan_out(sessions, jobs, &|session, worker, ids, bucket| {
+        if interleave {
+            let tasks = bucket
+                .into_iter()
+                .zip(ids)
+                .map(|(job, i)| build(job, worker, Some(lane_addr(i))))
+                .collect();
+            run_task_bucket(session, tasks, telemetry)
+        } else {
+            bucket
+                .into_iter()
+                .map(|job| {
+                    let mut task = build(job, worker, None);
+                    Some(drive_inline(session, |session| task.poll(session)))
+                })
+                .collect()
         }
-        return run_task_bucket(&mut sessions[0], tasks, telemetry);
-    }
-
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        buckets[i % n].push((i, task));
-    }
-
-    let mut tagged: Vec<(usize, Option<T::Output>)> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (session, bucket) in sessions.iter_mut().zip(buckets) {
-            if bucket.is_empty() {
-                continue;
-            }
-            handles.push(scope.spawn(move || {
-                let (ids, tasks): (Vec<usize>, Vec<T>) = bucket.into_iter().unzip();
-                let part = run_task_bucket(session, tasks, telemetry);
-                ids.into_iter().zip(part).collect::<Vec<_>>()
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(mut part) => tagged.append(&mut part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    })
 }
 
 /// Run one worker's bucket of tasks on a [`Reactor`] and splice the
@@ -307,7 +353,7 @@ where
 /// rebased [`liberate_obs::EventKind::ReplayFinished`] ordinals stay
 /// consistent with the session's replay counter. The worker clock then
 /// advances by the total spliced duration, closing the wave at the same
-/// instant the closure path would.
+/// instant the inline driver would.
 fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
     session: &mut Session<S>,
     tasks: Vec<T>,
@@ -315,7 +361,6 @@ fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
 ) -> Vec<Option<T::Output>> {
     let t0 = session.env.clock();
     let prewave = session.replays;
-    wave_open(session, tasks.len());
     let mut reactor = Reactor::new(session, tasks, telemetry);
     reactor.run(session, telemetry);
     let outcome = reactor.into_outcome();
@@ -330,7 +375,6 @@ fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
         replay_base += outcome.replays[i];
     }
     session.env.advance(Duration::from_micros(dt_us));
-    wave_close(session);
     outcome.results
 }
 
@@ -375,7 +419,7 @@ struct ProbeJob {
     blind: Vec<(usize, Range<usize>)>,
 }
 
-/// What one probe cost and decided, measured on the worker that ran it.
+/// What one probe cost and decided, measured by the task that ran it.
 struct ProbeResult {
     classified: bool,
     bytes_sent: u64,
@@ -389,8 +433,7 @@ enum ProbeTaskState {
     /// (blinded-bytes counter, billed-counter read) *and* the replay's
     /// Init segment in one go, so every order-sensitive session-global
     /// mutation — the RNG draw, the client-port stride, the ISN bump —
-    /// happens in admission order, exactly as the closure path
-    /// sequences them.
+    /// happens in admission order under either driver.
     Start,
     /// Forwarding polls to the inner [`ReplaySm`].
     Replaying,
@@ -398,9 +441,11 @@ enum ProbeTaskState {
     Resting,
 }
 
-/// One blinding probe as a reactor [`FlowTask`]: replicates
-/// [`probe_blinded`]'s exact sequence — blind, counter read, replay,
-/// judgment, rest — as a resumable machine over a private lane.
+/// One blinding probe, the only implementation of its sequence: blind,
+/// counter read, replay, judgment, rest. The round number only feeds
+/// [`port_for_round`], so any execution order that assigns the same
+/// round numbers produces the same replays. Driven on a private lane by
+/// the reactor, or inline on the worker session (see [`run_flow_wave`]).
 struct ProbeTask<'a> {
     signal: &'a Signal,
     sm: ReplaySm<LoweredTrace, Schedule>,
@@ -415,12 +460,12 @@ struct ProbeTask<'a> {
 
 impl<'a> ProbeTask<'a> {
     /// Build the task for `job`, blinding the trace's base replay up
-    /// front (a journal-silent, pure rewrite). `job_index` is the
-    /// wave-global job number — the lane's unique client address.
+    /// front (a journal-silent, pure rewrite). `lane` is the reactor
+    /// lane's unique client address, `None` on the inline driver.
     fn new(
         blinding: &Blinding<'_>,
         job: ProbeJob,
-        job_index: usize,
+        lane: Option<Ipv4Addr>,
         signal: &'a Signal,
         opts: &CharacterizeOpts,
     ) -> ProbeTask<'a> {
@@ -429,13 +474,13 @@ impl<'a> ProbeTask<'a> {
             server_port: port_for_round(opts, job.round),
             ..Default::default()
         };
-        let lane = LaneAddr {
-            client_addr: lane_addr(job_index),
+        let lane = lane.map(|client_addr| LaneAddr {
+            client_addr,
             replay_no: 1,
-        };
+        });
         ProbeTask {
             signal,
-            sm: ReplaySm::new(trace, schedule, replay_opts, Some(lane)),
+            sm: ReplaySm::new(trace, schedule, replay_opts, lane),
             blinded_bytes: blinded_bytes(&job.blind),
             state: ProbeTaskState::Start,
             t0: SimTime::ZERO,
@@ -623,49 +668,24 @@ fn wave_search<S: Substrate>(
     // Each trace is lowered once; every probe and position rung below
     // replays a rewrite of its base.
     let blindings: Vec<Blinding<'_>> = traces.iter().map(Blinding::new).collect();
-    let exec = |session: &mut Session<S>, job: ProbeJob| -> ProbeResult {
-        let bytes0 = session.bytes_sent_total;
-        let recv0 = session.bytes_received_total;
-        let t0 = session.env.clock();
-        let classified = probe_blinded(
-            session,
-            &blindings[job.trace],
-            signal,
-            opts,
-            &job.blind,
-            job.round,
-        );
-        ProbeResult {
-            classified,
-            bytes_sent: session.bytes_sent_total - bytes0,
-            bytes_received: session.bytes_received_total - recv0,
-            elapsed: session.env.clock() - t0,
-        }
+    let build = |job: ProbeJob, _worker: usize, lane: Option<Ipv4Addr>| {
+        ProbeTask::new(&blindings[job.trace], job, lane, signal, opts)
     };
 
-    // Blinding probes run as tasks on per-flow lanes when the substrate
+    // The reactor interleaves probes on per-flow lanes when the substrate
     // supports lane swaps and the signal is judged from per-flow state
     // alone (Readout, Blocking). Throttling and ZeroRating compare
-    // against shared counters whose readings are order-sensitive, so
-    // they run as closure waves.
-    let use_tasks =
+    // against shared state whose readings are order-sensitive, so the
+    // inline driver runs them.
+    let interleave =
         matches!(signal, Signal::Readout | Signal::Blocking) && sessions[0].env.supports_lanes();
     let run_probe_wave = |sessions: &mut [Session<S>], jobs: Vec<ProbeJob>| -> Vec<ProbeResult> {
-        if use_tasks {
-            let tasks: Vec<ProbeTask<'_>> = jobs
-                .into_iter()
-                .enumerate()
-                .map(|(i, job)| ProbeTask::new(&blindings[job.trace], job, i, signal, opts))
-                .collect();
-            run_wave_tasks(sessions, tasks, telemetry)
-                .into_iter()
-                // lint: allow(no-panic) contract: a panicking replay is a
-                // characterization bug; surfacing it beats a silent skip.
-                .map(|r| r.expect("probe replays do not panic"))
-                .collect()
-        } else {
-            run_wave(sessions, jobs, &exec)
-        }
+        run_flow_wave(sessions, telemetry, jobs, interleave, &build)
+            .into_iter()
+            // lint: allow(no-panic) contract: a panicking replay is a
+            // characterization bug; surfacing it beats a silent skip.
+            .map(|r| r.expect("probe replays do not panic"))
+            .collect()
     };
 
     let mut states: Vec<TraceState> = traces.iter().map(|_| TraceState::default()).collect();

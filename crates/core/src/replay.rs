@@ -40,7 +40,7 @@ use crate::config::LiberateConfig;
 use crate::evasion::{EvasionContext, Technique};
 use crate::schedule::{Schedule, ScheduledPacket, Step};
 use crate::sim::{OsKind, SimSubstrate};
-use crate::task::{TaskPoll, Wake};
+use crate::task::{drive_inline, TaskPoll, Wake};
 
 /// The capture narrowing every session applies: the detectors (RS? in
 /// evaluate/probe) only read the server-ingress vantage. Reactor lanes
@@ -390,10 +390,9 @@ impl<S: Substrate> Session<S> {
     }
 
     /// Replay `schedule` against an already lowered trace — how phases
-    /// run many replays of one trace without re-lowering it. A thin
-    /// inline driver over [`ReplaySm`]: constructs the state machine and
-    /// polls it to completion, performing `Timer` advances itself — the
-    /// exact loop the reactor runs, minus the lane swaps.
+    /// run many replays of one trace without re-lowering it. Constructs
+    /// a [`ReplaySm`] and runs it on the inline driver
+    /// ([`crate::task::drive_inline`]).
     pub(crate) fn replay_lowered(
         &mut self,
         trace: &LoweredTrace,
@@ -401,13 +400,7 @@ impl<S: Substrate> Session<S> {
         opts: &ReplayOpts,
     ) -> ReplayOutcome {
         let mut sm = ReplaySm::new(trace, schedule, opts.clone(), None);
-        loop {
-            match sm.poll(self) {
-                TaskPoll::Done(out) => return out,
-                TaskPoll::Pending(Wake::Ready) => {}
-                TaskPoll::Pending(Wake::Timer(d)) => self.env.advance(d),
-            }
-        }
+        drive_inline(self, |session| sm.poll(session))
     }
 }
 
@@ -434,11 +427,11 @@ enum SmState {
     Done,
 }
 
-/// One replay as a resumable state machine — the poll-style core of both
-/// the sequential [`Session::replay_schedule`] driver and the reactor's
-/// interleaved flow tasks. Generic over trace/schedule ownership so the
-/// sequential path borrows (`&LoweredTrace`) while reactor tasks own
-/// their probe's rewrite or share wave-compiled schedules
+/// One replay as a resumable state machine — the poll-style core of
+/// every replay: [`Session::replay_schedule`] and the flow tasks of a
+/// wave, whichever driver runs them. Generic over trace/schedule
+/// ownership so a sequential replay borrows (`&LoweredTrace`) while flow
+/// tasks own their probe's rewrite or share wave-compiled schedules
 /// (`Arc<Schedule>`) without cloning.
 ///
 /// Invariant: every yield happens with the substrate quiesced — event
@@ -473,9 +466,9 @@ where
     Tr: Borrow<LoweredTrace>,
     Sc: Borrow<Schedule>,
 {
-    /// A machine ready for its first poll. `lane` is `None` for ordinary
-    /// (sequential / threads-engine) replays, which use [`CLIENT_ADDR`]
-    /// and the session-global replay numbering.
+    /// A machine ready for its first poll. `lane` is `None` for replays
+    /// on the inline driver, which use [`CLIENT_ADDR`] and the
+    /// session-global replay numbering.
     pub(crate) fn new(trace: Tr, schedule: Sc, opts: ReplayOpts, lane: Option<LaneAddr>) -> Self {
         ReplaySm {
             trace,

@@ -10,10 +10,11 @@
 //! backend carries no cross-task state outside the lane.
 //!
 //! Yields are declarative: [`Wake::Timer`] asks the driver to advance the
-//! task's (virtual) clock before the next poll — the sequential driver
-//! calls `env.advance(d)` inline, the reactor parks the task on its
-//! timer queue — and [`Wake::Ready`] asks to be re-polled as soon as the
-//! scheduler gets back around, which is how long replays stay fair.
+//! task's (virtual) clock before the next poll — the inline driver
+//! ([`drive_inline`]) calls `env.advance(d)` on the session clock, the
+//! reactor parks the task on its timer queue — and [`Wake::Ready`] asks
+//! to be re-polled as soon as the scheduler gets back around, which is
+//! how long replays stay fair.
 
 use std::time::Duration;
 
@@ -42,8 +43,8 @@ pub enum TaskPoll<R> {
 }
 
 /// A resumable flow driven by the reactor (or inline by a sequential
-/// driver). `Send` so whole waves of tasks can move to pool worker
-/// threads.
+/// driver, [`drive_inline`]). `Send` so whole waves of tasks can move to
+/// pool worker threads.
 pub trait FlowTask<S: Substrate>: Send {
     type Output: Send;
 
@@ -56,4 +57,21 @@ pub trait FlowTask<S: Substrate>: Send {
     /// reactor chains these into the canonical replay numbering when it
     /// splices lane journals back into the worker journal.
     fn replays_done(&self) -> u64;
+}
+
+/// The inline driver: poll one machine to completion on `session`,
+/// performing each [`Wake::Timer`] advance on the session clock itself.
+/// Every sequential replay and every job of an inline wave runs this
+/// loop; it is the reactor's loop minus the lane swaps.
+pub(crate) fn drive_inline<S: Substrate, R>(
+    session: &mut Session<S>,
+    mut poll: impl FnMut(&mut Session<S>) -> TaskPoll<R>,
+) -> R {
+    loop {
+        match poll(session) {
+            TaskPoll::Done(out) => return out,
+            TaskPoll::Pending(Wake::Ready) => {}
+            TaskPoll::Pending(Wake::Timer(d)) => session.env.advance(d),
+        }
+    }
 }

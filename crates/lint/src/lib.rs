@@ -23,7 +23,7 @@
 //!
 //! - **flowtable-lock-ordering** — shard/penalty-box locks nest in the
 //!   declared order, now seeing destructured and helper-returned guards.
-//! - **guard-across-blocking** — no lock guard live across `run_wave`,
+//! - **guard-across-blocking** — no lock guard live across a wave,
 //!   replay, JSONL export, or channel send/recv.
 //! - **generation-discipline** — `PublishedState` generations written
 //!   only by `publish` and compared only monotonically.

@@ -3,7 +3,8 @@
 //! The workspace's concurrency layers (SessionPool waves, DeploymentPool
 //! flows, journal JSONL export) all follow one discipline: take a lock,
 //! copy what you need, release, *then* do the slow thing. A Mutex/RwLock
-//! or shard guard held across `run_wave`, a replay, a JSONL export, or a
+//! or shard guard held across a wave (`run_wave`, `run_wave_tasks`,
+//! `run_flow_wave`, `run_flows`), a replay, a JSONL export, or a
 //! channel send/recv turns a microsecond critical section into one that
 //! spans milliseconds of simulated work — and, for the flow-table locks,
 //! into a real deadlock when the blocked work re-enters the table. This
@@ -21,6 +22,9 @@ pub struct GuardAcrossBlocking;
 /// `name(` call heads (method or free fn).
 const BLOCKING: &[&str] = &[
     "run_wave",
+    "run_wave_tasks",
+    "run_flow_wave",
+    "run_flows",
     "replay_schedule",
     "replay_trace",
     "to_jsonl",
@@ -41,7 +45,8 @@ impl Rule for GuardAcrossBlocking {
 
     fn explain(&self) -> &'static str {
         "A Mutex/RwLock/shard guard must not be live across blocking work: \
-SessionPool::run_wave, replay_schedule/replay_trace, JSONL export \
+a wave (SessionPool::run_wave/run_wave_tasks/run_flow_wave, \
+DeploymentPool::run_flows), replay_schedule/replay_trace, JSONL export \
 (to_jsonl/validate_jsonl/flush), or channel send/recv. Holding a guard \
 across such a call serializes every other worker on a critical section \
 that now spans milliseconds of simulated traffic, and deadlocks outright \
@@ -145,6 +150,18 @@ let reports = self.pool.run_wave(jobs, &exec); drop(state); }";
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("run_wave"));
         assert!(findings[0].message.contains("`state`"));
+    }
+
+    #[test]
+    fn guard_live_across_task_and_flow_waves_is_flagged() {
+        for call in [
+            "pool.run_wave_tasks(tasks)",
+            "self.pool.run_flows(&trace, 8)",
+        ] {
+            let src = format!("fn f(&self) {{ let state = self.state.lock(); {call}; }}");
+            let findings = run(&src);
+            assert_eq!(findings.len(), 1, "{call}: {findings:?}");
+        }
     }
 
     #[test]

@@ -9,4 +9,12 @@ impl WaveDriver {
         self.run_wave(&guard.plan)?;
         Ok(())
     }
+
+    /// Holds the published-state guard across a whole deployment wave:
+    /// every flow's snapshot waits on this lock until the wave is done.
+    pub fn deploy_all(&mut self, trace: &RecordedTrace) -> Result<(), LiberateError> {
+        let state = self.published.lock();
+        self.pool.run_flows(trace, state.users)?;
+        Ok(())
+    }
 }

@@ -33,8 +33,9 @@ use std::sync::Arc;
 /// Process-wide deep-copy census (copies, bytes). Fed by every
 /// materializing operation — CoW faults, payload views minted from raw
 /// slices ([`WireBytes::tail_view`]), sanctioned egress copies — and
-/// read by `exp-hotpath` to gate copies per replay. Monotonic relaxed
-/// counters; never consulted by simulation logic, so determinism holds.
+/// read by `tests/payload_copy_census.rs` to gate copies per replay.
+/// Monotonic relaxed counters; never consulted by simulation logic, so
+/// determinism holds.
 static COPIES: AtomicU64 = AtomicU64::new(0);
 static BYTES_COPIED: AtomicU64 = AtomicU64::new(0);
 

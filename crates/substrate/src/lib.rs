@@ -164,8 +164,8 @@ pub trait Substrate: Send {
     /// Whether this backend can virtualize per-flow timelines for the
     /// event-driven reactor ([`Self::swap_lane`] and friends). Backends
     /// that cannot (real-wire ones: time is not swappable there) return
-    /// false and their waves run as run-to-completion closure waves,
-    /// which need none of the lane surface.
+    /// false and their waves run on the inline driver, each flow task
+    /// polled to completion, which needs none of the lane surface.
     fn supports_lanes(&self) -> bool {
         false
     }

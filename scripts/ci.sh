@@ -160,10 +160,11 @@ step "exp-deploy --workers 4 --trace (deployment pool gates, regenerates results
 # slower than the rescan in aggregate on the largest trace.
 step "exp-matcher (matcher parity + speedup gates, regenerates results/BENCH_matcher.json)" bench_bin exp-matcher
 
-# Asserts internally: zero payload deep-copies per replay (process census
-# and journal payload-copies counter), and steady-wave host cost stays
-# flat from 1 to 4 workers (<= 1.05x).
-step "exp-hotpath (hot-path gates, regenerates results/BENCH_hotpath.json)" bench_bin exp-hotpath
+# Asserts internally: steady-wave host cost stays flat from 1 to 4
+# workers (<= 1.05x). The zero-payload-deep-copy gate (process census and
+# journal payload-copies counter) is the test tests/payload_copy_census.rs,
+# run by the workspace test step above.
+step "exp-hotpath (worker-scaling gate, regenerates results/BENCH_hotpath.json)" bench_bin exp-hotpath
 
 # Asserts internally: journal-on vs journal-off overhead under 10% host
 # wall-clock and byte-identical exports across repetitions.

@@ -169,8 +169,8 @@ fn assert_search_shares_one_table(
 
 #[test]
 fn blinding_search_shares_one_table_across_task_waves() {
-    // Readout judges each probe from its own flow: probes run as reactor
-    // tasks on private lanes.
+    // Readout judges each probe from its own flow: the reactor runs the
+    // probes on private lanes.
     let trace = apps::amazon_prime_http(600_000);
     let (session, installed) = spy_session(EnvKind::Testbed);
     assert_search_shares_one_table(session, installed, &trace, &Signal::Readout);
@@ -178,8 +178,8 @@ fn blinding_search_shares_one_table_across_task_waves() {
 
 #[test]
 fn blinding_search_shares_one_table_across_closure_waves() {
-    // Throttling compares against a control measurement: probes run as
-    // closures, one replay after another.
+    // Throttling compares against a control measurement: probes run on
+    // the inline driver, one replay after another.
     let trace = apps::amazon_prime_http(600_000);
     let (mut session, installed) = spy_session(EnvKind::Testbed);
     let detection = detect(&mut session, &trace);
