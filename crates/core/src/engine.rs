@@ -72,7 +72,7 @@ use crate::characterize::{
 use crate::config::LiberateConfig;
 use crate::detect::{read_billed_counter, was_classified, Signal};
 use crate::reactor::{lane_addr, Reactor};
-use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
+use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplaySm, Session};
 use crate::schedule::Schedule;
 use crate::sim::{OsKind, SimSubstrate};
 use crate::task::{drive_inline, FlowTask, TaskPoll, Wake};
@@ -453,8 +453,8 @@ struct ProbeTask<'a> {
     state: ProbeTaskState,
     t0: SimTime,
     billed_before: i64,
-    classified: bool,
-    outcome: Option<ReplayOutcome>,
+    /// The judged replay; its `elapsed` is set when the rest is over.
+    result: Option<ProbeResult>,
     replays: u64,
 }
 
@@ -485,8 +485,7 @@ impl<'a> ProbeTask<'a> {
             state: ProbeTaskState::Start,
             t0: SimTime::ZERO,
             billed_before: 0,
-            classified: false,
-            outcome: None,
+            result: None,
             replays: 0,
         }
     }
@@ -494,9 +493,12 @@ impl<'a> ProbeTask<'a> {
     fn step_sm<S: Substrate>(&mut self, session: &mut Session<S>) -> TaskPoll<ProbeResult> {
         match self.sm.poll(session) {
             TaskPoll::Done(outcome) => {
-                self.classified =
-                    was_classified(session, self.signal, &outcome, self.billed_before);
-                self.outcome = Some(outcome);
+                self.result = Some(ProbeResult {
+                    classified: was_classified(session, self.signal, &outcome, self.billed_before),
+                    bytes_sent: outcome.bytes_sent,
+                    bytes_received: outcome.server_payload_bytes,
+                    elapsed: Duration::ZERO,
+                });
                 self.state = ProbeTaskState::Resting;
                 TaskPoll::Pending(Wake::Timer(session.config.round_gap))
             }
@@ -527,13 +529,9 @@ impl<'a, S: Substrate> FlowTask<S> for ProbeTask<'a> {
             ProbeTaskState::Replaying => self.step_sm(session),
             ProbeTaskState::Resting => {
                 // lint: allow(no-panic) invariant: set before Resting
-                let outcome = self.outcome.take().expect("outcome recorded before rest");
-                TaskPoll::Done(ProbeResult {
-                    classified: self.classified,
-                    bytes_sent: outcome.bytes_sent,
-                    bytes_received: outcome.server_payload_bytes,
-                    elapsed: session.env.clock() - self.t0,
-                })
+                let mut result = self.result.take().expect("judged before rest");
+                result.elapsed = session.env.clock() - self.t0;
+                TaskPoll::Done(result)
             }
         }
     }
