@@ -7,6 +7,7 @@ use liberate::cache::{CachedRules, RuleCache};
 use liberate::characterize::{characterize, Characterization, CharacterizeOpts};
 use liberate::config::LiberateConfig;
 use liberate::detect::Signal;
+use liberate::probe::locate_middlebox;
 use liberate::replay::{ReplayOpts, Session};
 use liberate_dpi::profiles::EnvKind;
 use liberate_netsim::os::OsKind;
@@ -14,6 +15,8 @@ use liberate_obs::{
     build_span_forest, critical_path, folded_stacks, parse_journal, to_jsonl, validate_jsonl,
     Counter, EventKind, Hist, Journal, Phase,
 };
+use liberate_substrate::capture::TapPoint;
+use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender, TraceMessage, TraceProtocol};
 
 mod common;
@@ -77,6 +80,29 @@ fn same_seed_journals_are_byte_identical() {
 fn scripted_journal_matches_its_golden() {
     let (journal, _) = run_scripted(7);
     common::assert_golden("journals/scripted_seed7.jsonl", &journal);
+}
+
+/// A GFC localization TTL sweep with every capture tap on exports
+/// exactly the checked-in journal. Probes at TTL 1 to 9 expire at a
+/// plain router hop and their ICMP time-exceeded crosses the plain hops
+/// back to the client; the client-egress tap holds every sent buffer, so
+/// the first TTL rewrite of each faults a counted copy-on-write.
+#[test]
+fn gfc_localization_sweep_journal_matches_its_golden() {
+    let mut session = Session::new(EnvKind::Gfc, OsKind::Linux, LiberateConfig::default());
+    session.env.set_capture_points(&TapPoint::ALL);
+    let loc = locate_middlebox(
+        &mut session,
+        &liberate_traces::apps::control_http(),
+        &liberate_traces::http::get_request("www.economist.com", "/liberate-decoy", "p"),
+        &Signal::Blocking,
+    );
+    assert_eq!(loc.middlebox_ttl, Some(10), "paper §6.5: TTL 10");
+    assert!(session.journal().metrics.get(Counter::PayloadCopies) > 0);
+    common::assert_golden(
+        "journals/gfc_localization_taps.jsonl",
+        &to_jsonl(session.journal()),
+    );
 }
 
 #[test]
