@@ -36,6 +36,9 @@ const MAX_BYTES_PER_FLOW: u64 = 64 * 1024;
 /// `deploy` wave size.
 const BASE_WAVE: usize = 2_000;
 
+/// Alternated rounds of the per-flow slowdown measurement.
+const SLOWDOWN_ROUNDS: usize = 5;
+
 /// A one-request page fetch the GFC model RST-blocks on its
 /// `economist.com` keyword: a crisp Blocking signal over a handful of
 /// packets, so a wave's footprint measures the reactor's per-flow cost,
@@ -218,6 +221,18 @@ fn run_wave(
     }
 }
 
+/// The median of `samples` (the mean of the middle two for an even count).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
 fn scale_pool(workers: usize) -> DeploymentPool {
     let sessions = SessionPool::new(
         EnvKind::Gfc,
@@ -283,16 +298,31 @@ fn main() {
     }
 
     // How much dearer one flow is in the largest wave than in a
-    // `BASE_WAVE` one, on the same one-worker pool. Reported, not gated:
-    // host timing noise would make a gate flaky.
+    // `BASE_WAVE` one, on one worker. Each sample is one wave on a
+    // freshly learned pool (a long-lived pool slows down as it ages), the
+    // two sizes alternating which runs first; the slowdown is the ratio
+    // of the per-size medians of host time per flow, with the min-max
+    // spread of the per-round ratios. Reported, not gated: host timing
+    // noise would make a gate flaky.
     let base_flows = BASE_WAVE.min(flows);
-    let base = curve.iter().find(|s| s.flows == base_flows);
-    let per_flow_slowdown = match (base, curve.last()) {
-        (Some(base), Some(big)) => base.flows_per_sec / big.flows_per_sec,
-        _ => 1.0,
-    };
+    let [base_us, big_us] = harness::alternate(SLOWDOWN_ROUNDS, |arm| {
+        let size = [base_flows, flows][arm];
+        let mut pool = scale_pool(1);
+        pool.run_flows(&trace, 1).expect("initial learn");
+        run_wave(&mut pool, &trace, size).host_us as f64 / size as f64
+    });
+    let per_flow_slowdown = median(&big_us) / median(&base_us);
+    let ratios: Vec<f64> = big_us.iter().zip(&base_us).map(|(b, s)| b / s).collect();
+    let spread = [
+        ratios.iter().copied().fold(f64::INFINITY, f64::min),
+        ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+    ];
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "\nper-flow slowdown: {per_flow_slowdown:.2}x from {base_flows} to {flows} flows (1 worker)"
+        "\nper-flow slowdown: {per_flow_slowdown:.2}x from {base_flows} to {flows} flows \
+         (1 worker, median of {SLOWDOWN_ROUNDS} alternated rounds on fresh pools; \
+         per-round {:.2}-{:.2}x; {cores} host cores)",
+        spread[0], spread[1]
     );
 
     // Sub-linear aggregate growth: 10x the flows must cost well under
@@ -347,7 +377,22 @@ fn main() {
             ("trace", "economist-http".into()),
             ("flows", flows.into()),
             ("max_bytes_per_flow_gate", MAX_BYTES_PER_FLOW.into()),
-            ("per_flow_slowdown", per_flow_slowdown.into()),
+            (
+                "per_flow_slowdown",
+                harness::round_to(per_flow_slowdown, 3).into(),
+            ),
+            (
+                "per_flow_slowdown_spread",
+                JsonValue::Array(spread.map(|r| harness::round_to(r, 3).into()).to_vec()),
+            ),
+            ("slowdown_rounds", SLOWDOWN_ROUNDS.into()),
+            (
+                "per_flow_us_median",
+                JsonValue::object([
+                    ("base", harness::round_to(median(&base_us), 3).into()),
+                    ("largest", harness::round_to(median(&big_us), 3).into()),
+                ]),
+            ),
             (
                 "curve",
                 JsonValue::Array(curve.iter().map(WaveStats::to_json).collect()),

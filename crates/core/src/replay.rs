@@ -574,9 +574,10 @@ where
                 0,
                 Vec::new(),
             )
-            .with_flags(TcpFlags::SYN);
-            self.bytes_sent += syn.serialize().len() as u64;
-            session.env.inject_client(Duration::ZERO, syn.serialize());
+            .with_flags(TcpFlags::SYN)
+            .serialize();
+            self.bytes_sent += syn.len() as u64;
+            session.env.inject_client(Duration::ZERO, syn);
             session.env.run_until_idle();
             let inbox = session.env.take_client_inbox();
             let client_port = self.client_port;
@@ -598,9 +599,10 @@ where
                         self.server_isn.wrapping_add(1),
                         Vec::new(),
                     )
-                    .with_flags(TcpFlags::ACK);
-                    self.bytes_sent += ack.serialize().len() as u64;
-                    session.env.inject_client(Duration::ZERO, ack.serialize());
+                    .with_flags(TcpFlags::ACK)
+                    .serialize();
+                    self.bytes_sent += ack.len() as u64;
+                    session.env.inject_client(Duration::ZERO, ack);
                     session.env.run_until_idle();
                 }
                 None => self.handshake_ok = false,
@@ -645,7 +647,8 @@ where
                     if sp.counts && !sp.payload.is_empty() && self.first_data_sent.is_none() {
                         self.first_data_sent = Some(session.env.clock());
                     }
-                    for wire in build_wire_packets(
+                    let bytes_sent = &mut self.bytes_sent;
+                    build_wire_packets(
                         self.protocol,
                         sp,
                         self.client_addr,
@@ -655,10 +658,11 @@ where
                         self.server_isn,
                         self.replay_no,
                         &self.opts,
-                    ) {
-                        self.bytes_sent += wire.len() as u64;
-                        session.env.inject_client(Duration::ZERO, wire);
-                    }
+                        |wire| {
+                            *bytes_sent += wire.len() as u64;
+                            session.env.inject_client(Duration::ZERO, wire);
+                        },
+                    );
                     Wake::Ready
                 }
             }
@@ -879,7 +883,9 @@ fn response_matches<'a>(
     true
 }
 
-/// Lower one scheduled packet to wire bytes. `ident` seeds the IP
+/// Lower one scheduled packet to wire bytes, handing each packet (one,
+/// or its fragments) to `emit`. The payload is serialized straight from
+/// the schedule into the wire buffer. `ident` seeds the IP
 /// identification pattern (the session-global replay number inline;
 /// the lane-local one on reactor lanes, where the per-lane client
 /// address keeps reassembly keys disjoint anyway).
@@ -894,7 +900,8 @@ fn build_wire_packets(
     server_isn: u32,
     ident: u64,
     opts: &ReplayOpts,
-) -> Vec<Vec<u8>> {
+    mut emit: impl FnMut(Vec<u8>),
+) {
     let mut pkt = match protocol {
         TraceProtocol::Tcp => {
             let seq = client_isn.wrapping_add(1).wrapping_add(sp.offset as u32);
@@ -905,7 +912,7 @@ fn build_wire_packets(
                 server_port,
                 seq,
                 server_isn.wrapping_add(1),
-                sp.payload.clone(),
+                Vec::new(),
             )
         }
         TraceProtocol::Udp => Packet::udp(
@@ -913,7 +920,7 @@ fn build_wire_packets(
             SERVER_ADDR,
             client_port,
             server_port,
-            sp.payload.clone(),
+            Vec::new(),
         ),
     };
     if let Some(ttl) = opts.data_ttl {
@@ -922,11 +929,11 @@ fn build_wire_packets(
     pkt.ip.identification = (ident as u16)
         .wrapping_mul(251)
         .wrapping_add((sp.offset as u16).wrapping_mul(31));
-    sp.craft.apply(&mut pkt);
-    let wire = pkt.serialize();
+    sp.craft.apply_around(&mut pkt, sp.payload.len());
+    let wire = pkt.serialize_around(&sp.payload);
 
     match &sp.fragment {
-        None => vec![wire],
+        None => emit(wire),
         Some(plan) => {
             // Convert the payload-relative boundary into an IP-payload
             // boundary (transport header included), rounded down to
@@ -941,7 +948,7 @@ fn build_wire_packets(
             if plan.reverse {
                 frags.reverse();
             }
-            frags
+            frags.into_iter().for_each(emit);
         }
     }
 }

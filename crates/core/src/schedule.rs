@@ -47,6 +47,14 @@ impl Craft {
 
     /// Apply these mutations to a fully built packet.
     pub fn apply(&self, pkt: &mut Packet) {
+        self.apply_around(pkt, pkt.payload.len());
+    }
+
+    /// [`Craft::apply`] to a packet that will be serialized around a
+    /// `payload_len`-byte payload it does not own (see
+    /// [`Packet::serialize_around`]): length deltas are judged against
+    /// that payload.
+    pub fn apply_around(&self, pkt: &mut Packet, payload_len: usize) {
         if let Some(ttl) = self.ttl {
             pkt.ip.ttl = ttl;
         }
@@ -65,7 +73,7 @@ impl Craft {
                 Transport::Udp(_) => liberate_packet::udp::UDP_HEADER_LEN,
                 Transport::Raw(_) => 0,
             };
-            let actual = pkt.ip.actual_header_len() + transport_len + pkt.payload.len();
+            let actual = pkt.ip.actual_header_len() + transport_len + payload_len;
             let target = (actual as i64 + delta as i64).clamp(0, u16::MAX as i64) as u16;
             pkt.ip.total_length = Some(target);
         }
@@ -98,7 +106,7 @@ impl Craft {
                     u.checksum = ChecksumSpec::Fixed(0xbadc);
                 }
                 if let Some(delta) = self.udp_length_delta {
-                    let actual = (liberate_packet::udp::UDP_HEADER_LEN + pkt.payload.len()) as i64;
+                    let actual = (liberate_packet::udp::UDP_HEADER_LEN + payload_len) as i64;
                     u.length = Some((actual + delta as i64).clamp(0, u16::MAX as i64) as u16);
                 }
             }
@@ -399,6 +407,43 @@ mod tests {
         let wire = pkt.serialize();
         let parsed = liberate_packet::packet::ParsedPacket::parse(&wire).unwrap();
         assert_eq!(parsed.udp().unwrap().length, 12);
+    }
+
+    /// Crafting a header-only packet around a borrowed payload gives the
+    /// bytes of crafting and serializing a packet that owns it, length
+    /// deltas included.
+    #[test]
+    fn craft_around_a_borrowed_payload_matches_an_owned_one() {
+        let payload = b"GET / HTTP/1.1\r\n\r\n";
+        let crafts = [
+            Craft {
+                ip_total_length_delta: Some(-7),
+                ttl: Some(4),
+                ..Craft::default()
+            },
+            Craft {
+                udp_length_delta: Some(9),
+                ip_bad_checksum: true,
+                ..Craft::default()
+            },
+        ];
+        let (src, dst) = (Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2));
+        for craft in &crafts {
+            for udp in [false, true] {
+                let packet = |payload: &[u8]| {
+                    if udp {
+                        Packet::udp(src, dst, 10, 53, payload)
+                    } else {
+                        Packet::tcp(src, dst, 10, 80, 1, 2, payload)
+                    }
+                };
+                let mut owned = packet(payload);
+                craft.apply(&mut owned);
+                let mut bare = packet(b"");
+                craft.apply_around(&mut bare, payload.len());
+                assert_eq!(bare.serialize_around(payload), owned.serialize());
+            }
+        }
     }
 
     #[test]

@@ -51,4 +51,22 @@ pub trait PathElement: Send {
     fn decrements_ttl(&self) -> bool {
         false
     }
+
+    /// Whether this element is a *plain hop*: a router hop that forwards
+    /// every packet whose IPv4 header parses, immediately, injecting and
+    /// counting nothing, and whose only rewrite is one TTL decrement with
+    /// its RFC 1141 checksum update — until the TTL would expire, where
+    /// [`PathElement::process`] decides (expiry, ICMP). A
+    /// [`crate::hop::RouterHop`] with a permissive filter that passes
+    /// fragments and repairs no checksum is one.
+    ///
+    /// The [`crate::network::Network`] reads this once, when it is built
+    /// (so the answer must not change over the element's life), and does
+    /// not call `process` for a plain hop that would forward: the packet
+    /// only owes the hop its decrement, and the owed decrements are
+    /// written together right before anything reads the bytes (see the
+    /// network's module docs).
+    fn plain_hop(&self) -> bool {
+        false
+    }
 }

@@ -93,6 +93,12 @@ impl FilterPolicy {
         self
     }
 
+    /// Whether this policy forwards every packet untouched: it drops on
+    /// no defect and passes fragments.
+    pub fn forwards_everything(&self) -> bool {
+        self.drops.is_empty() && self.fragments == FragmentHandling::Pass
+    }
+
     /// Whether `wire`, whose IP header the hop parsed as `ip`, should be
     /// dropped under this policy. Only the checks for defects in the drop
     /// set run, and the transport header is parsed only for a policy that

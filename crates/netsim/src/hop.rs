@@ -86,6 +86,23 @@ impl RouterHop {
         wire[off + 16..off + 18].copy_from_slice(&ck.to_be_bytes());
     }
 
+    /// Write `debt` owed plain-hop TTL decrements into `wire`: one
+    /// [`PacketBuf::make_mut`], whose copy (if it faults) is journaled as
+    /// a payload copy, then [`RouterHop::decrement_ttl`] once per owed
+    /// hop — the bytes the hops would have written one at a time,
+    /// corrupted checksums included. No debt touches nothing.
+    pub(crate) fn settle_ttl_debt(journal: &Journal, wire: &mut PacketBuf, debt: u8) {
+        if debt == 0 {
+            return;
+        }
+        let mut tally = CopyTally::default();
+        let buf = wire.make_mut(&mut tally);
+        for _ in 0..debt {
+            Self::decrement_ttl(buf);
+        }
+        journal_copies(journal, tally);
+    }
+
     /// Rewrite the TTL field (decrement) and *incrementally* update the
     /// header checksum (RFC 1141). Real routers adjust the checksum for
     /// the delta only — a corrupted checksum stays exactly as corrupted
@@ -118,6 +135,10 @@ impl PathElement for RouterHop {
 
     fn decrements_ttl(&self) -> bool {
         true
+    }
+
+    fn plain_hop(&self) -> bool {
+        self.filter.forwards_everything() && !self.fix_tcp_checksum
     }
 
     fn process(
@@ -182,13 +203,18 @@ impl PathElement for RouterHop {
             Self::repair_tcp_checksum(buf, &ip);
         }
         Self::decrement_ttl(buf);
-        if !tally.is_empty() {
-            journal.metrics.add(Counter::PayloadCopies, tally.copies);
-            journal
-                .metrics
-                .add(Counter::PayloadBytesCopied, tally.bytes);
-        }
+        journal_copies(journal, tally);
         Verdict::pass(now, wire)
+    }
+}
+
+/// Journal the copy-on-write faults in `tally` as payload copies.
+pub(crate) fn journal_copies(journal: &Journal, tally: CopyTally) {
+    if !tally.is_empty() {
+        journal.metrics.add(Counter::PayloadCopies, tally.copies);
+        journal
+            .metrics
+            .add(Counter::PayloadBytesCopied, tally.bytes);
     }
 }
 
@@ -465,5 +491,116 @@ mod checksum_fix_tests {
         assert_eq!(forwarded.len(), 1, "held until whole, then forwarded once");
         // The repair judged the reassembled header, not the last fragment's.
         assert!(validate_wire(&forwarded[0]).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod ttl_debt_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A 20-byte IPv4 header carrying `ttl` and header checksum `ck`,
+    /// good or corrupted: the debt arithmetic must not care which.
+    fn header(ttl: u8, ck: u16) -> Vec<u8> {
+        let mut h = vec![
+            0x45, 0, 0, 20, 0x12, 0x34, 0, 0, ttl, 6, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
+        ];
+        h[10..12].copy_from_slice(&ck.to_be_bytes());
+        h
+    }
+
+    /// The oracle: `k` hops, one `decrement_ttl` each.
+    fn sequential(wire: &[u8], k: u8) -> Vec<u8> {
+        let mut w = wire.to_vec();
+        for _ in 0..k {
+            RouterHop::decrement_ttl(&mut w);
+        }
+        w
+    }
+
+    /// Settle `k` owed decrements on a fresh unique buffer; returns the
+    /// bytes and the payload copies journaled.
+    fn settled(wire: &[u8], k: u8) -> (Vec<u8>, u64) {
+        let journal = Journal::new();
+        let mut buf = PacketBuf::from(wire);
+        RouterHop::settle_ttl_debt(&journal, &mut buf, k);
+        (buf.to_vec(), journal.metrics.get(Counter::PayloadCopies))
+    }
+
+    /// Checksums where the end-around carry and the two one's-complement
+    /// zeros live, plus the header's correct checksum at TTL 64.
+    const EDGE_CHECKSUMS: [u16; 7] = [0x0000, 0x00ff, 0x0100, 0xfeff, 0xff00, 0xffff, 0x0bad];
+
+    #[test]
+    fn settling_equals_sequential_decrements_for_every_ttl_and_debt() {
+        let valid = {
+            let h = header(64, 0);
+            liberate_packet::checksum::internet_checksum(&h)
+        };
+        for ck in EDGE_CHECKSUMS.into_iter().chain([valid]) {
+            for ttl in 0..=u8::MAX {
+                let wire = header(ttl, ck);
+                for k in 0..=u8::MAX {
+                    let (got, copies) = settled(&wire, k);
+                    assert_eq!(
+                        got,
+                        sequential(&wire, k),
+                        "ttl {ttl} checksum {ck:#06x} debt {k}"
+                    );
+                    assert_eq!(copies, 0, "a unique buffer settles in place");
+                }
+            }
+        }
+        // A correct checksum stays correct however many hops are owed.
+        for k in 0..64 {
+            let (got, _) = settled(&header(64, valid), k);
+            assert!(liberate_packet::checksum::verify_checksum(&got), "debt {k}");
+        }
+    }
+
+    #[test]
+    fn settling_equals_sequential_decrements_for_every_checksum() {
+        for ck in 0..=u16::MAX {
+            let wire = header(u8::MAX, ck);
+            for k in [1, 2, 4, 12, u8::MAX - 1] {
+                assert_eq!(
+                    settled(&wire, k).0,
+                    sequential(&wire, k),
+                    "checksum {ck:#06x} debt {k}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any TTL, checksum, debt and trailing bytes: the settled buffer
+        /// equals `k` sequential hops byte for byte.
+        #[test]
+        fn settling_equals_sequential_decrements(
+            ttl in any::<u8>(),
+            ck in any::<u16>(),
+            k in any::<u8>(),
+            tail in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut wire = header(ttl, ck);
+            wire.extend_from_slice(&tail);
+            prop_assert_eq!(settled(&wire, k).0, sequential(&wire, k));
+        }
+    }
+
+    #[test]
+    fn settling_faults_one_counted_copy_on_a_shared_buffer_and_none_without_debt() {
+        let journal = Journal::new();
+        let original = PacketBuf::from(header(9, 0x1234));
+        let mut owed = original.clone();
+        RouterHop::settle_ttl_debt(&journal, &mut owed, 0);
+        assert_eq!(journal.metrics.get(Counter::PayloadCopies), 0);
+        RouterHop::settle_ttl_debt(&journal, &mut owed, 3);
+        assert_eq!(journal.metrics.get(Counter::PayloadCopies), 1);
+        assert_eq!(journal.metrics.get(Counter::PayloadBytesCopied), 20);
+        assert_eq!(owed[8], 6);
+        assert_eq!(original[8], 9, "the other holder keeps its bytes");
     }
 }

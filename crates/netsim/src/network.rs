@@ -6,6 +6,24 @@
 //! engines inject raw packets and inspect what comes back — mirroring the
 //! raw-socket control the real tool has), while the server side runs the
 //! full endpoint stack from [`crate::server`].
+//!
+//! # Plain hops and the TTL debt
+//!
+//! Most of a path is plain router hops ([`PathElement::plain_hop`]),
+//! whose only effect on a forwarded packet is a TTL decrement. The
+//! network still queues one event per hop, so dispatch order, step
+//! counts and every timestamp are those of a hop-by-hop walk, but at a
+//! plain hop that would forward it only adds 1 to the packet's
+//! `ttl_debt` instead of calling the hop. The debt is settled — the owed
+//! decrements written into the buffer, see
+//! [`RouterHop::settle_ttl_debt`] — right before anything reads the
+//! bytes: a non-plain element, a plain hop where the TTL would expire
+//! (which then runs [`PathElement::process`] for expiry and ICMP), the
+//! server, or the client inbox and its capture tap. The first plain hop
+//! of a run takes the copy-on-write decision the hop would have taken
+//! ([`PacketBuf::make_unique`]): a non-plain element may hold a view of
+//! the buffer (a DPI reassembly queue does) and release it while the
+//! packet crosses the run, and a copy taken later would not be counted.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -13,8 +31,10 @@ use std::time::Duration;
 
 use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::Direction;
+use liberate_packet::ipv4::IPV4_MIN_HEADER_LEN;
 
-use crate::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
+use crate::element::{CopyTally, Effects, PacketBuf, PathElement, TimedPacket, Verdict};
+use crate::hop::{journal_copies, RouterHop};
 use crate::queue::EventQueue;
 use crate::server::ServerHost;
 use liberate_substrate::capture::{Capture, TapPoint};
@@ -33,6 +53,9 @@ struct Event {
     /// is delivered to the client.
     pos: usize,
     dir: Direction,
+    /// Plain hops crossed since the bytes were last written: TTL
+    /// decrements owed to `wire` (see the module docs).
+    ttl_debt: u8,
     wire: PacketBuf,
 }
 
@@ -41,6 +64,11 @@ pub struct Network {
     pub clock: SimTime,
     events: EventQueue<Event>,
     elements: Vec<Box<dyn PathElement>>,
+    /// [`PathElement::plain_hop`] of each element, read once at build.
+    plain: Vec<bool>,
+    /// Scratch for the injections of the element being traversed,
+    /// drained after every call so its buffers are reused.
+    effects: Effects,
     pub server: ServerHost,
     pub client_addr: Ipv4Addr,
     /// Propagation latency added per element traversal.
@@ -66,10 +94,13 @@ impl Network {
         elements: Vec<Box<dyn PathElement>>,
         server: ServerHost,
     ) -> Network {
+        let plain = elements.iter().map(|e| e.plain_hop()).collect();
         Network {
             clock: SimTime::ZERO,
             events: EventQueue::new(),
             elements,
+            plain,
+            effects: Effects::default(),
             server,
             client_addr,
             hop_latency: Duration::from_millis(1),
@@ -123,7 +154,15 @@ impl Network {
     }
 
     fn push_event(&mut self, at: SimTime, pos: usize, dir: Direction, wire: PacketBuf) {
-        self.events.push(at, Event { pos, dir, wire });
+        self.events.push(
+            at,
+            Event {
+                pos,
+                dir,
+                ttl_debt: 0,
+                wire,
+            },
+        );
     }
 
     /// Inject a packet from the client after `delay`.
@@ -232,61 +271,82 @@ impl Network {
     }
 
     fn dispatch(&mut self, at: SimTime, ev: Event) {
-        let Event { pos, dir, wire } = ev;
+        let Event {
+            pos,
+            dir,
+            ttl_debt,
+            mut wire,
+        } = ev;
+        // Client-to-server, `elements.len()` means "deliver to server";
+        // server-to-client, element 0 is processed last and `usize::MAX`
+        // (wrapped below zero) means "deliver to client".
         match dir {
-            Direction::ClientToServer => {
-                if pos == self.elements.len() {
-                    self.deliver_to_server(at, wire);
-                    return;
-                }
-                self.traverse(at, pos, dir, wire);
+            Direction::ClientToServer if pos == self.elements.len() => {
+                RouterHop::settle_ttl_debt(&self.journal, &mut wire, ttl_debt);
+                self.deliver_to_server(at, wire);
             }
-            Direction::ServerToClient => {
-                // pos is the element index to process; after element 0 the
-                // packet is delivered to the client. We encode "deliver to
-                // client" as pos == usize::MAX (wrapped below zero).
-                if pos == usize::MAX {
-                    self.capture.record(at, TapPoint::ClientIngress, &wire);
-                    self.client_inbox.push((at, wire));
-                    return;
-                }
-                self.traverse(at, pos, dir, wire);
+            Direction::ServerToClient if pos == usize::MAX => {
+                RouterHop::settle_ttl_debt(&self.journal, &mut wire, ttl_debt);
+                self.capture.record(at, TapPoint::ClientIngress, &wire);
+                self.client_inbox.push((at, wire));
             }
+            _ => self.traverse(at, pos, dir, ttl_debt, wire),
         }
     }
 
-    fn traverse(&mut self, at: SimTime, pos: usize, dir: Direction, wire: PacketBuf) {
-        let mut effects = Effects::default();
+    fn traverse(
+        &mut self,
+        at: SimTime,
+        pos: usize,
+        dir: Direction,
+        ttl_debt: u8,
+        mut wire: PacketBuf,
+    ) {
+        let next = match dir {
+            Direction::ClientToServer => pos + 1,
+            Direction::ServerToClient => pos.checked_sub(1).unwrap_or(usize::MAX),
+        };
+        // A plain hop forwards a packet whose header parses and whose
+        // TTL, less the debt, is above 1: it is owed one more decrement.
+        if self.plain[pos]
+            && wire.len() >= IPV4_MIN_HEADER_LEN
+            && u16::from(wire[8]) >= u16::from(ttl_debt) + 2
+        {
+            if ttl_debt == 0 {
+                let mut tally = CopyTally::default();
+                wire.make_unique(&mut tally);
+                journal_copies(&self.journal, tally);
+            }
+            self.events.push(
+                at + self.hop_latency,
+                Event {
+                    pos: next,
+                    dir,
+                    ttl_debt: ttl_debt + 1,
+                    wire,
+                },
+            );
+            return;
+        }
+        RouterHop::settle_ttl_debt(&self.journal, &mut wire, ttl_debt);
+        let mut effects = std::mem::take(&mut self.effects);
         let verdict = self.elements[pos].process(&self.journal, at, dir, wire, &mut effects);
 
         // Injected packets enter the path adjacent to this element.
-        let Effects {
-            toward_client,
-            toward_server,
-        } = effects;
-        for TimedPacket { at: t, wire } in toward_client {
-            let next = pos.checked_sub(1).unwrap_or(usize::MAX);
-            self.push_event(
-                t.max(at) + self.hop_latency,
-                next,
-                Direction::ServerToClient,
-                wire,
-            );
+        if !effects.is_empty() {
+            let toward_client = pos.checked_sub(1).unwrap_or(usize::MAX);
+            for TimedPacket { at: t, wire } in effects.toward_client.drain(..) {
+                let t = t.max(at) + self.hop_latency;
+                self.push_event(t, toward_client, Direction::ServerToClient, wire);
+            }
+            for TimedPacket { at: t, wire } in effects.toward_server.drain(..) {
+                let t = t.max(at) + self.hop_latency;
+                self.push_event(t, pos + 1, Direction::ClientToServer, wire);
+            }
         }
-        for TimedPacket { at: t, wire } in toward_server {
-            self.push_event(
-                t.max(at) + self.hop_latency,
-                pos + 1,
-                Direction::ClientToServer,
-                wire,
-            );
-        }
+        self.effects = effects;
 
         if let Verdict::Forward(TimedPacket { at: t, wire }) = verdict {
-            let next = match dir {
-                Direction::ClientToServer => pos + 1,
-                Direction::ServerToClient => pos.checked_sub(1).unwrap_or(usize::MAX),
-            };
             self.push_event(t.max(at) + self.hop_latency, next, dir, wire);
         }
     }

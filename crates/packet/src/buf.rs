@@ -152,10 +152,26 @@ impl PacketBuf {
     /// tallied (caller tally + global census). The length is fixed: a
     /// resized packet is a new [`PacketBuf::build`].
     pub fn make_mut(&mut self, tally: &mut CopyTally) -> &mut [u8] {
+        self.make_unique(tally);
+        match Arc::get_mut(&mut self.data) {
+            Some(v) => v,
+            // Unreachable: `make_unique` left this handle the sole owner,
+            // and &mut self pins the refcount meanwhile.
+            // lint: allow(no-panic) documented invariant, not a runtime condition
+            None => unreachable!("PacketBuf::make_mut: buffer not unique after CoW"),
+        }
+    }
+
+    /// The copy-on-write decision of [`PacketBuf::make_mut`] without the
+    /// write access: a shared or sliced buffer is copied into a fresh one
+    /// (tallied), a uniquely-owned full-range one is left alone. Plain
+    /// loads decide, so a buffer that is already unique costs no atomic
+    /// read-modify-write. A handle nobody can clone meanwhile stays
+    /// unique, so a later `make_mut` on it never copies.
+    pub fn make_unique(&mut self, tally: &mut CopyTally) {
         let full = self.start == 0 && self.end as usize == self.data.len();
-        // Plain loads decide uniqueness: with `&mut self` pinning this
-        // handle, no other can appear, so only the one `get_mut` below
-        // pays an atomic read-modify-write.
+        // With `&mut self` pinning this handle, no other can appear
+        // between these loads and the copy.
         let unique = Arc::strong_count(&self.data) == 1 && Arc::weak_count(&self.data) == 0;
         if !full || !unique {
             let len = self.len();
@@ -163,13 +179,6 @@ impl PacketBuf {
             tally.bytes += len as u64;
             census(len);
             *self = PacketBuf::from(self.as_slice());
-        }
-        match Arc::get_mut(&mut self.data) {
-            Some(v) => v,
-            // Unreachable: the branch above guaranteed unique ownership,
-            // and &mut self pins the refcount meanwhile.
-            // lint: allow(no-panic) documented invariant, not a runtime condition
-            None => unreachable!("PacketBuf::make_mut: buffer not unique after CoW"),
         }
     }
 

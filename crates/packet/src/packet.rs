@@ -96,8 +96,16 @@ impl Packet {
 
     /// Serialize to wire bytes.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = vec![0; self.wire_len(self.payload.len())];
-        self.write_gather(&[&self.payload], &mut out);
+        self.serialize_around(&self.payload)
+    }
+
+    /// Serialize this packet's headers around `payload`, in place of
+    /// `self.payload`, into one new buffer: a caller that borrows the
+    /// payload need not copy it into the packet first. The bytes are
+    /// identical to serializing a packet that owns `payload`.
+    pub fn serialize_around(&self, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![0; self.wire_len(payload.len())];
+        self.write_gather(&[payload], &mut out);
         out
     }
 
