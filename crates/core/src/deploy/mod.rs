@@ -21,6 +21,7 @@ pub use pool::{DeployWave, DeploymentPool, PoolFlowReport, PublishedState, Publi
 use std::time::Duration;
 
 use liberate_substrate::Substrate;
+use liberate_traces::generator;
 use liberate_traces::recorded::RecordedTrace;
 
 use crate::characterize::{characterize, Characterization, CharacterizeOpts};
@@ -28,8 +29,9 @@ use crate::detect::{detect_rotating, read_billed_counter, DetectionOutcome, Sign
 use crate::error::{LiberateError, Result};
 use crate::evaluate::{find_working_technique, EvaluationInputs, TechniqueResult};
 use crate::evasion::EvasionContext;
-use crate::probe::{decoy_request, Localization};
-use crate::replay::Session;
+use crate::probe::{decoy_request, sweep_ttl, Localization};
+use crate::replay::{LoweredTrace, Session};
+use crate::schedule::Schedule;
 
 /// The billed-counter baseline for judging one deployed flow.
 /// [`Signal::ZeroRating`] is the only signal whose judgment compares
@@ -141,13 +143,9 @@ pub(crate) fn complete_pipeline<S: Substrate>(
         )
         .map(|m| m.payload.clone())
         .ok_or_else(|| LiberateError::BadTrace("no client payload".into()))?;
-    let carrier = liberate_traces::generator::generate(&liberate_traces::generator::WorkloadSpec {
-        server_bytes: 400_000,
-        ..Default::default()
-    });
-    let localization = crate::probe::locate_middlebox_rotating(
+    let localization = localize(
         session,
-        &carrier,
+        trace,
         &matching_packet,
         signal,
         rotate_base.map(|b| b.wrapping_add(31_000)),
@@ -182,6 +180,42 @@ pub(crate) fn complete_pipeline<S: Substrate>(
         total_bytes: 0,
         elapsed: Duration::ZERO,
     })
+}
+
+/// Phase 3: sweep a carrier's TTL-limited matching packet toward the
+/// middlebox (§5.2). The carrier moves as many server bytes as the flow
+/// detection judged, so a differentiation that shows only after volume
+/// (a token-bucket burst) shows on the carrier too; a zero-rating
+/// carrier moves at least the bytes a reliable counter read needs
+/// (§6.2). The carrier's recorded trace is dropped once it is lowered,
+/// before the sweep, and the lowered carrier before evaluation.
+fn localize<S: Substrate>(
+    session: &mut Session<S>,
+    trace: &RecordedTrace,
+    matching_packet: &[u8],
+    signal: &Signal,
+    rotate_base: Option<u16>,
+) -> Localization {
+    let mut server_bytes = trace.server_bytes();
+    if matches!(signal, Signal::ZeroRating) {
+        let min = usize::try_from(session.config.min_zero_rating_bytes).unwrap_or(usize::MAX);
+        server_bytes = server_bytes.max(min);
+    }
+    let (lowered, base) = {
+        let carrier = generator::generate(&generator::WorkloadSpec {
+            server_bytes,
+            ..Default::default()
+        });
+        (LoweredTrace::new(&carrier), Schedule::from_trace(&carrier))
+    };
+    sweep_ttl(
+        session,
+        &lowered,
+        &base,
+        matching_packet,
+        signal,
+        rotate_base,
+    )
 }
 
 /// The evasion state a deployment holds for one application: the

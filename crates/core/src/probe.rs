@@ -55,14 +55,35 @@ pub fn locate_middlebox_rotating<S: Substrate>(
     signal: &Signal,
     rotate_base: Option<u16>,
 ) -> Localization {
-    let mut rounds = 0;
     // The sweep replays one carrier: lower it (and its base schedule) once.
     let lowered = LoweredTrace::new(carrier);
     let base = Schedule::from_trace(carrier);
+    sweep_ttl(
+        session,
+        &lowered,
+        &base,
+        matching_payload,
+        signal,
+        rotate_base,
+    )
+}
+
+/// The TTL sweep of [`locate_middlebox_rotating`] over an already lowered
+/// carrier and its base schedule, so a caller can drop the carrier's
+/// recorded trace before the sweep runs.
+pub(crate) fn sweep_ttl<S: Substrate>(
+    session: &mut Session<S>,
+    lowered: &LoweredTrace,
+    base: &Schedule,
+    matching_payload: &[u8],
+    signal: &Signal,
+    rotate_base: Option<u16>,
+) -> Localization {
+    let mut rounds = 0;
     for ttl in 1..=session.config.max_probe_ttl {
         rounds += 1;
         let ctx = EvasionContext::blind(matching_payload.to_vec(), ttl);
-        let Some(schedule) = Technique::InertLowTtl.apply(&base, &ctx) else {
+        let Some(schedule) = Technique::InertLowTtl.apply(base, &ctx) else {
             // A carrier with no data packets can't probe at any TTL.
             break;
         };
@@ -71,7 +92,7 @@ pub fn locate_middlebox_rotating<S: Substrate>(
             server_port: rotate_base.map(|b| b.wrapping_add(ttl as u16)),
             ..Default::default()
         };
-        let outcome = session.replay_lowered(&lowered, &schedule, &opts);
+        let outcome = session.replay_lowered(lowered, &schedule, &opts);
         let classified = was_classified(session, signal, &outcome, billed_before);
         let gap = session.config.round_gap;
         session.rest(gap);
@@ -206,6 +227,32 @@ mod tests {
         );
         // §6.2: "an inert packet with TTL = 3 is sufficient".
         assert_eq!(loc.middlebox_ttl, Some(3));
+    }
+
+    #[test]
+    fn testbed_throttle_shows_only_past_its_burst() {
+        let flow = apps::amazon_prime_http(600_000);
+        let mut s = session(EnvKind::Testbed);
+        let detection = crate::detect::detect(&mut s, &flow);
+        assert!(detection.throttling);
+        let signal = crate::deploy::signal_from_detection(&detection, s.config.throttle_ratio);
+        let carrier = |server_bytes| {
+            liberate_traces::generator::generate(&liberate_traces::generator::WorkloadSpec {
+                server_bytes,
+                ..Default::default()
+            })
+        };
+        let probe = blocked_request("video.cloudfront.net");
+        // §6.1: the video policy's token bucket lets 420 kB through at
+        // full rate, so a carrier inside the burst looks unthrottled at
+        // every TTL ...
+        let loc = locate_middlebox(&mut s, &carrier(400_000), &probe, &signal);
+        assert_eq!(loc.middlebox_ttl, None);
+        assert_eq!(loc.rounds, 20);
+        // ... and one past it is throttled from the first hop.
+        let loc = locate_middlebox(&mut s, &carrier(600_000), &probe, &signal);
+        assert_eq!(loc.middlebox_ttl, Some(1));
+        assert_eq!(loc.rounds, 1);
     }
 
     #[test]

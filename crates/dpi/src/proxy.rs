@@ -11,6 +11,7 @@
 //! other port passes through untouched — which is why simply moving the
 //! server port evades it.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use liberate_netsim::element::{Effects, PacketBuf, PathElement, TimedPacket, Verdict};
@@ -21,8 +22,6 @@ use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::tcp::TcpFlags;
 use liberate_packet::validate::validate_wire;
 use liberate_substrate::time::SimTime;
-
-use crate::matcher::contains;
 
 /// Segment size the proxy uses when re-originating data.
 const PROXY_MSS: usize = 1460;
@@ -57,8 +56,13 @@ impl ProxyConfig {
     }
 }
 
+/// Stream bytes, per direction, the classifier looks back over: a token
+/// counts only while a match of it lies wholly within the last this many
+/// delivered bytes.
+const SCAN_WINDOW: u64 = 64 * 1024;
+
 /// One side of a proxied connection: in-order receive state plus our send
-/// sequence state.
+/// sequence state, and where this direction's tokens last matched.
 #[derive(Debug)]
 struct HalfConn {
     /// Next sequence number expected from the peer.
@@ -67,8 +71,14 @@ struct HalfConn {
     snd_next: u32,
     /// Out-of-order buffer.
     ooo: BTreeMap<u32, Vec<u8>>,
-    /// Total reassembled bytes (bounded scan window retained below).
-    stream: Vec<u8>,
+    /// Stream bytes scanned so far; the scan window is the last
+    /// [`SCAN_WINDOW`] of them.
+    scanned: u64,
+    /// The last scanned bytes, one fewer than the longest token, so a
+    /// token split across deliveries is found.
+    tail: Vec<u8>,
+    /// Per token: the stream offset where its latest match starts.
+    last_match: Vec<Option<u64>>,
 }
 
 impl HalfConn {
@@ -77,41 +87,74 @@ impl HalfConn {
             rcv_next: peer_isn_plus_one,
             snd_next: our_isn_plus_one,
             ooo: BTreeMap::new(),
-            stream: Vec::new(),
+            scanned: 0,
+            tail: Vec::new(),
+            last_match: Vec::new(),
         }
     }
 
-    /// Absorb a data segment; returns newly contiguous bytes.
-    fn receive(&mut self, seq: u32, payload: &[u8]) -> Vec<u8> {
+    /// Absorb a data segment; returns newly contiguous bytes, borrowed
+    /// from `payload` when the segment arrives in order.
+    fn receive<'a>(&mut self, seq: u32, payload: &'a [u8]) -> Cow<'a, [u8]> {
         fn seq_lt(a: u32, b: u32) -> bool {
             (a.wrapping_sub(b) as i32) < 0
         }
         let seg_end = seq.wrapping_add(payload.len() as u32);
         if seq_lt(seg_end, self.rcv_next) || seg_end == self.rcv_next {
-            return Vec::new(); // entirely old
+            return Cow::Borrowed(&[]); // entirely old
         }
-        // lint: allow(payload-copy) endpoint ingestion: the proxy's
-        // receive window drains the retransmitted prefix from an owned copy.
-        let mut data = payload.to_vec();
-        let mut start = seq;
-        if seq_lt(seq, self.rcv_next) {
+        let (start, data) = if seq_lt(seq, self.rcv_next) {
             let skip = self.rcv_next.wrapping_sub(seq) as usize;
-            data.drain(..skip.min(data.len()));
-            start = self.rcv_next;
+            (self.rcv_next, &payload[skip.min(payload.len())..])
+        } else {
+            (seq, payload)
+        };
+        if start == self.rcv_next && self.ooo.is_empty() {
+            self.rcv_next = self.rcv_next.wrapping_add(data.len() as u32);
+            return Cow::Borrowed(data);
         }
-        self.ooo.entry(start).or_insert(data);
+        self.ooo.entry(start).or_insert_with(|| data.to_vec());
         let mut delivered = Vec::new();
         while let Some(seg) = self.ooo.remove(&self.rcv_next) {
             self.rcv_next = self.rcv_next.wrapping_add(seg.len() as u32);
             delivered.extend_from_slice(&seg);
         }
-        self.stream.extend_from_slice(&delivered);
-        // Keep only a bounded scan window.
-        if self.stream.len() > 64 * 1024 {
-            let cut = self.stream.len() - 64 * 1024;
-            self.stream.drain(..cut);
+        Cow::Owned(delivered)
+    }
+
+    /// Scan newly delivered bytes for `tokens` (the same list on every
+    /// call), recording each token's latest match.
+    fn scan(&mut self, data: &[u8], tokens: &[Vec<u8>]) {
+        let keep = tokens
+            .iter()
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(1);
+        let base = self.scanned - self.tail.len() as u64;
+        self.tail.extend_from_slice(data);
+        self.last_match.resize(tokens.len(), None);
+        for (token, last) in tokens.iter().zip(&mut self.last_match) {
+            let Some(&first) = token.first() else {
+                continue; // an empty token never matches, as in `contains`
+            };
+            let found = self
+                .tail
+                .windows(token.len())
+                .rposition(|w| w[0] == first && w == token);
+            if let Some(at) = found {
+                *last = Some(base + at as u64);
+            }
         }
-        delivered
+        self.scanned += data.len() as u64;
+        let cut = self.tail.len().saturating_sub(keep);
+        self.tail.drain(..cut);
+    }
+
+    /// Whether token `i` matches wholly within the scan window.
+    fn in_window(&self, i: usize) -> bool {
+        let window_start = self.scanned.saturating_sub(SCAN_WINDOW);
+        matches!(self.last_match.get(i), Some(Some(at)) if *at >= window_start)
     }
 }
 
@@ -140,7 +183,8 @@ struct ProxiedFlow {
 
 /// The transparent proxy element.
 pub struct TransparentProxy {
-    pub config: ProxyConfig,
+    /// Fixed at construction: each flow's token matches index into it.
+    config: ProxyConfig,
     flows: HashMap<FlowKey, ProxiedFlow>,
     isn_counter: u32,
     /// Flows the proxy classified (for diagnostics).
@@ -338,6 +382,9 @@ impl PathElement for TransparentProxy {
                 }
                 if !pkt.payload.is_empty() {
                     let delivered = flow.client.receive(tcp.seq, &pkt.payload);
+                    if !flow.classified {
+                        flow.client.scan(&delivered, &self.config.request_tokens);
+                    }
                     // ACK the client from "the server".
                     let ack = Packet::tcp(
                         flow.server_addr,
@@ -437,14 +484,11 @@ impl PathElement for TransparentProxy {
                     if !delivered.is_empty() {
                         // Classify: HTTP request tokens + video content type.
                         if !flow.classified {
-                            let req_ok = self
-                                .config
-                                .request_tokens
-                                .iter()
-                                .all(|t| contains(&flow.client.stream, t));
-                            let resp_ok =
-                                contains(&flow.server.stream, &self.config.response_keyword);
-                            if req_ok && resp_ok {
+                            let keyword = std::slice::from_ref(&self.config.response_keyword);
+                            flow.server.scan(&delivered, keyword);
+                            let req_ok = (0..self.config.request_tokens.len())
+                                .all(|i| flow.client.in_window(i));
+                            if req_ok && flow.server.in_window(0) {
                                 flow.classified = true;
                                 let (rate, burst) = self.config.throttle;
                                 flow.shaper = Some(TokenBucket::new(rate, burst));
@@ -463,5 +507,132 @@ impl PathElement for TransparentProxy {
                 Verdict::Drop
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::matcher::contains;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// Self-overlapping and shared-prefix tokens, so the latest match and
+    /// matches split across deliveries both matter.
+    fn tokens() -> Vec<Vec<u8>> {
+        vec![
+            b"GET ".to_vec(),
+            b"HTTP/1.1".to_vec(),
+            b"TT".to_vec(),
+            b"GEGE".to_vec(),
+            Vec::new(),
+        ]
+    }
+
+    /// A stream of filler with tokens planted in it, sometimes past the
+    /// scan window, and the span of each planted token. The
+    /// filler alphabet forms "GEGE" often and the other tokens never, so
+    /// both present and absent tokens are common.
+    fn stream(rng: &mut StdRng) -> (Vec<u8>, Vec<(usize, usize)>) {
+        const ALPHABET: &[u8] = b"GEP/1.x";
+        let tokens = tokens();
+        let mut out = Vec::new();
+        let mut planted = Vec::new();
+        for _ in 0..rng.gen_range(1..12usize) {
+            let filler = match rng.gen_range(0..4u8) {
+                0 => rng.gen_range(0..40_000usize),
+                _ => rng.gen_range(0..200usize),
+            };
+            out.extend((0..filler).map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())]));
+            let start = out.len();
+            out.extend_from_slice(&tokens[rng.gen_range(0..tokens.len())]);
+            planted.push((start, out.len()));
+        }
+        (out, planted)
+    }
+
+    /// Segments covering a stream of `len` bytes, cut at random and inside
+    /// every planted token, in a shuffled or a locally reordered order
+    /// with some retransmitted and overlapping copies, then once more in
+    /// order so the whole stream is delivered. A shuffle merges many
+    /// segments into one delivery; local reordering delivers most apart.
+    fn segments(rng: &mut StdRng, len: usize, planted: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let mut cuts = vec![0, len];
+        for _ in 0..rng.gen_range(0..16usize) {
+            cuts.push(rng.gen_range(0..=len));
+        }
+        for &(start, end) in planted {
+            if end - start > 1 {
+                cuts.push(rng.gen_range(start + 1..end));
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let in_order: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut order = in_order.clone();
+        for _ in 0..rng.gen_range(0..4usize) {
+            let a = rng.gen_range(0..=len);
+            let b = rng.gen_range(a..=len);
+            order.insert(rng.gen_range(0..=order.len()), (a, b));
+        }
+        if rng.gen_range(0..2u8) == 0 {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+        } else {
+            for _ in 0..rng.gen_range(0..order.len()) {
+                let i = rng.gen_range(1..order.len());
+                order.swap(i - 1, i);
+            }
+        }
+        order.extend(in_order);
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every delivery, a token is in the window exactly when
+        /// `contains` finds it in the last `SCAN_WINDOW` bytes of the
+        /// reassembled stream.
+        #[test]
+        fn incremental_matches_agree_with_window_rescan(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (data, planted) = stream(&mut rng);
+            let isn = rng.next_u32();
+            let tokens = tokens();
+            let mut half = HalfConn::new(isn, 0);
+            let mut assembled = Vec::new();
+            for (a, b) in segments(&mut rng, data.len(), &planted) {
+                let delivered = half.receive(isn.wrapping_add(a as u32), &data[a..b]);
+                half.scan(&delivered, &tokens);
+                assembled.extend_from_slice(&delivered);
+                prop_assert!(data.starts_with(&assembled));
+                let from = assembled.len().saturating_sub(SCAN_WINDOW as usize);
+                let window = &assembled[from..];
+                for (i, token) in tokens.iter().enumerate() {
+                    prop_assert_eq!(half.in_window(i), contains(window, token), "token {}", i);
+                }
+            }
+            prop_assert_eq!(assembled.len(), data.len());
+        }
+    }
+
+    /// The window rule in time: a response keyword delivered before the
+    /// request tokens complete still counts while it stays in the window.
+    #[test]
+    fn keyword_delivered_early_counts_until_it_leaves_the_window() {
+        let keyword = vec![b"video".to_vec()];
+        let mut half = HalfConn::new(0, 0);
+        half.scan(b"xx video xx", &keyword);
+        assert!(half.in_window(0));
+        half.scan(&vec![b'.'; SCAN_WINDOW as usize - 8], &keyword);
+        assert!(
+            half.in_window(0),
+            "the match starts on the window's first byte"
+        );
+        half.scan(b".", &keyword);
+        assert!(!half.in_window(0), "its first byte has left the window");
     }
 }

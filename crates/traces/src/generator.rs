@@ -2,10 +2,10 @@
 //! flows of configurable size, shape, and content class.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-use crate::http::get_request;
-use crate::recorded::{RecordedTrace, Sender, TraceMessage, TraceProtocol};
+use crate::http::{get_request, response_head};
+use crate::recorded::{RecordedTrace, Sender, TraceMessage, TraceProtocol, RECORD_MSS};
 
 /// The kind of payload content to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,15 +65,8 @@ pub fn generate(spec: &WorkloadSpec) -> RecordedTrace {
                     &bytes(&mut rng, spec.client_bytes - req.len(), ContentClass::Text),
                 );
             }
-            t.push_stream(
-                Sender::Server,
-                &crate::http::response(
-                    200,
-                    "OK",
-                    "application/octet-stream",
-                    &bytes(&mut rng, spec.server_bytes, ContentClass::Random),
-                ),
-            );
+            let head = response_head(200, "OK", "application/octet-stream", spec.server_bytes);
+            push_random(&mut t, Sender::Server, &head, spec.server_bytes, &mut rng);
         }
         class => {
             t.push_stream(Sender::Client, &bytes(&mut rng, spec.client_bytes, class));
@@ -99,6 +92,65 @@ pub fn generate_udp_stream(seed: u64, packets: usize, payload_len: usize) -> Rec
         });
     }
     t
+}
+
+/// Append `head` and then `len` random bytes as `sender` messages, cut
+/// where [`RecordedTrace::push_stream`] cuts. Each message is written in
+/// place, so a large body is never held whole; the bytes equal `head`
+/// followed by `bytes(rng, len, ContentClass::Random)`.
+fn push_random(t: &mut RecordedTrace, sender: Sender, head: &[u8], len: usize, rng: &mut StdRng) {
+    let total = head.len() + len;
+    let mut random = RandomStream::new(rng);
+    let mut at = 0;
+    while at < total {
+        let mut payload = vec![0u8; RECORD_MSS.min(total - at)];
+        let rest = head.get(at..).unwrap_or_default();
+        let from_head = rest.len().min(payload.len());
+        payload[..from_head].copy_from_slice(&rest[..from_head]);
+        random.fill(&mut payload[from_head..]);
+        at += payload.len();
+        t.push_message(TraceMessage {
+            sender,
+            payload,
+            gap_micros: 0,
+        });
+    }
+}
+
+/// The byte stream one `rng.fill` call writes, served across several
+/// destination slices: whole little-endian words of `next_u64`, with a
+/// word split across two slices carried over.
+struct RandomStream<'a> {
+    rng: &'a mut StdRng,
+    word: [u8; 8],
+    /// Bytes of `word` already served.
+    used: usize,
+}
+
+impl<'a> RandomStream<'a> {
+    fn new(rng: &'a mut StdRng) -> Self {
+        RandomStream {
+            rng,
+            word: [0; 8],
+            used: 8,
+        }
+    }
+
+    fn fill(&mut self, dest: &mut [u8]) {
+        let carry = (8 - self.used).min(dest.len());
+        dest[..carry].copy_from_slice(&self.word[self.used..self.used + carry]);
+        self.used += carry;
+        let mut words = dest[carry..].chunks_exact_mut(8);
+        for w in &mut words {
+            w.copy_from_slice(&self.rng.next_u64().to_le_bytes());
+        }
+        let rem = words.into_remainder();
+        if !rem.is_empty() {
+            self.word = self.rng.next_u64().to_le_bytes();
+            rem.copy_from_slice(&self.word[..rem.len()]);
+            self.used = rem.len();
+        }
+    }
 }
 
 fn bytes(rng: &mut StdRng, len: usize, class: ContentClass) -> Vec<u8> {
@@ -136,6 +188,41 @@ mod tests {
         let t = generate(&spec);
         assert!(crate::http::find(&t.client_stream(), b"video.target.example").is_some());
         assert!(t.total_bytes() >= spec.server_bytes);
+    }
+
+    /// The in-place HTTP body writer against the composition it replaces:
+    /// the whole body drawn by one `fill`, wrapped by `http::response`,
+    /// then cut by `push_stream`.
+    #[test]
+    fn http_body_written_in_place_matches_composed_response() {
+        for (seed, client_bytes, server_bytes) in [
+            (1, 512, 64 * 1024),
+            (2, 0, 0),
+            (3, 100, 1),
+            (4, 2000, RECORD_MSS - 91),
+            (5, 512, RECORD_MSS * 3 + 7),
+            (6, 512, 400_001),
+        ] {
+            let spec = WorkloadSpec {
+                seed,
+                client_bytes,
+                server_bytes,
+                host: format!("h{seed}.example"),
+                ..WorkloadSpec::default()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut old = RecordedTrace::new(format!("workload-{seed}"), spec.protocol, 80);
+            let req = get_request(&spec.host, "/generated", "workload-gen/1.0");
+            old.push_stream(Sender::Client, &req);
+            if client_bytes > req.len() {
+                let text = bytes(&mut rng, client_bytes - req.len(), ContentClass::Text);
+                old.push_stream(Sender::Client, &text);
+            }
+            let body = bytes(&mut rng, server_bytes, ContentClass::Random);
+            let response = crate::http::response(200, "OK", "application/octet-stream", &body);
+            old.push_stream(Sender::Server, &response);
+            assert_eq!(generate(&spec), old, "spec {spec:?}");
+        }
     }
 
     #[test]

@@ -18,16 +18,25 @@ pub fn get_request(host: &str, path: &str, user_agent: &str) -> Vec<u8> {
 
 /// Build an HTTP/1.1 response header + body.
 pub fn response(status: u16, reason: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
-    let mut out = format!(
-        "HTTP/1.1 {status} {reason}\r\n\
-         Content-Type: {content_type}\r\n\
-         Content-Length: {}\r\n\
-         Connection: keep-alive\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
+    let mut out = response_head(status, reason, content_type, body.len());
     out.extend_from_slice(body);
     out
+}
+
+/// The header block of [`response`] for a body of `body_len` bytes.
+pub(crate) fn response_head(
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    body_len: usize,
+) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status} {reason}\r\n\
+         Content-Type: {content_type}\r\n\
+         Content-Length: {body_len}\r\n\
+         Connection: keep-alive\r\n\r\n"
+    )
+    .into_bytes()
 }
 
 /// A "403 Forbidden" block page of the kind Iran's censor injects (§6.6).

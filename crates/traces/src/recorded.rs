@@ -112,6 +112,11 @@ impl RecordedTrace {
         self.client_messages().map(|m| m.payload.len()).sum()
     }
 
+    /// Total server-direction payload bytes.
+    pub fn server_bytes(&self) -> usize {
+        self.server_messages().map(|m| m.payload.len()).sum()
+    }
+
     /// Total bytes in both directions.
     pub fn total_bytes(&self) -> usize {
         self.messages.iter().map(|m| m.payload.len()).sum()

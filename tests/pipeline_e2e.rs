@@ -70,6 +70,25 @@ fn tmobile_pipeline_beats_zero_rating() {
 }
 
 #[test]
+fn testbed_pipeline_localizes_past_the_throttle_burst() {
+    // The testbed throttles only after a 420 kB token-bucket burst
+    // (§6.1); a carrier as large as the judged flow shows the throttle,
+    // so the first TTL that reaches the classifier is found at once.
+    let mut s = session(EnvKind::Testbed);
+    let report = run_pipeline(
+        &mut s,
+        &apps::amazon_prime_http(600_000),
+        &CharacterizeOpts::default(),
+    )
+    .unwrap();
+    assert!(report.detection.throttling);
+    let loc = report.localization.unwrap();
+    assert_eq!(loc.middlebox_ttl, Some(1));
+    assert_eq!(loc.rounds, 1);
+    assert!(report.chosen.is_some(), "the testbed is evadable");
+}
+
+#[test]
 fn att_pipeline_finds_no_packet_level_technique() {
     let mut s = session(EnvKind::Att);
     let report = run_pipeline(
