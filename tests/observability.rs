@@ -105,6 +105,139 @@ fn gfc_localization_sweep_journal_matches_its_golden() {
     );
 }
 
+/// Solo sessions that share one journal and run every judged-probe
+/// entry point outside the wave search export exactly the checked-in
+/// journal. On the testbed they run an inert-reach check, a bilateral
+/// run and a rule-cache verification. On T-Mobile they run a zero-rated
+/// masquerade, whose billed reads draw from the session RNG. On the GFC
+/// they run an evaluation, and on Iran a position ladder.
+#[test]
+fn solo_probe_journal_matches_its_golden() {
+    use liberate::bilateral::{run_bilateral, BilateralCodec};
+    use liberate::characterize::{probe_position, MatchingField, PositionProfile};
+    use liberate::evaluate::{find_working_technique, EvaluationInputs};
+    use liberate::evasion::{EvasionContext, Technique};
+    use liberate::masquerade::{run_masqueraded, Masquerade};
+    use liberate::probe::{decoy_request, inert_reach, InertReach};
+    use liberate_packet::mutate::ByteRegion;
+    use liberate_traces::{apps, generator, http};
+    use std::sync::Arc;
+
+    let journal = Arc::new(Journal::new());
+    let session = |kind| {
+        let config = LiberateConfig {
+            seed: 7,
+            ..LiberateConfig::default()
+        };
+        let mut s = Session::new(kind, OsKind::Linux, config);
+        s.attach_journal(Arc::clone(&journal));
+        s
+    };
+    let video_bait = http::get_request("video.cloudfront.net", "/liberate-decoy", "p");
+
+    let mut testbed = session(EnvKind::Testbed);
+    let ctx = EvasionContext {
+        matching_fields: Vec::new(),
+        decoy: video_bait.clone(),
+        middlebox_ttl: 1,
+    };
+    let reach = inert_reach(
+        &mut testbed,
+        &apps::control_http(),
+        &Technique::InertIpWrongChecksum,
+        &ctx,
+        &Signal::Readout,
+    );
+    assert_eq!(reach, Some(InertReach::ReachedMiddleboxOnly));
+
+    let prime = apps::amazon_prime_http(20_000);
+    let at = http::find(&prime.messages[0].payload, b"cloudfront").unwrap();
+    let host = MatchingField {
+        message: 0,
+        sender: Sender::Client,
+        range: at..at + 10,
+        bytes: b"cloudfront".to_vec(),
+    };
+    let codec = BilateralCodec::new(0x5a, vec![host.clone()]);
+    let report = run_bilateral(
+        &mut testbed,
+        &prime,
+        &codec,
+        &Signal::Readout,
+        &ReplayOpts::default(),
+    );
+    assert!(!report.classified && report.outcome.complete);
+
+    let mut cache = RuleCache::new();
+    let learned = Characterization {
+        fields: vec![host],
+        position: PositionProfile {
+            prepend_break: Some(1),
+            packet_based: true,
+            matches_all_packets: false,
+        },
+        rounds: 0,
+        bytes_sent: 0,
+        bytes_received: 0,
+        elapsed: std::time::Duration::ZERO,
+    };
+    cache.publish(
+        "testbed",
+        &prime.app,
+        CachedRules::from_characterization(&learned, 0),
+    );
+    let fresh = cache.verify(
+        "testbed",
+        &prime.app,
+        &mut testbed,
+        &prime,
+        &Signal::Readout,
+    );
+    assert_eq!(fresh, Some(true));
+
+    let mut tmobile = session(EnvKind::TMobile);
+    let workload = generator::generate(&generator::WorkloadSpec {
+        server_bytes: 500_000,
+        ..Default::default()
+    });
+    let m = Masquerade::ttl_limited(video_bait, 3);
+    let report = run_masqueraded(&mut tmobile, &workload, &m, &Signal::ZeroRating).unwrap();
+    assert!(report.disguised && report.outcome.complete);
+
+    let mut gfc = session(EnvKind::Gfc);
+    let economist = apps::economist_http();
+    let at = http::find(&economist.messages[0].payload, b"economist").unwrap();
+    let inputs = EvaluationInputs {
+        signal: Signal::Blocking,
+        ctx: EvasionContext {
+            matching_fields: vec![ByteRegion::new(0, at..at + 9)],
+            decoy: decoy_request(),
+            middlebox_ttl: 10,
+        },
+        rotate_server_ports: true,
+    };
+    let match_and_forget = PositionProfile {
+        prepend_break: Some(1),
+        packet_based: true,
+        matches_all_packets: false,
+    };
+    let (winner, _) = find_working_technique(&mut gfc, &economist, &match_and_forget, &inputs)
+        .expect("the GFC is evadable");
+    assert_eq!(winner.cc, Some(true));
+
+    let mut iran = session(EnvKind::Iran);
+    let (position, rounds) = probe_position(
+        &mut iran,
+        &apps::facebook_http(),
+        &Signal::Blocking,
+        &CharacterizeOpts::default(),
+    );
+    assert!(position.matches_all_packets);
+    assert_eq!(rounds, 10);
+
+    common::assert_golden("journals/solo_probes_seed7.jsonl", &to_jsonl(&journal));
+}
+
 #[test]
 fn different_seeds_produce_different_journals() {
     let (a, _) = run_scripted(7);
