@@ -14,7 +14,7 @@ use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
 use crate::characterize::MatchingField;
-use crate::detect::{read_billed_counter, was_classified, Signal};
+use crate::detect::{probe, Signal};
 use crate::replay::{ReplayOpts, ReplayOutcome, Session};
 
 /// A shared-key field-encoding agreement between the two endpoints.
@@ -75,12 +75,7 @@ pub fn run_bilateral<S: Substrate>(
     signal: &Signal,
     opts: &ReplayOpts,
 ) -> BilateralReport {
-    let encoded = codec.encode(trace);
-    let billed_before = read_billed_counter(session);
-    let outcome = session.replay_trace(&encoded, opts);
-    let classified = was_classified(session, signal, &outcome, billed_before);
-    let gap = session.config.round_gap;
-    session.rest(gap);
+    let (outcome, classified) = probe(session, &codec.encode(trace), opts, signal);
     BilateralReport {
         outcome,
         classified,
@@ -163,9 +158,8 @@ mod tests {
         );
 
         // Sanity: the plain flow is throttled.
-        let billed0 = read_billed_counter(&mut s);
-        let plain = s.replay_trace(&trace, &ReplayOpts::default());
-        assert!(was_classified(&mut s, &signal, &plain, billed0));
+        let (plain, throttled) = probe(&mut s, &trace, &ReplayOpts::default(), &signal);
+        assert!(throttled);
 
         // Bilateral: full speed.
         let codec = BilateralCodec::new(0xa7, fields);

@@ -28,9 +28,10 @@ use liberate_substrate::script::ResponseTable;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
-use crate::detect::{probe_lowered, Signal};
+use crate::detect::{ProbeTask, Signal};
 use crate::replay::{LoweredTrace, ReplayOpts, Session};
 use crate::schedule::{Schedule, Step};
+use crate::task::{drive_inline, FlowTask, TaskPoll};
 
 /// A matching field located in the trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +64,7 @@ impl MatchingField {
 }
 
 /// What position probing learned.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PositionProfile {
     /// Smallest number of prepended MTU-sized packets that stopped
     /// classification (`None`: never, up to the configured maximum).
@@ -101,7 +102,7 @@ impl Default for CharacterizeOpts {
 
 /// Characterization output plus its cost accounting (§6 reports rounds,
 /// time, and bytes for every network).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Characterization {
     pub fields: Vec<MatchingField>,
     pub position: PositionProfile,
@@ -249,75 +250,140 @@ pub fn probe_position<S: Substrate>(
     opts: &CharacterizeOpts,
 ) -> (PositionProfile, u64) {
     let schedule = Schedule::from_trace(trace);
-    probe_position_lowered(session, &LoweredTrace::new(trace), &schedule, signal, opts)
+    let lowered = LoweredTrace::new(trace);
+    let mut ladder = LadderTask::new(&lowered, &schedule, signal, opts);
+    let out = drive_inline(session, |session| ladder.poll(session));
+    (out.position, out.rounds)
 }
 
-/// [`probe_position`] over an already lowered trace and its base
-/// schedule: each rung prepends its random packets to copies of the
-/// client side only and shares the response table.
-pub(crate) fn probe_position_lowered<S: Substrate>(
-    session: &mut Session<S>,
-    trace: &LoweredTrace,
-    schedule: &Schedule,
-    signal: &Signal,
-    opts: &CharacterizeOpts,
-) -> (PositionProfile, u64) {
-    let journal = session.env.journal().clone();
-    journal.span_start(session.env.clock().as_micros(), Phase::PositionProbe);
-    let max = session.config.max_prepend_packets;
-    let mut rounds = 0u64;
-    let mut prepend_break = None;
+/// Size of a prepended packet on the ladder's MTU rungs.
+const MTU_RUNG: usize = 1400;
 
-    let run = |session: &mut Session<S>, k: usize, size: usize, round: u64| -> bool {
+/// The position ladder as a task, one [`ProbeTask`] per rung. Rung `k`
+/// prepends `k` random MTU-sized packets, until classification breaks
+/// (§5.1); the breaking count is then re-run with 1-byte packets to tell
+/// a packet limit from a byte limit. Each rung draws its prefix from the
+/// session RNG just before its probe's billed read, so ladders run on
+/// the inline driver. Rungs prepend to copies of the client side of the
+/// lowered trace and its base schedule, and share its response table.
+/// The output is a characterization without fields: the position
+/// profile, with the ladder's rounds and cost.
+pub(crate) struct LadderTask<'a> {
+    trace: &'a LoweredTrace,
+    schedule: &'a Schedule,
+    signal: &'a Signal,
+    opts: &'a CharacterizeOpts,
+    /// The running rung's probe; `None` before the first poll.
+    rung: Option<ProbeTask<'a, LoweredTrace, Schedule>>,
+    /// The running rung: prepended packets and their size.
+    at: (usize, usize),
+    out: Characterization,
+}
+
+impl<'a> LadderTask<'a> {
+    pub(crate) fn new(
+        trace: &'a LoweredTrace,
+        schedule: &'a Schedule,
+        signal: &'a Signal,
+        opts: &'a CharacterizeOpts,
+    ) -> LadderTask<'a> {
+        LadderTask {
+            trace,
+            schedule,
+            signal,
+            opts,
+            rung: None,
+            at: (0, MTU_RUNG),
+            out: Characterization::default(),
+        }
+    }
+
+    /// Record the running rung's judgment and pick the next rung, if any.
+    fn next_rung(&mut self, classified: bool, max: usize) -> Option<(usize, usize)> {
+        let (k, size) = self.at;
+        let position = &mut self.out.position;
+        if size == 1 {
+            // The same count of 1-byte packets: if it also breaks
+            // classification, the limit counts packets, not bytes.
+            position.packet_based = !classified;
+            None
+        } else if !classified {
+            position.prepend_break = Some(k);
+            Some((k, 1))
+        } else {
+            (k < max).then_some((k + 1, MTU_RUNG))
+        }
+    }
+
+    /// Draw rung `(k, size)`'s prefix and build its probe.
+    fn start_rung<S: Substrate>(&mut self, session: &mut Session<S>, (k, size): (usize, usize)) {
+        self.out.rounds += 1;
+        self.at = (k, size);
         let mut rng_bytes = vec![0u8; size * k];
         session.rng.fill(&mut rng_bytes[..]);
         // The last-drawn packet goes first, as when each packet is put
         // at the front of the trace in draw order; same-seed replays
         // depend on this order.
         let prefix: Vec<&[u8]> = rng_bytes.chunks(size).rev().collect();
-        let replay_opts = ReplayOpts {
-            server_port: opts
+        let round = self.out.rounds as u16;
+        let opts = ReplayOpts {
+            server_port: self
+                .opts
                 .rotate_server_ports
-                .then_some(opts.rotate_base.wrapping_add(20_000 + round as u16)),
+                .then_some(self.opts.rotate_base.wrapping_add(20_000 + round)),
             ..Default::default()
         };
-        let (_, classified) = probe_lowered(
-            session,
-            &trace.with_client_prefix(&prefix),
-            &schedule.with_data_prefix(&prefix),
-            &replay_opts,
-            signal,
-        );
-        classified
-    };
+        self.rung = Some(ProbeTask::new(
+            self.trace.with_client_prefix(&prefix),
+            self.schedule.with_data_prefix(&prefix),
+            opts,
+            None,
+            self.signal,
+            0,
+        ));
+    }
+}
 
-    for k in 1..=max {
-        rounds += 1;
-        if !run(session, k, 1400, rounds) {
-            prepend_break = Some(k);
-            break;
+impl<'a, S: Substrate> FlowTask<S> for LadderTask<'a> {
+    type Output = Characterization;
+
+    fn poll(&mut self, session: &mut Session<S>) -> TaskPoll<Characterization> {
+        let max = session.config.max_prepend_packets;
+        loop {
+            let classified = match &mut self.rung {
+                None => {
+                    session
+                        .journal()
+                        .span_start(session.env.clock().as_micros(), Phase::PositionProbe);
+                    // Rung 0 prepends nothing and counts as classified.
+                    true
+                }
+                Some(rung) => match rung.poll(session) {
+                    TaskPoll::Pending(wake) => return TaskPoll::Pending(wake),
+                    TaskPoll::Done(r) => {
+                        self.out.bytes_sent += r.outcome.bytes_sent;
+                        self.out.bytes_received += r.outcome.server_payload_bytes;
+                        self.out.elapsed += r.elapsed;
+                        r.classified
+                    }
+                },
+            };
+            match self.next_rung(classified, max) {
+                Some(at) => self.start_rung(session, at),
+                None => break,
+            }
         }
+        session
+            .journal()
+            .span_end(session.env.clock().as_micros(), Phase::PositionProbe);
+        let position = &mut self.out.position;
+        position.matches_all_packets = position.prepend_break.is_none();
+        TaskPoll::Done(std::mem::take(&mut self.out))
     }
 
-    let packet_based = match prepend_break {
-        Some(k) => {
-            rounds += 1;
-            // The same count of 1-byte packets: if it also breaks
-            // classification, the limit counts packets, not bytes.
-            !run(session, k, 1, rounds)
-        }
-        None => false,
-    };
-
-    journal.span_end(session.env.clock().as_micros(), Phase::PositionProbe);
-    (
-        PositionProfile {
-            prepend_break,
-            packet_based,
-            matches_all_packets: prepend_break.is_none(),
-        },
-        rounds,
-    )
+    fn replays_done(&self) -> u64 {
+        self.out.rounds
+    }
 }
 
 /// Full characterization: fields + position profile + cost accounting.
@@ -549,6 +615,55 @@ mod tests {
         let regions = c.client_field_regions(&trace);
         assert!(!regions.is_empty());
         assert_eq!(regions[0].packet, 0, "host header is in the first packet");
+    }
+
+    /// A ladder driven inline learns and costs what the position ladder
+    /// did when it ran as one sequential closure: the figures below were
+    /// measured from that closure (session byte totals and clock).
+    #[test]
+    fn inline_ladder_matches_the_sequential_ladder() {
+        let cases = [
+            (
+                EnvKind::Iran,
+                apps::facebook_http(),
+                Signal::Blocking,
+                PositionProfile {
+                    prepend_break: None,
+                    packet_based: false,
+                    matches_all_packets: true,
+                },
+                (10, 81_440, 0, 51_615_000),
+            ),
+            (
+                EnvKind::Testbed,
+                apps::amazon_prime_http(20_000),
+                Signal::Readout,
+                PositionProfile {
+                    prepend_break: Some(1),
+                    packet_based: true,
+                    matches_all_packets: false,
+                },
+                (2, 2_055, 40_182, 10_034_000),
+            ),
+        ];
+        for (kind, trace, signal, position, (rounds, sent, received, micros)) in cases {
+            let mut s = session(kind);
+            let (t0, sent0, received0) =
+                (s.env.clock(), s.bytes_sent_total, s.bytes_received_total);
+            let (lowered, schedule) = (LoweredTrace::new(&trace), Schedule::from_trace(&trace));
+            let opts = CharacterizeOpts::default();
+            let mut ladder = LadderTask::new(&lowered, &schedule, &signal, &opts);
+            let out = drive_inline(&mut s, |s| ladder.poll(s));
+            assert_eq!(out.position, position, "{kind:?}");
+            assert_eq!(out.rounds, rounds, "{kind:?}");
+            assert!(out.fields.is_empty(), "{kind:?}");
+            assert_eq!(out.bytes_sent, sent, "{kind:?}");
+            assert_eq!(out.bytes_received, received, "{kind:?}");
+            assert_eq!(out.elapsed, Duration::from_micros(micros), "{kind:?}");
+            assert_eq!(s.bytes_sent_total - sent0, sent, "{kind:?}");
+            assert_eq!(s.bytes_received_total - received0, received, "{kind:?}");
+            assert_eq!(s.env.clock() - t0, out.elapsed, "{kind:?}");
+        }
     }
 
     #[test]

@@ -5,15 +5,27 @@
 //! to each. Inversion (rather than randomization) is deterministic and
 //! guarantees no classification keyword survives in the control, avoiding
 //! the accidental matches the paper saw with random payloads.
+//!
+//! Every phase builds on one primitive, the probe: one replay plus one
+//! classification judgment ([`was_classified`]). `ProbeTask` is its
+//! only implementation — billed-counter read, replay, judgment,
+//! round-gap rest — whether the reactor interleaves it in a blinding
+//! wave or [`probe`] runs it inline on a session.
 
-use liberate_obs::Phase;
+use std::borrow::Borrow;
+use std::net::Ipv4Addr;
+use std::time::Duration;
+
+use liberate_obs::{Counter, Phase};
 use liberate_packet::flow::FlowKey;
 use liberate_packet::mutate::invert_bits;
+use liberate_substrate::time::SimTime;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
-use crate::replay::{LoweredTrace, ReplayOpts, ReplayOutcome, Session};
+use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
 use crate::schedule::Schedule;
+use crate::task::{drive_inline, FlowTask, TaskPoll, Wake};
 
 /// The observable used to decide "was this replay classified?". Picked per
 /// environment, exactly as the paper's case studies do.
@@ -72,47 +84,149 @@ pub fn was_classified<S: Substrate>(
             // (the jitter band makes smaller margins unreliable).
             delta + 100_000 < moved
         }
-        Signal::Readout => {
-            // Protocol filled per-variant inside `classified_with_policy`.
+        // Try the TCP key, then the UDP one; only classes with effective
+        // policies count.
+        Signal::Readout => [6u8, 17].into_iter().any(|protocol| {
             let key = FlowKey::new(
                 outcome.client_addr,
                 liberate_dpi::profiles::SERVER_ADDR,
                 outcome.client_port,
                 outcome.server_port,
-                6,
+                protocol,
             );
-            classified_with_policy(session, key, outcome)
+            session.env.verdict_for(key).is_some_and(|v| v.effective)
+        }),
+    }
+}
+
+/// What one probe observed and decided, measured by the task that ran it.
+pub(crate) struct ProbeResult {
+    pub(crate) outcome: ReplayOutcome,
+    pub(crate) classified: bool,
+    /// Simulated time from the billed read to the end of the rest.
+    pub(crate) elapsed: Duration,
+}
+
+/// Where a [`ProbeTask`] is between polls.
+enum ProbeState {
+    /// Nothing has run: the first poll does the probe's bookkeeping
+    /// (blinded-bytes counter, billed-counter read) *and* the replay's
+    /// Init segment in one go, so every order-sensitive session-global
+    /// mutation — the RNG draw, the client-port stride, the ISN bump —
+    /// happens in admission order under either driver.
+    Start,
+    /// Forwarding polls to the inner [`ReplaySm`].
+    Replaying,
+    /// Replay judged; sitting out the mandatory round gap.
+    Resting,
+}
+
+/// A probe = one replay + one classification judgment, the work-horse
+/// of detection, characterization, localization and evasion
+/// evaluation. Its sequence is billed-counter read, replay, judgment,
+/// rest. Driven on a private lane by the reactor, or inline on a
+/// session ([`probe`]). Generic over borrowed or owned trace and
+/// schedule, as [`ReplaySm`] is.
+pub(crate) struct ProbeTask<'a, Tr, Sc> {
+    signal: &'a Signal,
+    sm: ReplaySm<Tr, Sc>,
+    blinded_bytes: u64,
+    state: ProbeState,
+    t0: SimTime,
+    billed_before: i64,
+    /// The judged replay, held through the rest.
+    judged: Option<(ReplayOutcome, bool)>,
+}
+
+impl<'a, Tr, Sc> ProbeTask<'a, Tr, Sc>
+where
+    Tr: Borrow<LoweredTrace>,
+    Sc: Borrow<Schedule>,
+{
+    /// A probe ready for its first poll. `lane` is the reactor lane's
+    /// unique client address, `None` on the inline driver;
+    /// `blinded_bytes` feeds the `bytes-blinded` counter.
+    pub(crate) fn new(
+        trace: Tr,
+        schedule: Sc,
+        opts: ReplayOpts,
+        lane: Option<Ipv4Addr>,
+        signal: &'a Signal,
+        blinded_bytes: u64,
+    ) -> Self {
+        let lane = lane.map(|client_addr| LaneAddr {
+            client_addr,
+            replay_no: 1,
+        });
+        ProbeTask {
+            signal,
+            sm: ReplaySm::new(trace, schedule, opts, lane),
+            blinded_bytes,
+            state: ProbeState::Start,
+            t0: SimTime::ZERO,
+            billed_before: 0,
+            judged: None,
+        }
+    }
+
+    fn step_sm<S: Substrate>(&mut self, session: &mut Session<S>) -> TaskPoll<ProbeResult> {
+        match self.sm.poll(session) {
+            TaskPoll::Done(outcome) => {
+                let classified = was_classified(session, self.signal, &outcome, self.billed_before);
+                self.judged = Some((outcome, classified));
+                self.state = ProbeState::Resting;
+                TaskPoll::Pending(Wake::Timer(session.config.round_gap))
+            }
+            TaskPoll::Pending(wake) => TaskPoll::Pending(wake),
         }
     }
 }
 
-fn classified_with_policy<S: Substrate>(
-    session: &mut Session<S>,
-    key: FlowKey,
-    outcome: &ReplayOutcome,
-) -> bool {
-    // Try both TCP and UDP keys; only classes with effective policies
-    // count.
-    for proto in [6u8, 17u8] {
-        let k = FlowKey {
-            protocol: proto,
-            ..key
-        };
-        if session
-            .env
-            .verdict_for(k)
-            .map(|v| v.effective)
-            .unwrap_or(false)
-        {
-            return true;
+impl<'a, Tr, Sc, S> FlowTask<S> for ProbeTask<'a, Tr, Sc>
+where
+    Tr: Borrow<LoweredTrace> + Send,
+    Sc: Borrow<Schedule> + Send,
+    S: Substrate,
+{
+    type Output = ProbeResult;
+
+    fn poll(&mut self, session: &mut Session<S>) -> TaskPoll<ProbeResult> {
+        match self.state {
+            ProbeState::Start => {
+                self.t0 = session.env.clock();
+                if self.blinded_bytes > 0 {
+                    session
+                        .env
+                        .journal()
+                        .metrics
+                        .add(Counter::BytesBlinded, self.blinded_bytes);
+                }
+                self.billed_before = read_billed_counter(session);
+                self.state = ProbeState::Replaying;
+                self.step_sm(session)
+            }
+            ProbeState::Replaying => self.step_sm(session),
+            ProbeState::Resting => {
+                // lint: allow(no-panic) invariant: set before Resting
+                let (outcome, classified) = self.judged.take().expect("judged before rest");
+                TaskPoll::Done(ProbeResult {
+                    outcome,
+                    classified,
+                    elapsed: session.env.clock() - self.t0,
+                })
+            }
         }
     }
-    let _ = outcome;
-    false
+
+    fn replays_done(&self) -> u64 {
+        match self.state {
+            ProbeState::Start => 0,
+            _ => 1,
+        }
+    }
 }
 
-/// A probe = one replay + one classification judgment. The work-horse of
-/// detection, characterization, localization, and evasion evaluation.
+/// One probe of `trace` replayed unmodified.
 pub fn probe<S: Substrate>(
     session: &mut Session<S>,
     trace: &RecordedTrace,
@@ -123,7 +237,8 @@ pub fn probe<S: Substrate>(
     probe_lowered(session, &LoweredTrace::new(trace), &schedule, opts, signal)
 }
 
-/// [`probe`] of a schedule against an already lowered trace.
+/// [`probe`] of a schedule against an already lowered trace: a
+/// [`ProbeTask`] on the inline driver.
 pub(crate) fn probe_lowered<S: Substrate>(
     session: &mut Session<S>,
     trace: &LoweredTrace,
@@ -131,12 +246,9 @@ pub(crate) fn probe_lowered<S: Substrate>(
     opts: &ReplayOpts,
     signal: &Signal,
 ) -> (ReplayOutcome, bool) {
-    let billed_before = read_billed_counter(session);
-    let outcome = session.replay_lowered(trace, schedule, opts);
-    let classified = was_classified(session, signal, &outcome, billed_before);
-    let gap = session.config.round_gap;
-    session.rest(gap);
-    (outcome, classified)
+    let mut task = ProbeTask::new(trace, schedule, opts.clone(), None, signal, 0);
+    let r = drive_inline(session, |session| task.poll(session));
+    (r.outcome, r.classified)
 }
 
 /// A trace with every payload bit inverted — the detection control.

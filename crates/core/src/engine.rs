@@ -14,11 +14,13 @@
 //! canonical order. It is the only characterizer: a bare
 //! [`crate::characterize::characterize`] runs it on a one-session slice.
 //!
-//! Every wave job is written once, as a [`FlowTask`]: a blinding probe
-//! here, a deployed user flow in [`crate::deploy`]. One fan-out puts job
-//! `i` on worker `i % workers` (every job on worker 0 when the pool or
-//! the wave has one member), and each wave picks one of two drivers for
-//! its tasks from observable facts, not from the caller:
+//! Every wave runs [`FlowTask`]s; there are no closure waves. A job is
+//! written once, as a task: a blinding probe (`ProbeTask`) or a
+//! position ladder (`LadderTask`) here, a deployed user flow in
+//! [`crate::deploy`]. One fan-out puts job `i` on worker `i % workers`
+//! (every job on worker 0 when the pool or the wave has one member), and
+//! each wave picks one of two drivers for its tasks from observable
+//! facts, not from the caller:
 //!
 //! - the **reactor** ([`Reactor`]) interleaves each worker's bucket on
 //!   per-flow lanes. It drives jobs judged from their own flow alone
@@ -28,8 +30,9 @@
 //! - the **inline driver** ([`crate::task::drive_inline`]) builds each
 //!   task just before it runs and polls it to completion on the worker
 //!   session, job after job. Throttling and zero-rating judgments read
-//!   shared state whose readings depend on order, so they run here, as
-//!   does every wave over a substrate without lanes.
+//!   shared state whose readings depend on order, and each ladder rung
+//!   draws its prefix from the session RNG, so they run here, as does
+//!   every wave over a substrate without lanes.
 //!
 //! ## Determinism contract
 //!
@@ -52,30 +55,27 @@
 //! lane `42_000 + w, step workers`, so concurrent probes always hit
 //! disjoint [`liberate_packet::flow::FlowKey`]s of the shared table.
 
-use std::iter::StepBy;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
 use liberate_dpi::profiles::{EnvKind, EnvironmentBlueprint};
-use liberate_obs::{Counter, Hist, Journal, Phase};
+use liberate_obs::{Hist, Journal, Phase};
 use liberate_packet::mutate::{merge_regions, ByteRegion};
-use liberate_substrate::time::SimTime;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
 use crate::characterize::{
-    blinded_bytes, port_for_round, probe_position_lowered, Blinding, Characterization,
-    CharacterizeOpts, MatchingField,
+    blinded_bytes, port_for_round, Blinding, Characterization, CharacterizeOpts, LadderTask,
+    MatchingField,
 };
 use crate::config::LiberateConfig;
-use crate::detect::{read_billed_counter, was_classified, Signal};
+use crate::detect::{ProbeResult, ProbeTask, Signal};
 use crate::reactor::{lane_addr, Reactor};
-use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplaySm, Session};
-use crate::schedule::Schedule;
+use crate::replay::{ReplayOpts, Session};
 use crate::sim::{OsKind, SimSubstrate};
-use crate::task::{drive_inline, FlowTask, TaskPoll, Wake};
+use crate::task::{drive_inline, FlowTask};
 
 /// The wave-execution engine. There is only one: each wave picks the
 /// reactor or the inline driver for its tasks (see the module docs). The
@@ -171,17 +171,6 @@ impl<S: Substrate> SessionPool<S> {
         }
     }
 
-    /// Execute one wave of jobs on the pool's workers: job `i` on worker
-    /// `i % workers`, results in job order.
-    pub fn run_wave<T, R, F>(&mut self, jobs: Vec<T>, f: &F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&mut Session<S>, T) -> R + Sync,
-    {
-        run_wave(&mut self.sessions, jobs, f)
-    }
-
     /// Execute one wave of [`FlowTask`]s on the pool's workers, each
     /// worker's bucket interleaved on a [`Reactor`]; results in job
     /// order, `None` for a contained task panic.
@@ -215,87 +204,13 @@ impl<S: Substrate> SessionPool<S> {
     }
 }
 
-/// The wave-global indices of one worker's bucket, in bucket order.
-type JobIds = StepBy<Range<usize>>;
-
-/// Split `jobs` over `sessions` and run each worker's bucket. Job `i`
-/// goes to worker `i % workers` (deterministic round-robin), or every job
-/// to worker 0 when the pool or the wave has one member, which then runs
-/// on the calling thread. Otherwise each non-empty bucket runs on its own
-/// OS thread. `run` gets the worker's session, the worker index, and its
-/// bucket with the jobs' indices, inside a wave span; it returns one
-/// result per job in bucket order. Results come back in job order.
-fn fan_out<S, T, R, F>(sessions: &mut [Session<S>], jobs: Vec<T>, run: &F) -> Vec<R>
-where
-    S: Substrate,
-    T: Send,
-    R: Send,
-    F: Fn(&mut Session<S>, usize, JobIds, Vec<T>) -> Vec<R> + Sync,
-{
-    let total = jobs.len();
-    let n = if total <= 1 { 1 } else { sessions.len() };
-    let run_bucket = |session: &mut Session<S>, worker: usize, bucket: Vec<T>| {
-        wave_open(session, bucket.len());
-        let part = run(session, worker, (worker..total).step_by(n), bucket);
-        wave_close(session);
-        part
-    };
-    if n == 1 {
-        if total == 0 {
-            return Vec::new();
-        }
-        return run_bucket(&mut sessions[0], 0, jobs);
-    }
-
-    let mut buckets: Vec<Vec<T>> = (0..n)
-        .map(|_| Vec::with_capacity(total.div_ceil(n)))
-        .collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        buckets[i % n].push(job);
-    }
-    let mut parts: Vec<std::vec::IntoIter<R>> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .iter_mut()
-            .zip(buckets)
-            .enumerate()
-            .filter(|(_, (_, bucket))| !bucket.is_empty())
-            .map(|(w, (session, bucket))| scope.spawn(move || run_bucket(session, w, bucket)))
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => parts.push(part.into_iter()),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    // Bucket `w` holds jobs `w, w + n, …`, and only trailing buckets can
-    // be empty, so job `i` is the next result of part `i % n`.
-    (0..total)
-        .map(|i| {
-            // lint: allow(no-panic) invariant: one result per bucketed job
-            parts[i % n].next().expect("one result per job")
-        })
-        .collect()
-}
-
-/// Execute one wave of jobs over `sessions` (see [`fan_out`]), calling
-/// `f` on each job in its worker's bucket order.
-pub(crate) fn run_wave<S, T, R, F>(sessions: &mut [Session<S>], jobs: Vec<T>, f: &F) -> Vec<R>
-where
-    S: Substrate,
-    T: Send,
-    R: Send,
-    F: Fn(&mut Session<S>, T) -> R + Sync,
-{
-    fan_out(sessions, jobs, &|session, _, _, bucket| {
-        bucket.into_iter().map(|job| f(session, job)).collect()
-    })
-}
-
-/// Execute one wave of flow jobs over `sessions` (see [`fan_out`]). Each
-/// job is written once, as the [`FlowTask`] that `build(job, worker,
-/// lane)` makes, and `interleave` picks its driver:
+/// Execute one wave of flow jobs over `sessions`. Job `i` goes to
+/// worker `i % workers` (deterministic round-robin), or every job to
+/// worker 0 when the pool or the wave has one member, which then runs on
+/// the calling thread. Otherwise each non-empty bucket runs on its own
+/// OS thread, inside a wave span. Each job is written once, as the
+/// [`FlowTask`] that `build(job, worker, lane)` makes, and `interleave`
+/// picks its driver:
 ///
 /// - `true`: each worker's bucket is built up front and interleaved on a
 ///   [`Reactor`] that records its scheduling into `telemetry`; job `i`
@@ -321,11 +236,14 @@ where
     T: FlowTask<S>,
     B: Fn(J, usize, Option<Ipv4Addr>) -> T + Sync,
 {
-    fan_out(sessions, jobs, &|session, worker, ids, bucket| {
-        if interleave {
+    let total = jobs.len();
+    let n = if total <= 1 { 1 } else { sessions.len() };
+    let run_bucket = |session: &mut Session<S>, worker: usize, bucket: Vec<J>| {
+        wave_open(session, bucket.len());
+        let part = if interleave {
             let tasks = bucket
                 .into_iter()
-                .zip(ids)
+                .zip((worker..total).step_by(n))
                 .map(|(job, i)| build(job, worker, Some(lane_addr(i))))
                 .collect();
             run_task_bucket(session, tasks, telemetry)
@@ -337,8 +255,47 @@ where
                     Some(drive_inline(session, |session| task.poll(session)))
                 })
                 .collect()
+        };
+        wave_close(session);
+        part
+    };
+    if n == 1 {
+        if total == 0 {
+            return Vec::new();
         }
-    })
+        return run_bucket(&mut sessions[0], 0, jobs);
+    }
+
+    let mut buckets: Vec<Vec<J>> = (0..n)
+        .map(|_| Vec::with_capacity(total.div_ceil(n)))
+        .collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        buckets[i % n].push(job);
+    }
+    let mut parts: Vec<std::vec::IntoIter<Option<T::Output>>> = Vec::with_capacity(n);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .iter_mut()
+            .zip(buckets)
+            .enumerate()
+            .filter(|(_, (_, bucket))| !bucket.is_empty())
+            .map(|(w, (session, bucket))| scope.spawn(move || run_bucket(session, w, bucket)))
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => parts.push(part.into_iter()),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    // Bucket `w` holds jobs `w, w + n, …`, and only trailing buckets can
+    // be empty, so job `i` is the next result of part `i % n`.
+    (0..total)
+        .map(|i| {
+            // lint: allow(no-panic) invariant: one result per bucketed job
+            parts[i % n].next().expect("one result per job")
+        })
+        .collect()
 }
 
 /// Run one worker's bucket of tasks on a [`Reactor`] and splice the
@@ -419,128 +376,6 @@ struct ProbeJob {
     blind: Vec<(usize, Range<usize>)>,
 }
 
-/// What one probe cost and decided, measured by the task that ran it.
-struct ProbeResult {
-    classified: bool,
-    bytes_sent: u64,
-    bytes_received: u64,
-    elapsed: Duration,
-}
-
-/// Where a [`ProbeTask`] is between polls.
-enum ProbeTaskState {
-    /// Nothing has run: the first poll does the probe's bookkeeping
-    /// (blinded-bytes counter, billed-counter read) *and* the replay's
-    /// Init segment in one go, so every order-sensitive session-global
-    /// mutation — the RNG draw, the client-port stride, the ISN bump —
-    /// happens in admission order under either driver.
-    Start,
-    /// Forwarding polls to the inner [`ReplaySm`].
-    Replaying,
-    /// Replay judged; sitting out the mandatory round gap.
-    Resting,
-}
-
-/// One blinding probe, the only implementation of its sequence: blind,
-/// counter read, replay, judgment, rest. The round number only feeds
-/// [`port_for_round`], so any execution order that assigns the same
-/// round numbers produces the same replays. Driven on a private lane by
-/// the reactor, or inline on the worker session (see [`run_flow_wave`]).
-struct ProbeTask<'a> {
-    signal: &'a Signal,
-    sm: ReplaySm<LoweredTrace, Schedule>,
-    blinded_bytes: u64,
-    state: ProbeTaskState,
-    t0: SimTime,
-    billed_before: i64,
-    /// The judged replay; its `elapsed` is set when the rest is over.
-    result: Option<ProbeResult>,
-    replays: u64,
-}
-
-impl<'a> ProbeTask<'a> {
-    /// Build the task for `job`, blinding the trace's base replay up
-    /// front (a journal-silent, pure rewrite). `lane` is the reactor
-    /// lane's unique client address, `None` on the inline driver.
-    fn new(
-        blinding: &Blinding<'_>,
-        job: ProbeJob,
-        lane: Option<Ipv4Addr>,
-        signal: &'a Signal,
-        opts: &CharacterizeOpts,
-    ) -> ProbeTask<'a> {
-        let (trace, schedule) = blinding.blinded(&job.blind);
-        let replay_opts = ReplayOpts {
-            server_port: port_for_round(opts, job.round),
-            ..Default::default()
-        };
-        let lane = lane.map(|client_addr| LaneAddr {
-            client_addr,
-            replay_no: 1,
-        });
-        ProbeTask {
-            signal,
-            sm: ReplaySm::new(trace, schedule, replay_opts, lane),
-            blinded_bytes: blinded_bytes(&job.blind),
-            state: ProbeTaskState::Start,
-            t0: SimTime::ZERO,
-            billed_before: 0,
-            result: None,
-            replays: 0,
-        }
-    }
-
-    fn step_sm<S: Substrate>(&mut self, session: &mut Session<S>) -> TaskPoll<ProbeResult> {
-        match self.sm.poll(session) {
-            TaskPoll::Done(outcome) => {
-                self.result = Some(ProbeResult {
-                    classified: was_classified(session, self.signal, &outcome, self.billed_before),
-                    bytes_sent: outcome.bytes_sent,
-                    bytes_received: outcome.server_payload_bytes,
-                    elapsed: Duration::ZERO,
-                });
-                self.state = ProbeTaskState::Resting;
-                TaskPoll::Pending(Wake::Timer(session.config.round_gap))
-            }
-            TaskPoll::Pending(wake) => TaskPoll::Pending(wake),
-        }
-    }
-}
-
-impl<'a, S: Substrate> FlowTask<S> for ProbeTask<'a> {
-    type Output = ProbeResult;
-
-    fn poll(&mut self, session: &mut Session<S>) -> TaskPoll<ProbeResult> {
-        match self.state {
-            ProbeTaskState::Start => {
-                self.t0 = session.env.clock();
-                if self.blinded_bytes > 0 {
-                    session
-                        .env
-                        .journal()
-                        .metrics
-                        .add(Counter::BytesBlinded, self.blinded_bytes);
-                }
-                self.billed_before = read_billed_counter(session);
-                self.replays = 1;
-                self.state = ProbeTaskState::Replaying;
-                self.step_sm(session)
-            }
-            ProbeTaskState::Replaying => self.step_sm(session),
-            ProbeTaskState::Resting => {
-                // lint: allow(no-panic) invariant: set before Resting
-                let mut result = self.result.take().expect("judged before rest");
-                result.elapsed = session.env.clock() - self.t0;
-                TaskPoll::Done(result)
-            }
-        }
-    }
-
-    fn replays_done(&self) -> u64 {
-        self.replays
-    }
-}
-
 /// Per-trace search state, accumulated across waves.
 #[derive(Default)]
 struct TraceState {
@@ -557,8 +392,8 @@ struct TraceState {
 
 impl TraceState {
     fn absorb_cost(&mut self, r: &ProbeResult) {
-        self.bytes_sent += r.bytes_sent;
-        self.bytes_received += r.bytes_received;
+        self.bytes_sent += r.outcome.bytes_sent;
+        self.bytes_received += r.outcome.server_payload_bytes;
         self.elapsed += r.elapsed;
     }
 
@@ -666,8 +501,23 @@ fn wave_search<S: Substrate>(
     // Each trace is lowered once; every probe and position rung below
     // replays a rewrite of its base.
     let blindings: Vec<Blinding<'_>> = traces.iter().map(Blinding::new).collect();
+    // A probe's round number only feeds `port_for_round`, so any
+    // execution order that assigns the same round numbers produces the
+    // same replays.
     let build = |job: ProbeJob, _worker: usize, lane: Option<Ipv4Addr>| {
-        ProbeTask::new(&blindings[job.trace], job, lane, signal, opts)
+        let (trace, schedule) = blindings[job.trace].blinded(&job.blind);
+        let replay_opts = ReplayOpts {
+            server_port: port_for_round(opts, job.round),
+            ..Default::default()
+        };
+        ProbeTask::new(
+            trace,
+            schedule,
+            replay_opts,
+            lane,
+            signal,
+            blinded_bytes(&job.blind),
+        )
     };
 
     // The reactor interleaves probes on per-flow lanes when the substrate
@@ -898,24 +748,20 @@ fn wave_search<S: Substrate>(
         }
     }
 
-    // Position phase: one prepend ladder per trace, each a single
-    // sequential job (the ladder is inherently serial), traces fanned
-    // across workers.
-    let pos_exec = |session: &mut Session<S>, t: usize| {
-        let bytes0 = session.bytes_sent_total;
-        let recv0 = session.bytes_received_total;
-        let t0 = session.env.clock();
+    // Position phase: one prepend ladder per trace, traces fanned across
+    // workers. A ladder is serial and draws its prefixes from the session
+    // RNG, so ladders run on the inline driver.
+    let ladder = |t: usize, _worker: usize, _lane: Option<Ipv4Addr>| {
         let (trace, schedule) = blindings[t].base();
-        let (profile, rounds) = probe_position_lowered(session, trace, schedule, signal, opts);
-        (
-            profile,
-            rounds,
-            session.bytes_sent_total - bytes0,
-            session.bytes_received_total - recv0,
-            session.env.clock() - t0,
-        )
+        LadderTask::new(trace, schedule, signal, opts)
     };
-    let ladders = run_wave(sessions, (0..traces.len()).collect(), &pos_exec);
+    let ladders = run_flow_wave(
+        sessions,
+        telemetry,
+        (0..traces.len()).collect(),
+        false,
+        &ladder,
+    );
 
     // One blind-rounds sample per trace (§6.1 reports the worst case; the
     // histogram shows where typical searches land). Worker 0's journal
@@ -929,18 +775,18 @@ fn wave_search<S: Substrate>(
     states
         .into_iter()
         .zip(ladders)
-        .map(
-            |(state, (position, ladder_rounds, bytes_sent, bytes_received, elapsed))| {
-                Characterization {
-                    fields: state.fields,
-                    position,
-                    rounds: state.rounds + ladder_rounds,
-                    bytes_sent: state.bytes_sent + bytes_sent,
-                    bytes_received: state.bytes_received + bytes_received,
-                    elapsed: state.elapsed + elapsed,
-                }
-            },
-        )
+        .map(|(state, ladder)| {
+            // lint: allow(no-panic) invariant: inline tasks always finish
+            let ladder = ladder.expect("inline ladders yield a result");
+            Characterization {
+                fields: state.fields,
+                rounds: state.rounds + ladder.rounds,
+                bytes_sent: state.bytes_sent + ladder.bytes_sent,
+                bytes_received: state.bytes_received + ladder.bytes_received,
+                elapsed: state.elapsed + ladder.elapsed,
+                ..ladder
+            }
+        })
         .collect()
 }
 
@@ -960,12 +806,26 @@ mod tests {
         )
     }
 
+    /// A task that finishes on its first poll with twice its job id.
+    struct Double(usize);
+
+    impl FlowTask<SimSubstrate> for Double {
+        type Output = usize;
+
+        fn poll(&mut self, _session: &mut Session) -> crate::task::TaskPoll<usize> {
+            crate::task::TaskPoll::Done(self.0 * 2)
+        }
+
+        fn replays_done(&self) -> u64 {
+            0
+        }
+    }
+
     #[test]
-    fn run_wave_returns_results_in_job_order() {
+    fn run_wave_tasks_returns_results_in_job_order() {
         let mut p = pool(3);
-        let jobs: Vec<usize> = (0..10).collect();
-        let out = p.run_wave(jobs, &|_s, i| i * 2);
-        assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>());
+        let out = p.run_wave_tasks((0..10).map(Double).collect());
+        assert_eq!(out, (0..10).map(|i| Some(i * 2)).collect::<Vec<_>>());
     }
 
     #[test]

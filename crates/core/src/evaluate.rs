@@ -13,7 +13,7 @@ use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
 use crate::characterize::PositionProfile;
-use crate::detect::{read_billed_counter, was_classified, Signal};
+use crate::detect::{probe_lowered, Signal};
 use crate::evasion::{Category, EvasionContext, Technique};
 use crate::probe::DECOY_MARKER;
 use crate::replay::{LoweredTrace, ReplayOpts, ReplayOutcome, Session};
@@ -56,34 +56,6 @@ pub struct EvaluationInputs {
     pub ctx: EvasionContext,
     /// Rotate server ports between replays (GFC penalties, §6.5).
     pub rotate_server_ports: bool,
-}
-
-fn replay_opts<S: Substrate>(inputs: &EvaluationInputs, session: &Session<S>) -> ReplayOpts {
-    ReplayOpts {
-        server_port: inputs
-            .rotate_server_ports
-            .then_some(10_000 + (session.replays % 50_000) as u16),
-        ..Default::default()
-    }
-}
-
-/// Replay the lowered trace with `technique` applied to its `base`
-/// schedule; judge classification.
-fn run_technique<S: Substrate>(
-    session: &mut Session<S>,
-    lowered: &LoweredTrace,
-    base: &Schedule,
-    technique: &Technique,
-    inputs: &EvaluationInputs,
-) -> Option<(ReplayOutcome, bool)> {
-    let schedule = technique.apply(base, &inputs.ctx)?;
-    let opts = replay_opts(inputs, session);
-    let billed_before = read_billed_counter(session);
-    let outcome = session.replay_lowered(lowered, &schedule, &opts);
-    let classified = was_classified(session, &inputs.signal, &outcome, billed_before);
-    let gap = session.config.round_gap;
-    session.rest(gap);
-    Some((outcome, classified))
 }
 
 /// The packet-level malformation each inert technique is supposed to
@@ -295,7 +267,15 @@ fn evaluate_lowered<S: Substrate>(
     let mut rounds = 0u64;
     let mut last: Option<(Technique, ReplayOutcome, bool, Reach)> = None;
     for cand in candidates {
-        let (outcome, classified) = run_technique(session, lowered, base, &cand, inputs)?;
+        let schedule = cand.apply(base, &inputs.ctx)?;
+        let opts = ReplayOpts {
+            server_port: inputs
+                .rotate_server_ports
+                .then_some(10_000 + (session.replays % 50_000) as u16),
+            ..Default::default()
+        };
+        let (outcome, classified) =
+            probe_lowered(session, lowered, &schedule, &opts, &inputs.signal);
         let reach = judge_reach(session, &cand, trace, &inputs.ctx);
         rounds += 1;
         // Evasion means the classifier lost *and* the content still got
@@ -409,6 +389,7 @@ mod tests {
     use super::*;
     use crate::characterize::{characterize, CharacterizeOpts};
     use crate::config::LiberateConfig;
+    use crate::detect::was_classified;
     use crate::probe::decoy_request;
     use crate::sim::OsKind;
     use liberate_dpi::profiles::EnvKind;

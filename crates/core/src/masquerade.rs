@@ -11,9 +11,9 @@
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
-use crate::detect::{read_billed_counter, was_classified, Signal};
+use crate::detect::{probe_lowered, Signal};
 use crate::evasion::{EvasionContext, Technique};
-use crate::replay::{ReplayOpts, ReplayOutcome, Session};
+use crate::replay::{LoweredTrace, ReplayOpts, ReplayOutcome, Session};
 use crate::schedule::Schedule;
 
 /// A masquerade plan: which inert technique carries the disguise, and the
@@ -71,11 +71,13 @@ pub fn run_masqueraded<S: Substrate>(
     favored_signal: &Signal,
 ) -> Option<MasqueradeReport> {
     let schedule = masquerade.apply(&Schedule::from_trace(trace))?;
-    let billed_before = read_billed_counter(session);
-    let outcome = session.replay_schedule(trace, &schedule, &ReplayOpts::default());
-    let disguised = was_classified(session, favored_signal, &outcome, billed_before);
-    let gap = session.config.round_gap;
-    session.rest(gap);
+    let (outcome, disguised) = probe_lowered(
+        session,
+        &LoweredTrace::new(trace),
+        &schedule,
+        &ReplayOpts::default(),
+        favored_signal,
+    );
     Some(MasqueradeReport { outcome, disguised })
 }
 
@@ -101,9 +103,12 @@ mod tests {
         });
 
         // Without the disguise: billed.
-        let billed_before = read_billed_counter(&mut s);
-        let plain = s.replay_trace(&workload, &ReplayOpts::default());
-        let plain_zero = was_classified(&mut s, &Signal::ZeroRating, &plain, billed_before);
+        let (plain, plain_zero) = crate::detect::probe(
+            &mut s,
+            &workload,
+            &ReplayOpts::default(),
+            &Signal::ZeroRating,
+        );
         assert!(plain.complete && !plain_zero, "undisguised flow bills");
 
         // With a TTL-limited video bait: zero-rated.

@@ -6,7 +6,7 @@ use liberate_substrate::capture::TapPoint;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::RecordedTrace;
 
-use crate::detect::{read_billed_counter, was_classified, Signal};
+use crate::detect::{probe_lowered, Signal};
 use crate::evasion::{EvasionContext, Technique};
 use crate::replay::{LoweredTrace, ReplayOpts, Session};
 use crate::schedule::Schedule;
@@ -87,15 +87,11 @@ pub(crate) fn sweep_ttl<S: Substrate>(
             // A carrier with no data packets can't probe at any TTL.
             break;
         };
-        let billed_before = read_billed_counter(session);
         let opts = ReplayOpts {
             server_port: rotate_base.map(|b| b.wrapping_add(ttl as u16)),
             ..Default::default()
         };
-        let outcome = session.replay_lowered(lowered, &schedule, &opts);
-        let classified = was_classified(session, signal, &outcome, billed_before);
-        let gap = session.config.round_gap;
-        session.rest(gap);
+        let (_, classified) = probe_lowered(session, lowered, &schedule, &opts, signal);
         if classified {
             return Localization {
                 middlebox_ttl: Some(ttl),
@@ -149,13 +145,12 @@ pub fn inert_reach<S: Substrate>(
     signal: &Signal,
 ) -> Option<InertReach> {
     let schedule = technique.apply(&Schedule::from_trace(carrier), ctx)?;
-    let billed_before = read_billed_counter(session);
-    let outcome = session.replay_schedule(carrier, &schedule, &ReplayOpts::default());
-    let reached_server = decoy_reached_server(session);
-    let classified = was_classified(session, signal, &outcome, billed_before);
-    let gap = session.config.round_gap;
-    session.rest(gap);
-    Some(if reached_server {
+    let lowered = LoweredTrace::new(carrier);
+    let (_, classified) =
+        probe_lowered(session, &lowered, &schedule, &ReplayOpts::default(), signal);
+    // The backend is idle once the probe's replay finishes, so its rest
+    // leaves the capture as the replay left it.
+    Some(if decoy_reached_server(session) {
         InertReach::ReachedServer
     } else if classified {
         InertReach::ReachedMiddleboxOnly

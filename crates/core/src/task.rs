@@ -1,7 +1,9 @@
 //! Resumable per-flow work units for the event-driven replay reactor.
 //!
 //! A [`FlowTask`] is a poll-style state machine over a worker
-//! [`Session`]: each `poll` runs one *quiesced segment* — it may inject
+//! [`Session`], and every wave job is one: a blinding probe or a ladder
+//! rung (`detect::ProbeTask`), a position ladder, a deployed
+//! flow. Each `poll` runs one *quiesced segment* — it may inject
 //! packets, drain the substrate to idle, and read observations, but it
 //! must leave the backend with an empty event heap and an empty client
 //! inbox before yielding. That discipline is what lets the reactor
@@ -61,8 +63,8 @@ pub trait FlowTask<S: Substrate>: Send {
 
 /// The inline driver: poll one machine to completion on `session`,
 /// performing each [`Wake::Timer`] advance on the session clock itself.
-/// Every sequential replay and every job of an inline wave runs this
-/// loop; it is the reactor's loop minus the lane swaps.
+/// Every sequential replay and probe and every job of an inline wave
+/// runs this loop; it is the reactor's loop minus the lane swaps.
 pub(crate) fn drive_inline<S: Substrate, R>(
     session: &mut Session<S>,
     mut poll: impl FnMut(&mut Session<S>) -> TaskPoll<R>,

@@ -64,16 +64,6 @@ pub struct DpiConfig {
     pub loose_transport_parsing: bool,
 }
 
-/// One classification event, for diagnostics and the testbed's immediate
-/// readout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClassificationEvent {
-    pub at: SimTime,
-    pub flow: FlowKey,
-    pub class: String,
-    pub rule_id: String,
-}
-
 /// The middlebox.
 pub struct DpiDevice {
     pub config: DpiConfig,
@@ -84,8 +74,6 @@ pub struct DpiDevice {
     pub billed_bytes: u64,
     /// Bytes zero-rated under a matched policy.
     pub zero_rated_bytes: u64,
-    /// Log of every classification made.
-    pub events: Vec<ClassificationEvent>,
     /// Latest packet time seen, used by the readout API for expiry.
     last_seen: SimTime,
     /// Flow churn this device caused but has not yet reported to the
@@ -116,7 +104,6 @@ impl DpiDevice {
             table,
             billed_bytes: 0,
             zero_rated_bytes: 0,
-            events: Vec::new(),
             last_seen: SimTime::ZERO,
             flows_created_pending: 0,
             flows_evicted_pending: 0,
@@ -235,11 +222,6 @@ impl DpiDevice {
         class
     }
 
-    /// Most recent classification event, if any.
-    pub fn last_event(&self) -> Option<&ClassificationEvent> {
-        self.events.last()
-    }
-
     /// Forget all flow state and counters (between experiment runs).
     /// With a shared table this resets flows *and* penalties for every
     /// device on it, so pooled workers must be quiescent.
@@ -247,7 +229,6 @@ impl DpiDevice {
         self.table.reset_all();
         self.billed_bytes = 0;
         self.zero_rated_bytes = 0;
-        self.events.clear();
     }
 
     fn window_bytes(&self) -> usize {
@@ -790,15 +771,9 @@ impl DpiDevice {
                         now.as_micros(),
                         EventKind::ClassifierVerdict {
                             class: class.clone(),
-                            rule_id: rule_id.clone(),
+                            rule_id,
                         },
                     );
-                    self.events.push(ClassificationEvent {
-                        at: now,
-                        flow: key,
-                        class: class.clone(),
-                        rule_id,
-                    });
                     self.fire_block(now, dir, pkt, key, effects, &class);
                 }
             }

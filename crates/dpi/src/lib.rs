@@ -40,7 +40,7 @@ pub mod validation;
 pub mod prelude {
     pub use crate::actions::{BlockBehavior, Policy};
     pub use crate::automaton::{Automaton, CompiledRuleSet, StreamScan};
-    pub use crate::device::{ClassificationEvent, DpiConfig, DpiDevice};
+    pub use crate::device::{DpiConfig, DpiDevice};
     pub use crate::inspect::{
         FlowConfig, InspectScope, InspectionPolicy, ReassemblyMode, RstEffect,
     };

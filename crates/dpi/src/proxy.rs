@@ -94,7 +94,12 @@ impl HalfConn {
     }
 
     /// Absorb a data segment; returns newly contiguous bytes, borrowed
-    /// from `payload` when the segment arrives in order.
+    /// from `payload` when the segment arrives in order. A segment that
+    /// arrives out of order is buffered; at a start already buffered the
+    /// first bytes win and a longer segment adds only its tail. Every
+    /// buffered segment that starts at or before `rcv_next` is then
+    /// drained: its overlap with delivered bytes is trimmed, and it is
+    /// dropped if it is wholly old.
     fn receive<'a>(&mut self, seq: u32, payload: &'a [u8]) -> Cow<'a, [u8]> {
         fn seq_lt(a: u32, b: u32) -> bool {
             (a.wrapping_sub(b) as i32) < 0
@@ -113,11 +118,17 @@ impl HalfConn {
             self.rcv_next = self.rcv_next.wrapping_add(data.len() as u32);
             return Cow::Borrowed(data);
         }
-        self.ooo.entry(start).or_insert_with(|| data.to_vec());
+        let buffered = self.ooo.entry(start).or_default();
+        if data.len() > buffered.len() {
+            buffered.extend_from_slice(&data[buffered.len()..]);
+        }
         let mut delivered = Vec::new();
-        while let Some(seg) = self.ooo.remove(&self.rcv_next) {
-            self.rcv_next = self.rcv_next.wrapping_add(seg.len() as u32);
-            delivered.extend_from_slice(&seg);
+        while let Some(&at) = self.ooo.keys().find(|&&at| !seq_lt(self.rcv_next, at)) {
+            let seg = self.ooo.remove(&at).unwrap_or_default();
+            if let Some(new) = seg.get(self.rcv_next.wrapping_sub(at) as usize..) {
+                self.rcv_next = self.rcv_next.wrapping_add(new.len() as u32);
+                delivered.extend_from_slice(new);
+            }
         }
         Cow::Owned(delivered)
     }
@@ -554,9 +565,10 @@ mod tests {
 
     /// Segments covering a stream of `len` bytes, cut at random and inside
     /// every planted token, in a shuffled or a locally reordered order
-    /// with some retransmitted and overlapping copies, then once more in
-    /// order so the whole stream is delivered. A shuffle merges many
-    /// segments into one delivery; local reordering delivers most apart.
+    /// with some retransmitted copies and some that overlap a neighbour.
+    /// Each piece arrives at least once, so the whole stream must be
+    /// delivered. A shuffle merges many segments into one delivery;
+    /// local reordering delivers most apart.
     fn segments(rng: &mut StdRng, len: usize, planted: &[(usize, usize)]) -> Vec<(usize, usize)> {
         let mut cuts = vec![0, len];
         for _ in 0..rng.gen_range(0..16usize) {
@@ -569,12 +581,21 @@ mod tests {
         }
         cuts.sort_unstable();
         cuts.dedup();
-        let in_order: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
-        let mut order = in_order.clone();
+        let mut order: Vec<(usize, usize)> = cuts.windows(2).map(|w| (w[0], w[1])).collect();
         for _ in 0..rng.gen_range(0..4usize) {
             let a = rng.gen_range(0..=len);
             let b = rng.gen_range(a..=len);
             order.insert(rng.gen_range(0..=order.len()), (a, b));
+        }
+        // Pieces that run on into the next piece, or start inside the
+        // previous one.
+        for w in cuts.windows(3) {
+            let overlap = match rng.gen_range(0..3u8) {
+                0 => (w[0], rng.gen_range(w[1]..=w[2])),
+                1 => (rng.gen_range(w[0]..=w[1]), w[2]),
+                _ => continue,
+            };
+            order.insert(rng.gen_range(0..=order.len()), overlap);
         }
         if rng.gen_range(0..2u8) == 0 {
             for i in (1..order.len()).rev() {
@@ -586,7 +607,6 @@ mod tests {
                 order.swap(i - 1, i);
             }
         }
-        order.extend(in_order);
         order
     }
 
@@ -616,7 +636,41 @@ mod tests {
                 }
             }
             prop_assert_eq!(assembled.len(), data.len());
+            prop_assert!(half.ooo.is_empty(), "{} segments left buffered", half.ooo.len());
         }
+    }
+
+    fn deliver(half: &mut HalfConn, data: &[u8], pieces: &[(usize, usize)]) -> Vec<u8> {
+        let mut got = Vec::new();
+        for &(a, b) in pieces {
+            got.extend_from_slice(&half.receive(a as u32, &data[a..b]));
+        }
+        got
+    }
+
+    /// A buffered segment that an overlapping in-order segment has passed
+    /// is trimmed and drained instead of stalling the stream.
+    #[test]
+    fn passed_buffered_segment_is_trimmed_and_drained() {
+        let data: Vec<u8> = (0..20).collect();
+        let mut half = HalfConn::new(0, 0);
+        assert_eq!(
+            deliver(&mut half, &data, &[(10, 20), (0, 12), (12, 20)]),
+            data
+        );
+        assert!(half.ooo.is_empty());
+    }
+
+    /// A longer segment at a start already buffered keeps its tail.
+    #[test]
+    fn longer_segment_at_a_buffered_start_adds_its_tail() {
+        let data: Vec<u8> = (0..20).collect();
+        let mut half = HalfConn::new(0, 0);
+        assert_eq!(
+            deliver(&mut half, &data, &[(10, 12), (10, 20), (0, 10)]),
+            data
+        );
+        assert!(half.ooo.is_empty());
     }
 
     /// The window rule in time: a response keyword delivered before the

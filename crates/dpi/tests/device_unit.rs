@@ -1,6 +1,7 @@
 //! Device-local tests for the DPI engine, exercising it as a bare path
-//! element (no network around it): accounting, events, validation,
-//! loose transport parsing, resource-model eviction, and idle expiry.
+//! element (no network around it): accounting, journaled verdicts,
+//! validation, loose transport parsing, resource-model eviction, and
+//! idle expiry.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -9,7 +10,7 @@ use liberate_dpi::device::DpiDevice;
 use liberate_dpi::profiles::{gfc_device, testbed_device, tmus_device};
 use liberate_dpi::validation::ValidationModel;
 use liberate_netsim::element::{Effects, PathElement, Verdict};
-use liberate_obs::{Counter, Hist, Journal};
+use liberate_obs::{Counter, EventKind, Hist, Journal};
 use liberate_packet::flow::{Direction, FlowKey};
 use liberate_packet::packet::Packet;
 use liberate_packet::tcp::TcpFlags;
@@ -30,6 +31,21 @@ fn feed_into(dev: &mut DpiDevice, journal: &Journal, at: SimTime, wire: Vec<u8>)
     dev.process(journal, at, Direction::ClientToServer, wire.into(), &mut fx)
 }
 
+/// The classifier verdicts recorded in `journal`, as (instant, class,
+/// rule id).
+fn verdicts(journal: &Journal) -> Vec<(SimTime, String, String)> {
+    journal
+        .events()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::ClassifierVerdict { class, rule_id } => {
+                Some((SimTime::from_micros(e.t_us), class, rule_id))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 fn syn(port: u16, seq: u32) -> Vec<u8> {
     Packet::tcp(C, S, port, 80, seq, 0, vec![])
         .with_flags(TcpFlags::SYN)
@@ -41,20 +57,20 @@ fn data(port: u16, seq: u32, payload: &[u8]) -> Vec<u8> {
 }
 
 #[test]
-fn classification_event_records_rule_and_flow() {
+fn classifier_verdict_records_rule_and_instant() {
     let mut dev = DpiDevice::new(testbed_device());
-    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
-    feed(
+    let journal = Journal::new();
+    feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+    feed_into(
         &mut dev,
+        &journal,
         SimTime::from_secs(1),
         data(40_000, 101, &get_request("x.cloudfront.net", "/v", "p")),
     );
-    let ev = dev.last_event().expect("classified");
-    assert_eq!(ev.class, "video");
-    assert_eq!(ev.rule_id, "cf-host");
-    assert_eq!(ev.flow.src_port, 40_000);
-    assert_eq!(ev.at, SimTime::from_secs(1));
-    assert_eq!(dev.events.len(), 1);
+    let want = (SimTime::from_secs(1), "video".into(), "cf-host".into());
+    assert_eq!(verdicts(&journal), vec![want]);
+    let key = FlowKey::new(C, S, 40_000, 80, 6);
+    assert_eq!(dev.classification_of(key).as_deref(), Some("video"));
 }
 
 #[test]
@@ -94,12 +110,11 @@ fn reset_clears_everything() {
         SimTime::ZERO,
         data(40_000, 101, &get_request("x.cloudfront.net", "/v", "p")),
     );
-    assert!(!dev.events.is_empty());
+    let key = FlowKey::new(C, S, 40_000, 80, 6);
+    assert!(dev.classification_of(key).is_some());
     dev.reset();
-    assert!(dev.events.is_empty());
     assert_eq!(dev.billed_bytes, 0);
     assert_eq!(dev.zero_rated_bytes, 0);
-    let key = FlowKey::new(C, S, 40_000, 80, 6);
     assert_eq!(dev.classification_of(key), None);
 }
 
@@ -120,19 +135,18 @@ fn loose_transport_parsing_is_testbed_only() {
         p.serialize()
     };
 
-    let mut testbed = DpiDevice::new(testbed_device());
-    feed(&mut testbed, SimTime::ZERO, syn(40_000, 100));
-    feed(&mut testbed, SimTime::ZERO, mk(40_000));
+    let classified = |mut dev: DpiDevice| {
+        let journal = Journal::new();
+        feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+        feed_into(&mut dev, &journal, SimTime::ZERO, mk(40_000));
+        !verdicts(&journal).is_empty()
+    };
     assert!(
-        testbed.last_event().is_some(),
+        classified(DpiDevice::new(testbed_device())),
         "the lax testbed parses TCP despite the bogus protocol number"
     );
-
-    let mut tmus = DpiDevice::new(tmus_device());
-    feed(&mut tmus, SimTime::ZERO, syn(40_000, 100));
-    feed(&mut tmus, SimTime::ZERO, mk(40_000));
     assert!(
-        tmus.last_event().is_none(),
+        !classified(DpiDevice::new(tmus_device())),
         "stricter devices cannot attribute the packet to a flow"
     );
 }
@@ -165,7 +179,7 @@ fn loose_parsing_validates_the_original_wire_not_the_patched_view() {
         feed_into(&mut dev, &journal, SimTime::ZERO, wire.clone());
         // The patch copies the shared buffer once, whatever the verdict.
         assert_eq!(journal.metrics.get(Counter::PayloadCopies), 1);
-        dev.last_event().is_some()
+        !verdicts(&journal).is_empty()
     };
     assert!(
         !classified(Malformation::IpProtocolUnknown),
@@ -180,25 +194,26 @@ fn loose_parsing_validates_the_original_wire_not_the_patched_view() {
 #[test]
 fn gfc_resource_model_evicts_by_time_of_day() {
     // Simulation starting at noon (busy: 40 s eviction).
-    let mut dev = DpiDevice::new(gfc_device(12 * 3600));
     let req = get_request("www.economist.com", "/", "p");
+    let classified = |start_of_day_secs: u64, pause_secs: u64| {
+        let mut dev = DpiDevice::new(gfc_device(start_of_day_secs));
+        let journal = Journal::new();
+        feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
+        let later = SimTime::from_secs(pause_secs);
+        feed_into(&mut dev, &journal, later, data(40_000, 101, &req));
+        !verdicts(&journal).is_empty()
+    };
 
     // Handshake, then a pause longer than the busy-hour eviction, then
     // the matching request: tracking evicted, flow uninspected.
-    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
-    let later = SimTime::from_secs(50);
-    feed(&mut dev, later, data(40_000, 101, &req));
     assert!(
-        dev.last_event().is_none(),
+        !classified(12 * 3600, 50),
         "busy-hour state evicted at 40 s"
     );
 
     // Same play at 3 AM (quiet: no eviction): classified.
-    let mut dev = DpiDevice::new(gfc_device(3 * 3600));
-    feed(&mut dev, SimTime::ZERO, syn(40_001, 100));
-    feed(&mut dev, SimTime::from_secs(230), data(40_001, 101, &req));
     assert!(
-        dev.last_event().is_some(),
+        classified(3 * 3600, 230),
         "quiet-hour state survives even 230 s"
     );
 }
@@ -206,14 +221,16 @@ fn gfc_resource_model_evicts_by_time_of_day() {
 #[test]
 fn match_and_forget_stops_inspection() {
     let mut dev = DpiDevice::new(testbed_device());
-    feed(&mut dev, SimTime::ZERO, syn(40_000, 100));
+    let journal = Journal::new();
+    feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
     // Classify as the no-op web class first.
     let decoy = get_request("www.example.org", "/", "p");
-    feed(&mut dev, SimTime::ZERO, data(40_000, 101, &decoy));
-    assert_eq!(dev.last_event().unwrap().class, "web");
+    feed_into(&mut dev, &journal, SimTime::ZERO, data(40_000, 101, &decoy));
+    assert_eq!(verdicts(&journal)[0].1, "web");
     // Matching video content afterwards is never inspected.
-    feed(
+    feed_into(
         &mut dev,
+        &journal,
         SimTime::ZERO,
         data(
             40_000,
@@ -221,7 +238,7 @@ fn match_and_forget_stops_inspection() {
             &get_request("x.cloudfront.net", "/v", "p"),
         ),
     );
-    assert_eq!(dev.events.len(), 1, "no second classification");
+    assert_eq!(verdicts(&journal).len(), 1, "no second classification");
     let key = FlowKey::new(C, S, 40_000, 80, 6);
     assert_eq!(dev.classification_of(key).as_deref(), Some("web"));
 }
@@ -298,7 +315,7 @@ fn result_expired_before_tracking_is_inspected_again() {
         SimTime::from_secs(1),
         data(40_000, 101, &req),
     );
-    assert_eq!(dev.events.len(), 1);
+    assert_eq!(verdicts(&journal).len(), 1);
     let scanned = journal.metrics.get(Counter::MatcherBytesScanned);
     // The testbed shortens a matched result's timeout to 10 s on a RST;
     // its 120 s tracking timeout is untouched.
@@ -312,8 +329,9 @@ fn result_expired_before_tracking_is_inspected_again() {
     // applies) and classifies the flow afresh.
     let again = data(40_000, 101 + req.len() as u32, &req);
     feed_into(&mut dev, &journal, SimTime::from_secs(21), again);
-    assert_eq!(dev.events.len(), 2, "reclassified after the result expired");
-    assert_eq!(dev.events[1].at, SimTime::from_secs(21));
+    let verdicts = verdicts(&journal);
+    assert_eq!(verdicts.len(), 2, "reclassified after the result expired");
+    assert_eq!(verdicts[1].0, SimTime::from_secs(21));
     assert!(journal.metrics.get(Counter::MatcherBytesScanned) > scanned);
     assert_eq!(journal.metrics.get(Counter::FlowsEvicted), 0);
     assert_eq!(journal.metrics.hist(Hist::FlowBytesScanned).count(), 0);
@@ -334,7 +352,7 @@ fn flow_idle_past_both_timeouts_is_forwarded_uninspected() {
     let req = get_request("x.cloudfront.net", "/v", "p");
     feed_into(&mut dev, &journal, SimTime::ZERO, syn(40_000, 100));
     feed_into(&mut dev, &journal, SimTime::ZERO, data(40_000, 101, &req));
-    assert_eq!(dev.events.len(), 1);
+    assert_eq!(verdicts(&journal).len(), 1);
     let at = SimTime::from_secs(1);
     assert!(forwarded_at(from_server(&mut dev, &journal, at, 40_000, &[7u8; 1400])) > at);
 
@@ -349,7 +367,7 @@ fn flow_idle_past_both_timeouts_is_forwarded_uninspected() {
         "unthrottled"
     );
     assert!(dev.billed_bytes > billed);
-    assert_eq!(dev.events.len(), 1, "not inspected");
+    assert_eq!(verdicts(&journal).len(), 1, "not inspected");
     assert_eq!(dev.shared_table().live_flow_count(), 0, "entry removed");
     assert_eq!(journal.metrics.get(Counter::FlowsEvicted), 1);
     let samples = journal.metrics.hist(Hist::FlowBytesScanned).snapshot();

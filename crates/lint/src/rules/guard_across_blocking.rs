@@ -45,7 +45,7 @@ impl Rule for GuardAcrossBlocking {
 
     fn explain(&self) -> &'static str {
         "A Mutex/RwLock/shard guard must not be live across blocking work: \
-a wave (SessionPool::run_wave/run_wave_tasks/run_flow_wave, \
+a wave (SessionPool::run_wave_tasks/run_flow_wave, \
 DeploymentPool::run_flows), replay_schedule/replay_trace, JSONL export \
 (to_jsonl/validate_jsonl/flush), or channel send/recv. Holding a guard \
 across such a call serializes every other worker on a critical section \

@@ -196,7 +196,7 @@ pub enum Hist {
     PositionProbeSimMicros,
     EvaluateSimMicros,
     DeploySimMicros,
-    /// Simulated latency of one pool wave bucket (`SessionPool::run_wave`).
+    /// Simulated latency of one pool wave bucket (one worker's share of a wave).
     WaveSimMicros,
     /// Simulated latency of one replay (`Session::replay_schedule`).
     ReplaySimMicros,

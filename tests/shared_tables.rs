@@ -177,7 +177,7 @@ fn blinding_search_shares_one_table_across_task_waves() {
 }
 
 #[test]
-fn blinding_search_shares_one_table_across_closure_waves() {
+fn blinding_search_shares_one_table_across_inline_waves() {
     // Throttling compares against a control measurement: probes run on
     // the inline driver, one replay after another.
     let trace = apps::amazon_prime_http(600_000);
