@@ -21,51 +21,8 @@ use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
 use crate::characterize::{Blinding, Characterization, MatchingField, PositionProfile};
-use crate::detect::{inverted_trace, probe_lowered, Signal};
+use crate::detect::{probe_lowered, Signal};
 use crate::replay::{ReplayOpts, Session};
-
-/// A serializable description of the signal the contributor used, so a
-/// reusing client can reconstruct an equivalent [`Signal`] (the throttling
-/// variant re-measures its control locally).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CachedSignal {
-    Blocking,
-    ZeroRating,
-    Readout,
-    Throttling,
-}
-
-impl CachedSignal {
-    pub fn from_signal(signal: &Signal) -> CachedSignal {
-        match signal {
-            Signal::Blocking => CachedSignal::Blocking,
-            Signal::ZeroRating => CachedSignal::ZeroRating,
-            Signal::Readout => CachedSignal::Readout,
-            Signal::Throttling { .. } => CachedSignal::Throttling,
-        }
-    }
-
-    /// Reconstruct a usable signal, measuring a local throttling control
-    /// when needed.
-    pub fn to_signal<S: Substrate>(
-        self,
-        session: &mut Session<S>,
-        trace: &liberate_traces::recorded::RecordedTrace,
-    ) -> Signal {
-        match self {
-            CachedSignal::Blocking => Signal::Blocking,
-            CachedSignal::ZeroRating => Signal::ZeroRating,
-            CachedSignal::Readout => Signal::Readout,
-            CachedSignal::Throttling => {
-                let control = session.replay_trace(&inverted_trace(trace), &ReplayOpts::default());
-                Signal::Throttling {
-                    control_bps: control.avg_bps,
-                    ratio: session.config.throttle_ratio,
-                }
-            }
-        }
-    }
-}
 
 /// A cacheable, serializable summary of one characterization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,8 +38,6 @@ pub struct CachedRules {
     /// How many replay rounds the contributor spent — what the next user
     /// saves.
     pub rounds_spent: u64,
-    /// The signal the contributor observed classification with.
-    pub signal: CachedSignal,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,14 +50,6 @@ pub struct CachedField {
 
 impl CachedRules {
     pub fn from_characterization(c: &Characterization, learned_at_secs: u64) -> CachedRules {
-        CachedRules::from_characterization_with_signal(c, learned_at_secs, CachedSignal::Blocking)
-    }
-
-    pub fn from_characterization_with_signal(
-        c: &Characterization,
-        learned_at_secs: u64,
-        signal: CachedSignal,
-    ) -> CachedRules {
         CachedRules {
             fields: c
                 .fields
@@ -119,7 +66,6 @@ impl CachedRules {
             matches_all_packets: c.position.matches_all_packets,
             learned_at_secs,
             rounds_spent: c.rounds,
-            signal,
         }
     }
 

@@ -1,15 +1,17 @@
 //! The full lib·erate pipeline and runtime deployment (§4.4, Fig. 3).
 //!
-//! [`run_pipeline`] chains the four phases — differentiation detection,
-//! characterization, middlebox localization, evasion evaluation — and
-//! returns the cheapest working technique. [`pool::DeploymentPool`] is
-//! the deployment vehicle (Fig. 3, step 3, the transparent proxy): it
+//! `learn` holds the four phases — differentiation detection,
+//! characterization, middlebox localization, evasion evaluation — once,
+//! over a slice of sessions, and returns the cheapest working technique
+//! ready to deploy. [`run_pipeline`] runs it on one bare session;
+//! [`pool::DeploymentPool`] runs it on its workers. The pool is the
+//! deployment vehicle (Fig. 3, step 3, the transparent proxy): it
 //! applies the chosen technique to application flows at runtime and
-//! re-runs the pipeline when the classifier changes (the adaptation loop
-//! of §4.2: "If differentiation occurs even when using a previously
-//! successful evasion technique, then lib·erate assumes that matching
-//! rules have changed, and repeats the characterization and evasion
-//! steps"). Its flows — one user's or many users' — fan across a
+//! re-learns when the classifier changes (the adaptation loop of §4.2:
+//! "If differentiation occurs even when using a previously successful
+//! evasion technique, then lib·erate assumes that matching rules have
+//! changed, and repeats the characterization and evasion steps"). Its
+//! flows — one user's or many users' — fan across a
 //! [`crate::engine::SessionPool`] and share one adaptation loop through a
 //! generation-stamped published technique; a single user is a one-worker
 //! pool.
@@ -20,12 +22,15 @@ pub use pool::{DeployWave, DeploymentPool, PoolFlowReport, PublishedState, Publi
 
 use std::time::Duration;
 
+use liberate_obs::Journal;
 use liberate_substrate::Substrate;
 use liberate_traces::generator;
 use liberate_traces::recorded::RecordedTrace;
 
-use crate::characterize::{characterize, Characterization, CharacterizeOpts};
+use crate::cache::{CachedRules, SharedRuleCache};
+use crate::characterize::{Characterization, CharacterizeOpts};
 use crate::detect::{detect_rotating, read_billed_counter, DetectionOutcome, Signal};
+use crate::engine::characterize_one;
 use crate::error::{LiberateError, Result};
 use crate::evaluate::{find_working_technique, EvaluationInputs, TechniqueResult};
 use crate::evasion::EvasionContext;
@@ -52,17 +57,18 @@ pub(crate) fn billed_baseline<S: Substrate>(session: &mut Session<S>, signal: &S
 #[derive(Debug)]
 pub struct PipelineReport {
     pub detection: DetectionOutcome,
-    pub characterization: Option<Characterization>,
-    pub localization: Option<Localization>,
-    /// The cheapest working technique found, if any.
-    pub chosen: Option<TechniqueResult>,
+    pub characterization: Characterization,
+    pub localization: Localization,
+    /// The cheapest working technique found, with the context and signal
+    /// that deploy it; `None` when no technique evades.
+    pub evasion: Option<ActiveEvasion>,
     /// Evaluation replays spent before success.
     pub evaluation_tries: u64,
-    /// Total replay rounds across all phases.
+    /// Total replay rounds across all phases and sessions.
     pub total_rounds: u64,
-    /// Total client bytes consumed by testing.
+    /// Total client bytes consumed by testing, across sessions.
     pub total_bytes: u64,
-    /// Simulated time consumed by testing.
+    /// Simulated time consumed by testing, summed over sessions.
     pub elapsed: Duration,
 }
 
@@ -81,105 +87,145 @@ pub fn signal_from_detection(d: &DetectionOutcome, config_ratio: f64) -> Signal 
     }
 }
 
-/// Run the whole pipeline against one application trace.
+/// Run the whole pipeline against one application trace, on one session.
 pub fn run_pipeline<S: Substrate>(
     session: &mut Session<S>,
     trace: &RecordedTrace,
     copts: &CharacterizeOpts,
 ) -> Result<PipelineReport> {
-    let rounds0 = session.replays;
-    let bytes0 = session.bytes_sent_total + session.bytes_received_total;
-    let t0 = session.env.clock();
+    learn(
+        std::slice::from_mut(session),
+        &Journal::disabled(),
+        trace,
+        copts,
+        None,
+    )
+}
+
+/// The four phases, in order, over the worker `sessions` (one session is
+/// a bare pipeline). Detection, localization and evaluation run on
+/// worker 0; characterization takes a verified entry from `cache` (a
+/// shared rule cache and the network name it is keyed under) or else
+/// runs the wave search across every session, with reactor scheduling
+/// recorded into `telemetry`, and publishes what it learned to `cache`.
+pub(crate) fn learn<S: Substrate>(
+    sessions: &mut [Session<S>],
+    telemetry: &Journal,
+    trace: &RecordedTrace,
+    copts: &CharacterizeOpts,
+    cache: Option<&(SharedRuleCache, String)>,
+) -> Result<PipelineReport> {
+    let start: Vec<_> = sessions
+        .iter()
+        .map(|s| (s.replays, spent_bytes(s), s.env.clock()))
+        .collect();
+    let rotate_base = copts.rotate_server_ports.then_some(copts.rotate_base);
+    let port = |offset: u16| rotate_base.map(|b| b.wrapping_add(offset));
 
     // Phase 1: detection.
-    let rotate_base = copts.rotate_server_ports.then_some(copts.rotate_base);
-    let detection = detect_rotating(session, trace, rotate_base.map(|b| b.wrapping_add(30_000)));
+    let detection = detect_rotating(&mut sessions[0], trace, port(30_000));
     if !detection.differentiated {
         return Err(LiberateError::NoDifferentiation);
     }
-    let signal = signal_from_detection(&detection, session.config.throttle_ratio);
+    let signal = signal_from_detection(&detection, sessions[0].config.throttle_ratio);
 
     // Phase 2: characterization.
-    let characterization = characterize(session, trace, &signal, copts);
-
-    let mut report =
-        complete_pipeline(session, trace, copts, detection, &signal, characterization)?;
-    report.total_rounds = session.replays - rounds0;
-    report.total_bytes = session.bytes_sent_total + session.bytes_received_total - bytes0;
-    report.elapsed = session.env.clock() - t0;
-    Ok(report)
-}
-
-/// Phases 3–4 of the pipeline — localization and evaluation — given an
-/// already-run detection and characterization. The single-session
-/// [`run_pipeline`] and the pool's re-characterization wave (which runs
-/// phase 2 via [`crate::engine::characterize_parallel`]) both funnel
-/// through here, so the adaptation logic cannot drift between them. Cost
-/// fields of the returned report are zero; callers account their own
-/// phase-1/2 spend.
-pub(crate) fn complete_pipeline<S: Substrate>(
-    session: &mut Session<S>,
-    trace: &RecordedTrace,
-    copts: &CharacterizeOpts,
-    detection: DetectionOutcome,
-    signal: &Signal,
-    characterization: Characterization,
-) -> Result<PipelineReport> {
+    let characterization =
+        match cache.and_then(|c| verified_rules(c, &mut sessions[0], trace, &signal)) {
+            Some(c) => c,
+            None => characterize_one(sessions, telemetry, trace, &signal, copts),
+        };
     if characterization.fields.is_empty() {
         return Err(LiberateError::NoMatchingFields);
     }
-    let rotate_base = copts.rotate_server_ports.then_some(copts.rotate_base);
+    let lead = &mut sessions[0];
 
     // Phase 3: localization (via a TTL-limited inert probe carrying the
     // first matching field's packet).
+    let matching_fields = characterization.client_field_regions(trace);
     let matching_packet = trace
         .client_messages()
-        .nth(
-            characterization
-                .client_field_regions(trace)
-                .first()
-                .map(|r| r.packet)
-                .unwrap_or(0),
-        )
+        .nth(matching_fields.first().map_or(0, |r| r.packet))
         .map(|m| m.payload.clone())
         .ok_or_else(|| LiberateError::BadTrace("no client payload".into()))?;
-    let localization = localize(
-        session,
-        trace,
-        &matching_packet,
-        signal,
-        rotate_base.map(|b| b.wrapping_add(31_000)),
-    );
+    let localization = localize(lead, trace, &matching_packet, &signal, port(31_000));
 
     // Phase 4: evaluation.
     let ctx = EvasionContext {
-        matching_fields: characterization.client_field_regions(trace),
+        matching_fields,
         decoy: decoy_request(),
         middlebox_ttl: localization
             .middlebox_ttl
-            .unwrap_or(session.env.hops_before_middlebox() + 1),
+            .unwrap_or(lead.env.hops_before_middlebox() + 1),
     };
     let inputs = EvaluationInputs {
-        signal: signal.clone(),
+        signal,
         ctx,
         rotate_server_ports: copts.rotate_server_ports,
     };
-    let found = find_working_technique(session, trace, &characterization.position, &inputs);
-    let (chosen, tries) = match found {
-        Some((r, tries)) => (Some(r), tries),
+    let found = find_working_technique(lead, trace, &characterization.position, &inputs);
+
+    // Publish freshly learned rules for the next user on this network (a
+    // cached characterization spent no rounds).
+    if let Some((cache, network)) = cache {
+        if characterization.rounds > 0 {
+            let learned_at = lead.env.clock().as_micros() / 1_000_000;
+            cache.publish(
+                network,
+                &trace.app,
+                CachedRules::from_characterization(&characterization, learned_at),
+            );
+        }
+    }
+
+    let (evasion, evaluation_tries) = match found {
+        Some((technique, tries)) => (
+            Some(ActiveEvasion {
+                technique,
+                ctx: inputs.ctx,
+                signal: inputs.signal,
+            }),
+            tries,
+        ),
         None => (None, 0),
     };
-
-    Ok(PipelineReport {
+    let mut report = PipelineReport {
         detection,
-        characterization: Some(characterization),
-        localization: Some(localization),
-        chosen,
-        evaluation_tries: tries,
+        characterization,
+        localization,
+        evasion,
+        evaluation_tries,
         total_rounds: 0,
         total_bytes: 0,
         elapsed: Duration::ZERO,
-    })
+    };
+    for (s, (replays, bytes, clock)) in sessions.iter().zip(start) {
+        report.total_rounds += s.replays - replays;
+        report.total_bytes += spent_bytes(s) - bytes;
+        report.elapsed += s.env.clock() - clock;
+    }
+    Ok(report)
+}
+
+/// Client and server bytes a session has moved so far.
+fn spent_bytes<S: Substrate>(session: &Session<S>) -> u64 {
+    session.bytes_sent_total + session.bytes_received_total
+}
+
+/// The cached rules for this trace, if the cache has them and they
+/// verify against the live classifier under `signal` (the session pays
+/// one verification replay per field).
+fn verified_rules<S: Substrate>(
+    (cache, network): &(SharedRuleCache, String),
+    session: &mut Session<S>,
+    trace: &RecordedTrace,
+    signal: &Signal,
+) -> Option<Characterization> {
+    let journal = session.journal().clone();
+    let t_us = session.env.clock().as_micros();
+    let entry = cache.lookup_observed(network, &trace.app, &journal, t_us)?;
+    let fresh = cache.verify(network, &trace.app, session, trace, signal)?;
+    fresh.then(|| entry.to_characterization(trace))
 }
 
 /// Phase 3: sweep a carrier's TTL-limited matching packet toward the
@@ -220,47 +266,13 @@ fn localize<S: Substrate>(
 
 /// The evasion state a deployment holds for one application: the
 /// technique to apply, the context it needs, and the signal that detects
-/// when it stops working. [`pool::DeploymentPool`] holds one,
-/// generation-stamped, behind [`pool::PublishedState`].
-#[derive(Debug, Clone)]
+/// when it stops working. `learn` builds it; [`pool::DeploymentPool`]
+/// holds one, generation-stamped, behind [`pool::PublishedState`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActiveEvasion {
     pub technique: TechniqueResult,
     pub ctx: EvasionContext,
     pub signal: Signal,
-}
-
-impl ActiveEvasion {
-    /// Assemble deployable state from a finished pipeline report. Errors
-    /// when the pipeline found no working technique.
-    pub fn from_report<S: Substrate>(
-        report: &PipelineReport,
-        trace: &RecordedTrace,
-        session: &Session<S>,
-    ) -> Result<ActiveEvasion> {
-        let chosen = report
-            .chosen
-            .clone()
-            .ok_or(LiberateError::NoWorkingTechnique)?;
-        let ctx = EvasionContext {
-            matching_fields: report
-                .characterization
-                .as_ref()
-                .map(|c| c.client_field_regions(trace))
-                .unwrap_or_default(),
-            decoy: decoy_request(),
-            middlebox_ttl: report
-                .localization
-                .as_ref()
-                .and_then(|l| l.middlebox_ttl)
-                .unwrap_or(session.env.hops_before_middlebox() + 1),
-        };
-        let signal = signal_from_detection(&report.detection, session.config.throttle_ratio);
-        Ok(ActiveEvasion {
-            technique: chosen,
-            ctx,
-            signal,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -285,14 +297,10 @@ mod tests {
         };
         let report = run_pipeline(&mut s, &trace, &copts).expect("pipeline succeeds");
         assert!(report.detection.blocking);
-        let c = report.characterization.as_ref().unwrap();
-        assert!(!c.fields.is_empty());
-        assert_eq!(
-            report.localization.as_ref().unwrap().middlebox_ttl,
-            Some(10)
-        );
-        let chosen = report.chosen.expect("GFC is evadable");
-        assert_eq!(chosen.cc, Some(true));
+        assert!(!report.characterization.fields.is_empty());
+        assert_eq!(report.localization.middlebox_ttl, Some(10));
+        let chosen = report.evasion.expect("GFC is evadable");
+        assert_eq!(chosen.technique.cc, Some(true));
         assert!(report.total_rounds > 0);
         assert!(report.total_bytes > 0);
     }

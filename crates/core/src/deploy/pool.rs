@@ -16,11 +16,11 @@
 //!   the user's traffic keeps moving while the pool re-learns.
 //! - **The driver only writes, between waves.** After a wave, change
 //!   signals reported against the *current* generation trigger exactly one
-//!   re-characterization (phase 2 runs level-synchronous across the whole
-//!   pool via [`characterize_parallel`]); reports against an older
-//!   generation are stale — some earlier wave already paid for the
-//!   re-learn — and are ignored, which is how lagging workers self-correct
-//!   without coordination.
+//!   re-learn: the pipeline's four phases over the pool's sessions, whose
+//!   blinding search runs level-synchronous across every worker. Reports
+//!   against an older generation are stale — some earlier wave already
+//!   paid for the re-learn — and are ignored, which is how lagging
+//!   workers self-correct without coordination.
 //!
 //! Determinism: workers never write shared deployment state and the
 //! driver's writes are serialized between waves, so for a fixed seed and
@@ -38,11 +38,11 @@ use liberate_traces::recorded::RecordedTrace;
 use parking_lot::Mutex;
 
 use crate::cache::SharedRuleCache;
-use crate::characterize::{Characterization, CharacterizeOpts};
+use crate::characterize::CharacterizeOpts;
 use crate::config::LiberateConfig;
-use crate::deploy::{billed_baseline, complete_pipeline, signal_from_detection, ActiveEvasion};
-use crate::detect::{detect_rotating, was_classified, Signal};
-use crate::engine::{characterize_parallel, SessionPool};
+use crate::deploy::{billed_baseline, learn, ActiveEvasion};
+use crate::detect::{was_classified, Signal};
+use crate::engine::SessionPool;
 use crate::error::{LiberateError, Result};
 use crate::evasion::Technique;
 use crate::replay::{LaneAddr, LoweredTrace, ReplayOpts, ReplayOutcome, ReplaySm, Session};
@@ -345,82 +345,18 @@ impl<S: Substrate> DeploymentPool<S> {
         })
     }
 
-    /// Fresh shared rules for this trace, if the cache has them and they
-    /// verify against the live classifier (worker 0 pays the per-field
-    /// verification replays).
-    fn shared_rules_for(&mut self, trace: &RecordedTrace) -> Option<Characterization> {
-        let (cache, network) = self.cache.clone()?;
-        let session = self.pool.session_mut(0);
-        let journal = session.journal().clone();
-        let t_us = session.env.clock().as_micros();
-        let entry = cache.lookup_observed(&network, &trace.app, &journal, t_us)?;
-        let signal = entry.signal.to_signal(session, trace);
-        let fresh = cache.verify(&network, &trace.app, session, trace, &signal)?;
-        if fresh {
-            self.cache_hits += 1;
-            Some(entry.to_characterization(trace))
-        } else {
-            None
-        }
-    }
-
-    /// The single re-characterization wave: detection and the sequential
-    /// phases (localization, evaluation) run on worker 0; the blinding
-    /// search fans across the whole pool via [`characterize_parallel`].
-    /// Ends by atomically publishing the refreshed technique under the
-    /// next generation.
+    /// The single re-learn: the pipeline over every worker (detection,
+    /// localization and evaluation on worker 0, the blinding search
+    /// across the whole pool), then an atomic publish of the refreshed
+    /// technique under the next generation.
     fn recharacterize(&mut self, trace: &RecordedTrace) -> Result<()> {
-        let copts = self.copts.clone();
-        let rotate_base = copts.rotate_server_ports.then_some(copts.rotate_base);
-
-        // Phase 1: detection, on worker 0.
-        let detection = {
-            let session = self.pool.session_mut(0);
-            detect_rotating(session, trace, rotate_base.map(|b| b.wrapping_add(30_000)))
-        };
-        if !detection.differentiated {
-            return Err(LiberateError::NoDifferentiation);
+        let (sessions, telemetry) = self.pool.sessions_and_telemetry();
+        let report = learn(sessions, telemetry, trace, &self.copts, self.cache.as_ref())?;
+        // A cached characterization spent no rounds.
+        if self.cache.is_some() && report.characterization.rounds == 0 {
+            self.cache_hits += 1;
         }
-        let throttle_ratio = self.pool.sessions()[0].config.throttle_ratio;
-        let signal = signal_from_detection(&detection, throttle_ratio);
-
-        // Phase 2: consult the shared cache, else the level-synchronous
-        // blinding search across every worker.
-        let characterization = match self.shared_rules_for(trace) {
-            Some(c) => c,
-            None => characterize_parallel(&mut self.pool, trace, &signal, &copts),
-        };
-
-        // Phases 3–4, on worker 0 — the same code path `run_pipeline`
-        // runs, so the adapted technique cannot diverge from it.
-        let report = complete_pipeline(
-            self.pool.session_mut(0),
-            trace,
-            &copts,
-            detection,
-            &signal,
-            characterization,
-        )?;
-
-        // Publish what we learned for the next user on this network.
-        if let Some((cache, network)) = self.cache.as_ref() {
-            if let Some(c) = report.characterization.as_ref() {
-                if c.rounds > 0 {
-                    let learned_at = self.pool.sessions()[0].env.clock().as_micros() / 1_000_000;
-                    cache.publish(
-                        network,
-                        &trace.app,
-                        crate::cache::CachedRules::from_characterization_with_signal(
-                            c,
-                            learned_at,
-                            crate::cache::CachedSignal::from_signal(&signal),
-                        ),
-                    );
-                }
-            }
-        }
-
-        let evasion = ActiveEvasion::from_report(&report, trace, &self.pool.sessions()[0])?;
+        let evasion = report.evasion.ok_or(LiberateError::NoWorkingTechnique)?;
         let description = evasion.technique.effective.description();
         let generation = self.published.publish(Arc::new(evasion));
         self.characterizations += 1;

@@ -29,7 +29,7 @@ use crate::task::{drive_inline, FlowTask, TaskPoll, Wake};
 
 /// The observable used to decide "was this replay classified?". Picked per
 /// environment, exactly as the paper's case studies do.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Signal {
     /// Direct middlebox readout — testbed only (§6.1: "the middlebox
     /// shows the result of classification immediately"). Classes whose

@@ -162,6 +162,12 @@ impl<S: Substrate> SessionPool<S> {
         &mut self.sessions[worker]
     }
 
+    /// The worker sessions and the reactor telemetry journal, borrowed
+    /// together for a job that runs over the whole pool.
+    pub(crate) fn sessions_and_telemetry(&mut self) -> (&mut [Session<S>], &Journal) {
+        (&mut self.sessions, &self.reactor_telemetry)
+    }
+
     /// Fold every worker's journal (events tagged with the worker index,
     /// counters summed) into `journal`, in ascending worker order. Call
     /// once, after the pool's work is done.

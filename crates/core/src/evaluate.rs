@@ -32,7 +32,7 @@ pub enum Reach {
 }
 
 /// The verdict for one technique in one environment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TechniqueResult {
     pub technique: Technique,
     /// Did the technique change classification? `None` renders as "—":

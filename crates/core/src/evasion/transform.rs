@@ -9,7 +9,7 @@ use crate::schedule::{Craft, FragPlan, Schedule, ScheduledPacket, Step};
 use super::Technique;
 
 /// Everything a technique needs to know about the flow being evaded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvasionContext {
     /// Matching fields found by characterization: (client data packet
     /// ordinal, byte range within that packet's payload).

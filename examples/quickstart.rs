@@ -41,7 +41,7 @@ fn main() {
         report.detection.blocking
     );
 
-    let c = report.characterization.as_ref().unwrap();
+    let c = &report.characterization;
     println!("\nphase 2 - characterization ({} rounds):", c.rounds);
     for f in &c.fields {
         println!(
@@ -57,24 +57,25 @@ fn main() {
 
     println!(
         "\nphase 3 - localization: middlebox at TTL {:?}",
-        report.localization.as_ref().unwrap().middlebox_ttl
+        report.localization.middlebox_ttl
     );
 
-    let chosen = report.chosen.expect("a working technique exists");
+    let chosen = report.evasion.expect("a working technique exists");
     println!(
         "\nphase 4 - evasion: {:?} (tried {} candidates)",
-        chosen.effective.description(),
+        chosen.technique.effective.description(),
         report.evaluation_tries
     );
 
-    // Use it: the same flow now completes cleanly.
-    let ctx = EvasionContext {
-        matching_fields: c.client_field_regions(&flow),
-        decoy: decoy_request(),
-        middlebox_ttl: report.localization.as_ref().unwrap().middlebox_ttl.unwrap(),
-    };
+    // Use it, in the context the pipeline evaluated it in: the same flow
+    // now completes cleanly.
     let freed = session
-        .replay_with(&flow, &chosen.effective, &ctx, &ReplayOpts::default())
+        .replay_with(
+            &flow,
+            &chosen.technique.effective,
+            &chosen.ctx,
+            &ReplayOpts::default(),
+        )
         .unwrap();
     println!(
         "\nwith lib\u{b7}erate: blocked = {}, transfer complete = {}, server stream intact = {}",

@@ -21,7 +21,6 @@ fn entry(marker: u64) -> CachedRules {
         // surface as a mismatched pair.
         learned_at_secs: marker,
         rounds_spent: marker,
-        signal: liberate::cache::CachedSignal::Readout,
     }
 }
 
@@ -213,4 +212,60 @@ fn two_users_one_characterization_via_shared_handle() {
     // Both handles still address the same store.
     assert_eq!(shared.len(), 1);
     assert!(shared.lookup("iran", &flow.app).is_some());
+}
+
+/// A throttling cache hit verifies with the signal detection derived:
+/// detection has just replayed the inverted control, so the hit spends
+/// no second control replay. User B's learn is detection (the trace and
+/// its inverted control), one verification replay per cached field, the
+/// localization sweep and the evaluation; then the deployed flow.
+#[test]
+fn throttling_cache_hit_spends_no_second_control_replay() {
+    let flow = apps::amazon_prime_http(1_200_000);
+    let shared = SharedRuleCache::new();
+    let user = |shared: &SharedRuleCache| {
+        DeploymentPool::new(
+            EnvKind::Testbed,
+            OsKind::Linux,
+            LiberateConfig::default(),
+            1,
+            CharacterizeOpts::default(),
+        )
+        .with_shared_cache(shared.clone(), "testbed")
+    };
+
+    let mut user_a = user(&shared);
+    assert!(user_a
+        .run_flows(&flow, 1)
+        .expect("user A evades")
+        .all_evaded());
+    assert_eq!(user_a.cache_hits, 0);
+
+    let mut user_b = user(&shared);
+    let journal = Arc::new(Journal::new());
+    user_b
+        .pool_mut()
+        .session_mut(0)
+        .attach_journal(journal.clone());
+    assert!(user_b
+        .run_flows(&flow, 1)
+        .expect("user B evades")
+        .all_evaded());
+    assert_eq!(user_b.cache_hits, 1, "B reuses A's entry");
+    assert_eq!(
+        user_b.active_technique(),
+        user_a.active_technique(),
+        "both users deploy the same technique"
+    );
+    // Detection's two replays, one per cached field, a sweep that
+    // classifies at its first TTL, one evaluation per technique tried and
+    // the deployed flow: 2 + 2 + 1 + 1 + 1.
+    let fields = shared.lookup("testbed", &flow.app).unwrap().fields.len() as u64;
+    let tried = journal.metrics.get(Counter::TechniquesTried);
+    assert_eq!((fields, tried), (2, 1));
+    assert_eq!(
+        user_b.pool_mut().sessions()[0].replays,
+        2 + fields + 1 + tried + 1,
+        "no replay beyond detection's control measures the throttle"
+    );
 }

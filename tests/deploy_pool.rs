@@ -299,6 +299,37 @@ fn adapted_technique_matches_sequential_proxy_at_1_2_4_workers() {
     }
 }
 
+/// (d') One user on one vantage point is a one-worker pool: the evasion
+/// a one-worker pool publishes on its first wave is the one
+/// `run_pipeline` returns on a same-seed bare session. Worker 0 of one
+/// has the bare session's seed, client port and port stride, so both
+/// entry points run the same learn replay for replay.
+#[test]
+fn one_worker_pool_publishes_what_run_pipeline_returns() {
+    for (kind, trace, rotate_server_ports) in [
+        (EnvKind::Gfc, apps::economist_http(), true),
+        (EnvKind::TMobile, apps::amazon_prime_http(400_000), false),
+    ] {
+        let copts = CharacterizeOpts {
+            rotate_server_ports,
+            ..Default::default()
+        };
+        let mut session = Session::new(kind, OsKind::Linux, LiberateConfig::default());
+        let solo = run_pipeline(&mut session, &trace, &copts)
+            .expect("the pipeline runs")
+            .evasion
+            .expect("evadable");
+
+        let mut pool =
+            DeploymentPool::new(kind, OsKind::Linux, LiberateConfig::default(), 1, copts);
+        pool.run_flows(&trace, 1).expect("the pool learns");
+        let published = pool.published().snapshot().evasion.expect("published");
+        assert_eq!(published.technique, solo.technique, "{kind:?} technique");
+        assert_eq!(published.ctx, solo.ctx, "{kind:?} context");
+        assert_eq!(published.signal, solo.signal, "{kind:?} signal");
+    }
+}
+
 /// (e) Same seed, same worker count ⇒ byte-identical merged journals,
 /// even through a scripted flip, a fallback ladder, and a re-learn.
 #[test]
