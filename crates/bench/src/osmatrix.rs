@@ -7,27 +7,24 @@
 //! filters): this isolates endpoint behaviour, exactly like the paper's
 //! standalone OS tests.
 
-use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use liberate::prelude::*;
+use liberate_dpi::profiles::{CLIENT_ADDR, SERVER_ADDR};
 use liberate_netsim::network::Network;
 use liberate_netsim::os::OsProfile;
 use liberate_netsim::server::{ServerHost, SinkApp};
-use liberate_packet::packet::{Packet, ParsedPacket};
-use liberate_packet::tcp::TcpFlags;
+use liberate_packet::packet::ParsedPacket;
 use liberate_traces::recorded::TraceProtocol;
 
 use crate::expected::OsExpect;
 
-const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const SERVER: Ipv4Addr = Ipv4Addr::new(10, 9, 9, 9);
 const MARK: &[u8] = b"OSMATRIX-MARKER-PAYLOAD";
 
 /// Measure how `os` handles the packet crafted by `technique`.
 pub fn measure(technique: &Technique, os: OsKind) -> OsExpect {
-    let server = ServerHost::new(SERVER, OsProfile::new(os), Box::<SinkApp>::default());
-    let mut net = Network::new(CLIENT, Vec::new(), server);
+    let server = ServerHost::new(SERVER_ADDR, OsProfile::new(os), Box::<SinkApp>::default());
+    let mut net = Network::new(CLIENT_ADDR, Vec::new(), server);
 
     let proto =
         if technique.applicable(TraceProtocol::Udp) && !technique.applicable(TraceProtocol::Tcp) {
@@ -49,19 +46,24 @@ pub fn measure(technique: &Technique, os: OsKind) -> OsExpect {
         .apply(&Schedule::from_trace(&trace), &ctx)
         .expect("technique applies");
 
-    let mut client_isn = 5_000u32;
-    let mut server_isn = 0u32;
+    let mut flow = ClientFlow {
+        protocol: proto,
+        client_addr: CLIENT_ADDR,
+        client_port: 40_000,
+        server_port: 80,
+        client_isn: 5_000,
+        server_isn: 0,
+    };
     if proto == TraceProtocol::Tcp {
-        let syn = Packet::tcp(CLIENT, SERVER, 40_000, 80, client_isn, 0, vec![])
-            .with_flags(TcpFlags::SYN);
-        net.send_from_client(Duration::ZERO, syn.serialize());
+        net.send_from_client(Duration::ZERO, flow.syn());
         net.run_until_idle();
-        let inbox = net.take_client_inbox();
-        server_isn = inbox
+        flow.server_isn = net
+            .take_client_inbox()
             .iter()
             .find_map(|(_, w)| ParsedPacket::parse(w)?.tcp().map(|t| t.seq))
             .expect("SYN-ACK");
-        client_isn = client_isn.wrapping_add(1);
+        net.send_from_client(Duration::ZERO, flow.ack());
+        net.run_until_idle();
     }
 
     // For inert rows, emit only the crafted decoy (the question is what
@@ -77,33 +79,9 @@ pub fn measure(technique: &Technique, os: OsKind) -> OsExpect {
             if inert_only && p.counts {
                 continue;
             }
-            let mut pkt = match proto {
-                TraceProtocol::Tcp => Packet::tcp(
-                    CLIENT,
-                    SERVER,
-                    40_000,
-                    80,
-                    client_isn.wrapping_add(p.offset as u32),
-                    server_isn.wrapping_add(1),
-                    p.payload.clone(),
-                ),
-                TraceProtocol::Udp => Packet::udp(CLIENT, SERVER, 40_000, 80, p.payload.clone()),
-            };
-            p.craft.apply(&mut pkt);
-            let wire = pkt.serialize();
-            match &p.fragment {
-                None => net.send_from_client(Duration::ZERO, wire),
-                Some(plan) => {
-                    let chunk = ((wire.len() - 20) / plan.pieces.max(1) / 8).max(1) * 8;
-                    let mut frags = liberate_packet::fragment::fragment_packet(&wire, chunk);
-                    if plan.reverse {
-                        frags.reverse();
-                    }
-                    for f in frags {
-                        net.send_from_client(Duration::ZERO, f);
-                    }
-                }
-            }
+            flow.lower(p, 0, None, |wire| {
+                net.send_from_client(Duration::ZERO, wire)
+            });
             net.run_until_idle();
         }
     }

@@ -27,7 +27,7 @@
 //!   (blinding probes under [`Signal::Readout`] / [`Signal::Blocking`],
 //!   deployed flows under any signal but zero-rating), provided the
 //!   substrate [`Substrate::supports_lanes`];
-//! - the **inline driver** ([`crate::task::drive_inline`]) builds each
+//! - the **inline driver** (`task::drive_inline`) builds each
 //!   task just before it runs and polls it to completion on the worker
 //!   session, job after job. Throttling and zero-rating judgments read
 //!   shared state whose readings depend on order, and each ladder rung

@@ -96,7 +96,7 @@ pub mod prelude {
     };
     pub use crate::reactor::{Reactor, ReactorOutcome, TimerFire, TimerQueue};
     pub use crate::replay::{server_script, ReplayOpts, ReplayOutcome, Session};
-    pub use crate::schedule::{Craft, FragPlan, Schedule, ScheduledPacket, Step};
+    pub use crate::schedule::{ClientFlow, Craft, FragPlan, Schedule, ScheduledPacket, Step};
     pub use crate::sim::{OsKind, SimSubstrate};
     pub use crate::socket::LiberateSocket;
     pub use liberate_dpi::profiles::EnvKind;

@@ -21,11 +21,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use liberate_dpi::profiles::{EnvKind, EnvironmentBlueprint, CLIENT_ADDR, SERVER_ADDR};
+use liberate_dpi::profiles::{EnvKind, EnvironmentBlueprint, CLIENT_ADDR};
 use liberate_obs::{Counter, EventKind, Hist, Journal, Phase};
-use liberate_packet::fragment::fragment_packet;
-use liberate_packet::packet::{Packet, ParsedPacket, ParsedTransport};
-use liberate_packet::tcp::TcpFlags;
+use liberate_packet::packet::{ParsedPacket, ParsedTransport};
 use liberate_substrate::buf::PacketBuf;
 use liberate_substrate::capture::TapPoint;
 use liberate_substrate::icmp::{parse_icmp_error, IcmpError};
@@ -38,7 +36,7 @@ use std::sync::Arc;
 
 use crate::config::LiberateConfig;
 use crate::evasion::{EvasionContext, Technique};
-use crate::schedule::{Schedule, ScheduledPacket, Step};
+use crate::schedule::{ClientFlow, Schedule, Step};
 use crate::sim::{OsKind, SimSubstrate};
 use crate::task::{drive_inline, TaskPoll, Wake};
 
@@ -378,6 +376,62 @@ impl<S: Substrate> Session<S> {
         self.env.advance(d);
     }
 
+    /// A new client flow from `client_addr` to `server_port`: the
+    /// session's next client port and, for TCP, its next ISN. The
+    /// server's ISN is learned by [`Session::handshake`].
+    pub(crate) fn open_flow(
+        &mut self,
+        protocol: TraceProtocol,
+        client_addr: Ipv4Addr,
+        server_port: u16,
+    ) -> ClientFlow {
+        let client_port = self.next_client_port;
+        self.next_client_port = self
+            .next_client_port
+            .wrapping_add(self.port_stride.max(1))
+            .max(20_000);
+        if protocol == TraceProtocol::Tcp {
+            self.isn_counter = self.isn_counter.wrapping_add(97_000);
+        }
+        ClientFlow {
+            protocol,
+            client_addr,
+            client_port,
+            server_port,
+            client_isn: self.isn_counter,
+            server_isn: 0,
+        }
+    }
+
+    /// The TCP handshake of `flow`: SYN, drain, the SYN-ACK's sequence
+    /// number into `flow.server_isn`, ACK, drain. With no SYN-ACK the
+    /// ACK is not sent. Returns quiesced, the client inbox taken.
+    pub(crate) fn handshake(&mut self, flow: &mut ClientFlow) -> Handshake {
+        let syn = flow.syn();
+        let mut bytes_sent = syn.len() as u64;
+        self.env.inject_client(Duration::ZERO, syn);
+        self.env.run_until_idle();
+        let mut inbox = self.env.take_client_inbox();
+        let syn_ack = inbox.iter().find_map(|(_, w)| {
+            let p = ParsedPacket::parse(w)?;
+            let t = p.tcp()?;
+            (t.flags.syn && t.flags.ack && t.dst_port == flow.client_port).then_some(t.seq)
+        });
+        if let Some(server_isn) = syn_ack {
+            flow.server_isn = server_isn;
+            let ack = flow.ack();
+            bytes_sent += ack.len() as u64;
+            self.env.inject_client(Duration::ZERO, ack);
+            self.env.run_until_idle();
+        }
+        inbox.extend(self.env.take_client_inbox());
+        Handshake {
+            established: syn_ack.is_some(),
+            bytes_sent,
+            inbox,
+        }
+    }
+
     /// Replay an explicit schedule derived from `trace`, lowering the
     /// trace for this one replay.
     pub fn replay_schedule(
@@ -402,6 +456,16 @@ impl<S: Substrate> Session<S> {
         let mut sm = ReplaySm::new(trace, schedule, opts.clone(), None);
         drive_inline(self, |session| sm.poll(session))
     }
+}
+
+/// What [`Session::handshake`] did.
+pub(crate) struct Handshake {
+    /// A SYN-ACK came back and the ACK went out.
+    pub established: bool,
+    /// Client wire bytes sent: the SYN, and the ACK if it went out.
+    pub bytes_sent: u64,
+    /// Everything delivered to the client meanwhile, in order.
+    pub inbox: Vec<(SimTime, PacketBuf)>,
 }
 
 /// Reactor-lane addressing for one replay: the flow's own client
@@ -447,12 +511,7 @@ pub(crate) struct ReplaySm<Tr, Sc> {
     // ---- live replay context, populated by the Init poll.
     host_start: Option<std::time::Instant>,
     replay_no: u64,
-    client_addr: Ipv4Addr,
-    client_port: u16,
-    server_port: u16,
-    client_isn: u32,
-    server_isn: u32,
-    protocol: TraceProtocol,
+    flow: ClientFlow,
     handshake_ok: bool,
     bytes_sent: u64,
     first_data_sent: Option<SimTime>,
@@ -478,12 +537,14 @@ where
             state: SmState::Init,
             host_start: None,
             replay_no: 0,
-            client_addr: CLIENT_ADDR,
-            client_port: 0,
-            server_port: 0,
-            client_isn: 0,
-            server_isn: 0,
-            protocol: TraceProtocol::Tcp,
+            flow: ClientFlow {
+                protocol: TraceProtocol::Tcp,
+                client_addr: CLIENT_ADDR,
+                client_port: 0,
+                server_port: 0,
+                client_isn: 0,
+                server_isn: 0,
+            },
             handshake_ok: true,
             bytes_sent: 0,
             first_data_sent: None,
@@ -530,18 +591,17 @@ where
         // identical across back-to-back and lane-interleaved execution.
         session.env.mark_step_epoch();
 
-        if let Some(l) = self.lane {
-            self.client_addr = l.client_addr;
-        }
-        self.client_port = session.next_client_port;
-        session.next_client_port = session
-            .next_client_port
-            .wrapping_add(session.port_stride.max(1))
-            .max(20_000);
-        self.server_port = self
+        let protocol = self
+            .schedule
+            .borrow()
+            .protocol
+            .unwrap_or(self.trace.borrow().protocol);
+        let client_addr = self.lane.map_or(CLIENT_ADDR, |l| l.client_addr);
+        let server_port = self
             .opts
             .server_port
             .unwrap_or(self.trace.borrow().server_port);
+        self.flow = session.open_flow(protocol, client_addr, server_port);
 
         // Install the scripted server for this (possibly transformed)
         // trace — keyed by client address in lane mode, so concurrent
@@ -556,62 +616,18 @@ where
         });
 
         self.t_start = session.env.clock();
-        self.protocol = self
-            .schedule
-            .borrow()
-            .protocol
-            .unwrap_or(self.trace.borrow().protocol);
 
-        if self.protocol == TraceProtocol::Tcp {
-            session.isn_counter = session.isn_counter.wrapping_add(97_000);
-            self.client_isn = session.isn_counter;
-            let syn = Packet::tcp(
-                self.client_addr,
-                SERVER_ADDR,
-                self.client_port,
-                self.server_port,
-                self.client_isn,
-                0,
-                Vec::new(),
-            )
-            .with_flags(TcpFlags::SYN)
-            .serialize();
-            self.bytes_sent += syn.len() as u64;
-            session.env.inject_client(Duration::ZERO, syn);
-            session.env.run_until_idle();
-            let inbox = session.env.take_client_inbox();
-            let client_port = self.client_port;
-            let syn_ack = inbox.iter().find_map(|(_, w)| {
-                let p = ParsedPacket::parse(w)?;
-                let t = p.tcp()?;
-                (t.flags.syn && t.flags.ack && t.dst_port == client_port).then(|| t.seq)
-            });
-            self.inbox_log.extend(inbox);
-            match syn_ack {
-                Some(s) => {
-                    self.server_isn = s;
-                    let ack = Packet::tcp(
-                        self.client_addr,
-                        SERVER_ADDR,
-                        self.client_port,
-                        self.server_port,
-                        self.client_isn.wrapping_add(1),
-                        self.server_isn.wrapping_add(1),
-                        Vec::new(),
-                    )
-                    .with_flags(TcpFlags::ACK)
-                    .serialize();
-                    self.bytes_sent += ack.len() as u64;
-                    session.env.inject_client(Duration::ZERO, ack);
-                    session.env.run_until_idle();
-                }
-                None => self.handshake_ok = false,
-            }
-        }
         // Quiesce for the yield: anything already delivered belongs to
         // this machine's log (collection time is invisible — the log is
         // only read at observation, in delivery order either way).
-        self.inbox_log.extend(session.env.take_client_inbox());
+        self.inbox_log = if protocol == TraceProtocol::Tcp {
+            let handshake = session.handshake(&mut self.flow);
+            self.handshake_ok = handshake.established;
+            self.bytes_sent += handshake.bytes_sent;
+            handshake.inbox
+        } else {
+            session.env.take_client_inbox()
+        };
 
         if !self.handshake_ok {
             return self.finish(session);
@@ -648,21 +664,11 @@ where
                         self.first_data_sent = Some(session.env.clock());
                     }
                     let bytes_sent = &mut self.bytes_sent;
-                    build_wire_packets(
-                        self.protocol,
-                        sp,
-                        self.client_addr,
-                        self.client_port,
-                        self.server_port,
-                        self.client_isn,
-                        self.server_isn,
-                        self.replay_no,
-                        &self.opts,
-                        |wire| {
+                    self.flow
+                        .lower(sp, self.replay_no, self.opts.data_ttl, |wire| {
                             *bytes_sent += wire.len() as u64;
                             session.env.inject_client(Duration::ZERO, wire);
-                        },
-                    );
+                        });
                     Wake::Ready
                 }
             }
@@ -677,8 +683,13 @@ where
     fn finish<S: Substrate>(&mut self, session: &mut Session<S>) -> TaskPoll<ReplayOutcome> {
         session.bytes_sent_total += self.bytes_sent;
         let trace = self.trace.borrow();
-        let client_port = self.client_port;
-        let protocol = self.protocol;
+        let ClientFlow {
+            protocol,
+            client_addr,
+            client_port,
+            server_port,
+            ..
+        } = self.flow;
 
         // ----- Observe.
         let InboxObservation {
@@ -720,9 +731,9 @@ where
 
         let duration = session.env.clock() - self.t_start;
         let outcome = ReplayOutcome {
-            client_addr: self.client_addr,
+            client_addr,
             client_port,
-            server_port: self.server_port,
+            server_port,
             handshake_ok: self.handshake_ok,
             rsts,
             block_page,
@@ -883,79 +894,12 @@ fn response_matches<'a>(
     true
 }
 
-/// Lower one scheduled packet to wire bytes, handing each packet (one,
-/// or its fragments) to `emit`. The payload is serialized straight from
-/// the schedule into the wire buffer. `ident` seeds the IP
-/// identification pattern (the session-global replay number inline;
-/// the lane-local one on reactor lanes, where the per-lane client
-/// address keeps reassembly keys disjoint anyway).
-#[allow(clippy::too_many_arguments)]
-fn build_wire_packets(
-    protocol: TraceProtocol,
-    sp: &ScheduledPacket,
-    client_addr: Ipv4Addr,
-    client_port: u16,
-    server_port: u16,
-    client_isn: u32,
-    server_isn: u32,
-    ident: u64,
-    opts: &ReplayOpts,
-    mut emit: impl FnMut(Vec<u8>),
-) {
-    let mut pkt = match protocol {
-        TraceProtocol::Tcp => {
-            let seq = client_isn.wrapping_add(1).wrapping_add(sp.offset as u32);
-            Packet::tcp(
-                client_addr,
-                SERVER_ADDR,
-                client_port,
-                server_port,
-                seq,
-                server_isn.wrapping_add(1),
-                Vec::new(),
-            )
-        }
-        TraceProtocol::Udp => Packet::udp(
-            client_addr,
-            SERVER_ADDR,
-            client_port,
-            server_port,
-            Vec::new(),
-        ),
-    };
-    if let Some(ttl) = opts.data_ttl {
-        pkt.ip.ttl = ttl;
-    }
-    pkt.ip.identification = (ident as u16)
-        .wrapping_mul(251)
-        .wrapping_add((sp.offset as u16).wrapping_mul(31));
-    sp.craft.apply_around(&mut pkt, sp.payload.len());
-    let wire = pkt.serialize_around(&sp.payload);
-
-    match &sp.fragment {
-        None => emit(wire),
-        Some(plan) => {
-            // Convert the payload-relative boundary into an IP-payload
-            // boundary (transport header included), rounded down to
-            // the fragmentation granularity.
-            let transport_header = wire.len() - 20 - sp.payload.len();
-            let boundary = plan
-                .boundary
-                .map(|b| transport_header + b)
-                .unwrap_or((wire.len() - 20) / plan.pieces.max(1));
-            let chunk = (boundary / 8).max(1) * 8;
-            let mut frags = fragment_packet(&wire, chunk);
-            if plan.reverse {
-                frags.reverse();
-            }
-            frags.into_iter().for_each(emit);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liberate_dpi::profiles::SERVER_ADDR;
+    use liberate_packet::packet::Packet;
+    use liberate_packet::tcp::TcpFlags;
     use liberate_traces::apps;
     use liberate_traces::recorded::TraceMessage;
 

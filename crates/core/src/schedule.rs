@@ -4,12 +4,17 @@
 //! A [`Schedule`] is the ordered plan of everything the client side will
 //! do for one replay — data segments at stream offsets, crafted inert
 //! packets, pauses, waits for server data. Evasion techniques are
-//! *schedule rewrites* ([`crate::evasion`]), and the replay engine
-//! ([`crate::replay`]) lowers the schedule onto a live connection.
+//! *schedule rewrites* ([`crate::evasion`]), and [`ClientFlow::lower`]
+//! turns each scheduled packet into wire bytes on a live connection —
+//! for the replay engine ([`crate::replay`]), the socket library
+//! ([`crate::socket`]) and every other client-side sender alike.
 
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
+use liberate_dpi::profiles::SERVER_ADDR;
 use liberate_packet::checksum::ChecksumSpec;
+use liberate_packet::fragment::fragment_packet;
 use liberate_packet::ipv4::IpOption;
 use liberate_packet::packet::{Packet, Transport};
 use liberate_packet::tcp::TcpFlags;
@@ -45,15 +50,9 @@ impl Craft {
         *self == Craft::default()
     }
 
-    /// Apply these mutations to a fully built packet.
-    pub fn apply(&self, pkt: &mut Packet) {
-        self.apply_around(pkt, pkt.payload.len());
-    }
-
-    /// [`Craft::apply`] to a packet that will be serialized around a
-    /// `payload_len`-byte payload it does not own (see
-    /// [`Packet::serialize_around`]): length deltas are judged against
-    /// that payload.
+    /// Apply these mutations to a packet that will be serialized around
+    /// a `payload_len`-byte payload (see [`Packet::serialize_around`]):
+    /// length deltas are judged against that payload.
     pub fn apply_around(&self, pkt: &mut Packet, payload_len: usize) {
         if let Some(ttl) = self.ttl {
             pkt.ip.ttl = ttl;
@@ -161,6 +160,116 @@ impl ScheduledPacket {
             counts: false,
             craft,
             fragment: None,
+        }
+    }
+}
+
+/// One client flow's addressing toward [`SERVER_ADDR`]: everything
+/// needed to put a [`ScheduledPacket`] on the wire. The replay engine,
+/// [`crate::socket::LiberateSocket`] and Table 3's OS matrix all lower
+/// through it, so a technique deploys as exactly the packets that
+/// evaluation proved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientFlow {
+    pub protocol: TraceProtocol,
+    pub client_addr: Ipv4Addr,
+    pub client_port: u16,
+    pub server_port: u16,
+    /// TCP only: the sequence number of the SYN.
+    pub client_isn: u32,
+    /// TCP only: the sequence number of the server's SYN-ACK.
+    pub server_isn: u32,
+}
+
+impl ClientFlow {
+    /// A header-only TCP packet of this flow.
+    fn tcp(&self, seq: u32, ack: u32) -> Packet {
+        Packet::tcp(
+            self.client_addr,
+            SERVER_ADDR,
+            self.client_port,
+            self.server_port,
+            seq,
+            ack,
+            Vec::new(),
+        )
+    }
+
+    /// The client sequence number of stream offset `offset`.
+    fn seq_at(&self, offset: u64) -> u32 {
+        self.client_isn.wrapping_add(1).wrapping_add(offset as u32)
+    }
+
+    /// The handshake's SYN.
+    pub fn syn(&self) -> Vec<u8> {
+        self.tcp(self.client_isn, 0)
+            .with_flags(TcpFlags::SYN)
+            .serialize()
+    }
+
+    /// The handshake's final ACK (needs `server_isn`).
+    pub fn ack(&self) -> Vec<u8> {
+        self.tcp(self.seq_at(0), self.server_isn.wrapping_add(1))
+            .with_flags(TcpFlags::ACK)
+            .serialize()
+    }
+
+    /// A FIN closing the client stream after `offset` bytes.
+    pub(crate) fn fin(&self, offset: u64) -> Vec<u8> {
+        self.tcp(self.seq_at(offset), self.server_isn.wrapping_add(1))
+            .with_flags(TcpFlags::FIN_ACK)
+            .serialize()
+    }
+
+    /// Lower one scheduled packet to wire bytes, handing each packet
+    /// (one, or its fragments) to `emit`. The payload is serialized
+    /// straight from the schedule into the wire buffer. `ident` seeds
+    /// the IP identification pattern; `data_ttl` forces a TTL before the
+    /// craft applies (middlebox localization, §5.2).
+    pub fn lower(
+        &self,
+        sp: &ScheduledPacket,
+        ident: u64,
+        data_ttl: Option<u8>,
+        mut emit: impl FnMut(Vec<u8>),
+    ) {
+        let mut pkt = match self.protocol {
+            TraceProtocol::Tcp => self.tcp(self.seq_at(sp.offset), self.server_isn.wrapping_add(1)),
+            TraceProtocol::Udp => Packet::udp(
+                self.client_addr,
+                SERVER_ADDR,
+                self.client_port,
+                self.server_port,
+                Vec::new(),
+            ),
+        };
+        if let Some(ttl) = data_ttl {
+            pkt.ip.ttl = ttl;
+        }
+        pkt.ip.identification = (ident as u16)
+            .wrapping_mul(251)
+            .wrapping_add((sp.offset as u16).wrapping_mul(31));
+        sp.craft.apply_around(&mut pkt, sp.payload.len());
+        let wire = pkt.serialize_around(&sp.payload);
+
+        match &sp.fragment {
+            None => emit(wire),
+            Some(plan) => {
+                // Convert the payload-relative boundary into an IP-payload
+                // boundary (transport header included), rounded down to
+                // the fragmentation granularity.
+                let transport_header = wire.len() - 20 - sp.payload.len();
+                let boundary = plan
+                    .boundary
+                    .map(|b| transport_header + b)
+                    .unwrap_or((wire.len() - 20) / plan.pieces.max(1));
+                let chunk = (boundary / 8).max(1) * 8;
+                let mut frags = fragment_packet(&wire, chunk);
+                if plan.reverse {
+                    frags.reverse();
+                }
+                frags.into_iter().for_each(emit);
+            }
         }
     }
 }
@@ -359,7 +468,7 @@ mod tests {
             tcp_flags: Some(TcpFlags::PSH_ONLY),
             ..Craft::default()
         };
-        craft.apply(&mut pkt);
+        craft.apply_around(&mut pkt, 7);
         assert_eq!(pkt.ip.ttl, 3);
         let wire = pkt.serialize();
         let defects = liberate_packet::validate::validate_wire(&wire);
@@ -384,7 +493,7 @@ mod tests {
             ip_total_length_delta: Some(20),
             ..Craft::default()
         }
-        .apply(&mut pkt);
+        .apply_around(&mut pkt, 10);
         let wire = pkt.serialize();
         let parsed = liberate_packet::packet::ParsedPacket::parse(&wire).unwrap();
         assert_eq!(parsed.ip.total_length as usize, wire.len() + 20);
@@ -403,7 +512,7 @@ mod tests {
             udp_length_delta: Some(-4),
             ..Craft::default()
         }
-        .apply(&mut pkt);
+        .apply_around(&mut pkt, 8);
         let wire = pkt.serialize();
         let parsed = liberate_packet::packet::ParsedPacket::parse(&wire).unwrap();
         assert_eq!(parsed.udp().unwrap().length, 12);
@@ -438,7 +547,7 @@ mod tests {
                     }
                 };
                 let mut owned = packet(payload);
-                craft.apply(&mut owned);
+                craft.apply_around(&mut owned, payload.len());
                 let mut bare = packet(b"");
                 craft.apply_around(&mut bare, payload.len());
                 assert_eq!(bare.serialize_around(payload), owned.serialize());

@@ -10,23 +10,21 @@
 
 use std::time::Duration;
 
-use liberate_dpi::profiles::{CLIENT_ADDR, SERVER_ADDR};
-use liberate_packet::packet::{Packet, ParsedPacket};
-use liberate_packet::tcp::TcpFlags;
+use liberate_dpi::profiles::CLIENT_ADDR;
+use liberate_packet::packet::ParsedPacket;
+use liberate_substrate::buf::PacketBuf;
+use liberate_substrate::time::SimTime;
 use liberate_substrate::Substrate;
-use liberate_traces::recorded::{RecordedTrace, TraceMessage, TraceProtocol};
+use liberate_traces::recorded::{RecordedTrace, Sender, TraceProtocol};
 
 use crate::error::{LiberateError, Result};
 use crate::evasion::{EvasionContext, Technique};
 use crate::replay::Session;
-use crate::schedule::{Schedule, ScheduledPacket, Step};
+use crate::schedule::{ClientFlow, Schedule, Step};
 
 /// Per-connection state.
 struct Conn {
-    client_port: u16,
-    server_port: u16,
-    client_isn: u32,
-    server_isn: u32,
+    flow: ClientFlow,
     /// Next stream offset for client data.
     offset: u64,
     /// RSTs observed for this connection.
@@ -38,13 +36,35 @@ struct Conn {
     start_transformed: bool,
 }
 
+impl Conn {
+    /// Take in what the client received: RSTs and server payload on
+    /// this connection.
+    fn absorb(&mut self, inbox: Vec<(SimTime, PacketBuf)>) {
+        for (_, wire) in inbox {
+            let Some(p) = ParsedPacket::parse(&wire) else {
+                continue;
+            };
+            if p.dst_port() != Some(self.flow.client_port) {
+                continue;
+            }
+            if let Some(t) = p.tcp() {
+                if t.flags.rst {
+                    self.rsts += 1;
+                    continue;
+                }
+            }
+            if !p.payload.is_empty() {
+                self.rx.extend_from_slice(&p.payload);
+            }
+        }
+    }
+}
+
 /// A socket-like handle whose traffic is liberated transparently.
 pub struct LiberateSocket<S: Substrate = crate::sim::SimSubstrate> {
     pub session: Session<S>,
     technique: Option<(Technique, EvasionContext)>,
     conn: Option<Conn>,
-    /// MSS used when segmenting application sends.
-    pub mss: usize,
 }
 
 impl<S: Substrate> LiberateSocket<S> {
@@ -55,7 +75,6 @@ impl<S: Substrate> LiberateSocket<S> {
             session,
             technique: None,
             conn: None,
-            mss: 1460,
         }
     }
 
@@ -65,133 +84,49 @@ impl<S: Substrate> LiberateSocket<S> {
         self.technique = Some((technique, ctx));
     }
 
-    /// Open a connection to the environment's server.
+    /// Open a connection to the environment's server, on the session's
+    /// next client port and ISN (as a replay takes them).
     pub fn connect(&mut self, server_port: u16) -> Result<()> {
-        let client_port = 50_000 + (self.session.replays % 10_000) as u16;
-        self.session.replays += 1;
-        let client_isn = 40_000 + self.session.replays as u32 * 91_000;
-
-        let syn = Packet::tcp(
-            CLIENT_ADDR,
-            SERVER_ADDR,
-            client_port,
-            server_port,
-            client_isn,
-            0,
-            Vec::new(),
-        )
-        .with_flags(TcpFlags::SYN);
-        self.session
-            .env
-            .inject_client(Duration::ZERO, syn.serialize());
-        self.session.env.run_until_idle();
-
-        let inbox = self.session.env.take_client_inbox();
-        // A blocking middlebox may inject RSTs during the handshake while
-        // the SYN still reaches the server; record them.
-        let handshake_rsts = inbox
-            .iter()
-            .filter(|(_, w)| {
-                ParsedPacket::parse(w)
-                    .and_then(|p| p.tcp().map(|t| t.flags.rst && t.dst_port == client_port))
-                    .unwrap_or(false)
-            })
-            .count();
-        let server_isn = inbox
-            .iter()
-            .find_map(|(_, w)| {
-                let p = ParsedPacket::parse(w)?;
-                let t = p.tcp()?;
-                (t.flags.syn && t.flags.ack && t.dst_port == client_port).then_some(t.seq)
-            })
-            .ok_or(LiberateError::HandshakeFailed)?;
-
-        let ack = Packet::tcp(
-            CLIENT_ADDR,
-            SERVER_ADDR,
-            client_port,
-            server_port,
-            client_isn.wrapping_add(1),
-            server_isn.wrapping_add(1),
-            Vec::new(),
-        )
-        .with_flags(TcpFlags::ACK);
-        self.session
-            .env
-            .inject_client(Duration::ZERO, ack.serialize());
-        self.session.env.run_until_idle();
-
-        self.conn = Some(Conn {
-            client_port,
-            server_port,
-            client_isn,
-            server_isn,
+        let mut flow = self
+            .session
+            .open_flow(TraceProtocol::Tcp, CLIENT_ADDR, server_port);
+        let handshake = self.session.handshake(&mut flow);
+        let mut conn = Conn {
+            flow,
             offset: 0,
-            rsts: handshake_rsts,
+            rsts: 0,
             rx: Vec::new(),
             start_transformed: false,
-        });
+        };
+        // A blocking middlebox may inject RSTs during the handshake while
+        // the SYN still reaches the server; count them.
+        conn.absorb(handshake.inbox);
+        if !handshake.established {
+            return Err(LiberateError::HandshakeFailed);
+        }
+        self.conn = Some(conn);
         Ok(())
     }
 
-    /// Send application bytes; the first send of a connection is rewritten
+    /// Send application bytes, cut at the recording MSS as a recorded
+    /// trace's messages are; the first send of a connection is rewritten
     /// by the installed technique (splits, inert insertions, pauses).
+    /// Every packet goes out through [`ClientFlow::lower`], as in a
+    /// replay.
     pub fn send(&mut self, data: &[u8]) -> Result<()> {
         let conn = self.conn.as_mut().ok_or(LiberateError::HandshakeFailed)?;
-
-        // Build the plain plan for this chunk of stream.
-        let mut steps: Vec<Step> = Vec::new();
-        let base = conn.offset;
-        let mut rel = 0u64;
-        for chunk in data.chunks(self.mss) {
-            steps.push(Step::Packet(ScheduledPacket::data(
-                base + rel,
-                chunk.to_vec(),
-            )));
-            rel += chunk.len() as u64;
-        }
-        let mut schedule = Schedule {
-            steps,
-            protocol: Some(TraceProtocol::Tcp),
-            server_skip_prefix: 0,
-        };
-
+        let mut trace = RecordedTrace::new("live", TraceProtocol::Tcp, conn.flow.server_port);
+        trace.push_stream(Sender::Client, data);
+        let mut schedule = Schedule::from_trace(&trace);
         // The technique rewrites the flow start only.
-        if !conn.start_transformed {
+        if !std::mem::replace(&mut conn.start_transformed, true) {
             if let Some((technique, ctx)) = &self.technique {
-                // Rebase the context onto this send: a mini-trace makes the
-                // technique's field-relative logic line up with `data`.
-                let mut mini = RecordedTrace::new("live", TraceProtocol::Tcp, conn.server_port);
-                mini.push_message(TraceMessage::client(data.to_vec()));
-                let mini_schedule = Schedule::from_trace(&mini);
-                if let Some(transformed) = technique.apply(&mini_schedule, ctx) {
-                    // Shift the transformed steps to this connection's
-                    // current offset.
-                    schedule.steps = transformed
-                        .steps
-                        .into_iter()
-                        .map(|s| match s {
-                            Step::Packet(mut p) => {
-                                p.offset += base;
-                                Step::Packet(p)
-                            }
-                            other => other,
-                        })
-                        .collect();
-                    schedule.server_skip_prefix = transformed.server_skip_prefix;
-                }
+                schedule = technique.apply(&schedule, ctx).unwrap_or(schedule);
             }
-            conn.start_transformed = true;
         }
 
-        // Emit.
-        let (cport, sport, cisn, sisn) = (
-            conn.client_port,
-            conn.server_port,
-            conn.client_isn,
-            conn.server_isn,
-        );
-        for step in &schedule.steps {
+        let (flow, base) = (conn.flow, conn.offset);
+        for step in &mut schedule.steps {
             match step {
                 Step::Pause(d) => {
                     self.session.env.run_until_idle();
@@ -199,61 +134,27 @@ impl<S: Substrate> LiberateSocket<S> {
                 }
                 Step::AwaitServer { .. } => {}
                 Step::Packet(sp) => {
-                    let mut pkt = Packet::tcp(
-                        CLIENT_ADDR,
-                        SERVER_ADDR,
-                        cport,
-                        sport,
-                        cisn.wrapping_add(1).wrapping_add(sp.offset as u32),
-                        sisn.wrapping_add(1),
-                        sp.payload.clone(),
-                    );
-                    sp.craft.apply(&mut pkt);
-                    let wire = pkt.serialize();
-                    match &sp.fragment {
-                        None => self.session.env.inject_client(Duration::ZERO, wire),
-                        Some(plan) => {
-                            let chunk = (((wire.len() - 20) / plan.pieces.max(1)) / 8).max(1) * 8;
-                            let mut frags =
-                                liberate_packet::fragment::fragment_packet(&wire, chunk);
-                            if plan.reverse {
-                                frags.reverse();
-                            }
-                            for f in frags {
-                                self.session.env.inject_client(Duration::ZERO, f);
-                            }
-                        }
-                    }
-                    self.session.env.run_until_idle();
+                    sp.offset += base;
+                    let env = &mut self.session.env;
+                    // The client port seeds the IP identification, as
+                    // the replay number does for a replay.
+                    flow.lower(sp, flow.client_port.into(), None, |wire| {
+                        env.inject_client(Duration::ZERO, wire)
+                    });
+                    env.run_until_idle();
                 }
             }
             self.drain_inbox();
         }
-        let conn = self.conn.as_mut().ok_or(LiberateError::HandshakeFailed)?;
-        conn.offset += data.len() as u64;
+        if let Some(conn) = self.conn.as_mut() {
+            conn.offset += data.len() as u64;
+        }
         Ok(())
     }
 
     fn drain_inbox(&mut self) {
-        let Some(conn) = self.conn.as_mut() else {
-            return;
-        };
-        for (_, wire) in self.session.env.take_client_inbox() {
-            let Some(p) = ParsedPacket::parse(&wire) else {
-                continue;
-            };
-            if p.dst_port() != Some(conn.client_port) {
-                continue;
-            }
-            if let Some(t) = p.tcp() {
-                if t.flags.rst {
-                    conn.rsts += 1;
-                    continue;
-                }
-            }
-            if !p.payload.is_empty() {
-                conn.rx.extend_from_slice(&p.payload);
-            }
+        if let Some(conn) = self.conn.as_mut() {
+            conn.absorb(self.session.env.take_client_inbox());
         }
     }
 
@@ -275,21 +176,9 @@ impl<S: Substrate> LiberateSocket<S> {
     /// Close the connection with a FIN.
     pub fn close(&mut self) {
         if let Some(conn) = self.conn.take() {
-            let fin = Packet::tcp(
-                CLIENT_ADDR,
-                SERVER_ADDR,
-                conn.client_port,
-                conn.server_port,
-                conn.client_isn
-                    .wrapping_add(1)
-                    .wrapping_add(conn.offset as u32),
-                conn.server_isn.wrapping_add(1),
-                Vec::new(),
-            )
-            .with_flags(TcpFlags::FIN_ACK);
             self.session
                 .env
-                .inject_client(Duration::ZERO, fin.serialize());
+                .inject_client(Duration::ZERO, conn.flow.fin(conn.offset));
             self.session.env.run_until_idle();
         }
     }
@@ -300,9 +189,12 @@ mod tests {
     use super::*;
     use crate::config::LiberateConfig;
     use crate::probe::decoy_request;
+    use crate::replay::ReplayOpts;
     use crate::sim::{EchoApp, OsKind};
     use liberate_dpi::profiles::EnvKind;
+    use liberate_substrate::capture::TapPoint;
     use liberate_traces::http::get_request;
+    use liberate_traces::recorded::TraceMessage;
 
     fn socket(kind: EnvKind) -> LiberateSocket {
         let mut session = Session::new(kind, OsKind::Linux, LiberateConfig::default());
@@ -394,6 +286,105 @@ mod tests {
         );
         // A clean port is unaffected.
         s.connect(8080).unwrap();
+        assert_eq!(s.reset_count(), 0);
+    }
+
+    /// What the parity test compares of one packet at server ingress:
+    /// TTL, fragment flags and offset, IP payload length, and — for a
+    /// first or only fragment — the TCP flags and payload (otherwise the
+    /// raw IP payload). IP ID, ports, ISNs and checksums are left out.
+    /// Header lengths below the minimum (the inert rows that lie about
+    /// them) read as the 20 bytes actually sent.
+    type WireKey = (u8, u16, usize, Option<u8>, Vec<u8>);
+
+    fn wire_key(wire: &[u8]) -> WireKey {
+        let ihl = (usize::from(wire[0] & 0x0f) * 4).clamp(20, wire.len());
+        let frag = u16::from_be_bytes([wire[6], wire[7]]) & 0x3fff;
+        let ip_payload = &wire[ihl..];
+        if frag & 0x1fff == 0 && ip_payload.len() >= 20 {
+            let doff = (usize::from(ip_payload[12] >> 4) * 4).clamp(20, ip_payload.len());
+            let payload = ip_payload[doff..].to_vec();
+            (
+                wire[8],
+                frag,
+                ip_payload.len(),
+                Some(ip_payload[13]),
+                payload,
+            )
+        } else {
+            (wire[8], frag, ip_payload.len(), None, ip_payload.to_vec())
+        }
+    }
+
+    fn server_ingress<S: Substrate>(session: &Session<S>) -> Vec<WireKey> {
+        session
+            .env
+            .capture()
+            .at(TapPoint::ServerIngress)
+            .map(|r| wire_key(&r.wire))
+            .collect()
+    }
+
+    /// One `send` through the socket puts on the wire exactly what the
+    /// replay engine sends for the same request, technique and context,
+    /// for every TCP row of Table 3 (Sprint has no middlebox, so every
+    /// packet reaches the server).
+    #[test]
+    fn socket_sends_what_the_replay_engine_sends() {
+        let req = get_request("www.facebook.com", "/", "sock/1.0");
+        let pos = liberate_traces::http::find(&req, b"facebook.com").unwrap();
+        let ctx = EvasionContext {
+            matching_fields: vec![liberate_packet::mutate::ByteRegion::new(0, pos..pos + 12)],
+            decoy: decoy_request(),
+            middlebox_ttl: 8,
+        };
+        let mut trace = RecordedTrace::new("parity", TraceProtocol::Tcp, 80);
+        trace.push_message(TraceMessage::client(req.clone()));
+        let mut diverged = Vec::new();
+        for technique in Technique::table3_rows()
+            .into_iter()
+            .filter(|t| t.applicable(TraceProtocol::Tcp))
+        {
+            let mut replay =
+                Session::new(EnvKind::Sprint, OsKind::Linux, LiberateConfig::default());
+            replay
+                .replay_with(&trace, &technique, &ctx, &ReplayOpts::default())
+                .unwrap();
+            let mut s = socket(EnvKind::Sprint);
+            s.use_technique(technique.clone(), ctx.clone());
+            s.session.env.clear_capture();
+            s.connect(80).unwrap();
+            s.send(&req).unwrap();
+            let sent = server_ingress(&replay);
+            assert!(sent.len() >= 3, "{technique:?}: handshake and data arrive");
+            if server_ingress(&s.session) != sent {
+                diverged.push(technique);
+            }
+        }
+        assert!(
+            diverged.is_empty(),
+            "socket and replay diverge on {diverged:?}"
+        );
+    }
+
+    /// A technique-rewritten first send is cut at the MSS like any other.
+    #[test]
+    fn rewritten_first_send_is_cut_at_the_mss() {
+        let mut s = socket(EnvKind::Gfc);
+        s.use_technique(
+            Technique::TtlRstBeforeMatch,
+            EvasionContext::blind(decoy_request(), 10),
+        );
+        s.connect(80).unwrap();
+        let mut data = get_request("www.economist.com", "/", "sock/1.0");
+        data.resize(4_000, b'x');
+        s.send(&data).unwrap();
+        let largest = server_ingress(&s.session)
+            .iter()
+            .map(|(_, _, _, _, payload)| payload.len())
+            .max();
+        assert_eq!(largest, Some(1_460), "no segment beyond the MSS");
+        assert_eq!(s.recv(), data, "the echo server saw the full send intact");
         assert_eq!(s.reset_count(), 0);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Yields are declarative: [`Wake::Timer`] asks the driver to advance the
 //! task's (virtual) clock before the next poll — the inline driver
-//! ([`drive_inline`]) calls `env.advance(d)` on the session clock, the
+//! (`drive_inline`) calls `env.advance(d)` on the session clock, the
 //! reactor parks the task on its timer queue — and [`Wake::Ready`] asks
 //! to be re-polled as soon as the scheduler gets back around, which is
 //! how long replays stay fair.
@@ -45,7 +45,7 @@ pub enum TaskPoll<R> {
 }
 
 /// A resumable flow driven by the reactor (or inline by a sequential
-/// driver, [`drive_inline`]). `Send` so whole waves of tasks can move to
+/// driver, `drive_inline`). `Send` so whole waves of tasks can move to
 /// pool worker threads.
 pub trait FlowTask<S: Substrate>: Send {
     type Output: Send;

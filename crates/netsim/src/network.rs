@@ -16,7 +16,7 @@
 //! plain hop that would forward it only adds 1 to the packet's
 //! `ttl_debt` instead of calling the hop. The debt is settled — the owed
 //! decrements written into the buffer, see
-//! [`RouterHop::settle_ttl_debt`] — right before anything reads the
+//! `RouterHop::settle_ttl_debt` — right before anything reads the
 //! bytes: a non-plain element, a plain hop where the TTL would expire
 //! (which then runs [`PathElement::process`] for expiry and ICMP), the
 //! server, or the client inbox and its capture tap. The first plain hop

@@ -136,6 +136,10 @@ step "liberate-lint --json (report: target/lint-report.json)" lint_json
 # Examples, binaries and test targets of every crate must compile too.
 step "cargo build --workspace --all-targets" cargo build --workspace --all-targets
 
+# Rustdoc must build warning-free (dead or private intra-doc links,
+# ambiguous link targets); ~12 s cold.
+step "cargo doc -D warnings" env RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline
+
 # Every crate's unit and integration tests, the root package's tier-1
 # suites (`cargo test -q`) included.
 step "cargo test --workspace -q" cargo test --workspace -q
