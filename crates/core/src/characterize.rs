@@ -24,7 +24,6 @@ use rand::Rng;
 use liberate_obs::{Journal, Phase};
 use liberate_packet::mutate::{invert_range, merge_regions, ByteRegion};
 use liberate_substrate::buf::PacketBuf;
-use liberate_substrate::script::ResponseTable;
 use liberate_substrate::Substrate;
 use liberate_traces::recorded::{RecordedTrace, Sender};
 
@@ -151,7 +150,7 @@ impl Characterization {
 /// them in copies of the base schedule and of the client stream the
 /// integrity check expects, and shares the base's response table; a
 /// probe that blinds server bytes gets a table of its own, which copies
-/// only the responses it blinds.
+/// only the responses it blinds and re-sums only the segments they touch.
 pub(crate) struct Blinding<'a> {
     trace: &'a RecordedTrace,
     base: LoweredTrace,
@@ -197,7 +196,7 @@ impl<'a> Blinding<'a> {
     pub(crate) fn blinded(&self, blind: &[(usize, Range<usize>)]) -> (LoweredTrace, Schedule) {
         let mut lowered = self.base.clone();
         let mut schedule = self.schedule.clone();
-        let mut responses: Option<Vec<PacketBuf>> = None;
+        let mut replaced: Vec<(usize, PacketBuf)> = Vec::new();
         for (msg, range) in blind {
             let Some(m) = self.trace.messages.get(*msg) else {
                 continue;
@@ -212,18 +211,22 @@ impl<'a> Blinding<'a> {
                     }
                 }
                 Sender::Server => {
-                    let responses =
-                        responses.get_or_insert_with(|| self.base.table.responses().to_vec());
-                    let blinded = PacketBuf::build(responses[i].len(), |bytes| {
-                        bytes.copy_from_slice(&responses[i]);
+                    let earlier = replaced.iter().position(|(j, _)| *j == i);
+                    let current =
+                        earlier.map_or(&self.base.table.responses()[i], |k| &replaced[k].1);
+                    let blinded = PacketBuf::build(current.len(), |bytes| {
+                        bytes.copy_from_slice(current);
                         invert_range(bytes, range.clone());
                     });
-                    responses[i] = blinded;
+                    match earlier {
+                        Some(k) => replaced[k].1 = blinded,
+                        None => replaced.push((i, blinded)),
+                    }
                 }
             }
         }
-        if let Some(responses) = responses {
-            lowered.table = Arc::new(ResponseTable::from_responses(responses));
+        if !replaced.is_empty() {
+            lowered.table = Arc::new(self.base.table.replacing(replaced));
         }
         (lowered, schedule)
     }
@@ -491,7 +494,7 @@ mod tests {
     fn server_blinded_tables_sum_their_own_segments() {
         use liberate_packet::checksum::verify_pseudo_checksum;
         use liberate_packet::packet::{Packet, ParsedPacket};
-        use liberate_substrate::script::Burst;
+        use liberate_substrate::script::{Burst, ResponseTable};
         use std::net::Ipv4Addr;
 
         let (server, client) = (Ipv4Addr::new(10, 9, 9, 9), Ipv4Addr::new(10, 0, 0, 1));

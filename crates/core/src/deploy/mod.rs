@@ -42,8 +42,8 @@ use crate::schedule::Schedule;
 /// [`Signal::ZeroRating`] is the only signal whose judgment compares
 /// against it; every other signal skips the read entirely. Skipping
 /// matters beyond cost: the read draws jitter from the session RNG, and
-/// deployed flows must stay RNG-free so the reactor engine can interleave
-/// them in any completion order without perturbing the stream the
+/// deployed flows must stay RNG-free so the reactor can run them on
+/// lanes in any order without perturbing the stream the
 /// characterizer's probes consume.
 pub(crate) fn billed_baseline<S: Substrate>(session: &mut Session<S>, signal: &Signal) -> i64 {
     if matches!(signal, Signal::ZeroRating) {

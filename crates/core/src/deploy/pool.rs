@@ -285,14 +285,14 @@ impl<S: Substrate> DeploymentPool<S> {
         // reference. Schedule lowering is a pure transformation — the
         // hoist is journal- and RNG-silent.
         let compiled = CompiledWave::lower(trace, self.published.snapshot(), &self.fallback);
-        // The reactor interleaves flows on private lanes when the
+        // The reactor runs flows on private lanes when the
         // substrate supports lanes. That is only sound when flows cannot
         // observe each other through session-global mutable state: the
         // zero-rating signal reads the billed counter (an RNG-jittered
         // session global), so the inline driver runs it; blocking,
         // throttling, and readout judgments are functions of the lane's
         // own outcome.
-        let interleave = compiled
+        let on_lanes = compiled
             .evasion
             .as_deref()
             .is_none_or(|e| !matches!(e.signal, Signal::ZeroRating))
@@ -302,7 +302,7 @@ impl<S: Substrate> DeploymentPool<S> {
         };
         let reports: Vec<PoolFlowReport> = self
             .pool
-            .run_flow_wave((0..users).collect(), interleave, &build)
+            .run_flow_wave((0..users).collect(), on_lanes, &build)
             .into_iter()
             .map(|r| {
                 // lint: allow(no-panic) contract: deploy tasks judge

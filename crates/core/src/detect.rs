@@ -9,7 +9,7 @@
 //! Every phase builds on one primitive, the probe: one replay plus one
 //! classification judgment ([`was_classified`]). `ProbeTask` is its
 //! only implementation — billed-counter read, replay, judgment,
-//! round-gap rest — whether the reactor interleaves it in a blinding
+//! round-gap rest — whether the reactor runs it on a lane in a blinding
 //! wave or [`probe`] runs it inline on a session.
 
 use std::borrow::Borrow;

@@ -22,8 +22,10 @@
 //! each wave picks one of two drivers for its tasks from observable
 //! facts, not from the caller:
 //!
-//! - the **reactor** ([`Reactor`]) interleaves each worker's bucket on
-//!   per-flow lanes. It drives jobs judged from their own flow alone
+//! - the **reactor** ([`Reactor`]) runs each worker's bucket on
+//!   per-flow lanes, one task to completion after another; the lanes
+//!   all open at the wave's first instant, so the flows are concurrent
+//!   in simulated time. It drives jobs judged from their own flow alone
 //!   (blinding probes under [`Signal::Readout`] / [`Signal::Blocking`],
 //!   deployed flows under any signal but zero-rating), provided the
 //!   substrate [`Substrate::supports_lanes`];
@@ -83,8 +85,8 @@ use crate::task::{drive_inline, FlowTask};
 /// that name them keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Event-driven: per-flow jobs become [`FlowTask`]s interleaved on
-    /// each worker by a [`Reactor`] over per-flow lanes.
+    /// Event-driven: per-flow jobs become [`FlowTask`]s that a
+    /// [`Reactor`] runs on each worker over per-flow lanes.
     #[default]
     Reactor,
 }
@@ -95,8 +97,8 @@ pub enum Engine {
 /// Generic over the [`Substrate`]; the default is the simulator.
 pub struct SessionPool<S: Substrate = SimSubstrate> {
     sessions: Vec<Session<S>>,
-    /// The reactor's scheduling telemetry (ticks, queue depth, timer
-    /// fires). A separate journal that is never merged into worker
+    /// The reactor's scheduling telemetry (ticks, timer fires, task
+    /// panics). A separate journal that is never merged into worker
     /// journals, so scheduling cannot perturb the determinism contract.
     /// Event recording stays off; counters are always live.
     reactor_telemetry: Arc<Journal>,
@@ -178,7 +180,7 @@ impl<S: Substrate> SessionPool<S> {
     }
 
     /// Execute one wave of [`FlowTask`]s on the pool's workers, each
-    /// worker's bucket interleaved on a [`Reactor`]; results in job
+    /// worker's bucket run on a [`Reactor`]; results in job
     /// order, `None` for a contained task panic.
     pub fn run_wave_tasks<T>(&mut self, tasks: Vec<T>) -> Vec<Option<T::Output>>
     where
@@ -192,7 +194,7 @@ impl<S: Substrate> SessionPool<S> {
     pub(crate) fn run_flow_wave<J, T, B>(
         &mut self,
         jobs: Vec<J>,
-        interleave: bool,
+        on_lanes: bool,
         build: &B,
     ) -> Vec<Option<T::Output>>
     where
@@ -204,7 +206,7 @@ impl<S: Substrate> SessionPool<S> {
             &mut self.sessions,
             &self.reactor_telemetry,
             jobs,
-            interleave,
+            on_lanes,
             build,
         )
     }
@@ -215,10 +217,10 @@ impl<S: Substrate> SessionPool<S> {
 /// worker 0 when the pool or the wave has one member, which then runs on
 /// the calling thread. Otherwise each non-empty bucket runs on its own
 /// OS thread, inside a wave span. Each job is written once, as the
-/// [`FlowTask`] that `build(job, worker, lane)` makes, and `interleave`
+/// [`FlowTask`] that `build(job, worker, lane)` makes, and `on_lanes`
 /// picks its driver:
 ///
-/// - `true`: each worker's bucket is built up front and interleaved on a
+/// - `true`: each worker's bucket is built up front and run on a
 ///   [`Reactor`] that records its scheduling into `telemetry`; job `i`
 ///   replays from lane address [`lane_addr`]`(i)`. A contained task
 ///   panic yields `None`.
@@ -233,7 +235,7 @@ pub(crate) fn run_flow_wave<S, J, T, B>(
     sessions: &mut [Session<S>],
     telemetry: &Journal,
     jobs: Vec<J>,
-    interleave: bool,
+    on_lanes: bool,
     build: &B,
 ) -> Vec<Option<T::Output>>
 where
@@ -246,7 +248,7 @@ where
     let n = if total <= 1 { 1 } else { sessions.len() };
     let run_bucket = |session: &mut Session<S>, worker: usize, bucket: Vec<J>| {
         wave_open(session, bucket.len());
-        let part = if interleave {
+        let part = if on_lanes {
             let tasks = bucket
                 .into_iter()
                 .zip((worker..total).step_by(n))
@@ -526,15 +528,15 @@ fn wave_search<S: Substrate>(
         )
     };
 
-    // The reactor interleaves probes on per-flow lanes when the substrate
+    // The reactor runs probes on per-flow lanes when the substrate
     // supports lane swaps and the signal is judged from per-flow state
     // alone (Readout, Blocking). Throttling and ZeroRating compare
     // against shared state whose readings are order-sensitive, so the
     // inline driver runs them.
-    let interleave =
+    let on_lanes =
         matches!(signal, Signal::Readout | Signal::Blocking) && sessions[0].env.supports_lanes();
     let run_probe_wave = |sessions: &mut [Session<S>], jobs: Vec<ProbeJob>| -> Vec<ProbeResult> {
-        run_flow_wave(sessions, telemetry, jobs, interleave, &build)
+        run_flow_wave(sessions, telemetry, jobs, on_lanes, &build)
             .into_iter()
             // lint: allow(no-panic) contract: a panicking replay is a
             // characterization bug; surfacing it beats a silent skip.

@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::probe::{
         decoy_request, inert_reach, locate_middlebox, InertReach, Localization, DECOY_MARKER,
     };
-    pub use crate::reactor::{Reactor, ReactorOutcome, TimerFire, TimerQueue};
+    pub use crate::reactor::{Reactor, ReactorOutcome};
     pub use crate::replay::{server_script, ReplayOpts, ReplayOutcome, Session};
     pub use crate::schedule::{ClientFlow, Craft, FragPlan, Schedule, ScheduledPacket, Step};
     pub use crate::sim::{OsKind, SimSubstrate};

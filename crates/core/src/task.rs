@@ -6,17 +6,18 @@
 //! flow. Each `poll` runs one *quiesced segment* — it may inject
 //! packets, drain the substrate to idle, and read observations, but it
 //! must leave the backend with an empty event heap and an empty client
-//! inbox before yielding. That discipline is what lets the reactor
-//! interleave thousands of tasks on one worker by swapping per-flow
-//! [`liberate_substrate::LaneState`]s around each poll: a quiescent
-//! backend carries no cross-task state outside the lane.
+//! inbox before yielding. That discipline is what lets the reactor run
+//! thousands of tasks on one worker, each on its own timeline, by
+//! swapping per-flow [`liberate_substrate::LaneState`]s around each
+//! poll: a quiescent backend carries no cross-task state outside the
+//! lane.
 //!
 //! Yields are declarative: [`Wake::Timer`] asks the driver to advance the
 //! task's (virtual) clock before the next poll — the inline driver
 //! (`drive_inline`) calls `env.advance(d)` on the session clock, the
-//! reactor parks the task on its timer queue — and [`Wake::Ready`] asks
-//! to be re-polled as soon as the scheduler gets back around, which is
-//! how long replays stay fair.
+//! reactor calls it on the task's own lane — and [`Wake::Ready`] asks to
+//! be polled again. Both drivers poll a task until it is done before
+//! they start the next.
 
 use std::time::Duration;
 

@@ -86,7 +86,10 @@ impl ShardedFlowTable {
 
     /// Which shard a flow hashes to. FNV-1a over the canonical key, so
     /// both directions of a flow land on the same shard and the mapping is
-    /// stable across runs and platforms (no `RandomState`).
+    /// stable across runs and platforms (no `RandomState`). FNV-1a's low
+    /// bits depend only on the low bits of each key byte, so the high
+    /// half is folded in before the modulus: otherwise a wave whose
+    /// client address and port both count up lands on a few shards.
     pub fn shard_index(&self, key: FlowKey) -> usize {
         let k = key.canonical();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -107,6 +110,7 @@ impl ShardedFlowTable {
             eat(b);
         }
         eat(k.protocol);
+        let h = h ^ (h >> 32);
         (h % self.shards.len() as u64) as usize
     }
 

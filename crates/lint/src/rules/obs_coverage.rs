@@ -51,7 +51,6 @@ const HIST_PAIRING: &[(&str, Option<&str>)] = &[
     ("BlindRounds", None),
     ("InjectBytes", Some("PacketsInjected")),
     ("StepSimMicros", Some("PacketsStepped")),
-    ("ReadyQueueDepth", Some("ReactorTicks")),
     ("ReactorTickMicros", Some("ReactorTicks")),
 ];
 

@@ -1,17 +1,17 @@
 //! reactor-blocking: nothing on the reactor dispatch path may block the
 //! host thread.
 //!
-//! The event-driven replay engine multiplexes thousands of flow tasks
-//! onto one worker thread: `Reactor::step` polls one task, the task
-//! yields, the next task runs. A `std::thread::sleep`, a condvar
-//! `wait`, a channel `recv`, or a thread `park` inside a
-//! `FlowTask::poll` body therefore stalls *every* lane behind the
-//! current one — the simulated clock does not move, it is the host that
-//! hangs. Waiting is expressed in virtual time instead: return
-//! `TaskPoll::Pending(Wake::Timer(..))` and let the timer queue resume
-//! the task at its deadline. This rule scans every method of an impl
-//! whose header names `FlowTask` (task implementations and the
-//! scheduler generic over them) and flags host-blocking call heads.
+//! The replay reactor runs thousands of flow tasks on one worker
+//! thread: `Reactor::step` polls one task, and the next task runs once
+//! it is done. A `std::thread::sleep`, a condvar `wait`, a channel
+//! `recv`, or a thread `park` inside a `FlowTask::poll` body therefore
+//! stalls *every* lane behind the current one — the simulated clock
+//! does not move, it is the host that hangs. Waiting is expressed in
+//! virtual time instead: return `TaskPoll::Pending(Wake::Timer(..))`
+//! and let the driver advance the task's clock before its next poll.
+//! This rule scans every method of an impl whose header names
+//! `FlowTask` (task implementations and the scheduler generic over
+//! them) and flags host-blocking call heads.
 
 use crate::rules::{Finding, Rule, RuleCtx};
 
@@ -87,10 +87,10 @@ impl Rule for ReactorBlocking {
         "No host-blocking call (thread::sleep, condvar wait, channel recv, \
 thread park/yield) may run on the reactor dispatch path: every method of \
 an impl whose header names FlowTask executes with thousands of flow \
-lanes multiplexed onto one worker thread, and blocking the host stalls \
-all of them without moving the simulated clock. Express waiting in \
-virtual time — return TaskPoll::Pending(Wake::Timer(..)) and let the \
-timer queue resume the task at its deadline. Suppress a proven \
+lanes queued on one worker thread, and blocking the host stalls all of \
+them without moving the simulated clock. Express waiting in virtual \
+time — return TaskPoll::Pending(Wake::Timer(..)) and let the driver \
+advance the task's clock before its next poll. Suppress a proven \
 exception with `// lint: allow(reactor-blocking)`."
     }
 

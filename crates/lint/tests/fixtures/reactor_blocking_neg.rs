@@ -3,9 +3,9 @@
 impl FlowTask<SimSubstrate> for BackoffFlowTask {
     type Output = PoolFlowReport;
 
-    /// The same retry backoff expressed in virtual time: the task parks
-    /// on the timer queue and the worker keeps polling other lanes; the
-    /// queue resumes this flow once its simulated deadline arrives.
+    /// The same retry backoff expressed in virtual time: the driver
+    /// advances this flow's own clock by the backoff before polling it
+    /// again, and the host thread never waits.
     fn poll(&mut self, session: &mut Session) -> TaskPoll<PoolFlowReport> {
         if self.needs_backoff {
             self.needs_backoff = false;

@@ -214,8 +214,6 @@ pub enum Hist {
     InjectBytes,
     /// Simulated micros between consecutive dispatched simulator events.
     StepSimMicros,
-    /// Ready-queue depth sampled at each reactor scheduler tick.
-    ReadyQueueDepth,
     /// Host wall-clock micros per reactor scheduler tick. Like
     /// [`Hist::ReplayHostMicros`], non-deterministic and excluded from
     /// JSONL export; consumed by `exp-scale`.
@@ -223,7 +221,7 @@ pub enum Hist {
 }
 
 impl Hist {
-    pub const ALL: [Hist; 15] = [
+    pub const ALL: [Hist; 14] = [
         Hist::DetectSimMicros,
         Hist::BlindSearchSimMicros,
         Hist::PositionProbeSimMicros,
@@ -237,7 +235,6 @@ impl Hist {
         Hist::BlindRounds,
         Hist::InjectBytes,
         Hist::StepSimMicros,
-        Hist::ReadyQueueDepth,
         Hist::ReactorTickMicros,
     ];
 
@@ -256,7 +253,6 @@ impl Hist {
             Hist::BlindRounds => "blind-rounds",
             Hist::InjectBytes => "inject-bytes",
             Hist::StepSimMicros => "step-sim-micros",
-            Hist::ReadyQueueDepth => "ready-queue-depth",
             Hist::ReactorTickMicros => "reactor-tick-micros",
         }
     }

@@ -7,6 +7,7 @@
 //! possibly-malformed data, which is the entire premise of the paper.
 
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 use crate::buf::{PacketBuf, WireBytes};
 use crate::checksum::{
@@ -253,6 +254,33 @@ pub fn segment_payload_sums<M: AsRef<[u8]>>(messages: &[M], mss: usize) -> Vec<u
         sums.push(ones_complement_sum_gather(&pieces));
     }
     sums
+}
+
+/// Update `sums`, the [`segment_payload_sums`] of `messages` at `mss`
+/// from before the stream bytes in `changed` (ranges sorted by start,
+/// disjoint) were rewritten in place, by summing again only the segments
+/// that overlap a changed range. Segment boundaries depend only on
+/// message lengths, so every other sum holds.
+pub fn resum_segments<M: AsRef<[u8]>>(
+    messages: &[M],
+    mss: usize,
+    changed: &[Range<usize>],
+    sums: &mut [u16],
+) {
+    let mss = mss.max(1);
+    let mut chunks = StreamChunks::new(messages, mss);
+    let mut pieces = Vec::new();
+    let mut changed = changed.iter().peekable();
+    for (k, sum) in sums.iter_mut().enumerate() {
+        if chunks.next_into(&mut pieces) == 0 {
+            break;
+        }
+        let (start, end) = (k * mss, (k + 1) * mss);
+        while changed.next_if(|r| r.end <= start).is_some() {}
+        if changed.peek().is_some_and(|r| r.start < end) {
+            *sum = ones_complement_sum_gather(&pieces);
+        }
+    }
 }
 
 /// Copy `pieces`, in order, into `out`, which is exactly as long as they

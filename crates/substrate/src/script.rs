@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use liberate_packet::packet::segment_payload_sums;
+use liberate_packet::packet::{resum_segments, segment_payload_sums};
 use parking_lot::Mutex;
 
 use crate::buf::PacketBuf;
@@ -31,6 +31,9 @@ pub struct ResponseTable {
     bytes: u64,
     /// Per-segment payload sums of the bursts served so far.
     sums: Mutex<HashMap<BurstKey, Arc<[u16]>>>,
+    /// For a table made by [`ResponseTable::replacing`]: the table it
+    /// was made from and the indices of the responses it replaced.
+    base: Option<(Arc<ResponseTable>, Vec<usize>)>,
 }
 
 /// (first response, response count, MSS): a burst's segment payloads
@@ -75,6 +78,30 @@ impl ResponseTable {
             responses,
             bytes,
             sums: Mutex::default(),
+            base: None,
+        }
+    }
+
+    /// This table with some responses replaced by rewrites of the same
+    /// length (a server-blinded probe's responses). Its segment sums
+    /// start from this table's, which are computed once and shared: only
+    /// the segments that overlap a replaced response are summed again.
+    pub fn replacing(self: &Arc<Self>, replaced: Vec<(usize, PacketBuf)>) -> ResponseTable {
+        let mut responses = self.responses.clone();
+        let mut changed: Vec<usize> = replaced.iter().map(|&(i, _)| i).collect();
+        changed.sort_unstable();
+        for (i, response) in replaced {
+            // The inherited sums assume every segment boundary stays put.
+            assert_eq!(
+                response.len(),
+                responses[i].len(),
+                "a rewrite keeps its length"
+            );
+            responses[i] = response;
+        }
+        ResponseTable {
+            base: Some((Arc::clone(self), changed)),
+            ..ResponseTable::from_responses(responses)
         }
     }
 
@@ -97,7 +124,28 @@ impl ResponseTable {
         if let Some(sums) = self.sums.lock().get(&key) {
             return Arc::clone(sums);
         }
-        let sums: Arc<[u16]> = segment_payload_sums(&self.responses[range], mss).into();
+        let sums = match &self.base {
+            Some((base, changed)) => {
+                let base_sums = base.segment_sums(range.clone(), mss);
+                let messages = &self.responses[range.clone()];
+                let mut at = 0;
+                let mut changed_bytes = Vec::new();
+                for (i, m) in range.zip(messages) {
+                    if changed.binary_search(&i).is_ok() {
+                        changed_bytes.push(at..at + m.len());
+                    }
+                    at += m.len();
+                }
+                if changed_bytes.is_empty() {
+                    base_sums
+                } else {
+                    let mut sums = base_sums.to_vec();
+                    resum_segments(messages, mss, &changed_bytes, &mut sums);
+                    sums.into()
+                }
+            }
+            None => segment_payload_sums(&self.responses[range], mss).into(),
+        };
         Arc::clone(self.sums.lock().entry(key).or_insert(sums))
     }
 }

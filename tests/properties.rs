@@ -4,6 +4,9 @@
 use proptest::prelude::*;
 
 use liberate::prelude::*;
+use liberate::reactor::lane_addr;
+use liberate_dpi::sharded::ShardedFlowTable;
+use liberate_packet::flow::FlowKey;
 use liberate_packet::fragment::{fragment_packet, OverlapPolicy, Reassembler};
 use liberate_packet::packet::{Packet, ParsedPacket};
 use liberate_packet::validate::is_well_formed;
@@ -245,5 +248,42 @@ proptest! {
         for (a, b) in trace.messages.iter().zip(&back.messages) {
             prop_assert_eq!(&a.payload, &b.payload);
         }
+    }
+
+    /// The flow-table shard hash spreads a wave's flows evenly. 2,048
+    /// flows to any server, from sequential client ports (striding by a
+    /// pool's worker count) on one reactor lane address, from sequential
+    /// lane addresses on one port, or from both in step, as a deployment
+    /// wave's flows are, put within a quarter of the fair share on every
+    /// shard.
+    #[test]
+    fn shard_hash_spreads_sequential_flows(
+        server in addr(),
+        server_port in 1u16..65535,
+        first_port in 20_000u16..50_000,
+        stride in 1u16..=4,
+        first_job in 0usize..100_000,
+        mode in 0u8..3,
+    ) {
+        const FLOWS: usize = 2048;
+        let table = ShardedFlowTable::default();
+        let mut per_shard = vec![0usize; table.shard_count()];
+        for i in 0..FLOWS {
+            let port = first_port + stride * i as u16;
+            let (client, port) = match mode {
+                0 => (lane_addr(first_job), port),
+                1 => (lane_addr(first_job + i), first_port),
+                _ => (lane_addr(first_job + i), port),
+            };
+            let key = FlowKey::new(client, server, port, server_port, 6);
+            per_shard[table.shard_index(key)] += 1;
+        }
+        let fair = FLOWS / per_shard.len();
+        prop_assert!(
+            per_shard.iter().all(|&n| n >= fair * 3 / 4 && n <= fair * 5 / 4),
+            "flows per shard {:?} (mode {})",
+            per_shard,
+            mode
+        );
     }
 }

@@ -1,8 +1,10 @@
-//! Fault-path and scheduling battery for the replay reactor: panicking
-//! tasks are contained, mid-wave teardown leaks nothing, admission-order
-//! shuffles cannot perturb the spliced journal, and waves smaller than
-//! the pool leave surplus workers untouched.
+//! Fault-path and scheduling battery for the replay reactor: each task
+//! runs to completion before the next starts, panicking tasks are
+//! contained, mid-wave teardown leaks nothing, admission-order shuffles
+//! cannot perturb the spliced journal, and waves smaller than the pool
+//! leave surplus workers untouched.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -116,6 +118,66 @@ fn admission_order_shuffles_do_not_change_the_spliced_journal() {
     }
 }
 
+/// A task that yields a few timers between its first and last poll and
+/// counts, on counters shared by the whole wave, how many tasks have
+/// started and not finished.
+struct OverlapTask {
+    polls: u32,
+    running: Arc<AtomicUsize>,
+    max_running: Arc<AtomicUsize>,
+}
+
+impl FlowTask<liberate::sim::SimSubstrate> for OverlapTask {
+    type Output = ();
+
+    fn poll(&mut self, _session: &mut Session) -> TaskPoll<()> {
+        if self.polls == 0 {
+            let now = self.running.fetch_add(1, Ordering::Relaxed) + 1;
+            self.max_running.fetch_max(now, Ordering::Relaxed);
+        }
+        self.polls += 1;
+        if self.polls < 4 {
+            return TaskPoll::Pending(Wake::Timer(Duration::from_millis(10)));
+        }
+        self.running.fetch_sub(1, Ordering::Relaxed);
+        TaskPoll::Done(())
+    }
+
+    fn replays_done(&self) -> u64 {
+        0
+    }
+}
+
+/// Run-to-completion: a task that yields a timer keeps the worker until
+/// it is done, so at most one task of a wave is ever in flight, and each
+/// timer it asked for is applied as one fire.
+#[test]
+fn each_task_runs_to_completion_before_the_next_starts() {
+    let mut session = session();
+    let telemetry = Journal::disabled();
+    let running = Arc::new(AtomicUsize::new(0));
+    let max_running = Arc::new(AtomicUsize::new(0));
+    let wave: Vec<OverlapTask> = (0..16)
+        .map(|_| OverlapTask {
+            polls: 0,
+            running: Arc::clone(&running),
+            max_running: Arc::clone(&max_running),
+        })
+        .collect();
+    let mut reactor = Reactor::new(&session, wave, &telemetry);
+    reactor.run(&mut session, &telemetry);
+    let outcome = reactor.into_outcome();
+
+    assert!(outcome.results.iter().all(|r| r.is_some()));
+    assert_eq!(running.load(Ordering::Relaxed), 0);
+    assert_eq!(max_running.load(Ordering::Relaxed), 1, "tasks overlapped");
+    assert_eq!(telemetry.metrics.get(Counter::ReactorTicks), 16 * 4);
+    assert_eq!(telemetry.metrics.get(Counter::ReactorTimerFires), 16 * 3);
+    for lane in &outcome.lanes {
+        assert_eq!(lane.clock - session.env.clock(), Duration::from_millis(30));
+    }
+}
+
 /// A task that panics on its second poll, mid-wave, with a timer parked
 /// by its first poll already consumed.
 struct BoomTask {
@@ -221,8 +283,8 @@ impl FlowTask<liberate::sim::SimSubstrate> for ParkedForever {
     }
 }
 
-/// Tearing a reactor down with in-flight timers leaks nothing into the
-/// worker: the journal and clock are exactly as before the wave, and the
+/// Tearing a reactor down with a timer advance pending leaks nothing
+/// into the worker: the journal and clock are exactly as before the wave, and the
 /// session replays normally afterwards.
 #[test]
 fn dropping_a_reactor_with_parked_timers_leaks_no_task_state() {
@@ -232,10 +294,12 @@ fn dropping_a_reactor_with_parked_timers_leaks_no_task_state() {
 
     let telemetry = Journal::disabled();
     let mut reactor = Reactor::new(&session, vec![ParkedForever, ParkedForever], &telemetry);
-    // First two steps poll each task once; both park on the timer queue.
+    // Two steps poll the head task twice (the second applies the first
+    // advance on its lane); it is waiting on a third when the reactor
+    // drops.
     assert!(reactor.step(&mut session, &telemetry));
     assert!(reactor.step(&mut session, &telemetry));
-    assert_eq!(reactor.parked(), 2);
+    assert_eq!(reactor.pending_advance(), Some(Duration::from_secs(3_600)));
     assert_eq!(reactor.live(), 2);
     drop(reactor);
 
