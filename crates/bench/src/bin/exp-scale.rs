@@ -6,17 +6,17 @@
 //! `results/BENCH_scale.json`.
 //!
 //! Each user in a wave is a resumable `FlowTask` on its own lane — no OS
-//! thread, no session clone — and the reactor runs one task at a time to
-//! completion, so the marginal cost of a flow is its task slot, lane and
-//! result plus the flow state the server and the DPI table keep, and
-//! memory must grow *sub-linearly in aggregate* (fixed pool overhead
-//! amortizes) with a bounded per-flow increment. Both are gated here:
+//! thread, no session clone — and the reactor builds each task when its
+//! turn comes and runs it to completion, so the marginal cost of a flow
+//! is its job, lane and result plus the flow state the server and the
+//! DPI table keep, and memory must grow *sub-linearly in aggregate*
+//! (fixed pool overhead amortizes) with a bounded per-flow increment.
+//! Both are gated here:
 //!
 //! - every flow in the big wave must complete and report;
 //! - marginal peak heap per flow (the wave's live-heap high-water mark
 //!   over the live heap when it opened, counted by this binary's global
-//!   allocator) must stay under 3 KiB (about 2.1 KiB measured; 4.2 KiB
-//!   when every task's replay state was held at once).
+//!   allocator) must stay under 1.5 KiB (about 1.2 KiB measured).
 //!
 //! Run with: `cargo run --release -p liberate-bench --bin exp-scale`
 //! CI runs a reduced count: `exp-scale --flows 20000`.
@@ -32,7 +32,7 @@ use liberate_obs::{Counter, Journal, JsonValue};
 use liberate_traces::recorded::{RecordedTrace, Sender, TraceProtocol};
 
 /// The marginal peak-heap gate per flow in the largest wave.
-const MAX_BYTES_PER_FLOW: u64 = 3 * 1024;
+const MAX_BYTES_PER_FLOW: u64 = 1536;
 
 /// The wave the per-flow slowdown is measured against: perfbench's
 /// `deploy` wave size.

@@ -220,10 +220,10 @@ impl<S: Substrate> SessionPool<S> {
 /// [`FlowTask`] that `build(job, worker, lane)` makes, and `on_lanes`
 /// picks its driver:
 ///
-/// - `true`: each worker's bucket is built up front and run on a
-///   [`Reactor`] that records its scheduling into `telemetry`; job `i`
-///   replays from lane address [`lane_addr`]`(i)`. A contained task
-///   panic yields `None`.
+/// - `true`: each worker's bucket runs on a [`Reactor`] that records
+///   its scheduling into `telemetry` and builds each task when it
+///   reaches the head of the bucket; job `i` replays from lane address
+///   [`lane_addr`]`(i)`. A contained task panic yields `None`.
 /// - `false`: the inline driver builds each task just before it runs and
 ///   polls it to completion on the worker session
 ///   ([`crate::task::drive_inline`]), so no more tasks are live than one
@@ -249,12 +249,9 @@ where
     let run_bucket = |session: &mut Session<S>, worker: usize, bucket: Vec<J>| {
         wave_open(session, bucket.len());
         let part = if on_lanes {
-            let tasks = bucket
-                .into_iter()
-                .zip((worker..total).step_by(n))
-                .map(|(job, i)| build(job, worker, Some(lane_addr(i))))
-                .collect();
-            run_task_bucket(session, tasks, telemetry)
+            // Bucket position `k` is job `worker + k * n`.
+            let build_on_lane = |k, job| build(job, worker, Some(lane_addr(worker + k * n)));
+            run_task_bucket(session, bucket, build_on_lane, telemetry)
         } else {
             bucket
                 .into_iter()
@@ -306,8 +303,9 @@ where
         .collect()
 }
 
-/// Run one worker's bucket of tasks on a [`Reactor`] and splice the
-/// finished lanes back into the worker's journal and timeline.
+/// Run one worker's bucket of jobs on a [`Reactor`] (`build` makes job
+/// `k`'s task when it reaches the head) and splice the finished lanes
+/// back into the worker's journal and timeline.
 ///
 /// Splice accounting: lanes are visited in admission (bucket) order.
 /// A successful lane's staged events (a journal-off lane has none to
@@ -319,14 +317,15 @@ where
 /// consistent with the session's replay counter. The worker clock then
 /// advances by the total spliced duration, closing the wave at the same
 /// instant the inline driver would.
-fn run_task_bucket<S: Substrate, T: FlowTask<S>>(
+fn run_task_bucket<S: Substrate, J, T: FlowTask<S>>(
     session: &mut Session<S>,
-    tasks: Vec<T>,
+    jobs: Vec<J>,
+    build: impl FnMut(usize, J) -> T,
     telemetry: &Journal,
 ) -> Vec<Option<T::Output>> {
     let t0 = session.env.clock();
     let prewave = session.replays;
-    let mut reactor = Reactor::new(session, tasks, telemetry);
+    let mut reactor = Reactor::new(session, jobs, build, telemetry);
     reactor.run(session, telemetry);
     let outcome = reactor.into_outcome();
     let journal = session.journal().clone();

@@ -17,6 +17,9 @@ pub enum LiberateError {
     NoWorkingTechnique,
     /// The trace is empty or malformed for the requested operation.
     BadTrace(String),
+    /// The technique only works with a cooperating server application,
+    /// which a socket talking to an unmodified server does not have.
+    NeedsServerSupport,
 }
 
 impl fmt::Display for LiberateError {
@@ -27,6 +30,9 @@ impl fmt::Display for LiberateError {
             LiberateError::NoMatchingFields => write!(f, "no matching fields found"),
             LiberateError::NoWorkingTechnique => write!(f, "no evasion technique succeeded"),
             LiberateError::BadTrace(s) => write!(f, "bad trace: {s}"),
+            LiberateError::NeedsServerSupport => {
+                write!(f, "technique needs a cooperating server application")
+            }
         }
     }
 }

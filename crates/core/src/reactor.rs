@@ -5,14 +5,15 @@
 //!
 //! ## Execution model
 //!
-//! Tasks run to completion one at a time, in admission (job) order. Each
-//! tick polls the head task through one *quiesced segment* (see
-//! [`crate::task`]) with its lane (private clock, step-epoch baseline,
-//! capture buffer, and journal handle) swapped into the backend. A
-//! [`Wake::Timer`] yield is applied as `env.advance(d)` on the task's own
-//! lane right before its next poll, exactly as the inline driver
-//! (`task::drive_inline`) applies it on the session clock; a
-//! [`Wake::Ready`] yield is simply polled again. Lanes make the wave's
+//! Tasks run to completion one at a time, in admission (job) order. A
+//! job becomes its task only when it reaches the head, and the task is
+//! dropped when it finishes. Each tick polls the head task through one
+//! *quiesced segment* (see [`crate::task`]) with its lane (private
+//! clock, step-epoch baseline, capture buffer, and journal handle)
+//! swapped into the backend. A [`Wake::Timer`] yield is applied as
+//! `env.advance(d)` on the task's own lane right before its next poll,
+//! exactly as the inline driver (`task::drive_inline`) applies it on the
+//! session clock; a [`Wake::Ready`] yield is simply polled again. Lanes make the wave's
 //! flows concurrent in *simulated* time (every lane opens at the wave's
 //! first instant), so interleaving them on the host would change no
 //! result; running each to completion keeps only one flow's replay state
@@ -69,8 +70,8 @@ pub fn lane_addr(job_index: usize) -> std::net::Ipv4Addr {
     std::net::Ipv4Addr::from(u32::from(std::net::Ipv4Addr::new(10, 64, 0, 1)) + job_index as u32)
 }
 
-/// Everything a finished (or abandoned) reactor wave hands back for
-/// canonical splicing.
+/// Everything a finished reactor wave hands back for canonical
+/// splicing.
 pub struct ReactorOutcome<R> {
     /// Per task, in admission (job) order; `None` marks a panicked task.
     pub results: Vec<Option<R>>,
@@ -82,21 +83,23 @@ pub struct ReactorOutcome<R> {
     pub replays: Vec<u64>,
 }
 
-/// Per-task scheduler state.
-struct TaskSlot<T> {
-    task: T,
-    lane: LaneState,
-}
-
-/// The reactor over one worker session's bucket of tasks. Create with
+/// The reactor over one worker session's bucket of jobs. Create with
 /// [`Reactor::new`], drive with [`Reactor::run`] (or [`Reactor::step`]
 /// for test harnesses), then take the wave via
-/// [`Reactor::into_outcome`]. Dropping it mid-wave abandons every
-/// unfinished task cleanly.
-pub struct Reactor<S: Substrate, T: FlowTask<S>> {
-    slots: Vec<TaskSlot<T>>,
+/// [`Reactor::into_outcome`]. A job becomes its task (`build(index,
+/// job)`) only when it reaches the head of the admission order, and the
+/// task is dropped when it finishes, so one task is live at a time.
+/// Dropping the reactor mid-wave abandons every unfinished job cleanly.
+pub struct Reactor<S: Substrate, J, T: FlowTask<S>, B: FnMut(usize, J) -> T> {
+    /// Jobs not yet built, by job index.
+    jobs: Vec<Option<J>>,
+    build: B,
+    /// The head job's task, once built.
+    head: Option<T>,
+    lanes: Vec<LaneState>,
     results: Vec<Option<T::Output>>,
-    /// Unfinished tasks, the head (the one being run) last.
+    replays: Vec<u64>,
+    /// Unfinished jobs, the head (the one being run) last.
     unfinished: Vec<usize>,
     /// The advance the head task asked for at its last [`Wake::Timer`]
     /// yield; applied on its lane immediately before its next poll.
@@ -104,50 +107,56 @@ pub struct Reactor<S: Substrate, T: FlowTask<S>> {
     _substrate: PhantomData<fn(S)>,
 }
 
-impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
-    /// Admit `tasks` (in order) against the session's current instant.
+impl<S: Substrate, J, T: FlowTask<S>, B: FnMut(usize, J) -> T> Reactor<S, J, T, B> {
+    /// Admit `jobs` (in order) against the session's current instant;
+    /// `build` turns job `i` into its task when it reaches the head.
     /// With the worker journal enabled, each lane stages its events in a
     /// [`Journal::staging`] journal over the worker's metrics. With it
     /// disabled there are no events to order, so every lane shares the
     /// worker journal itself.
-    pub fn new(session: &Session<S>, tasks: Vec<T>, telemetry: &Journal) -> Reactor<S, T> {
+    pub fn new(
+        session: &Session<S>,
+        jobs: Vec<J>,
+        build: B,
+        telemetry: &Journal,
+    ) -> Reactor<S, J, T, B> {
         let t0 = session.env.clock();
         let worker_journal = session.journal();
         let enabled = worker_journal.is_enabled();
-        let n = tasks.len();
-        let slots: Vec<TaskSlot<T>> = tasks
-            .into_iter()
-            .map(|task| {
+        let n = jobs.len();
+        let lanes = (0..n)
+            .map(|_| {
                 telemetry.metrics.incr(Counter::ReactorTasksAdmitted);
                 let journal = if enabled {
                     Arc::new(worker_journal.staging())
                 } else {
                     Arc::clone(worker_journal)
                 };
-                TaskSlot {
-                    task,
-                    lane: LaneState::new(t0, SESSION_TAPS, journal),
-                }
+                LaneState::new(t0, SESSION_TAPS, journal)
             })
             .collect();
         Reactor {
-            slots,
+            jobs: jobs.into_iter().map(Some).collect(),
+            build,
+            head: None,
+            lanes,
             results: (0..n).map(|_| None).collect(),
+            replays: vec![0; n],
             unfinished: (0..n).rev().collect(),
             pending_advance: None,
             _substrate: PhantomData,
         }
     }
 
-    /// Override the order in which tasks run (determinism tests shuffle
+    /// Override the order in which jobs run (determinism tests shuffle
     /// it; the spliced journal must not change). Call it before the
-    /// first step; `order` must be a permutation of `0..tasks`.
+    /// first step; `order` must be a permutation of `0..jobs`.
     pub fn set_admission_order(&mut self, order: &[usize]) {
-        debug_assert_eq!(order.len(), self.slots.len());
+        debug_assert_eq!(order.len(), self.jobs.len());
         self.unfinished = order.iter().rev().copied().collect();
     }
 
-    /// Unfinished tasks still owned by the scheduler.
+    /// Unfinished jobs still owned by the scheduler.
     pub fn live(&self) -> usize {
         self.unfinished.len()
     }
@@ -163,10 +172,11 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         while self.step(session, telemetry) {}
     }
 
-    /// One scheduling step: swap the head task's lane in, apply its
-    /// pending timer advance, poll one quiesced segment, and swap the
-    /// lane back out. The task stays at the head until it is done (or
-    /// contained). Returns false when no work remains.
+    /// One scheduling step: build the head job's task if it has none
+    /// yet, swap its lane in, apply its pending timer advance, poll one
+    /// quiesced segment, and swap the lane back out. The task stays at
+    /// the head until it is done (or contained). Returns false when no
+    /// work remains.
     pub fn step(&mut self, session: &mut Session<S>, telemetry: &Journal) -> bool {
         let Some(&id) = self.unfinished.last() else {
             return false;
@@ -174,13 +184,19 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         // The host clock is read only for a journal that keeps samples.
         let tick_start = telemetry.is_enabled().then(std::time::Instant::now);
         telemetry.metrics.incr(Counter::ReactorTicks);
-        let slot = &mut self.slots[id];
-        session.env.swap_lane(&mut slot.lane);
+        let (jobs, build) = (&mut self.jobs, &mut self.build);
+        let task = self.head.get_or_insert_with(|| {
+            // lint: allow(no-panic) invariant: a job is taken once, when
+            // it first reaches the head
+            build(id, jobs[id].take().expect("unbuilt head job"))
+        });
+        let lane = &mut self.lanes[id];
+        session.env.swap_lane(lane);
         if let Some(d) = self.pending_advance.take() {
             telemetry.metrics.incr(Counter::ReactorTimerFires);
             session.env.advance(d);
         }
-        let polled = catch_unwind(AssertUnwindSafe(|| slot.task.poll(session)));
+        let polled = catch_unwind(AssertUnwindSafe(|| task.poll(session)));
         if polled.is_err() {
             // Containment: flush whatever the dead task left in flight
             // into its own (still swapped-in) lane before restoring the
@@ -189,7 +205,7 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
             session.env.run_until_idle();
             drop(session.env.take_client_inbox());
         }
-        session.env.swap_lane(&mut slot.lane);
+        session.env.swap_lane(lane);
         match polled {
             Ok(TaskPoll::Pending(Wake::Ready)) => {}
             Ok(TaskPoll::Pending(Wake::Timer(d))) => self.pending_advance = Some(d),
@@ -205,28 +221,26 @@ impl<S: Substrate, T: FlowTask<S>> Reactor<S, T> {
         true
     }
 
-    /// Retire the head task and move on to the next one.
+    /// Retire the head task and move on to the next job.
     fn finish(&mut self, id: usize, out: Option<T::Output>) {
         self.results[id] = out;
+        if let Some(task) = self.head.take() {
+            self.replays[id] = task.replays_done();
+        }
         // Nothing reads a finished lane's capture (splicing takes only
-        // clock + staged events); release its packet buffers now.
-        self.slots[id].lane.capture.clear();
+        // clock + staged events); free its packet buffers now.
+        self.lanes[id].capture.release();
         self.unfinished.pop();
     }
 
     /// Dismantle into the per-task results, lanes, and replay counts the
-    /// splicing pass needs.
+    /// splicing pass needs. Call after [`Reactor::run`]: a job that has
+    /// not finished reports no result and no replays.
     pub fn into_outcome(self) -> ReactorOutcome<T::Output> {
-        let mut lanes = Vec::with_capacity(self.slots.len());
-        let mut replays = Vec::with_capacity(self.slots.len());
-        for slot in self.slots {
-            replays.push(slot.task.replays_done());
-            lanes.push(slot.lane);
-        }
         ReactorOutcome {
             results: self.results,
-            lanes,
-            replays,
+            lanes: self.lanes,
+            replays: self.replays,
         }
     }
 }

@@ -79,9 +79,16 @@ impl<S: Substrate> LiberateSocket<S> {
     }
 
     /// Install the evasion technique to apply to new connections (from a
-    /// pipeline run or a shared cache).
-    pub fn use_technique(&mut self, technique: Technique, ctx: EvasionContext) {
+    /// pipeline run or a shared cache). A technique that needs the
+    /// server application's cooperation (a dummy prefix the server must
+    /// strip) is refused: the socket talks to unmodified servers, which
+    /// would take the inserted bytes as application data.
+    pub fn use_technique(&mut self, technique: Technique, ctx: EvasionContext) -> Result<()> {
+        if technique.requires_server_support() {
+            return Err(LiberateError::NeedsServerSupport);
+        }
         self.technique = Some((technique, ctx));
+        Ok(())
     }
 
     /// Open a connection to the environment's server, on the session's
@@ -233,7 +240,8 @@ mod tests {
         s.use_technique(
             Technique::TtlRstBeforeMatch,
             EvasionContext::blind(decoy_request(), 10),
-        );
+        )
+        .unwrap();
         s.connect(80).unwrap();
         let req = get_request("www.economist.com", "/", "sock/1.0");
         s.send(&req).unwrap();
@@ -255,7 +263,8 @@ mod tests {
                 decoy: decoy_request(),
                 middlebox_ttl: 8,
             },
-        );
+        )
+        .unwrap();
         s.connect(80).unwrap();
         s.send(&req).unwrap();
         // A second send passes through untransformed.
@@ -351,7 +360,7 @@ mod tests {
                 .replay_with(&trace, &technique, &ctx, &ReplayOpts::default())
                 .unwrap();
             let mut s = socket(EnvKind::Sprint);
-            s.use_technique(technique.clone(), ctx.clone());
+            s.use_technique(technique.clone(), ctx.clone()).unwrap();
             s.session.env.clear_capture();
             s.connect(80).unwrap();
             s.send(&req).unwrap();
@@ -367,6 +376,25 @@ mod tests {
         );
     }
 
+    /// A technique that needs server cooperation is refused, and the
+    /// socket carries on as a plain stack: with a one-byte dummy prefix
+    /// installed, an unmodified echo server would see the prefix as data
+    /// and the second send would overlap the first one's tail.
+    #[test]
+    fn server_supported_technique_is_refused() {
+        let mut s = socket(EnvKind::Sprint);
+        let refused = s.use_technique(
+            Technique::DummyPrefixData { bytes: 1 },
+            EvasionContext::blind(decoy_request(), 10),
+        );
+        assert_eq!(refused, Err(LiberateError::NeedsServerSupport));
+        s.connect(80).unwrap();
+        s.send(b"first send").unwrap();
+        s.send(b"second send").unwrap();
+        assert_eq!(s.recv(), b"first sendsecond send");
+        assert_eq!(s.reset_count(), 0);
+    }
+
     /// A technique-rewritten first send is cut at the MSS like any other.
     #[test]
     fn rewritten_first_send_is_cut_at_the_mss() {
@@ -374,7 +402,8 @@ mod tests {
         s.use_technique(
             Technique::TtlRstBeforeMatch,
             EvasionContext::blind(decoy_request(), 10),
-        );
+        )
+        .unwrap();
         s.connect(80).unwrap();
         let mut data = get_request("www.economist.com", "/", "sock/1.0");
         data.resize(4_000, b'x');

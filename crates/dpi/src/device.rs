@@ -759,13 +759,13 @@ impl DpiDevice {
             }
             if let Some((class, rule_id)) = matched {
                 if !already_classified {
-                    entry.classification = Some(Classification {
+                    entry.classification = Some(Box::new(Classification {
                         class: class.clone(),
                         rule_id: rule_id.clone(),
                         at: now,
                         shaper: None,
                         result_timeout: self.config.flow.result_timeout,
-                    });
+                    }));
                     journal.metrics.incr(Counter::Verdicts);
                     journal.record(
                         now.as_micros(),

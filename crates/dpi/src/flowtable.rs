@@ -3,7 +3,7 @@
 //! (timeouts, RST effects, resource-pressure eviction).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -33,10 +33,12 @@ pub enum GateStatus {
 pub struct StreamAssembler {
     /// Client ISN + 1 (sequence number of stream byte 0), from the SYN.
     pub base_seq: Option<u32>,
-    /// Segment payloads keyed by stream byte offset. Stored as shared
+    /// Segment payloads with their stream byte offsets, sorted by offset
+    /// with at most one segment per offset. Stored as shared
     /// [`PacketBuf`] views into the original wire buffers: buffering a
-    /// segment for reassembly is a refcount bump, not a copy.
-    segments: BTreeMap<u64, PacketBuf>,
+    /// segment for reassembly is a refcount bump, not a copy. A flow
+    /// buffers one or two segments, so a sorted `Vec` beats a map's node.
+    segments: Vec<(u64, PacketBuf)>,
     /// Cap on buffered stream bytes.
     window_bytes: usize,
     /// Contiguous bytes already handed out by `drain_new_contiguous`.
@@ -61,7 +63,7 @@ impl StreamAssembler {
     pub fn new(window_bytes: usize) -> StreamAssembler {
         StreamAssembler {
             base_seq: None,
-            segments: BTreeMap::new(),
+            segments: Vec::new(),
             window_bytes,
             drained: 0,
             dirty: false,
@@ -75,18 +77,17 @@ impl StreamAssembler {
         let Some(base) = self.base_seq else {
             return false;
         };
-        let offset = seq.wrapping_sub(base);
+        let offset = u64::from(seq.wrapping_sub(base));
         // Offsets beyond the window (including enormous "wrong sequence
         // number" values, which wrap to huge u32s) are ignored.
-        if offset as u64 > self.window_bytes as u64 {
+        if offset > self.window_bytes as u64 {
             return false;
         }
         // First arrival at an offset wins: this is what lets an inert
         // decoy segment shadow the real request that later reuses the same
         // sequence range (wrong-checksum / missing-ACK evasion, §4.3).
-        if let std::collections::btree_map::Entry::Vacant(slot) = self.segments.entry(offset as u64)
-        {
-            slot.insert(payload.into());
+        if let Err(at) = self.segments.binary_search_by_key(&offset, |&(off, _)| off) {
+            self.segments.insert(at, (offset, payload.into()));
             // A fresh segment under the drained prefix can steal cells
             // from a later-offset segment that currently owns them.
             if (offset as usize) < self.drained {
@@ -100,8 +101,8 @@ impl StreamAssembler {
     /// truncated to the window. First-arrived data wins on overlap.
     pub fn assembled_prefix(&self) -> Vec<u8> {
         let mut out: Vec<Option<u8>> = Vec::new();
-        for (&off, data) in &self.segments {
-            let off = off as usize;
+        for (off, data) in &self.segments {
+            let off = *off as usize;
             let end = (off + data.len()).min(self.window_bytes);
             if end > out.len() {
                 out.resize(end, None);
@@ -141,8 +142,11 @@ impl StreamAssembler {
             // order covering it; that segment owns the whole run up to
             // its end (any lower-offset segment reaching into the run
             // would have covered `cursor` too).
-            for (&off, data) in self.segments.range(..=cursor as u64) {
-                let off = off as usize;
+            let covering = self
+                .segments
+                .partition_point(|&(off, _)| off <= cursor as u64);
+            for (off, data) in &self.segments[..covering] {
+                let off = *off as usize;
                 let end = (off + data.len()).min(self.window_bytes);
                 if end > cursor {
                     out.extend_from_slice(&data[cursor - off..end - off]);
@@ -219,13 +223,16 @@ pub struct Classification {
     pub result_timeout: Option<Duration>,
 }
 
-/// One flow table entry.
+/// One flow table entry. Both halves are boxed so a hash bucket holds
+/// only the two timestamps and two pointers (32 bytes): a shard's map
+/// grows in power-of-two steps, and every empty bucket would otherwise
+/// pay for a whole inline `Tracking` with its two assemblers.
 #[derive(Debug, Clone)]
 pub struct FlowEntry {
     pub created: SimTime,
     pub last_activity: SimTime,
-    pub tracking: Option<Tracking>,
-    pub classification: Option<Classification>,
+    pub tracking: Option<Box<Tracking>>,
+    pub classification: Option<Box<Classification>>,
 }
 
 impl FlowEntry {
@@ -384,7 +391,7 @@ impl FlowTable {
             FlowEntry {
                 created: now,
                 last_activity: now,
-                tracking: Some(Tracking::new(window_bytes)),
+                tracking: Some(Box::new(Tracking::new(window_bytes))),
                 classification: None,
             },
         );
@@ -537,6 +544,13 @@ mod tests {
         }
     }
 
+    /// A hash bucket holds two timestamps and two pointers; the tracking
+    /// and classification halves live behind their boxes.
+    #[test]
+    fn flow_entry_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<FlowEntry>() <= 32);
+    }
+
     #[test]
     fn assembler_places_segments_by_offset() {
         let mut a = StreamAssembler::new(4096);
@@ -677,13 +691,13 @@ mod tests {
         let mut table = FlowTable::default();
         let cfg = config();
         let e = table.create(key(), SimTime::ZERO, 4096);
-        e.classification = Some(Classification {
+        e.classification = Some(Box::new(Classification {
             class: "video".into(),
             rule_id: "r".into(),
             at: SimTime::ZERO,
             shaper: None,
             result_timeout: cfg.result_timeout,
-        });
+        }));
         // At t=60 s everything survives.
         assert!(table
             .lookup(key(), SimTime::from_secs(60), &cfg, None)
@@ -709,13 +723,13 @@ mod tests {
         let mut table = FlowTable::default();
         let cfg = config();
         let e = table.create(key(), SimTime::ZERO, 4096);
-        e.classification = Some(Classification {
+        e.classification = Some(Box::new(Classification {
             class: "video".into(),
             rule_id: "r".into(),
             at: SimTime::ZERO,
             shaper: None,
             result_timeout: cfg.result_timeout,
-        });
+        }));
         table.apply_rst(key(), &cfg);
         // 11 s later (> 10 s shortened timeout) the result is gone.
         let e = table.lookup(key(), SimTime::from_secs(11), &cfg, None);

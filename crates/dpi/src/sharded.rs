@@ -42,7 +42,8 @@ use crate::inspect::FlowConfig;
 use crate::resource::TimeOfDayLoad;
 
 /// Default shard count. Small enough that per-table overhead is noise,
-/// large enough that a handful of pool workers rarely collide.
+/// large enough that a handful of pool workers rarely collide. Shard
+/// counts are powers of two, so a flow's shard is a mask of its hash.
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// A flow table split into independently locked shards plus one
@@ -68,8 +69,16 @@ impl Default for ShardedFlowTable {
 }
 
 impl ShardedFlowTable {
+    /// A table of `shard_count` shards.
+    ///
+    /// # Panics
+    ///
+    /// If `shard_count` is not a power of two.
     pub fn new(shard_count: usize) -> ShardedFlowTable {
-        let shard_count = shard_count.max(1);
+        assert!(
+            shard_count.is_power_of_two(),
+            "shard count {shard_count} is not a power of two"
+        );
         ShardedFlowTable {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(FlowTable::default()))
@@ -88,8 +97,9 @@ impl ShardedFlowTable {
     /// both directions of a flow land on the same shard and the mapping is
     /// stable across runs and platforms (no `RandomState`). FNV-1a's low
     /// bits depend only on the low bits of each key byte, so the high
-    /// half is folded in before the modulus: otherwise a wave whose
+    /// half is folded in before the mask: otherwise a wave whose
     /// client address and port both count up lands on a few shards.
+    #[inline]
     pub fn shard_index(&self, key: FlowKey) -> usize {
         let k = key.canonical();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -111,12 +121,13 @@ impl ShardedFlowTable {
         }
         eat(k.protocol);
         let h = h ^ (h >> 32);
-        (h % self.shards.len() as u64) as usize
+        (h as usize) & (self.shards.len() - 1)
     }
 
     /// Lock the shard owning `key`. The guard derefs to the plain
     /// [`FlowTable`]; on drop it folds the shard's lifetime-counter deltas
     /// into the cross-shard totals.
+    #[inline]
     pub fn shard(&self, key: FlowKey) -> ShardGuard<'_> {
         self.shard_at(self.shard_index(key))
     }
@@ -310,6 +321,12 @@ mod tests {
             }
         }
         unreachable!("FNV cannot map 10k keys to one shard")
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn shard_count_must_be_a_power_of_two() {
+        ShardedFlowTable::new(6);
     }
 
     #[test]

@@ -112,6 +112,29 @@ struct TcpConn {
     delivered: u64,
 }
 
+impl TcpConn {
+    /// Move the buffered segments that have become contiguous at
+    /// `rcv_next` onto `delivered` (advancing `rcv_next`), then evict
+    /// those that fell behind it.
+    fn drain_contiguous(&mut self, delivered: &mut Vec<u8>) {
+        while let Some(s) = self.ooo.iter().find_map(|(&s, d)| {
+            let covers =
+                seq_le(s, self.rcv_next) && seq_lt(self.rcv_next, s.wrapping_add(d.len() as u32));
+            (covers || s == self.rcv_next).then_some(s)
+        }) {
+            let seg = self.ooo.remove(&s).expect("present");
+            let skip = self.rcv_next.wrapping_sub(s) as usize;
+            if skip < seg.len() {
+                delivered.extend_from_slice(&seg[skip..]);
+                self.rcv_next = s.wrapping_add(seg.len() as u32);
+            }
+        }
+        let rcv_next = self.rcv_next;
+        self.ooo
+            .retain(|&s, d| !seq_le(s.wrapping_add(d.len() as u32), rcv_next));
+    }
+}
+
 /// Receive window the stack advertises/enforces; data beyond
 /// `rcv_next + window` is discarded as out-of-window (this is what makes
 /// "wrong sequence number" packets inert at the endpoint).
@@ -380,41 +403,25 @@ impl ServerHost {
                 data = data.slice(skip.min(data.len())..);
                 start = conn.rcv_next;
             }
-            // First-wins against already-buffered out-of-order data.
-            conn.ooo.entry(start).or_insert(data);
-
-            // Drain contiguous data.
-            let mut delivered = Vec::new();
-            loop {
-                let Some((&s, _)) = conn
-                    .ooo
-                    .iter()
-                    .find(|(&s, d)| {
-                        seq_le(s, conn.rcv_next)
-                            && seq_lt(conn.rcv_next, s.wrapping_add(d.len() as u32))
-                            || s == conn.rcv_next
-                    })
-                    .map(|(s, d)| (s, d))
-                else {
-                    break;
-                };
-                let seg = conn.ooo.remove(&s).expect("present");
-                let skip = conn.rcv_next.wrapping_sub(s) as usize;
-                if skip < seg.len() {
-                    delivered.extend_from_slice(&seg[skip..]);
-                    conn.rcv_next = s.wrapping_add(seg.len() as u32);
-                }
-            }
-            // Evict stale buffered segments that fell behind rcv_next.
-            let rcv_next = conn.rcv_next;
-            conn.ooo
-                .retain(|&s, d| !seq_le(s.wrapping_add(d.len() as u32), rcv_next));
+            // In order with nothing buffered (every segment of a clean
+            // flow): the payload view is the delivery, so neither the
+            // out-of-order map nor a gathered copy is touched.
+            let mut gathered = Vec::new();
+            let delivered: &[u8] = if conn.ooo.is_empty() && start == conn.rcv_next {
+                conn.rcv_next = start.wrapping_add(data.len() as u32);
+                &data
+            } else {
+                // First-wins against already-buffered out-of-order data.
+                conn.ooo.entry(start).or_insert(data);
+                conn.drain_contiguous(&mut gathered);
+                &gathered
+            };
 
             if !delivered.is_empty() {
                 conn.delivered += delivered.len() as u64;
                 let snd_before = conn.snd_next;
                 let rcv_now = conn.rcv_next;
-                let burst = self.app.on_tcp_data(flow, &delivered);
+                let burst = self.app.on_tcp_data(flow, delivered);
                 // Segment the response stream at MSS, each segment built
                 // straight into its wire buffer across message boundaries.
                 let segments = Packet::tcp(

@@ -148,4 +148,96 @@ proptest! {
         let outer = ParsedPacket::parse(&icmp).unwrap();
         prop_assert_eq!(outer.ip.dst, src, "errors go back to the source");
     }
+
+    /// The server delivers the same TCP byte stream whether a segment
+    /// takes the in-order fast path (nothing buffered, starts at
+    /// `rcv_next`) or the out-of-order reassembly: over random splits of
+    /// a stream, reordered, with overlapping segments whose bytes may
+    /// conflict, and a random ISN (so sequence numbers may wrap), the
+    /// app sees exactly what a first-wins reference receiver delivers.
+    #[test]
+    fn server_in_order_fast_path_matches_reassembly(
+        isn in any::<u32>(),
+        len in 1usize..600,
+        cuts in proptest::collection::vec(1usize..600, 0..8),
+        swaps in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+        extras in proptest::collection::vec((0usize..600, 1usize..200, any::<bool>(), 0usize..64), 0..4),
+    ) {
+        use liberate_netsim::os::OsProfile;
+        use liberate_netsim::server::{ServerHost, SinkApp};
+        use liberate_packet::tcp::TcpFlags;
+
+        let stream: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % len).filter(|&c| c > 0).collect();
+        bounds.extend([0, len]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut segments: Vec<(usize, Vec<u8>)> = bounds
+            .windows(2)
+            .map(|w| (w[0], stream[w[0]..w[1]].to_vec()))
+            .collect();
+        for (a, b) in swaps {
+            let n = segments.len();
+            segments.swap(a % n, b % n);
+        }
+        for (start, extra_len, conflicting, at) in extras {
+            let start = start % len;
+            let end = (start + extra_len).min(len + 50);
+            let bytes = (start..end)
+                .map(|i| {
+                    let b = stream.get(i).copied().unwrap_or(0xee);
+                    if conflicting { b ^ 0x80 } else { b }
+                })
+                .collect();
+            let at = at % (segments.len() + 1);
+            segments.insert(at, (start, bytes));
+        }
+
+        let client = Ipv4Addr::new(10, 0, 0, 1);
+        let server = Ipv4Addr::new(10, 9, 9, 9);
+        let mut host = ServerHost::new(server, OsProfile::linux(), Box::<SinkApp>::default());
+        let syn = Packet::tcp(client, server, 40_000, 80, isn, 0, vec![]).with_flags(TcpFlags::SYN);
+        host.receive(SimTime::ZERO, &syn.serialize());
+        let base = isn.wrapping_add(1);
+        for (offset, bytes) in &segments {
+            let seq = base.wrapping_add(*offset as u32);
+            let pkt = Packet::tcp(client, server, 40_000, 80, seq, 1, bytes.clone());
+            host.receive(SimTime::ZERO, &pkt.serialize());
+        }
+        let app = host.app_mut().as_any_mut().unwrap().downcast_mut::<SinkApp>().unwrap();
+        prop_assert_eq!(&app.tcp_bytes, &first_wins_reference(&segments));
+        if segments.iter().all(|(offset, bytes)| {
+            stream.get(*offset..*offset + bytes.len()) == Some(bytes.as_slice())
+        }) {
+            prop_assert_eq!(&app.tcp_bytes, &stream, "consistent segments rebuild the stream");
+        }
+    }
+}
+
+/// A receiver that buffers every segment by stream offset (the first one
+/// at an offset wins), delivers whatever became contiguous at its next
+/// expected byte, and drops buffered segments that fell behind it: the
+/// server's reassembly rules without sequence wrap, receive window or
+/// fast path.
+fn first_wins_reference(segments: &[(usize, Vec<u8>)]) -> Vec<u8> {
+    let mut next = 0usize;
+    let mut buffered: std::collections::BTreeMap<usize, &[u8]> = Default::default();
+    let mut out = Vec::new();
+    for (offset, bytes) in segments {
+        if offset + bytes.len() <= next {
+            continue;
+        }
+        let start = (*offset).max(next);
+        buffered.entry(start).or_insert(&bytes[start - offset..]);
+        while let Some((&s, d)) = buffered
+            .iter()
+            .find(|&(&s, d)| s <= next && next < s + d.len())
+        {
+            out.extend_from_slice(&d[next - s..]);
+            next = s + d.len();
+            buffered.remove(&s);
+        }
+        buffered.retain(|&s, d| s + d.len() > next);
+    }
+    out
 }

@@ -59,6 +59,7 @@ impl FlowKey {
     }
 
     /// The same flow seen from the other direction.
+    #[inline]
     pub fn reverse(self) -> FlowKey {
         FlowKey {
             src: self.dst,
@@ -71,6 +72,7 @@ impl FlowKey {
 
     /// A direction-independent key: both directions of a flow map to the
     /// same canonical value. Used by middlebox flow tables.
+    #[inline]
     pub fn canonical(self) -> FlowKey {
         let fwd = (self.src, self.src_port);
         let rev = (self.dst, self.dst_port);

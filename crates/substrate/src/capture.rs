@@ -112,8 +112,15 @@ impl Capture {
         self.at(point).any(|r| pred(&r.wire))
     }
 
+    /// Drop the records and keep the buffer for the next ones.
     pub fn clear(&mut self) {
         self.records.clear();
+    }
+
+    /// Drop the records and free their buffer: for a capture that will
+    /// record nothing more.
+    pub fn release(&mut self) {
+        self.records = Vec::new();
     }
 
     pub fn len(&self) -> usize {

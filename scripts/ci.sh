@@ -176,7 +176,7 @@ step "exp-obs (tracing-overhead gate, regenerates results/BENCH_obs.json)" bench
 
 # Asserts internally: every flow of a 20k-concurrent-flow deployment wave
 # runs as a reactor task and reports, marginal peak heap (counted by the
-# binary's global allocator) stays under 3 KiB per flow, and aggregate
+# binary's global allocator) stays under 1.5 KiB per flow, and aggregate
 # memory grows sub-linearly across a 100x flow scale-up. The full 100k-flow curve runs via
 # `cargo run --release -p liberate-bench --bin exp-scale`.
 step "exp-scale --flows 20000 (reactor scale gates, regenerates results/BENCH_scale.json)" \

@@ -1,5 +1,6 @@
 //! Fault-path and scheduling battery for the replay reactor: each task
-//! runs to completion before the next starts, panicking tasks are
+//! runs to completion before the next starts and is built only when it
+//! reaches the head, panicking tasks are
 //! contained, mid-wave teardown leaks nothing, admission-order shuffles
 //! cannot perturb the spliced journal, and waves smaller than the pool
 //! leave surplus workers untouched.
@@ -78,7 +79,7 @@ fn spliced_run(order: Option<&[usize]>) -> (Vec<Option<usize>>, String) {
     let mut session = session();
     let telemetry = Journal::disabled();
     let t0 = session.env.clock();
-    let mut reactor = Reactor::new(&session, ChattyTask::wave(6), &telemetry);
+    let mut reactor = Reactor::new(&session, ChattyTask::wave(6), |_, task| task, &telemetry);
     if let Some(order) = order {
         reactor.set_admission_order(order);
     }
@@ -164,7 +165,7 @@ fn each_task_runs_to_completion_before_the_next_starts() {
             max_running: Arc::clone(&max_running),
         })
         .collect();
-    let mut reactor = Reactor::new(&session, wave, &telemetry);
+    let mut reactor = Reactor::new(&session, wave, |_, task| task, &telemetry);
     reactor.run(&mut session, &telemetry);
     let outcome = reactor.into_outcome();
 
@@ -175,6 +176,79 @@ fn each_task_runs_to_completion_before_the_next_starts() {
     assert_eq!(telemetry.metrics.get(Counter::ReactorTimerFires), 16 * 3);
     for lane in &outcome.lanes {
         assert_eq!(lane.clock - session.env.clock(), Duration::from_millis(30));
+    }
+}
+
+/// A task that reads, at its first and its last poll, how many tasks
+/// of its wave have been built so far.
+struct BuildProbe {
+    built: Arc<AtomicUsize>,
+    polls: u32,
+    at_first_poll: usize,
+}
+
+impl FlowTask<liberate::sim::SimSubstrate> for BuildProbe {
+    type Output = (usize, usize);
+
+    fn poll(&mut self, _session: &mut Session) -> TaskPoll<(usize, usize)> {
+        let built = self.built.load(Ordering::Relaxed);
+        if self.polls == 0 {
+            self.at_first_poll = built;
+        }
+        self.polls += 1;
+        if self.polls < 3 {
+            return TaskPoll::Pending(Wake::Timer(Duration::from_millis(5)));
+        }
+        TaskPoll::Done((self.at_first_poll, built))
+    }
+
+    fn replays_done(&self) -> u64 {
+        0
+    }
+}
+
+/// A job becomes its task only when it reaches the head of the
+/// admission order: admitting a wave builds nothing, and the job that
+/// runs `k`-th sees exactly `k` tasks built, from its first poll to its
+/// last.
+#[test]
+fn each_task_is_built_when_it_reaches_the_head() {
+    const JOBS: usize = 8;
+    let order = [3usize, 0, 7, 1, 6, 2, 5, 4];
+    let mut session = session();
+    let telemetry = Journal::disabled();
+    let built = Arc::new(AtomicUsize::new(0));
+    let mut build_order = Vec::new();
+    let counter = Arc::clone(&built);
+    let mut reactor = Reactor::new(
+        &session,
+        (0..JOBS).collect(),
+        |k, job: usize| {
+            assert_eq!(k, job, "the build sees the job's own index");
+            build_order.push(job);
+            counter.fetch_add(1, Ordering::Relaxed);
+            BuildProbe {
+                built: Arc::clone(&counter),
+                polls: 0,
+                at_first_poll: 0,
+            }
+        },
+        &telemetry,
+    );
+    reactor.set_admission_order(&order);
+    assert_eq!(built.load(Ordering::Relaxed), 0, "admission built a task");
+    assert!(reactor.step(&mut session, &telemetry));
+    assert_eq!(built.load(Ordering::Relaxed), 1, "only the head is built");
+    reactor.run(&mut session, &telemetry);
+    let outcome = reactor.into_outcome();
+    assert_eq!(build_order, order, "tasks built out of admission order");
+
+    for (rank, &job) in order.iter().enumerate() {
+        assert_eq!(
+            outcome.results[job],
+            Some((rank + 1, rank + 1)),
+            "job {job} ran {rank}-th"
+        );
     }
 }
 
@@ -293,7 +367,12 @@ fn dropping_a_reactor_with_parked_timers_leaks_no_task_state() {
     let journal_before = to_jsonl(session.journal());
 
     let telemetry = Journal::disabled();
-    let mut reactor = Reactor::new(&session, vec![ParkedForever, ParkedForever], &telemetry);
+    let mut reactor = Reactor::new(
+        &session,
+        vec![ParkedForever, ParkedForever],
+        |_, task| task,
+        &telemetry,
+    );
     // Two steps poll the head task twice (the second applies the first
     // advance on its lane); it is waiting on a third when the reactor
     // drops.
